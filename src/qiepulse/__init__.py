@@ -8,84 +8,20 @@ systematic-error robustness scans.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DegeneracyError,
-    DesignError,
-    GridError,
-    ParameterError,
-    PulseFormatError,
-    QiePulseError,
-    ScanError,
-    SingularityError,
-    StiffnessError,
-    ToleranceError,
-)
-from .profiles import ThetaSample, TimeGrid, theta_profile
-from .designer import (
-    AngleTrajectory,
-    DesignParams,
-    Pulse,
-    adiabaticity_parameter,
-    analytic_diagnostics,
-    beta_acceleration,
-    design_pulse,
-    initial_beta_rate,
-    invert_angles,
-    pulse_area,
-)
-from .dynamics import (
-    StateTrajectory,
-    TargetState,
-    adiabatic_populations,
-    angle_state,
-    bloch_from_angles,
-    bloch_from_state,
-    fidelity,
-    instantaneous_eigenbasis,
-    ket1,
-    propagate,
-    step_evolve,
-    target_state,
-)
-from .robustness import (
-    ErrorGrid,
-    ScanResult,
-    format_summary,
-    pi_half_baseline,
-    robustness_summary,
-    scan_1d,
-)
-from .pulse_io import (
-    RunConfig,
-    parse_config,
-    read_pulse_csv,
-    serialize_config,
-    write_pulse_csv,
-    write_scan_csv,
-    write_trajectory_csv,
-)
+from . import designer, dynamics, errors, profiles, pulse_io, robustness
+from .errors import *  # noqa: F401,F403
+from .profiles import *  # noqa: F401,F403
+from .designer import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .robustness import *  # noqa: F401,F403
+from .pulse_io import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # errors
-    "QiePulseError", "ParameterError", "GridError", "SingularityError",
-    "StiffnessError", "DegeneracyError", "DesignError", "ToleranceError",
-    "ScanError", "PulseFormatError", "ConfigError",
-    # profiles
-    "TimeGrid", "ThetaSample", "theta_profile",
-    # designer
-    "DesignParams", "AngleTrajectory", "Pulse", "invert_angles",
-    "adiabaticity_parameter", "beta_acceleration", "initial_beta_rate",
-    "design_pulse", "pulse_area", "analytic_diagnostics",
-    # dynamics
-    "TargetState", "StateTrajectory", "ket1", "angle_state", "target_state",
-    "step_evolve", "propagate", "fidelity", "instantaneous_eigenbasis",
-    "adiabatic_populations", "bloch_from_angles", "bloch_from_state",
-    # robustness
-    "ErrorGrid", "ScanResult", "pi_half_baseline", "scan_1d",
-    "robustness_summary", "format_summary",
-    # io
-    "RunConfig", "parse_config", "serialize_config", "write_pulse_csv",
-    "read_pulse_csv", "write_scan_csv", "write_trajectory_csv",
+    *errors.__all__,
+    *profiles.__all__,
+    *designer.__all__,
+    *dynamics.__all__,
+    *robustness.__all__,
+    *pulse_io.__all__,
 ]

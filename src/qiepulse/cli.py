@@ -23,8 +23,6 @@ from .errors import (
     PulseFormatError,
     ScanError,
     SingularityError,
-    StiffnessError,
-    ToleranceError,
 )
 from .plots import svg_line_plot
 from .pulse_io import (
@@ -56,10 +54,7 @@ AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
 _ARGUMENT_ERRORS = (ConfigError, ParameterError, GridError)
-_NUMERICAL_ERRORS = (
-    DesignError, ToleranceError, ScanError, SingularityError,
-    StiffnessError, DegeneracyError,
-)
+_NUMERICAL_ERRORS = (DesignError, ScanError, SingularityError, DegeneracyError)
 _IO_ERRORS = (PulseFormatError, OSError)
 
 

@@ -38,11 +38,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import (
-    DegeneracyError,
-    DesignError,
-    ParameterError,
-    SingularityError,
-    StiffnessError,
+    DegeneracyError, DesignError, ParameterError, SingularityError,
 )
 from .profiles import ThetaSample, TimeGrid, theta_profile
 
@@ -55,7 +51,6 @@ __all__ = [
     "beta_acceleration",
     "initial_beta_rate",
     "design_pulse",
-    "pulse_area",
     "analytic_diagnostics",
 ]
 
@@ -195,10 +190,13 @@ def adiabaticity_parameter(omega, omega_dot, delta, delta_dot):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _chain(theta: ThetaSample, beta, beta_dot):
-    """Shared algebra: fields plus the beta_ddot-free parts of their rates.
+def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
+                branch_sign: int):
+    """The constraint algebra at one point or along aligned arrays.
 
-    Returns (omega, delta, omega_dot, G) with Delta_dot = beta_ddot + G.
+    Returns (omega, delta, omega_dot, G, beta_ddot): the fields, the
+    beta_ddot-free parts of their rates (Delta_dot = beta_ddot + G), and the
+    beta_ddot that holds the adiabaticity parameter at c on the given branch.
     """
     th = np.asarray(theta.theta, dtype=float)
     thd = np.asarray(theta.theta_dot, dtype=float)
@@ -217,7 +215,10 @@ def _chain(theta: ThetaSample, beta, beta_dot):
         + thd * thd * cot_b / (st * st)
         + thd * bd * cot_t / (sb * sb)
     )
-    return omega, delta, omega_dot, G
+    gap3 = (omega * omega + delta * delta) ** 1.5
+    A = omega_dot * delta - omega * G
+    beta_ddot = (A - branch_sign * 2.0 * c * gap3) / omega
+    return omega, delta, omega_dot, G, beta_ddot
 
 
 def beta_acceleration(
@@ -227,20 +228,17 @@ def beta_acceleration(
     c: float,
     branch_sign: int,
     omega_floor: float = OMEGA_FLOOR,
-) -> float:
+) -> Optional[float]:
     """beta_ddot enforcing a constant adiabaticity parameter c.
 
-    Raises StiffnessError when |Omega| is below omega_floor; the integrator
+    Returns None when |Omega| is below omega_floor; the integrator
     regularizes that region by holding the last finite value.
     """
-    omega, delta, omega_dot, G = _chain(theta, beta, beta_dot)
+    omega, _, _, _, beta_ddot = _constraint(theta, beta, beta_dot, c,
+                                            branch_sign)
     if abs(omega) < omega_floor:
-        raise StiffnessError(
-            f"|Omega| = {abs(omega):.3e} below floor {omega_floor:.1e}"
-        )
-    gap3 = (omega * omega + delta * delta) ** 1.5
-    A = omega_dot * delta - omega * G
-    return float((A - branch_sign * 2.0 * c * gap3) / omega)
+        return None
+    return float(beta_ddot)
 
 
 def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
@@ -251,14 +249,18 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
     from the constraint), never from differencing sampled fields.  Returns
     (omega, delta, omega_dot, delta_dot, mu).
     """
-    omega, delta, omega_dot, G = _chain(theta, beta, beta_dot)
-    gap3 = (omega * omega + delta * delta) ** 1.5
-    A = omega_dot * delta - omega * G
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta_ddot = (A - branch_sign * 2.0 * c * gap3) / omega
+        omega, delta, omega_dot, G, beta_ddot = _constraint(
+            theta, beta, beta_dot, c, branch_sign
+        )
     delta_dot = beta_ddot + G
     mu = adiabaticity_parameter(omega, omega_dot, delta, delta_dot)
     return omega, delta, omega_dot, delta_dot, mu
+
+
+def _area(omega, t) -> float:
+    """Integral of |Omega| over the samples t (composite Simpson)."""
+    return float(simpson(np.abs(omega), x=t))
 
 
 def initial_beta_rate(params: DesignParams) -> float:
@@ -292,13 +294,10 @@ def design_pulse(params: DesignParams):
     held = [0.0]
 
     def rhs(ti, y):
-        sample = theta_profile(ti, params.T)
-        try:
-            held[0] = beta_acceleration(
-                sample, y[0], y[1], params.c, params.branch_sign, floor
-            )
-        except StiffnessError:
-            pass  # hold last finite acceleration through the dead tails
+        acc = beta_acceleration(theta_profile(ti, params.T), y[0], y[1],
+                                params.c, params.branch_sign, floor)
+        if acc is not None:  # else hold it through the dead tails
+            held[0] = acc
         return (y[1], held[0])
 
     y0 = (0.5 * np.pi, initial_beta_rate(params))
@@ -324,8 +323,9 @@ def design_pulse(params: DesignParams):
     theta = theta_profile(t, params.T)
     trajectory = AngleTrajectory(grid, theta, beta, np.asarray(beta_dot))
 
-    omega, delta = invert_angles(theta, beta, beta_dot)
-    _, _, _, _, mu = analytic_diagnostics(
+    if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
+        raise SingularityError("sin(beta) vanishes; Omega undefined")
+    omega, delta, _, _, mu = analytic_diagnostics(
         theta, beta, beta_dot, params.c, params.branch_sign
     )
     interior = np.abs(t) <= 0.95 * params.kappa * params.T
@@ -335,14 +335,10 @@ def design_pulse(params: DesignParams):
         grid=grid,
         omega=omega,
         delta=delta,
-        area=float(simpson(np.abs(omega), x=t)),
+        area=_area(omega, t),
         beta_final=float(-beta[-1]),
         adiabaticity_residual=residual,
         params=params,
     )
     return pulse, trajectory
 
-
-def pulse_area(pulse: Pulse) -> float:
-    """Integral of |Omega| over the grid (composite Simpson)."""
-    return float(simpson(np.abs(pulse.omega), x=pulse.grid.samples()))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designer import Pulse
-from .errors import DegeneracyError, ParameterError
+from .errors import ParameterError
 from .profiles import TimeGrid
 
 __all__ = [
@@ -31,11 +31,8 @@ __all__ = [
     "ket1",
     "angle_state",
     "target_state",
-    "step_evolve",
     "propagate",
     "fidelity",
-    "instantaneous_eigenbasis",
-    "adiabatic_populations",
     "bloch_from_angles",
     "bloch_from_state",
 ]
@@ -53,7 +50,13 @@ class StateTrajectory:
     """Propagation record on the pulse grid.
 
     adiab_pop_minus/plus are populations of the instantaneous eigenbranches
-    of the applied Hamiltonian; NaN where the Hamiltonian is degenerate.
+    of the applied Hamiltonian; NaN where the Hamiltonian is degenerate.  The
+    branch vectors follow the mixing angle x = atan2(Omega, Delta),
+
+        vec_minus = (cos(x/2), -sin(x/2)),  vec_plus = (sin(x/2), cos(x/2)),
+
+    with eigenvalues -+ (1/2) sqrt(Omega^2 + Delta^2); x is unwrapped along
+    the grid, so the labels never flip at Delta sign changes.
     """
 
     grid: TimeGrid
@@ -88,31 +91,6 @@ def target_state(beta_final) -> np.ndarray:
     return np.array([np.exp(-0.5j * bf), np.exp(0.5j * bf)]) / np.sqrt(2.0)
 
 
-def step_evolve(state, omega: float, delta: float, dt: float) -> np.ndarray:
-    """Apply the exact unitary exp(-i H dt) of the frozen Hamiltonian.
-
-    With E = (1/2) sqrt(Omega^2 + Delta^2),
-    U = cos(E dt) I - i sin(E dt) (Omega sigma_x - Delta sigma_z) / (2 E),
-    and U = I when E = 0.
-    """
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    psi = np.asarray(state, dtype=complex)
-    E = 0.5 * np.hypot(omega, delta)
-    if E == 0.0:
-        return psi.copy()
-    phase = E * dt
-    cs = np.cos(phase)
-    f = np.sin(phase) / (2.0 * E)
-    a, b = psi
-    return np.array(
-        [
-            (cs + 1j * f * delta) * a - 1j * f * omega * b,
-            -1j * f * omega * a + (cs - 1j * f * delta) * b,
-        ]
-    )
-
-
 def _midpoint_fields(omega, delta, substeps):
     """Fields at sub-step midpoints, linearly interpolated per interval.
 
@@ -125,9 +103,13 @@ def _midpoint_fields(omega, delta, substeps):
 
 
 def _evolve_batch(psi, om, de, dt):
-    """One frozen-Hamiltonian step on a batch of states.
+    """Apply the exact unitary exp(-i H dt) of the frozen Hamiltonian to a
+    batch of states, in place.
 
-    psi: (nb, 2) complex; om, de: scalars or (nb,) arrays.
+    With E = (1/2) sqrt(Omega^2 + Delta^2),
+    U = cos(E dt) I - i sin(E dt) (Omega sigma_x - Delta sigma_z) / (2 E),
+    and U = I when E = 0.  psi: (nb, 2) complex; om, de: scalars or (nb,)
+    arrays.
     """
     E = 0.5 * np.hypot(om, de)
     phase = E * dt
@@ -224,36 +206,6 @@ def fidelity(final, target) -> float:
     psi = np.asarray(final, dtype=complex)
     val = abs(np.vdot(tgt, psi)) ** 2
     return float(min(max(val, 0.0), 1.0))
-
-
-def instantaneous_eigenbasis(omega: float, delta: float):
-    """Eigen-decomposition of the frozen Hamiltonian at one point.
-
-    Returns (eigval_minus, eigval_plus, eigvec_minus, eigvec_plus) with
-    eigenvalues -+ (1/2) sqrt(Omega^2 + Delta^2).  The eigenvectors follow
-    the mixing angle x = atan2(Omega, Delta):
-
-        vec_minus = (cos(x/2), -sin(x/2)),  vec_plus = (sin(x/2), cos(x/2)),
-
-    which is continuous in x, so trajectories labeled through a continuous
-    x(t) never flip branches at Delta sign changes.
-    """
-    gap = np.hypot(omega, delta)
-    if gap == 0.0:
-        raise DegeneracyError("eigenbasis undefined at Omega = Delta = 0")
-    x = np.arctan2(omega, delta)
-    vec_minus = np.array([np.cos(0.5 * x), -np.sin(0.5 * x)], dtype=complex)
-    vec_plus = np.array([np.sin(0.5 * x), np.cos(0.5 * x)], dtype=complex)
-    return -0.5 * gap, 0.5 * gap, vec_minus, vec_plus
-
-
-def adiabatic_populations(state, omega: float, delta: float):
-    """Populations |<eigvec|state>|^2 on the two instantaneous branches."""
-    _, _, vec_minus, vec_plus = instantaneous_eigenbasis(omega, delta)
-    psi = np.asarray(state, dtype=complex)
-    p_minus = abs(np.vdot(vec_minus, psi)) ** 2
-    p_plus = abs(np.vdot(vec_plus, psi)) ** 2
-    return float(p_minus), float(p_plus)
 
 
 def bloch_from_angles(theta, beta):

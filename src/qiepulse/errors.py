@@ -5,6 +5,12 @@ catch library failures without masking programming errors.  The CLI maps the
 subclasses onto its exit codes (see qiepulse.cli).
 """
 
+__all__ = [
+    "QiePulseError", "ParameterError", "GridError", "SingularityError",
+    "DegeneracyError", "DesignError", "ScanError", "PulseFormatError",
+    "ConfigError",
+]
+
 
 class QiePulseError(Exception):
     """Base class for all qiepulse errors."""
@@ -22,11 +28,6 @@ class SingularityError(QiePulseError):
     """Angle inversion hit sin(beta) = 0, or theta = 0 with cot(beta) != 0."""
 
 
-class StiffnessError(QiePulseError):
-    """|Omega| fell below the floor where the constrained acceleration is
-    evaluated; the caller must apply the endpoint regularization."""
-
-
 class DegeneracyError(QiePulseError):
     """Omega = Delta = 0: instantaneous eigenbasis / adiabaticity parameter
     undefined."""
@@ -38,10 +39,6 @@ class DesignError(QiePulseError):
     def __init__(self, message, t_fail=None):
         super().__init__(message)
         self.t_fail = t_fail
-
-
-class ToleranceError(QiePulseError):
-    """The adaptive stepper could not meet the requested tolerances."""
 
 
 class ScanError(QiePulseError):

@@ -11,15 +11,20 @@ pulses can enter the scan pipeline.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import __version__
-from .designer import AngleTrajectory, DesignParams, Pulse, analytic_diagnostics
+from .designer import (
+    AngleTrajectory,
+    DesignParams,
+    Pulse,
+    _area,
+    analytic_diagnostics,
+)
 from .errors import ConfigError, GridError, ParameterError, PulseFormatError
 from .profiles import TimeGrid
 from .robustness import ErrorGrid, ScanResult
@@ -57,30 +62,37 @@ class RunConfig:
             )
 
 
-_DESIGN_KEYS = {
-    "c", "T", "kappa", "n_samples", "branch_sign", "beta_rate_init",
-    "consistency_sign", "ode_rel_tol", "ode_abs_tol",
-}
-_GRID_KEYS = {"lo", "hi", "n_points"}
-_TOP_KEYS = {
-    "design", "rabi_grid", "detuning_grid", "output_dir", "emit_plots",
-    "csv_precision",
-}
-
 _DEFAULT_GRID = {"lo": -0.5, "hi": 0.5, "n_points": 101}
 
+# JSON value types accepted for each annotated field type; a field whose
+# type is a dataclass takes a JSON object.
+_JSON_TYPES = {
+    float: ("a number", (int, float)),
+    int: ("an integer", (int,)),
+    bool: ("true or false", (bool,)),
+    str: ("a string", (str,)),
+}
 
-def _check_keys(given, allowed, where):
-    unknown = sorted(set(given) - allowed)
+
+def _check_fields(given: dict, cls, where: str, skip=()) -> None:
+    """Reject keys that are not fields of cls, and values of the wrong type."""
+    types = {f.name: f.type for f in fields(cls) if f.name not in skip}
+    unknown = sorted(set(given) - set(types))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    for key, value in given.items():
+        kind, allowed = _JSON_TYPES.get(types[key], ("an object", (dict,)))
+        if (not isinstance(value, allowed)
+                or (isinstance(value, bool) and bool not in allowed)):
+            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration, filling documented defaults.
 
-    Unknown keys are rejected by name; out-of-range values surface as
-    ConfigError naming the field and its bound.
+    Unknown keys and values of the wrong JSON type are rejected by name;
+    out-of-range values surface as ConfigError naming the field and its
+    bound.
     """
     try:
         raw = json.loads(text)
@@ -88,12 +100,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_fields(raw, RunConfig, "config")
 
-    design_raw = raw.get("design", {})
-    if not isinstance(design_raw, dict):
-        raise ConfigError("'design' must be an object")
-    _check_keys(design_raw, _DESIGN_KEYS, "design")
+    design_raw = raw.pop("design", {})
+    _check_fields(design_raw, DesignParams, "design")
     if "c" not in design_raw:
         raise ConfigError("design.c is required")
     try:
@@ -102,59 +112,35 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"design: {exc}") from exc
 
     grids = {}
-    for name in ("rabi_grid", "detuning_grid"):
-        grid_raw = raw.get(name, dict(_DEFAULT_GRID))
-        if not isinstance(grid_raw, dict):
-            raise ConfigError(f"'{name}' must be an object")
-        _check_keys(grid_raw, _GRID_KEYS, name)
-        merged = dict(_DEFAULT_GRID)
-        merged.update(grid_raw)
+    for name, parameter in (("rabi_grid", "rabi"),
+                            ("detuning_grid", "detuning")):
+        grid_raw = raw.pop(name, {})
+        _check_fields(grid_raw, ErrorGrid, name, skip=("parameter",))
         try:
-            grids[name] = ErrorGrid(
-                parameter="rabi" if name == "rabi_grid" else "detuning",
-                **merged,
-            )
+            grids[name] = ErrorGrid(parameter, **{**_DEFAULT_GRID, **grid_raw})
         except ParameterError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 
-    try:
-        return RunConfig(
-            design=design,
-            rabi_grid=grids["rabi_grid"],
-            detuning_grid=grids["detuning_grid"],
-            output_dir=raw.get("output_dir", "qiepulse_out"),
-            emit_plots=bool(raw.get("emit_plots", False)),
-            csv_precision=int(raw.get("csv_precision", 12)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(design=design, **grids, **raw)
 
 
 def serialize_config(config: RunConfig) -> str:
     """JSON form that parse_config reads back to an equal config."""
-    payload = {
-        "design": asdict(config.design),
-        "rabi_grid": {
-            "lo": config.rabi_grid.lo,
-            "hi": config.rabi_grid.hi,
-            "n_points": config.rabi_grid.n_points,
-        },
-        "detuning_grid": {
-            "lo": config.detuning_grid.lo,
-            "hi": config.detuning_grid.hi,
-            "n_points": config.detuning_grid.n_points,
-        },
-        "output_dir": config.output_dir,
-        "emit_plots": config.emit_plots,
-        "csv_precision": config.csv_precision,
-    }
+    payload = asdict(config)
+    for name in ("rabi_grid", "detuning_grid"):
+        del payload[name]["parameter"]
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}e}"
+def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
+    """'# key = value' metadata lines, a header row, then one row per sample
+    of the aligned arrays in scientific notation."""
+    lines = [f"# {key} = {value}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    row = ",".join([f"{{:.{precision}e}}"] * len(columns))
+    lines.extend(row.format(*values)
+                 for values in np.column_stack(arrays).tolist())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
@@ -166,7 +152,6 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
     external pulses) the minimal 't,omega,delta' layout is used.
     """
     t = pulse.grid.samples()
-    lines = []
     meta = {
         "version": __version__,
         "area": repr(pulse.area),
@@ -181,39 +166,22 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
             beta_rate_init=p.beta_rate_init,
             consistency_sign=p.consistency_sign,
         )
-    for key, value in meta.items():
-        lines.append(f"# {key} = {value}")
-
-    if trajectory is not None:
-        if pulse.params is None:
-            raise ParameterError(
-                "writing the 6-column layout needs design params for the "
-                "adiabaticity column"
-            )
-        _, _, _, _, mu = analytic_diagnostics(
-            trajectory.theta, trajectory.beta, trajectory.beta_dot,
-            pulse.params.c, pulse.params.branch_sign,
+    if trajectory is None:
+        _write_csv(path, meta, PULSE_COLUMNS_MINIMAL,
+                   [t, pulse.omega, pulse.delta], precision)
+        return
+    if pulse.params is None:
+        raise ParameterError(
+            "writing the 6-column layout needs design params for the "
+            "adiabaticity column"
         )
-        mu = np.broadcast_to(mu, t.shape)
-        lines.append(",".join(PULSE_COLUMNS))
-        for k in range(t.size):
-            lines.append(",".join([
-                _fmt(t[k], precision),
-                _fmt(pulse.omega[k], precision),
-                _fmt(pulse.delta[k], precision),
-                _fmt(trajectory.theta.theta[k], precision),
-                _fmt(trajectory.beta[k], precision),
-                _fmt(mu[k], precision),
-            ]))
-    else:
-        lines.append(",".join(PULSE_COLUMNS_MINIMAL))
-        for k in range(t.size):
-            lines.append(",".join([
-                _fmt(t[k], precision),
-                _fmt(pulse.omega[k], precision),
-                _fmt(pulse.delta[k], precision),
-            ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, _, _, _, mu = analytic_diagnostics(
+        trajectory.theta, trajectory.beta, trajectory.beta_dot,
+        pulse.params.c, pulse.params.branch_sign,
+    )
+    _write_csv(path, meta, PULSE_COLUMNS,
+               [t, pulse.omega, pulse.delta, trajectory.theta.theta,
+                trajectory.beta, np.broadcast_to(mu, t.shape)], precision)
 
 
 def _parse_metadata_line(line: str, meta: dict) -> None:
@@ -232,6 +200,7 @@ def read_pulse_csv(path) -> Pulse:
     meta = {}
     header = None
     rows = []
+    linenos = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -256,6 +225,7 @@ def read_pulse_csv(path) -> Pulse:
                 raise PulseFormatError(
                     f"line {lineno}: {exc}", line_number=lineno
                 ) from exc
+            linenos.append(lineno)
     if header is None or not rows:
         raise PulseFormatError("no data rows found")
     for required in PULSE_COLUMNS_MINIMAL:
@@ -263,6 +233,11 @@ def read_pulse_csv(path) -> Pulse:
             raise PulseFormatError(f"missing required column {required!r}")
 
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise PulseFormatError(f"line {lineno}: non-finite value",
+                               line_number=lineno)
     col = {name: data[:, i] for i, name in enumerate(header)}
     t = col["t"]
     if t.size < 3:
@@ -274,9 +249,7 @@ def read_pulse_csv(path) -> Pulse:
 
     grid = TimeGrid(float(t[0]), float(t[-1]), t.size)
     omega, delta = col["omega"], col["delta"]
-    area = float(meta["area"]) if "area" in meta else float(
-        simpson(np.abs(omega), x=t)
-    )
+    area = float(meta["area"]) if "area" in meta else _area(omega, t)
     beta_final = float(meta["beta_final"]) if "beta_final" in meta else float("nan")
     residual = (
         float(meta["adiabaticity_residual"])
@@ -296,32 +269,20 @@ def read_pulse_csv(path) -> Pulse:
 
 def write_scan_csv(result: ScanResult, path, precision: int = 12) -> None:
     """Serialize one scan: '#' metadata plus 'delta,fidelity' rows."""
-    deltas = result.grid.values()
-    lines = [
-        f"# protocol = {result.protocol_label}",
-        f"# parameter = {result.grid.parameter}",
-        f"# area = {result.area!r}",
-        f"# min_fidelity_in_band = {result.min_fidelity_in_band!r}",
-        "delta,fidelity",
-    ]
-    for d, f in zip(deltas, result.fidelities):
-        lines.append(f"{_fmt(d, precision)},{_fmt(f, precision)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = {
+        "protocol": result.protocol_label,
+        "parameter": result.grid.parameter,
+        "area": repr(result.area),
+        "min_fidelity_in_band": repr(result.min_fidelity_in_band),
+    }
+    _write_csv(path, meta, ["delta", "fidelity"],
+               [result.grid.values(), result.fidelities], precision)
 
 
 def write_trajectory_csv(trajectory, path, precision: int = 12) -> None:
     """Serialize a propagation record (populations, Bloch, branch pops)."""
-    t = trajectory.grid.samples()
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    for k in range(t.size):
-        lines.append(",".join([
-            _fmt(t[k], precision),
-            _fmt(trajectory.pop1[k], precision),
-            _fmt(trajectory.pop2[k], precision),
-            _fmt(trajectory.bloch_u[k], precision),
-            _fmt(trajectory.bloch_v[k], precision),
-            _fmt(trajectory.bloch_w[k], precision),
-            _fmt(trajectory.adiab_pop_minus[k], precision),
-            _fmt(trajectory.adiab_pop_plus[k], precision),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, {}, TRAJECTORY_COLUMNS,
+               [trajectory.grid.samples(), trajectory.pop1, trajectory.pop2,
+                trajectory.bloch_u, trajectory.bloch_v, trajectory.bloch_w,
+                trajectory.adiab_pop_minus, trajectory.adiab_pop_plus],
+               precision)

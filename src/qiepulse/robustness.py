@@ -90,6 +90,11 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     )
 
 
+def _band_min(deltas, fids, half_width):
+    mask = np.abs(deltas) <= half_width + 1e-12
+    return float(np.min(fids[mask])) if np.any(mask) else float("nan")
+
+
 def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
             protocol_label: Optional[str] = None) -> ScanResult:
     """Fidelity versus systematic error over one grid.
@@ -121,8 +126,6 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
             delta=float(deltas[np.argmax(bad)]),
         )
 
-    band = np.abs(deltas) <= BAND_HALF_WIDTH + 1e-12
-    band_min = float(np.min(fids[band])) if np.any(band) else float("nan")
     if protocol_label is None:
         if pulse.params is not None:
             protocol_label = f"qie c={pulse.params.c:g}"
@@ -132,7 +135,7 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
         protocol_label=protocol_label,
         grid=grid,
         fidelities=fids,
-        min_fidelity_in_band=band_min,
+        min_fidelity_in_band=_band_min(deltas, fids, BAND_HALF_WIDTH),
         area=pulse.area,
     )
 
@@ -148,11 +151,6 @@ class SummaryRow:
     min_band_03: float
     monotone_left: bool
     monotone_right: bool
-
-
-def _band_min(deltas, fids, half_width):
-    mask = np.abs(deltas) <= half_width + 1e-12
-    return float(np.min(fids[mask])) if np.any(mask) else float("nan")
 
 
 def robustness_summary(results: List[ScanResult]) -> List[SummaryRow]:

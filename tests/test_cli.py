@@ -4,9 +4,11 @@ import pytest
 
 from qiepulse import (
     ConfigError,
+    DesignError,
     GridError,
     PulseFormatError,
-    ToleranceError,
+    QiePulseError,
+    errors,
     write_pulse_csv,
 )
 from qiepulse.cli import exit_code_for, main
@@ -16,6 +18,12 @@ EXTERNAL_CSV = """t,omega,delta
 0.25,2.0,0.0
 0.5,3.0,0.0
 0.75,2.0,0.0
+1.0,1.0,0.0
+"""
+
+NON_FINITE_CSV = """t,omega,delta
+0.0,1.0,0.0
+0.5,{},0.0
 1.0,1.0,0.0
 """
 
@@ -32,9 +40,14 @@ class TestExitCodes:
     def test_mapping(self):
         assert exit_code_for(ConfigError("x")) == 2
         assert exit_code_for(GridError("x")) == 2
-        assert exit_code_for(ToleranceError("x")) == 3
+        assert exit_code_for(DesignError("x")) == 3
         assert exit_code_for(PulseFormatError("x")) == 4
         assert exit_code_for(OSError("x")) == 4
+        for name in errors.__all__:
+            cls = getattr(errors, name)
+            if cls is not QiePulseError:
+                assert issubclass(cls, QiePulseError)
+                assert exit_code_for(cls("x")) in (2, 3, 4), name
 
     def test_unexpected_exception_reraised(self):
         with pytest.raises(KeyError):
@@ -80,6 +93,16 @@ class TestSimulateCommand:
         assert rc == 4
         capsys.readouterr()
 
+    def test_non_finite_pulse_is_format_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad.csv"
+        out = tmp_path / "traj.csv"
+        for value in ("nan", "inf"):
+            pulse.write_text(NON_FINITE_CSV.format(value))
+            rc = main(["simulate", "--pulse", str(pulse), "--out", str(out)])
+            assert rc == 4
+            assert "line 3" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestScanCommand:
     def test_scan_designed_pulse(self, pulse_file, tmp_path, capsys):
@@ -107,6 +130,15 @@ class TestScanCommand:
         assert "beta-final" in capsys.readouterr().err
         assert main(args + ["--beta-final", "-1.5707963267948966"]) == 0
         capsys.readouterr()
+
+    def test_non_finite_pulse_is_format_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad.csv"
+        pulse.write_text(NON_FINITE_CSV.format("nan"))
+        rc = main(["scan", "--pulse", str(pulse), "--param", "rabi",
+                   "--range=-0.1:0.1:3", "--beta-final", "0.0",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 4
+        assert "line 3" in capsys.readouterr().err
 
 
 class TestBaselineCommand:
@@ -149,6 +181,18 @@ class TestReportCommand:
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
-        config_path.write_text('{"design": {}}')
-        assert main(["report", "--config", str(config_path)]) == 2
-        capsys.readouterr()
+        out_dir = str(tmp_path / "out")
+        cases = [
+            ({"design": {}}, "design.c"),
+            ({"design": {"c": 0.073}, "emit_plots": "false",
+              "output_dir": out_dir}, "emit_plots"),
+            ({"design": {"c": "0.07"}, "output_dir": out_dir}, "design.c"),
+            ({"design": {"c": 0.073}, "output_dir": 5}, "output_dir"),
+            ({"design": {"c": 0.073}, "rabi_grid": {"n_points": "7"},
+              "output_dir": out_dir}, "rabi_grid.n_points"),
+        ]
+        for config, field in cases:
+            config_path.write_text(json.dumps(config))
+            assert main(["report", "--config", str(config_path)]) == 2
+            assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from qiepulse import (
     DegeneracyError,
     DesignParams,
     ParameterError,
-    Pulse,
     SingularityError,
-    StiffnessError,
     ThetaSample,
-    TimeGrid,
     adiabaticity_parameter,
     beta_acceleration,
     design_pulse,
     initial_beta_rate,
     invert_angles,
-    pulse_area,
 )
+from qiepulse.designer import _area
 
 # regression pins for the shipped default configuration
 # (branch_sign=-1, consistency init); see README for the endpoint discussion
@@ -118,9 +114,10 @@ class TestBetaAcceleration:
         assert plus - minus == pytest.approx(-4 * c * gap3 / om, rel=1e-10)
 
     def test_stiffness_floor(self):
-        with pytest.raises(StiffnessError):
-            beta_acceleration(sample(np.pi / 4, 1e-12), np.pi / 2, 0.0,
-                              0.073, -1)
+        # below the Omega floor there is no acceleration to return; the
+        # integrator holds its last value there
+        assert beta_acceleration(sample(np.pi / 4, 1e-12), np.pi / 2, 0.0,
+                                 0.073, -1) is None
 
     def test_finite_difference_residual(self):
         # advancing (beta, beta_dot) with the returned acceleration must keep
@@ -248,22 +245,18 @@ class TestDesignPulse:
 
 
 class TestPulseArea:
-    def _pulse(self, t, omega):
-        grid = TimeGrid(float(t[0]), float(t[-1]), t.size)
-        return Pulse(grid=grid, omega=omega, delta=np.zeros_like(omega),
-                     area=float(simpson(np.abs(omega), x=t)),
-                     beta_final=float("nan"), adiabaticity_residual=0.0)
+    """The area helper behind Pulse.area for designed and read pulses."""
 
     def test_constant(self):
         t = np.linspace(0, 1, 101)
-        pulse = self._pulse(t, np.full(101, np.pi / 2))
-        assert pulse_area(pulse) == pytest.approx(np.pi / 2, rel=1e-14)
+        assert _area(np.full(101, np.pi / 2), t) == pytest.approx(
+            np.pi / 2, rel=1e-14)
 
     def test_zero(self):
         t = np.linspace(0, 1, 101)
-        assert pulse_area(self._pulse(t, np.zeros(101))) == 0.0
+        assert _area(np.zeros(101), t) == 0.0
 
     def test_gaussian_oracle(self):
         t = np.linspace(-6, 6, 2001)
-        pulse = self._pulse(t, np.exp(-t * t))
-        assert pulse_area(pulse) == pytest.approx(np.sqrt(np.pi), abs=1e-6)
+        assert _area(np.exp(-t * t), t) == pytest.approx(np.sqrt(np.pi),
+                                                         abs=1e-6)

@@ -2,29 +2,33 @@ import numpy as np
 import pytest
 
 from qiepulse import (
-    DegeneracyError,
     ParameterError,
     Pulse,
     TargetState,
     TimeGrid,
-    adiabatic_populations,
     angle_state,
     bloch_from_angles,
     bloch_from_state,
     fidelity,
-    instantaneous_eigenbasis,
     ket1,
     propagate,
-    step_evolve,
     target_state,
 )
+from qiepulse.dynamics import final_states_over_errors
 
 
-def zero_pulse(n=11):
-    grid = TimeGrid(0.0, 1.0, n)
-    return Pulse(grid=grid, omega=np.zeros(n), delta=np.zeros(n),
-                 area=0.0, beta_final=float("nan"),
-                 adiabaticity_residual=0.0)
+def field_pulse(omega, delta, duration=1.0):
+    """Pulse with the given field samples on a uniform grid over duration."""
+    grid = TimeGrid(0.0, duration, np.size(omega))
+    return Pulse(grid=grid, omega=np.asarray(omega, dtype=float),
+                 delta=np.asarray(delta, dtype=float), area=float("nan"),
+                 beta_final=float("nan"), adiabaticity_residual=0.0)
+
+
+def flat_pulse(omega, delta, n=11):
+    """Constant fields over [0, 1]; frozen steps of a constant Hamiltonian
+    are exact, so closed forms hold at any sub-step count."""
+    return field_pulse(np.full(n, float(omega)), np.full(n, float(delta)))
 
 
 class TestStates:
@@ -52,38 +56,51 @@ class TestStates:
 
 
 class TestStepEvolve:
+    """The exact frozen-Hamiltonian step, through propagate and the batched
+    final_states_over_errors."""
+
     def test_free_evolution_is_identity(self):
         psi = angle_state(0.7, 0.3)
-        np.testing.assert_array_equal(step_evolve(psi, 0.0, 0.0, 0.5), psi)
+        traj = propagate(flat_pulse(0.0, 0.0), initial=psi)
+        np.testing.assert_array_equal(traj.states, np.tile(psi, (11, 1)))
+        finals = final_states_over_errors(flat_pulse(0.0, 0.0), psi,
+                                          [1.0, 1.3], [1.0, 0.6])
+        np.testing.assert_array_equal(finals, np.tile(psi, (2, 1)))
 
     def test_resonant_pi_pulse_inverts(self):
-        out = step_evolve(ket1(), np.pi, 0.0, 1.0)
-        assert abs(out[0]) ** 2 == pytest.approx(0.0, abs=1e-15)
-        assert abs(out[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
+        traj = propagate(flat_pulse(np.pi, 0.0))
+        assert traj.pop1[-1] == pytest.approx(0.0, abs=1e-14)
+        assert traj.pop2[-1] == pytest.approx(1.0, abs=1e-14)
+        final = final_states_over_errors(flat_pulse(np.pi, 0.0), ket1(),
+                                         [1.0], [1.0])[0]
+        assert abs(final[1]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
     def test_resonant_half_pulse_hits_equator(self):
-        out = step_evolve(ket1(), 0.5 * np.pi, 0.0, 1.0)
         # (1, -i)/sqrt(2) up to global phase, i.e. azimuth -pi/2
-        assert fidelity(out, target_state(-0.5 * np.pi)) == pytest.approx(
+        pulse = flat_pulse(0.5 * np.pi, 0.0)
+        final = propagate(pulse).states[-1]
+        assert fidelity(final, target_state(-0.5 * np.pi)) == pytest.approx(
             1.0, abs=1e-14)
+        batch = final_states_over_errors(pulse, ket1(), [1.0], [1.0])[0]
+        np.testing.assert_array_equal(batch, final)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
+        pulse = field_pulse(rng.uniform(-3.0, 3.0, 101),
+                            rng.uniform(-3.0, 3.0, 101), duration=5.0)
         psi = angle_state(1.1, 0.4)
-        for om, de, dt in rng.uniform(0.01, 3.0, (100, 3)):
-            psi = step_evolve(psi, om, de, dt)
-            assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ParameterError):
-            step_evolve(ket1(), 1.0, 0.0, 0.0)
-        with pytest.raises(ParameterError):
-            step_evolve(ket1(), 1.0, 0.0, -0.1)
+        traj = propagate(pulse, initial=psi)
+        np.testing.assert_allclose(np.sum(np.abs(traj.states) ** 2, axis=1),
+                                   1.0, atol=1e-12)
+        scale_om, scale_de = rng.uniform(0.5, 1.5, (2, 20))
+        finals = final_states_over_errors(pulse, psi, scale_om, scale_de)
+        np.testing.assert_allclose(np.sum(np.abs(finals) ** 2, axis=1), 1.0,
+                                   atol=1e-12)
 
 
 class TestPropagate:
     def test_zero_pulse_leaves_state_fixed(self):
-        traj = propagate(zero_pulse())
+        traj = propagate(flat_pulse(0.0, 0.0))
         np.testing.assert_array_equal(traj.states,
                                       np.tile(ket1(), (11, 1)))
         # branch populations are undefined at a degenerate Hamiltonian
@@ -92,11 +109,11 @@ class TestPropagate:
 
     def test_substeps_floor(self):
         with pytest.raises(ParameterError):
-            propagate(zero_pulse(), substeps=1)
+            propagate(flat_pulse(0.0, 0.0), substeps=1)
 
     def test_initial_state_must_be_normalized(self):
         with pytest.raises(ParameterError):
-            propagate(zero_pulse(), initial=np.array([1.0, 1.0]))
+            propagate(flat_pulse(0.0, 0.0), initial=np.array([1.0, 1.0]))
 
     def test_population_conservation(self, designs4):
         pulse, _ = designs4[0.073]
@@ -172,57 +189,94 @@ class TestFidelity:
 
 
 class TestEigenbasis:
+    """Branch labels of StateTrajectory.adiab_pop_minus/plus: a state on one
+    branch of a constant Hamiltonian has population 1 there, 0 on the other."""
+
     def test_pure_detuning(self):
-        lo, hi, vec_minus, vec_plus = instantaneous_eigenbasis(0.0, 2.0)
-        assert (lo, hi) == (-1.0, 1.0)
-        np.testing.assert_allclose(vec_minus, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(vec_plus, [0, 1], atol=1e-15)
+        # Omega = 0 < Delta: |1> is the lower branch
+        traj = propagate(flat_pulse(0.0, 2.0))
+        np.testing.assert_allclose(traj.adiab_pop_minus, 1.0, atol=1e-15)
+        np.testing.assert_allclose(traj.adiab_pop_plus, 0.0, atol=1e-15)
 
     def test_pure_drive(self):
-        lo, hi, vec_minus, vec_plus = instantaneous_eigenbasis(2.0, 0.0)
-        assert (lo, hi) == (-1.0, 1.0)
-        np.testing.assert_allclose(vec_minus, np.array([1, -1]) / np.sqrt(2),
-                                   atol=1e-15)
-        np.testing.assert_allclose(vec_plus, np.array([1, 1]) / np.sqrt(2),
-                                   atol=1e-15)
+        # Delta = 0: the branches are (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
+        lower = propagate(flat_pulse(2.0, 0.0),
+                          initial=np.array([1.0, -1.0]) / np.sqrt(2))
+        np.testing.assert_allclose(lower.adiab_pop_minus, 1.0, atol=1e-14)
+        np.testing.assert_allclose(lower.adiab_pop_plus, 0.0, atol=1e-14)
+        upper = propagate(flat_pulse(2.0, 0.0),
+                          initial=np.array([1.0, 1.0]) / np.sqrt(2))
+        np.testing.assert_allclose(upper.adiab_pop_minus, 0.0, atol=1e-14)
+        np.testing.assert_allclose(upper.adiab_pop_plus, 1.0, atol=1e-14)
 
     def test_eigen_equation_and_orthonormality(self):
+        # an eigenvector of H stays on its own branch, fully, and only picks
+        # up the phase exp(-i E t) of its eigenvalue E = -+ gap/2
         rng = np.random.default_rng(19)
-        for om, de in rng.uniform(-3, 3, (100, 2)):
-            if om == 0 and de == 0:
-                continue
-            lo, hi, vm, vp = instantaneous_eigenbasis(om, de)
+        for om, de in rng.uniform(-3, 3, (20, 2)):
             H = 0.5 * np.array([[-de, om], [om, de]])
-            np.testing.assert_allclose(H @ vm, lo * vm, atol=1e-12)
-            np.testing.assert_allclose(H @ vp, hi * vp, atol=1e-12)
-            assert abs(np.vdot(vm, vp)) < 1e-12
-            assert np.vdot(vm, vm).real == pytest.approx(1.0, abs=1e-12)
+            energies, vectors = np.linalg.eigh(H)
+            assert energies == pytest.approx(
+                [-0.5 * np.hypot(om, de), 0.5 * np.hypot(om, de)], abs=1e-12)
+            for k, (on, off) in enumerate(
+                    (("adiab_pop_minus", "adiab_pop_plus"),
+                     ("adiab_pop_plus", "adiab_pop_minus"))):
+                vec = vectors[:, k].astype(complex)
+                traj = propagate(flat_pulse(om, de), initial=vec)
+                np.testing.assert_allclose(getattr(traj, on), 1.0,
+                                           atol=1e-12)
+                np.testing.assert_allclose(getattr(traj, off), 0.0,
+                                           atol=1e-12)
+                np.testing.assert_allclose(
+                    traj.states[-1], np.exp(-1j * energies[k]) * vec,
+                    atol=1e-12)
 
     def test_degenerate_point_rejected(self):
-        with pytest.raises(DegeneracyError):
-            instantaneous_eigenbasis(0.0, 0.0)
+        # Omega and Delta cross 0 together at the middle sample: the branch
+        # populations are NaN there and only there
+        s = np.linspace(-1.0, 1.0, 11)
+        traj = propagate(field_pulse(np.abs(s), s))
+        degenerate = np.arange(11) == 5
+        np.testing.assert_array_equal(np.isnan(traj.adiab_pop_minus),
+                                      degenerate)
+        np.testing.assert_array_equal(np.isnan(traj.adiab_pop_plus),
+                                      degenerate)
 
 
 class TestAdiabaticPopulations:
     def test_eigenstate_is_pure_branch(self):
-        _, _, vec_minus, _ = instantaneous_eigenbasis(1.3, -0.4)
-        p_minus, p_plus = adiabatic_populations(vec_minus, 1.3, -0.4)
-        assert p_minus == pytest.approx(1.0, abs=1e-14)
-        assert p_plus == pytest.approx(0.0, abs=1e-14)
+        # the lower branch from the documented mixing angle x = atan2(O, D)
+        x = np.arctan2(1.3, -0.4)
+        vec_minus = np.array([np.cos(0.5 * x), -np.sin(0.5 * x)])
+        traj = propagate(flat_pulse(1.3, -0.4), initial=vec_minus)
+        np.testing.assert_allclose(traj.adiab_pop_minus, 1.0, atol=1e-14)
+        np.testing.assert_allclose(traj.adiab_pop_plus, 0.0, atol=1e-14)
 
     def test_populations_sum_to_one(self):
         rng = np.random.default_rng(23)
-        for _ in range(50):
+        for _ in range(10):
+            pulse = field_pulse(rng.uniform(-2, 2, 51),
+                                rng.uniform(-2, 2, 51), duration=2.0)
             psi = angle_state(*rng.uniform(0.1, 3.0, 2))
-            om, de = rng.uniform(-2, 2, 2)
-            if om == 0 and de == 0:
-                continue
-            p_minus, p_plus = adiabatic_populations(psi, om, de)
-            assert p_minus + p_plus == pytest.approx(1.0, abs=1e-13)
+            traj = propagate(pulse, initial=psi)
+            np.testing.assert_allclose(
+                traj.adiab_pop_minus + traj.adiab_pop_plus, 1.0, atol=1e-13)
 
     def test_degeneracy_propagates(self):
-        with pytest.raises(DegeneracyError):
-            adiabatic_populations(ket1(), 0.0, 0.0)
+        # fields switched off mid-pulse: the state holds still through the
+        # gap, the NaN branch populations stay on the gap's samples, and
+        # the states stay finite and normalized
+        t = np.linspace(0.0, 1.0, 21)
+        gap = np.abs(t - 0.5) < 0.12
+        traj = propagate(field_pulse(np.where(gap, 0.0, 2.0),
+                                     np.where(gap, 0.0, 0.7)))
+        first = np.argmax(gap)
+        np.testing.assert_array_equal(
+            traj.states[gap], np.tile(traj.states[first], (gap.sum(), 1)))
+        np.testing.assert_array_equal(np.isnan(traj.adiab_pop_minus), gap)
+        np.testing.assert_array_equal(np.isnan(traj.adiab_pop_plus), gap)
+        np.testing.assert_allclose(np.sum(np.abs(traj.states) ** 2, axis=1),
+                                   1.0, atol=1e-12)
 
 
 class TestBloch:
