@@ -155,13 +155,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_scan(args) -> int:
     pulse = read_pulse_csv(args.pulse)
-    beta_final = args.beta_final
-    if beta_final is None:
-        beta_final = pulse.beta_final
+    if args.beta_final is not None and not np.isfinite(args.beta_final):
+        raise ConfigError(f"--beta-final must be finite, got {args.beta_final}")
+    beta_final = pulse.beta_final if args.beta_final is None else args.beta_final
     if not np.isfinite(beta_final):
-        raise ConfigError(
-            "pulse file carries no beta_final; pass --beta-final"
-        )
+        raise ConfigError("pulse file carries no beta_final; pass --beta-final")
     lo, hi, n = _parse_range(args.range)
     grid = ErrorGrid(parameter=args.param, lo=lo, hi=hi, n_points=n)
     result = scan_1d(pulse, TargetState(beta_final), grid,

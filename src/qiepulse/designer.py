@@ -83,12 +83,12 @@ class DesignParams:
     ode_abs_tol: float = 1e-11
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ParameterError(f"c must be positive, got {self.c}")
-        if not self.T > 0:
-            raise ParameterError(f"T must be positive, got {self.T}")
-        if not self.kappa >= 3:
-            raise ParameterError(f"kappa must be >= 3, got {self.kappa}")
+        if not 0 < self.c < math.inf:
+            raise ParameterError(f"c must be positive and finite, got {self.c}")
+        if not 0 < self.T < math.inf:
+            raise ParameterError(f"T must be positive and finite, got {self.T}")
+        if not 3 <= self.kappa < math.inf:
+            raise ParameterError(f"kappa must be finite and >= 3, got {self.kappa}")
         if self.n_samples < 3:
             raise ParameterError(
                 f"n_samples must be >= 3, got {self.n_samples}"

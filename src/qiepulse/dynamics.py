@@ -4,17 +4,21 @@ The Hamiltonian (hbar = 1, frequencies in units of 1/T) is
 
     H(t) = (1/2) [[-Delta(t), Omega(t)], [Omega(t), Delta(t)]]
 
-on the basis |1> = (1, 0), |2> = (0, 1).  Propagation composes exact 2x2
-unitaries of the frozen Hamiltonian over sub-steps of each grid interval,
-with the fields sampled at sub-step midpoints (linear interpolation between
-grid samples).  Exact rotations keep the norm at machine precision, which
-several invariants assume.
+on the basis |1> = (1, 0), |2> = (0, 1).  One sweep does all propagation: it
+applies exact 2x2 unitaries of the frozen Hamiltonian over sub-steps of each
+grid interval, with the fields taken at sub-step midpoints (linear
+interpolation between grid samples) and then scaled by the (1 + delta) error
+factors, to a batch of states with one row per error setting.  propagate
+records its single row after every interval and final_states_over_errors
+keeps the batch at the end, so both give the same bits at the same error.
+Exact rotations keep the norm at machine precision, which several invariants
+assume.
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
 propagated trajectory is (u, -v, w) of the design angles.  Pulse.beta_final
-already records the reached azimuth, so fidelity(final, target_state(
-pulse.beta_final)) measures the intended transfer.
+already records the reached azimuth, so fidelity(final, pulse.beta_final)
+measures the intended transfer.
 """
 
 from dataclasses import dataclass
@@ -91,17 +95,6 @@ def target_state(beta_final) -> np.ndarray:
     return np.array([np.exp(-0.5j * bf), np.exp(0.5j * bf)]) / np.sqrt(2.0)
 
 
-def _midpoint_fields(omega, delta, substeps):
-    """Fields at sub-step midpoints, linearly interpolated per interval.
-
-    Returns arrays of shape (n_intervals, substeps).
-    """
-    w = (np.arange(substeps) + 0.5) / substeps
-    om = omega[:-1, None] * (1.0 - w) + omega[1:, None] * w
-    de = delta[:-1, None] * (1.0 - w) + delta[1:, None] * w
-    return om, de
-
-
 def _evolve_batch(psi, om, de, dt):
     """Apply the exact unitary exp(-i H dt) of the frozen Hamiltonian to a
     batch of states, in place.
@@ -123,6 +116,31 @@ def _evolve_batch(psi, om, de, dt):
     return psi
 
 
+def _sweep(pulse: Pulse, initial, scale_omega, scale_delta, substeps):
+    """Yield the batch of states, updated in place, after each grid interval.
+
+    Row i sees scale_omega[i] * Omega and scale_delta[i] * Delta; float
+    scales give one row and keep the per-step arithmetic scalar.
+    """
+    if substeps < 2:
+        raise ParameterError(f"substeps must be >= 2, got {substeps}")
+    for name, values in (("omega", pulse.omega), ("delta", pulse.delta),
+                         ("scale_omega", scale_omega), ("scale_delta", scale_delta)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParameterError(f"{name} is not finite at index {bad[0]}")
+    w = (np.arange(substeps) + 0.5) / substeps
+    om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
+    de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
+    dt = pulse.grid.step / substeps
+    nb = np.broadcast(scale_omega, scale_delta).size
+    psi = np.tile(np.asarray(initial, dtype=complex), (nb, 1))
+    for k in range(om.shape[0]):
+        for j in range(substeps):
+            _evolve_batch(psi, om[k, j] * scale_omega, de[k, j] * scale_delta, dt)
+        yield psi
+
+
 def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
                              substeps: int = 2) -> np.ndarray:
     """Final states for a batch of multiplicative field scalings.
@@ -132,17 +150,9 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
     batch is arithmetically identical to independent runs and keeps results
     schedule-independent.
     """
-    if substeps < 2:
-        raise ParameterError(f"substeps must be >= 2, got {substeps}")
-    s_om = np.asarray(scale_omega, dtype=float)
-    s_de = np.asarray(scale_delta, dtype=float)
-    nb = s_om.size
-    psi = np.tile(np.asarray(initial, dtype=complex), (nb, 1))
-    om_mid, de_mid = _midpoint_fields(pulse.omega, pulse.delta, substeps)
-    dt = pulse.grid.step / substeps
-    for k in range(om_mid.shape[0]):
-        for j in range(substeps):
-            _evolve_batch(psi, om_mid[k, j] * s_om, de_mid[k, j] * s_de, dt)
+    for psi in _sweep(pulse, initial, np.asarray(scale_omega, dtype=float),
+                      np.asarray(scale_delta, dtype=float), substeps):
+        pass
     return psi
 
 
@@ -154,24 +164,18 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     errors Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.
     At least 2 sub-steps per grid interval are required.
     """
-    if substeps < 2:
-        raise ParameterError(f"substeps must be >= 2, got {substeps}")
+    if not np.all(np.isfinite(error)):
+        raise ParameterError(f"error must be finite, got {tuple(error)}")
     psi = ket1() if initial is None else np.array(initial, dtype=complex)
     if abs(np.vdot(psi, psi).real - 1.0) > 1e-6:
         raise ParameterError("initial state must be normalized")
 
-    om = (1.0 + error[0]) * pulse.omega
-    de = (1.0 + error[1]) * pulse.delta
-    n = om.size
-    states = np.empty((n, 2), dtype=complex)
+    scale_omega, scale_delta = 1.0 + float(error[0]), 1.0 + float(error[1])
+    states = np.empty((pulse.omega.size, 2), dtype=complex)
     states[0] = psi
-    om_mid, de_mid = _midpoint_fields(om, de, substeps)
-    dt = pulse.grid.step / substeps
-    cur = psi[None, :].copy()
-    for k in range(n - 1):
-        for j in range(substeps):
-            _evolve_batch(cur, om_mid[k, j], de_mid[k, j], dt)
-        states[k + 1] = cur[0]
+    sweep = _sweep(pulse, psi, scale_omega, scale_delta, substeps)
+    for k, batch in enumerate(sweep, start=1):
+        states[k] = batch[0]
 
     pop1 = np.abs(states[:, 0]) ** 2
     pop2 = np.abs(states[:, 1]) ** 2
@@ -179,6 +183,7 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 
     # Branch populations of the applied Hamiltonian, with the branch labels
     # carried continuously through the unwrapped mixing angle.
+    om, de = scale_omega * pulse.omega, scale_delta * pulse.delta
     gap = np.hypot(om, de)
     x = np.unwrap(np.arctan2(om, de))
     cos_h, sin_h = np.cos(0.5 * x), np.sin(0.5 * x)
@@ -201,8 +206,9 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 
 
 def fidelity(final, target) -> float:
-    """Squared overlap |<target|final>|^2, clipped to [0, 1]."""
-    tgt = target_state(target) if isinstance(target, TargetState) else np.asarray(target, dtype=complex)
+    """Squared overlap |<target|final>|^2, clipped to [0, 1]; target is a
+    state vector, a TargetState or a bare beta_final."""
+    tgt = target_state(target) if np.ndim(target) == 0 else np.asarray(target, dtype=complex)
     psi = np.asarray(final, dtype=complex)
     val = abs(np.vdot(tgt, psi)) ** 2
     return float(min(max(val, 0.0), 1.0))
@@ -219,13 +225,6 @@ def bloch_from_state(state):
     """Bloch components of state(s): u = 2 Re(a1* a2), v = 2 Im(a1* a2),
     w = |a1|^2 - |a2|^2.  Accepts a single state or an (n, 2) array."""
     psi = np.asarray(state, dtype=complex)
-    if psi.ndim == 1:
-        cross = np.conj(psi[0]) * psi[1]
-        return (
-            float(2.0 * cross.real),
-            float(2.0 * cross.imag),
-            float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2),
-        )
-    cross = np.conj(psi[:, 0]) * psi[:, 1]
-    w = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+    cross = np.conj(psi[..., 0]) * psi[..., 1]
+    w = np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2
     return 2.0 * cross.real, 2.0 * cross.imag, w

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .designer import Pulse
-from .dynamics import TargetState, fidelity, final_states_over_errors, ket1, target_state
+from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
 from .profiles import TimeGrid
 
@@ -44,8 +44,8 @@ class ErrorGrid:
             raise ParameterError(
                 f"parameter must be 'rabi' or 'detuning', got {self.parameter!r}"
             )
-        if not self.lo < self.hi:
-            raise ParameterError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ParameterError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.n_points < 2:
             raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
 
@@ -75,8 +75,8 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     to global phase, which is target_state(-pi/2), giving fidelity 1 at
     delta = 0.
     """
-    if not duration > 0:
-        raise ParameterError(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise ParameterError(f"duration must be positive and finite, got {duration}")
     grid = TimeGrid(0.0, duration, n_samples)
     omega = np.full(n_samples, 0.5 * np.pi / duration)
     return Pulse(
@@ -99,10 +99,10 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
             protocol_label: Optional[str] = None) -> ScanResult:
     """Fidelity versus systematic error over one grid.
 
-    target is a TargetState (or bare beta_final); the same target is used at
-    every grid point.  Grid points are independent; they are evaluated as
-    one batch, which is arithmetically identical to independent runs and
-    independent of evaluation order.
+    target is what fidelity accepts (TargetState, bare beta_final or state);
+    the same target is used at every grid point.  Grid points are
+    independent; they are evaluated as one batch, which is arithmetically
+    identical to independent runs and independent of evaluation order.
     """
     deltas = grid.values()
     ones = np.ones_like(deltas)
@@ -110,15 +110,8 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
         scale_om, scale_de = 1.0 + deltas, ones
     else:
         scale_om, scale_de = ones, 1.0 + deltas
-    if isinstance(target, TargetState):
-        tgt = target_state(target)
-    elif np.ndim(target) == 0:
-        tgt = target_state(float(target))
-    else:
-        tgt = np.asarray(target, dtype=complex)
-
     finals = final_states_over_errors(pulse, ket1(), scale_om, scale_de, substeps)
-    fids = np.array([fidelity(psi, tgt) for psi in finals])
+    fids = np.array([fidelity(psi, target) for psi in finals])
     bad = ~np.isfinite(fids)
     if np.any(bad):
         raise ScanError(

@@ -76,6 +76,21 @@ class TestDesignCommand:
         assert rc == 2
         assert "c must be positive" in capsys.readouterr().err
 
+    def test_non_finite_params_are_argument_errors(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        for flag, value in (("--c", "inf"), ("--T", "inf"),
+                            ("--kappa", "inf")):
+            args = ["design", "--c", "0.073", flag, value, "--out", str(out)]
+            assert main(args) == 2
+            assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_design_failure_is_numerical_error(self, tmp_path, capsys):
+        rc = main(["design", "--c", "1.0", "--n", "401",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "Required step size" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_simulate_designed_pulse(self, pulse_file, tmp_path, capsys):
@@ -103,6 +118,17 @@ class TestSimulateCommand:
             assert "line 3" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_non_finite_error_is_argument_error(self, pulse_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "traj.csv"
+        for flag, value in (("--delta-omega", "nan"),
+                            ("--delta-delta", "inf")):
+            rc = main(["simulate", "--pulse", str(pulse_file), flag, value,
+                       "--out", str(out)])
+            assert rc == 2
+            assert "error must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestScanCommand:
     def test_scan_designed_pulse(self, pulse_file, tmp_path, capsys):
@@ -120,6 +146,19 @@ class TestScanCommand:
                    "--range=-0.2:0.2", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_finite_range_is_argument_error(self, pulse_file, tmp_path,
+                                                capsys):
+        rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
+                   "--range=-inf:0.5:11", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_beta_final_flag(self, pulse_file, tmp_path, capsys):
+        rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
+                   "--beta-final", "nan", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "--beta-final must be finite" in capsys.readouterr().err
 
     def test_external_pulse_needs_target(self, tmp_path, capsys):
         ext = tmp_path / "ext.csv"
@@ -148,6 +187,14 @@ class TestBaselineCommand:
         printed = capsys.readouterr().out
         assert "area = 0.500000 pi" in printed
         assert "beta_final = -0.500000 pi" in printed
+
+    def test_non_finite_duration_is_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "pi2", "--duration", "inf", "--out", str(out)])
+        assert rc == 2
+        assert "duration must be positive and finite" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, capsys):
         rc = main(["baseline", "pi2",

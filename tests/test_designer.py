@@ -179,6 +179,10 @@ class TestDesignParams:
         dict(c=0.073, branch_sign=0),
         dict(c=0.073, beta_rate_init="random"),
         dict(c=0.073, ode_rel_tol=0.0),
+        dict(c=np.inf),
+        dict(c=0.073, T=np.inf),
+        dict(c=0.073, kappa=np.inf),
+        dict(c=np.nan),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):

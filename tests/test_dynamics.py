@@ -97,6 +97,18 @@ class TestStepEvolve:
         np.testing.assert_allclose(np.sum(np.abs(finals) ** 2, axis=1), 1.0,
                                    atol=1e-12)
 
+    def test_batch_rejects_non_finite_input(self):
+        delta = np.zeros(11)
+        delta[7] = -np.inf
+        with pytest.raises(ParameterError,
+                           match="delta is not finite at index 7"):
+            final_states_over_errors(field_pulse(np.ones(11), delta), ket1(),
+                                     [1.0], [1.0])
+        with pytest.raises(ParameterError,
+                           match="scale_omega is not finite at index 1"):
+            final_states_over_errors(flat_pulse(1.0, 0.0), ket1(),
+                                     [1.0, np.nan], [1.0, 1.0])
+
 
 class TestPropagate:
     def test_zero_pulse_leaves_state_fixed(self):
@@ -114,6 +126,28 @@ class TestPropagate:
     def test_initial_state_must_be_normalized(self):
         with pytest.raises(ParameterError):
             propagate(flat_pulse(0.0, 0.0), initial=np.array([1.0, 1.0]))
+
+    def test_non_finite_error_rejected(self):
+        for error in ((np.nan, 0.0), (0.0, np.inf)):
+            with pytest.raises(ParameterError, match="error must be finite"):
+                propagate(flat_pulse(1.0, 0.0), error=error)
+
+    def test_non_finite_field_rejected(self):
+        omega = np.ones(11)
+        omega[3] = np.nan
+        with pytest.raises(ParameterError,
+                           match="omega is not finite at index 3"):
+            propagate(field_pulse(omega, np.zeros(11)))
+
+    def test_final_state_matches_scan_batch(self, designs4):
+        # both entry points run the same sweep, so a scan point at error e
+        # is bit-identical to a direct propagation at e
+        pulse, _ = designs4[0.073]
+        e = (0.13, -0.07)
+        final = propagate(pulse, error=e).states[-1]
+        batch = final_states_over_errors(pulse, ket1(), [1 + e[0]],
+                                         [1 + e[1]])[0]
+        np.testing.assert_array_equal(final, batch)
 
     def test_population_conservation(self, designs4):
         pulse, _ = designs4[0.073]
@@ -186,6 +220,11 @@ class TestFidelity:
         psi = target_state(0.25)
         assert fidelity(psi, TargetState(0.25)) == pytest.approx(1.0,
                                                                  abs=1e-14)
+
+    def test_accepts_bare_azimuth(self):
+        psi = angle_state(1.2, 0.4)
+        assert fidelity(psi, 0.25) == fidelity(psi, TargetState(0.25))
+        assert fidelity(psi, np.float64(0.25)) == fidelity(psi, 0.25)
 
 
 class TestEigenbasis:

@@ -34,6 +34,9 @@ class TestErrorGrid:
             ErrorGrid(parameter="rabi", lo=0.2, hi=0.2, n_points=5)
         with pytest.raises(ParameterError):
             ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=1)
+        for lo, hi in ((-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)):
+            with pytest.raises(ParameterError, match="finite"):
+                ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=11)
 
 
 class TestPiHalfBaseline:
@@ -42,8 +45,9 @@ class TestPiHalfBaseline:
         assert pi_half_baseline(2.5).area == 0.5 * np.pi
 
     def test_invalid_duration(self):
-        with pytest.raises(ParameterError):
-            pi_half_baseline(0.0)
+        for duration in (0.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                pi_half_baseline(duration)
 
     def test_rabi_scan_matches_closed_form(self):
         # rotation angle (1+delta) pi/2 about u: F = (1 + cos(delta pi/2))/2
