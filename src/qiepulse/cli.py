@@ -242,11 +242,16 @@ def _cmd_report(args) -> int:
     print(summary, end="")
 
     if config.emit_plots:
-        for c, (pulse, trajectory) in designs.items():
-            t = pulse.grid.samples()
+        # the uniform design samples only: the points refined around the
+        # Omega spike would set the y axis and flatten the rest of the pulse
+        for c, (pulse, _) in designs.items():
+            t = pulse.t
+            uniform = np.isin(
+                t, np.linspace(t[0], t[-1], pulse.params.n_samples))
             svg_line_plot(
-                t,
-                [("omega", pulse.omega), ("delta", pulse.delta)],
+                t[uniform],
+                [("omega", pulse.omega[uniform]),
+                 ("delta", pulse.delta[uniform])],
                 f"pulse c={c:g}",
                 out / f"pulse_c{c:g}.svg",
                 x_label="t/T", y_label="field (1/T)",

@@ -28,6 +28,9 @@ Sign conventions are fixed by the algebra above and by the propagator's
 Hamiltonian (see dynamics): under that Hamiltonian the Bloch azimuth of the
 propagated state is -beta(t), so Pulse.beta_final records -beta[-1], the
 azimuth actually reached.  That is the value to hand to target_state.
+
+A Pulse is its samples: the fields at the times t it carries, which
+design_pulse refines where the field between uniform samples is not linear.
 """
 
 import math
@@ -38,9 +41,9 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import (
-    DegeneracyError, DesignError, ParameterError, SingularityError,
+    DegeneracyError, DesignError, GridError, ParameterError, SingularityError,
 )
-from .profiles import ThetaSample, TimeGrid, theta_profile
+from .profiles import ThetaSample, theta_profile
 
 __all__ = [
     "DesignParams",
@@ -114,15 +117,12 @@ class DesignParams:
         if not (self.ode_rel_tol > 0 and self.ode_abs_tol > 0):
             raise ParameterError("ODE tolerances must be positive")
 
-    def grid(self) -> TimeGrid:
-        return TimeGrid.symmetric(self.kappa, self.T, self.n_samples)
-
 
 @dataclass
 class AngleTrajectory:
-    """Designed angles on the grid; beta starts at pi/2 exactly."""
+    """Designed angles at the pulse's times t; beta starts at pi/2 exactly."""
 
-    grid: TimeGrid
+    t: np.ndarray
     theta: ThetaSample
     beta: np.ndarray
     beta_dot: np.ndarray
@@ -132,20 +132,33 @@ class AngleTrajectory:
 class Pulse:
     """Sampled drive with derived metadata.
 
-    beta_final is the Bloch azimuth the propagated state reaches at t_end
-    (equal to -beta[-1] of the design trajectory; the Hamiltonian precession
-    sense mirrors the azimuth).  adiabaticity_residual is the max interior
-    deviation of the analytically evaluated parameter from c; params is the
-    design provenance when the pulse came from design_pulse, else None.
+    t is the time axis, any spacing: 1-D, finite, strictly increasing, at
+    least 3 samples, one omega and one delta sample per time (else
+    GridError).  beta_final is the Bloch azimuth the propagated state reaches
+    at t[-1] (equal to -beta[-1] of the design trajectory; the Hamiltonian
+    precession sense mirrors the azimuth).  adiabaticity_residual is the max
+    interior deviation of the analytically evaluated parameter from c;
+    params is the design provenance when the pulse came from design_pulse,
+    else None.
     """
 
-    grid: TimeGrid
+    t: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
     area: float
     beta_final: float
     adiabaticity_residual: float
     params: Optional[DesignParams] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        t = self.t = np.asarray(self.t, dtype=float)
+        if t.ndim != 1 or t.size < 3:
+            raise GridError(f"t must be 1-D with >= 3 samples, got shape {t.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise GridError("t must be finite and strictly increasing")
+        if np.shape(self.omega) != t.shape or np.shape(self.delta) != t.shape:
+            raise GridError(f"omega and delta need one sample per time, "
+                            f"t has {t.size}")
 
 
 def invert_angles(theta: ThetaSample, beta, beta_dot):
@@ -320,16 +333,16 @@ def design_pulse(params: DesignParams):
     where beta comes close to 0, Omega = theta_dot / sin(beta) spikes between
     uniform samples.  Such an interval is bisected while linear
     interpolation misses the midpoint field by more than REFINE_TOL / width
-    (see _refine); the pulse then lives on an explicit grid
-    (TimeGrid.from_samples) that contains every uniform point.  The area is
-    a third ODE state, the integral of theta_dot / |sin(beta)|, so it is
-    exact to the solver tolerance whatever the sampling.  Near the window
+    (see _refine); the pulse's t holds every uniform point and the added
+    ones, in order.  The area is a third ODE state, the integral of
+    theta_dot / |sin(beta)|, so it is exact to the solver tolerance whatever
+    the sampling.  Near the window
     ends Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
     stiff; below OMEGA_FLOOR/T the acceleration is held at its last finite
     value.
     """
-    grid = params.grid()
-    t = grid.samples()
+    half_width = params.kappa * params.T
+    t = np.linspace(-half_width, half_width, params.n_samples)
     floor = OMEGA_FLOOR / params.T
     held = [0.0]
 
@@ -376,10 +389,9 @@ def design_pulse(params: DesignParams):
         order = np.argsort(np.concatenate((t, t_add)))
         t = np.concatenate((t, t_add))[order]
         y = np.concatenate((y, y_add), axis=1)[:, order]
-        grid = TimeGrid.from_samples(t)
     beta, beta_dot = y[0], y[1]
     theta = theta_profile(t, params.T)
-    trajectory = AngleTrajectory(grid, theta, beta, beta_dot)
+    trajectory = AngleTrajectory(t, theta, beta, beta_dot)
 
     if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
         raise SingularityError("sin(beta) vanishes; Omega undefined")
@@ -390,7 +402,7 @@ def design_pulse(params: DesignParams):
     residual = float(np.max(np.abs(mu[interior] - params.c)))
 
     pulse = Pulse(
-        grid=grid,
+        t=t,
         omega=omega,
         delta=delta,
         area=float(sol.y[2, -1]),

@@ -6,13 +6,12 @@ The Hamiltonian (hbar = 1, frequencies in units of 1/T) is
 
 on the basis |1> = (1, 0), |2> = (0, 1).  One sweep does all propagation: it
 applies exact 2x2 unitaries of the frozen Hamiltonian over equal sub-steps of
-each interval of the pulse's time axis (uniform, or a designed pulse's
-refined axis, so each interval has its own width), with the fields taken at
-sub-step midpoints (linear interpolation between samples) and then scaled by
-the (1 + delta) error factors, to a batch of states with one row per error
-setting.  propagate records its single row after every interval and
-final_states_over_errors keeps the batch at the end, so both give the same
-bits at the same error.
+each interval of the pulse's time axis, np.diff(pulse.t) wide, with the
+fields taken at sub-step midpoints (linear interpolation between samples)
+and then scaled by the (1 + delta) error factors, to a batch of states with
+one row per error setting.  propagate records its single row after every
+interval and final_states_over_errors keeps the batch at the end, so both
+give the same bits at the same error.
 Exact rotations keep the norm at machine precision, which several invariants
 assume.
 
@@ -29,7 +28,6 @@ import numpy as np
 
 from .designer import Pulse
 from .errors import ParameterError
-from .profiles import TimeGrid
 
 __all__ = [
     "TargetState",
@@ -53,7 +51,7 @@ class TargetState:
 
 @dataclass
 class StateTrajectory:
-    """Propagation record on the pulse grid.
+    """Propagation record at the pulse's times t.
 
     adiab_pop_minus/plus are populations of the instantaneous eigenbranches
     of the applied Hamiltonian; NaN where the Hamiltonian is degenerate.  The
@@ -62,11 +60,11 @@ class StateTrajectory:
         vec_minus = (cos(x/2), -sin(x/2)),  vec_plus = (sin(x/2), cos(x/2)),
 
     with eigenvalues -+ (1/2) sqrt(Omega^2 + Delta^2); x is unwrapped along
-    the grid, so the labels never flip at Delta sign changes.
+    t, so the labels never flip at Delta sign changes.
     """
 
-    grid: TimeGrid
-    states: np.ndarray  # (n_samples, 2) complex
+    t: np.ndarray
+    states: np.ndarray  # (t.size, 2) complex
     pop1: np.ndarray
     pop2: np.ndarray
     bloch_u: np.ndarray
@@ -119,7 +117,7 @@ def _evolve_batch(psi, om, de, dt):
 
 
 def _sweep(pulse: Pulse, initial, scale_omega, scale_delta, substeps):
-    """Yield the batch of states, updated in place, after each grid interval.
+    """Yield the batch of states, updated in place, after each interval of t.
 
     Row i sees scale_omega[i] * Omega and scale_delta[i] * Delta; float
     scales give one row and keep the per-step arithmetic scalar.
@@ -134,7 +132,7 @@ def _sweep(pulse: Pulse, initial, scale_omega, scale_delta, substeps):
     w = (np.arange(substeps) + 0.5) / substeps
     om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
     de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
-    dts = (np.diff(pulse.grid.samples()) / substeps).tolist()
+    dts = (np.diff(pulse.t) / substeps).tolist()
     nb = np.broadcast(scale_omega, scale_delta).size
     psi = np.tile(np.asarray(initial, dtype=complex), (nb, 1))
     for k, dt in enumerate(dts):
@@ -164,13 +162,13 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 
     error = (delta_omega, delta_delta) applies the multiplicative systematic
     errors Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.
-    At least 2 sub-steps per grid interval are required.
+    At least 2 sub-steps per interval of t are required.
     """
     if not np.all(np.isfinite(error)):
         raise ParameterError(f"error must be finite, got {tuple(error)}")
     psi = ket1() if initial is None else np.array(initial, dtype=complex)
-    if abs(np.vdot(psi, psi).real - 1.0) > 1e-6:
-        raise ParameterError("initial state must be normalized")
+    if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-6:
+        raise ParameterError("initial state must be finite and normalized")
 
     scale_omega, scale_delta = 1.0 + float(error[0]), 1.0 + float(error[1])
     states = np.empty((pulse.omega.size, 2), dtype=complex)
@@ -195,7 +193,7 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     p_plus = np.where(gap > 0.0, np.abs(amp_plus) ** 2, np.nan)
 
     return StateTrajectory(
-        grid=pulse.grid,
+        t=pulse.t,
         states=states,
         pop1=pop1,
         pop2=pop2,

@@ -11,80 +11,24 @@ The derivative formulas are exact (differentiate the erf definition); tests
 verify them against central finite differences.  theta is monotone, and the
 window [-kappa*T, kappa*T] with kappa >= 3 truncates tails where theta is
 within erfc(kappa)*pi/4 of its asymptotes (about 1.2e-8 rad for kappa = 4).
+theta_profile takes any time or array of times; the time axis a pulse is
+sampled on is a plain array that the pulse carries (designer.Pulse.t).
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import GridError, ParameterError
+from .errors import ParameterError
 
-__all__ = ["TimeGrid", "ThetaSample", "theta_profile"]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Sampling of the design window: uniform, or an explicit axis.
-
-    TimeGrid(t_start, t_end, n_samples) is uniform with spacing step.
-    from_samples builds a grid that carries its own strictly increasing axis
-    (a designed pulse's uniform grid plus the points that resolve its field);
-    step is then the mean spacing.  samples() returns the time axis shared
-    by all trajectories built on this grid.
-    """
-
-    t_start: float
-    t_end: float
-    n_samples: int
-    points: Optional[tuple] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not self.t_start < self.t_end:
-            raise GridError(
-                f"t_start must be < t_end, got [{self.t_start}, {self.t_end}]"
-            )
-        if self.n_samples < 3:
-            raise GridError(f"n_samples must be >= 3, got {self.n_samples}")
-        if self.points is not None:
-            t = np.asarray(self.points, dtype=float)
-            if (t.shape != (self.n_samples,)
-                    or t[0] != self.t_start or t[-1] != self.t_end
-                    or not np.all(np.isfinite(t))
-                    or not np.all(np.diff(t) > 0)):
-                raise GridError(
-                    "explicit samples must be finite and strictly increasing "
-                    "from t_start to t_end, n_samples of them"
-                )
-
-    @property
-    def step(self) -> float:
-        return (self.t_end - self.t_start) / (self.n_samples - 1)
-
-    def samples(self) -> np.ndarray:
-        if self.points is not None:
-            return np.array(self.points)
-        return np.linspace(self.t_start, self.t_end, self.n_samples)
-
-    @classmethod
-    def symmetric(cls, kappa: float, T: float, n_samples: int) -> "TimeGrid":
-        """Window [-kappa*T, kappa*T] used by the designer."""
-        return cls(-kappa * T, kappa * T, n_samples)
-
-    @classmethod
-    def from_samples(cls, t) -> "TimeGrid":
-        """Grid on the given axis, which must be strictly increasing."""
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1 or t.size < 3:
-            raise GridError(f"need a 1-D axis of >= 3 samples, got {t.shape}")
-        return cls(float(t[0]), float(t[-1]), t.size, tuple(t.tolist()))
+__all__ = ["ThetaSample", "theta_profile"]
 
 
 @dataclass(frozen=True)
 class ThetaSample:
     """theta and its first two time derivatives; fields may be scalars or
-    arrays sampled on a common grid."""
+    arrays sampled at common times."""
 
     theta: np.ndarray
     theta_dot: np.ndarray

@@ -7,7 +7,10 @@ in two layouts: the full design layout
     t,omega,delta,theta,beta,adiabaticity
 
 and a minimal 3-column 't,omega,delta' layout accepted on input so external
-pulses can enter the scan pipeline.
+pulses can enter the scan pipeline.  The t column is the pulse's time axis
+as is: any finite, strictly increasing column of at least 3 samples is read
+(a designed file's is refined where its field needs it), and the
+'n_samples' metadata is provenance only.
 """
 
 import json
@@ -25,8 +28,7 @@ from .designer import (
     _area,
     analytic_diagnostics,
 )
-from .errors import ConfigError, GridError, ParameterError, PulseFormatError
-from .profiles import TimeGrid
+from .errors import ConfigError, ParameterError, PulseFormatError
 from .robustness import ErrorGrid, ScanResult
 
 __all__ = [
@@ -151,7 +153,7 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
     analytically evaluated adiabaticity parameter; without one (baseline or
     external pulses) the minimal 't,omega,delta' layout is used.
     """
-    t = pulse.grid.samples()
+    t = pulse.t
     meta = {
         "version": __version__,
         "area": repr(pulse.area),
@@ -191,44 +193,22 @@ def _parse_metadata_line(line: str, meta: dict) -> None:
         meta[key.strip()] = value.strip()
 
 
-def _time_grid(t, n_samples) -> TimeGrid:
-    """The grid of a pulse file's t column.
-
-    A uniform increasing column gives a uniform grid.  A designed file's
-    column may also be a refined one: strictly increasing and holding every
-    point of the uniform grid of n_samples (its 'n_samples' metadata) over
-    the same range.  Anything else is a GridError.
-    """
-    steps = np.diff(t)
-    span = t[-1] - t[0]
-    tol = 1e-12 * max(abs(span), 1.0)
-    if span > 0 and np.all(np.abs(steps - steps[0]) <= tol):
-        return TimeGrid(float(t[0]), float(t[-1]), t.size)
-    if n_samples is not None and np.all(steps > 0):
-        try:
-            n = int(n_samples)
-        except ValueError as exc:
-            raise PulseFormatError(
-                f"n_samples metadata is not an integer: {n_samples!r}"
-            ) from exc
-        if 3 <= n <= t.size:
-            uniform = np.linspace(t[0], t[-1], n)
-            nearest = np.clip(np.searchsorted(t, uniform), 1, t.size - 1)
-            gap = np.minimum(np.abs(t[nearest] - uniform),
-                             np.abs(t[nearest - 1] - uniform))
-            if np.all(gap <= tol):
-                return TimeGrid.from_samples(t)
-    raise GridError("time column is not a uniform increasing grid, nor a "
-                    "refinement of the grid its n_samples metadata names")
+def _float_metadata(meta: dict, key: str) -> float:
+    """A float metadata value, NaN when absent."""
+    try:
+        return float(meta.get(key, "nan"))
+    except ValueError as exc:
+        raise PulseFormatError(
+            f"metadata {key} is not a number: {meta[key]!r}"
+        ) from exc
 
 
 def read_pulse_csv(path) -> Pulse:
     """Read a pulse CSV (either layout).
 
-    The t column is a uniform grid, or for a designed file the refined grid
-    design_pulse emits (see _time_grid).  Design metadata absent from the
-    file stays absent: beta_final defaults to NaN and the area is recomputed
-    from the samples when not recorded.
+    The t column is read as is; Pulse checks it (GridError).  Design
+    metadata absent from the file stays absent: beta_final defaults to NaN
+    and the area is recomputed from the samples when not recorded.
     """
     meta = {}
     header = None
@@ -272,25 +252,15 @@ def read_pulse_csv(path) -> Pulse:
         raise PulseFormatError(f"line {lineno}: non-finite value",
                                line_number=lineno)
     col = {name: data[:, i] for i, name in enumerate(header)}
-    t = col["t"]
-    if t.size < 3:
-        raise GridError("pulse needs at least 3 samples")
-    grid = _time_grid(t, meta.get("n_samples"))
-    omega, delta = col["omega"], col["delta"]
-    area = float(meta["area"]) if "area" in meta else _area(omega, t)
-    beta_final = float(meta["beta_final"]) if "beta_final" in meta else float("nan")
-    residual = (
-        float(meta["adiabaticity_residual"])
-        if "adiabaticity_residual" in meta
-        else float("nan")
-    )
+    t, omega, delta = col["t"], col["omega"], col["delta"]
     return Pulse(
-        grid=grid,
+        t=t,
         omega=omega,
         delta=delta,
-        area=area,
-        beta_final=beta_final,
-        adiabaticity_residual=residual,
+        area=(_float_metadata(meta, "area") if "area" in meta
+              else _area(omega, t)),
+        beta_final=_float_metadata(meta, "beta_final"),
+        adiabaticity_residual=_float_metadata(meta, "adiabaticity_residual"),
         params=None,
     )
 
@@ -310,7 +280,7 @@ def write_scan_csv(result: ScanResult, path, precision: int = 12) -> None:
 def write_trajectory_csv(trajectory, path, precision: int = 12) -> None:
     """Serialize a propagation record (populations, Bloch, branch pops)."""
     _write_csv(path, {}, TRAJECTORY_COLUMNS,
-               [trajectory.grid.samples(), trajectory.pop1, trajectory.pop2,
+               [trajectory.t, trajectory.pop1, trajectory.pop2,
                 trajectory.bloch_u, trajectory.bloch_v, trajectory.bloch_w,
                 trajectory.adiab_pop_minus, trajectory.adiab_pop_plus],
                precision)

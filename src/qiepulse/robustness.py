@@ -15,7 +15,6 @@ import numpy as np
 from .designer import Pulse
 from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
-from .profiles import TimeGrid
 
 __all__ = [
     "ErrorGrid",
@@ -77,11 +76,11 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     """
     if not 0 < duration < np.inf:
         raise ParameterError(f"duration must be positive and finite, got {duration}")
-    grid = TimeGrid(0.0, duration, n_samples)
-    omega = np.full(n_samples, 0.5 * np.pi / duration)
+    if n_samples < 3:
+        raise ParameterError(f"n_samples must be >= 3, got {n_samples}")
     return Pulse(
-        grid=grid,
-        omega=omega,
+        t=np.linspace(0.0, duration, n_samples),
+        omega=np.full(n_samples, 0.5 * np.pi / duration),
         delta=np.zeros(n_samples),
         area=0.5 * np.pi,
         beta_final=-0.5 * np.pi,

@@ -107,7 +107,7 @@ def test_criterion_4_adiabatic_following(designs4, record_criterion):
         p0_plus = traj.adiab_pop_plus[0]
         followed = (traj.adiab_pop_plus if p0_plus > 0.5
                     else traj.adiab_pop_minus)
-        t = pulse.grid.samples()
+        t = pulse.t
         interior = np.abs(t) <= 0.95 * pulse.params.kappa * pulse.params.T
         worst = min(worst, float(np.min(followed[interior])))
     ok = worst >= 0.95

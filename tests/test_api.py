@@ -1,0 +1,52 @@
+"""The public surface: the package's exported names, and the functions the
+traced benchmark run wraps (bench/layers.py), which must keep existing
+under the names it looks them up by."""
+
+import runpy
+from pathlib import Path
+
+import qiepulse
+
+PUBLIC_NAMES = [
+    "AngleTrajectory", "ConfigError", "DegeneracyError", "DesignError",
+    "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
+    "PulseFormatError", "QiePulseError", "RunConfig", "ScanError",
+    "ScanResult", "SingularityError", "StateTrajectory", "SummaryRow",
+    "TargetState", "ThetaSample", "__version__", "adiabaticity_parameter",
+    "analytic_diagnostics", "angle_state", "beta_acceleration",
+    "bloch_from_angles", "bloch_from_state", "design_pulse", "fidelity",
+    "format_summary", "initial_beta_rate", "invert_angles", "ket1",
+    "parse_config", "pi_half_baseline", "propagate", "read_pulse_csv",
+    "robustness_summary", "scan_1d", "serialize_config", "target_state",
+    "theta_profile", "write_pulse_csv", "write_scan_csv",
+    "write_trajectory_csv",
+]
+
+LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+
+
+def test_public_names_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(qiepulse.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(qiepulse, name), name
+
+
+class ProbeTracer:
+    """Stands in for the benchmark's tracer: checks each wrapped name and
+    wraps nothing."""
+
+    def __init__(self):
+        self.wrapped = []
+
+    def wrap(self, module, attr, name, work):
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr} ({name})"
+        self.wrapped.append(f"{module.__name__}.{attr}")
+
+
+def test_benchmark_layer_names_exist():
+    probe = ProbeTracer()
+    runpy.run_path(str(LAYERS))["install"](probe)
+    assert "qiepulse.cli.propagate" in probe.wrapped
+    assert "qiepulse.robustness.final_states_over_errors" in probe.wrapped

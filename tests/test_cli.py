@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from qiepulse import (
@@ -9,6 +11,7 @@ from qiepulse import (
     PulseFormatError,
     QiePulseError,
     errors,
+    read_pulse_csv,
     write_pulse_csv,
 )
 from qiepulse.cli import exit_code_for, main
@@ -24,6 +27,13 @@ EXTERNAL_CSV = """t,omega,delta
 NON_FINITE_CSV = """t,omega,delta
 0.0,1.0,0.0
 0.5,{},0.0
+1.0,1.0,0.0
+"""
+
+REPEATED_TIME_CSV = """t,omega,delta
+0.0,1.0,0.0
+0.5,1.0,0.0
+0.5,1.0,0.0
 1.0,1.0,0.0
 """
 
@@ -118,6 +128,26 @@ class TestSimulateCommand:
             assert "line 3" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_repeated_time_is_argument_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad.csv"
+        out = tmp_path / "traj.csv"
+        pulse.write_text(REPEATED_TIME_CSV)
+        rc = main(["simulate", "--pulse", str(pulse), "--out", str(out)])
+        assert rc == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_metadata_is_format_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad.csv"
+        out = tmp_path / "traj.csv"
+        for key in ("area", "beta_final", "adiabaticity_residual"):
+            pulse.write_text(f"# {key} = abc\n" + EXTERNAL_CSV)
+            rc = main(["simulate", "--pulse", str(pulse), "--out", str(out)])
+            assert rc == 4
+            assert f"metadata {key} is not a number" in (
+                capsys.readouterr().err)
+            assert not out.exists()
+
     def test_non_finite_error_is_argument_error(self, pulse_file, tmp_path,
                                                 capsys):
         out = tmp_path / "traj.csv"
@@ -179,6 +209,18 @@ class TestScanCommand:
         assert rc == 4
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_numeric_metadata_is_format_error(self, tmp_path, capsys):
+        pulse = tmp_path / "bad.csv"
+        out = tmp_path / "s.csv"
+        pulse.write_text("# beta_final = x\n" + EXTERNAL_CSV)
+        rc = main(["scan", "--pulse", str(pulse), "--param", "rabi",
+                   "--range=-0.1:0.1:3", "--beta-final", "0.0",
+                   "--out", str(out)])
+        assert rc == 4
+        assert "metadata beta_final is not a number: 'x'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestBaselineCommand:
     def test_baseline(self, tmp_path, capsys):
@@ -195,6 +237,14 @@ class TestBaselineCommand:
         assert "duration must be positive and finite" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    def test_too_few_samples_is_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "base.csv"
+        for n in ("2", "-1"):
+            rc = main(["baseline", "pi2", f"--n={n}", "--out", str(out)])
+            assert rc == 2
+            assert "n_samples must be >= 3" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unwritable_output_is_io_error(self, capsys):
         rc = main(["baseline", "pi2",
@@ -225,6 +275,37 @@ class TestReportCommand:
             assert (out_dir / f"scan_c{c}_detuning.csv").exists()
         summary = (out_dir / "summary.txt").read_text()
         assert "qie c=0.073 rabi band min" in summary
+
+    def test_pulse_plots_span_the_uniform_samples(self, tmp_path, capsys):
+        # the y axis of pulse_c*.svg spans the fields at the uniform design
+        # samples, not the refined samples at the top of the Omega spike
+        out_dir = tmp_path / "out"
+        config = {
+            "design": {"c": 0.073, "n_samples": 401},
+            "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "output_dir": str(out_dir),
+            "emit_plots": True,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["report", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+
+        for c in ("0.073", "0.06", "0.05", "0.04"):
+            svg = (out_dir / f"pulse_c{c}.svg").read_text()
+            y_lo, y_hi = (float(v) for v in
+                          re.findall(r'text-anchor="end">([^<]*)</text>', svg))
+            pulse = read_pulse_csv(out_dir / f"pulse_c{c}.csv")
+            uniform = np.linspace(pulse.t[0], pulse.t[-1], 401)
+            keep = np.isclose(pulse.t[:, None], uniform, rtol=0,
+                              atol=1e-10).any(axis=1)
+            assert np.count_nonzero(keep) == 401 < pulse.t.size
+            fields = np.concatenate((pulse.omega[keep], pulse.delta[keep]))
+            pad = 0.05 * (fields.max() - fields.min())
+            assert y_lo == pytest.approx(fields.min() - pad, rel=5e-3)
+            assert y_hi == pytest.approx(fields.max() + pad, rel=5e-3)
+            assert max(abs(y_lo), abs(y_hi)) < 1e3
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

@@ -196,8 +196,8 @@ class TestDesignPulse:
 
     def test_array_lengths_consistent(self, designs4):
         pulse, trajectory = designs4[0.073]
-        n = pulse.grid.n_samples
-        for arr in (pulse.omega, pulse.delta, trajectory.beta,
+        n = pulse.t.size
+        for arr in (trajectory.t, pulse.omega, pulse.delta, trajectory.beta,
                     trajectory.beta_dot, trajectory.theta.theta):
             assert arr.shape == (n,)
 
@@ -224,14 +224,16 @@ class TestDesignPulse:
 
     def test_refined_grid_keeps_uniform_points(self, designs4):
         # the Omega spike near beta -> 0 is resolved by points added between
-        # the uniform samples; every uniform sample stays on the grid
+        # the uniform samples; every uniform sample stays on the axis
         pulse, trajectory = designs4[0.073]
         params = pulse.params
-        t = pulse.grid.samples()
-        assert pulse.grid.n_samples > params.n_samples
+        t = pulse.t
+        assert t.size > params.n_samples
         assert np.all(np.diff(t) > 0)
-        assert np.all(np.isin(params.grid().samples(), t))
-        assert trajectory.grid == pulse.grid
+        half_width = params.kappa * params.T
+        uniform = np.linspace(-half_width, half_width, params.n_samples)
+        assert np.all(np.isin(uniform, t))
+        assert trajectory.t is t
 
     def test_area_monotone_in_c(self, designs4):
         areas = [designs4[c][0].area for c in (0.073, 0.060, 0.050, 0.040)]
@@ -246,7 +248,7 @@ class TestDesignPulse:
 
     def test_forward_fd_consistency_on_smooth_design(self, design_zero):
         pulse, trajectory = design_zero
-        t = pulse.grid.samples()
+        t = pulse.t
         fd = np.gradient(trajectory.beta, t)
         scale = np.max(np.abs(trajectory.beta_dot))
         err = np.max(np.abs(fd[1:-1] - trajectory.beta_dot[1:-1])) / scale

@@ -5,7 +5,6 @@ from qiepulse import (
     ParameterError,
     Pulse,
     TargetState,
-    TimeGrid,
     angle_state,
     bloch_from_angles,
     bloch_from_state,
@@ -18,9 +17,9 @@ from qiepulse.dynamics import final_states_over_errors
 
 
 def field_pulse(omega, delta, duration=1.0):
-    """Pulse with the given field samples on a uniform grid over duration."""
-    grid = TimeGrid(0.0, duration, np.size(omega))
-    return Pulse(grid=grid, omega=np.asarray(omega, dtype=float),
+    """Pulse with the given field samples on a uniform axis over duration."""
+    t = np.linspace(0.0, duration, np.size(omega))
+    return Pulse(t=t, omega=np.asarray(omega, dtype=float),
                  delta=np.asarray(delta, dtype=float), area=float("nan"),
                  beta_final=float("nan"), adiabaticity_residual=0.0)
 
@@ -102,8 +101,7 @@ class TestStepEvolve:
         # linear interpolant rotate by exactly its trapezoid area
         t = np.array([0.0, 0.1, 0.5, 1.0])
         omega = np.array([1.0, 3.0, 2.0, 0.5])
-        pulse = Pulse(grid=TimeGrid.from_samples(t), omega=omega,
-                      delta=np.zeros(4), area=float("nan"),
+        pulse = Pulse(t=t, omega=omega, delta=np.zeros(4), area=float("nan"),
                       beta_final=float("nan"), adiabaticity_residual=0.0)
         area = float(np.sum(0.5 * (omega[1:] + omega[:-1]) * np.diff(t)))
         expected = np.array([np.cos(0.5 * area), -1j * np.sin(0.5 * area)])
@@ -141,6 +139,11 @@ class TestPropagate:
     def test_initial_state_must_be_normalized(self):
         with pytest.raises(ParameterError):
             propagate(flat_pulse(0.0, 0.0), initial=np.array([1.0, 1.0]))
+
+    def test_non_finite_initial_state_rejected(self):
+        for initial in ([np.nan, 0.0], [1.0, np.inf], [np.nan * 1j, 1.0]):
+            with pytest.raises(ParameterError, match="finite and normalized"):
+                propagate(flat_pulse(1.0, 0.0), initial=initial)
 
     def test_non_finite_error_rejected(self):
         for error in ((np.nan, 0.0), (0.0, np.inf)):
@@ -210,7 +213,7 @@ class TestPropagate:
     def test_followed_branch_stays_populated(self, designs4):
         pulse, _ = designs4[0.073]
         traj = propagate(pulse)
-        t = pulse.grid.samples()
+        t = pulse.t
         interior = np.abs(t) <= 0.95 * 4.0
         p_followed = traj.adiab_pop_plus[interior]
         assert np.all(np.isfinite(p_followed))

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from qiepulse import (
@@ -10,6 +14,7 @@ from qiepulse import (
     ErrorGrid,
     GridError,
     ParameterError,
+    Pulse,
     PulseFormatError,
     RunConfig,
     TargetState,
@@ -34,24 +39,34 @@ MINIMAL_CSV = """t,omega,delta
 1.0,1.0,0.5
 """
 
+FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def random_pulses(draw):
+    """Pulses with random finite fields on a random strictly increasing
+    axis."""
+    t = sorted(draw(st.lists(FINITE, min_size=3, max_size=40, unique=True)))
+    samples = st.lists(FINITE, min_size=len(t), max_size=len(t))
+    return Pulse(t=t, omega=np.array(draw(samples)),
+                 delta=np.array(draw(samples)), area=draw(FINITE),
+                 beta_final=draw(FINITE), adiabaticity_residual=draw(FINITE))
+
 
 class TestPulseRoundTrip:
     def test_designed_pulse_round_trips(self, design_zero, tmp_path):
-        # a smooth design on the uniform grid, and one whose grid carries
+        # a smooth design on the uniform axis, and one whose axis carries
         # the points added to resolve its Omega spike
         refined = design_pulse(DesignParams(c=0.073, n_samples=401))
-        assert refined[0].grid.n_samples > 401
+        assert refined[0].t.size > 401
         for name, (pulse, trajectory) in (("zero", design_zero),
                                           ("refined", refined)):
             path = tmp_path / f"pulse_{name}.csv"
             write_pulse_csv(pulse, trajectory, path)
             back = read_pulse_csv(path)
 
-            assert back.grid.n_samples == pulse.grid.n_samples
-            assert back.grid.t_start == pytest.approx(pulse.grid.t_start,
-                                                      abs=1e-12)
-            np.testing.assert_allclose(back.grid.samples(),
-                                       pulse.grid.samples(), rtol=0, atol=1e-12)
+            assert back.t.shape == pulse.t.shape
+            np.testing.assert_allclose(back.t, pulse.t, rtol=0, atol=1e-12)
             np.testing.assert_allclose(back.omega, pulse.omega,
                                        rtol=1e-11, atol=1e-15)
             np.testing.assert_allclose(back.delta, pulse.delta,
@@ -64,6 +79,19 @@ class TestPulseRoundTrip:
             final = propagate(back).states[-1]
             assert fidelity(final, propagate(pulse).states[-1]) == \
                 pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(pulse=random_pulses())
+    def test_random_pulse_round_trips_exactly(self, pulse):
+        # 17 significant digits carry every double through the text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pulse.csv"
+            write_pulse_csv(pulse, None, path, precision=16)
+            back = read_pulse_csv(path)
+        for name in ("t", "omega", "delta"):
+            assert np.array_equal(getattr(back, name), getattr(pulse, name))
+        assert (back.area, back.beta_final, back.adiabaticity_residual) == (
+            pulse.area, pulse.beta_final, pulse.adiabaticity_residual)
 
     def test_full_layout_has_six_columns(self, design_zero, tmp_path):
         pulse, trajectory = design_zero
@@ -128,26 +156,22 @@ class TestReadExternal:
             read_pulse_csv(path)
         assert excinfo.value.line_number == 3
 
-    def test_nonuniform_grid_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,omega,delta\n0,1,0\n0.3,1,0\n1,1,0\n")
-        with pytest.raises(GridError):
-            read_pulse_csv(path)
+    def test_nonuniform_grid_read_as_is(self, tmp_path):
+        # any finite, strictly increasing t column is the pulse's axis; the
+        # n_samples metadata is provenance and plays no part
+        path = tmp_path / "ext.csv"
+        for meta in ("", "# n_samples = 5\n", "# n_samples = three\n"):
+            path.write_text(meta + "t,omega,delta\n0,1,0\n0.3,1,0\n1,1,0\n")
+            np.testing.assert_array_equal(read_pulse_csv(path).t,
+                                          [0.0, 0.3, 1.0])
 
-    def test_refined_grid_needs_its_uniform_points(self, tmp_path):
-        # a non-uniform t column is read only as a refinement of the uniform
-        # grid that the file's own n_samples metadata names
-        body = "t,omega,delta\n0,1,0\n0.25,1,0\n0.5,1,0\n0.6,1,0\n1,1,0\n"
-        path = tmp_path / "refined.csv"
-        path.write_text("# n_samples = 3\n" + body)
-        np.testing.assert_array_equal(read_pulse_csv(path).grid.samples(),
-                                      [0.0, 0.25, 0.5, 0.6, 1.0])
-        path.write_text("# n_samples = 5\n" + body)  # 0.75 is missing
-        with pytest.raises(GridError):
-            read_pulse_csv(path)
-        path.write_text("# n_samples = three\n" + body)
-        with pytest.raises(PulseFormatError, match="n_samples"):
-            read_pulse_csv(path)
+    def test_unordered_grid_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for column in ((0, 0.5, 0.5, 1), (0, 0.7, 0.3, 1), (1, 0.5, 0)):
+            rows = "".join(f"{t},1,0\n" for t in column)
+            path.write_text("t,omega,delta\n" + rows)
+            with pytest.raises(GridError, match="strictly increasing"):
+                read_pulse_csv(path)
 
     def test_too_few_samples_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

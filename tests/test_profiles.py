@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qiepulse import GridError, ParameterError, TimeGrid, theta_profile
+from qiepulse import (
+    DesignParams,
+    GridError,
+    ParameterError,
+    Pulse,
+    design_pulse,
+    pi_half_baseline,
+    theta_profile,
+)
 
 # independent oracle: erfc(4) to 15 significant digits (series evaluation)
 ERFC_4 = 1.54172579002800e-08
@@ -66,36 +74,46 @@ def test_nonpositive_T_rejected(bad_T):
         theta_profile(0.0, bad_T)
 
 
+def pulse_on(t, omega=None):
+    """Zero-field pulse on the axis t; the fields take t's shape unless omega
+    is given."""
+    zeros = np.zeros(np.shape(t))
+    return Pulse(t=t, omega=zeros if omega is None else omega, delta=zeros,
+                 area=0.0, beta_final=0.0, adiabaticity_residual=0.0)
+
+
 class TestTimeGrid:
+    """A time grid is a pulse's t array; Pulse checks it on construction."""
+
     def test_samples_uniform(self):
-        g = TimeGrid(-4.0, 4.0, 4001)
-        t = g.samples()
-        assert t.size == 4001
-        assert np.max(np.abs(np.diff(t) - g.step)) <= 1e-12 * 8.0
+        t = pi_half_baseline(8.0, n_samples=4001).t
+        assert t.size == 4001 and (t[0], t[-1]) == (0.0, 8.0)
+        assert np.max(np.abs(np.diff(t) - 8.0 / 4000)) <= 1e-12 * 8.0
 
     def test_symmetric_window(self):
-        g = TimeGrid.symmetric(4.0, 2.0, 101)
-        assert g.t_start == -8.0 and g.t_end == 8.0
+        pulse, trajectory = design_pulse(
+            DesignParams(c=0.073, T=2.0, kappa=4.0, n_samples=101))
+        assert pulse.t[0] == -8.0 and pulse.t[-1] == 8.0
+        assert trajectory.t is pulse.t
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(GridError):
-            TimeGrid(1.0, 0.0, 10)
+            pulse_on([1.0, 0.5, 0.0])
         with pytest.raises(GridError):
-            TimeGrid(0.0, 1.0, 2)
+            pulse_on([0.0, 1.0])
 
     def test_explicit_samples(self):
-        t = np.array([-1.0, -0.2, 0.0, 0.05, 1.0])
-        g = TimeGrid.from_samples(t)
-        assert (g.t_start, g.t_end, g.n_samples) == (-1.0, 1.0, 5)
-        np.testing.assert_array_equal(g.samples(), t)
-        assert g == TimeGrid.from_samples(t.copy())
-        assert g != TimeGrid(-1.0, 1.0, 5)
-        assert g != TimeGrid.from_samples([-1.0, -0.2, 0.0, 0.06, 1.0])
+        t = [-1.0, -0.2, 0.0, 0.05, 1.0]
+        pulse = pulse_on(t)
+        assert pulse.t.dtype == np.float64
+        np.testing.assert_array_equal(pulse.t, t)
 
     def test_invalid_explicit_samples_rejected(self):
         for t in ([0.0, 0.5, 0.5, 1.0], [0.0, 0.7, 0.3, 1.0],
-                  [0.0, np.nan, 1.0], [0.0, 1.0], [[0.0, 0.5, 1.0]]):
+                  [0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 1.0],
+                  [[0.0, 0.5, 1.0]]):
             with pytest.raises(GridError):
-                TimeGrid.from_samples(t)
-        with pytest.raises(GridError):
-            TimeGrid(0.0, 1.0, 4, (0.0, 0.5, 1.0))
+                pulse_on(t)
+        for omega in (np.zeros(4), np.zeros(2), np.zeros((1, 3))):
+            with pytest.raises(GridError, match="one sample per time"):
+                pulse_on([0.0, 0.5, 1.0], omega=omega)
