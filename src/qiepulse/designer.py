@@ -34,7 +34,7 @@ design_pulse refines where the field between uniform samples is not linear.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -148,7 +148,7 @@ class Pulse:
     area: float
     beta_final: float
     adiabaticity_residual: float
-    params: Optional[DesignParams] = field(default=None, compare=False)
+    params: Optional[DesignParams] = None
 
     def __post_init__(self):
         t = self.t = np.asarray(self.t, dtype=float)
@@ -159,6 +159,14 @@ class Pulse:
         if np.shape(self.omega) != t.shape or np.shape(self.delta) != t.shape:
             raise GridError(f"omega and delta need one sample per time, "
                             f"t has {t.size}")
+
+    def __eq__(self, other):
+        """Equal samples and metadata (NaN equals NaN); params is not compared."""
+        if not isinstance(other, Pulse):
+            return NotImplemented
+        names = ("t", "omega", "delta", "area", "beta_final", "adiabaticity_residual")
+        return all(np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
+                   for k in names)
 
 
 def invert_angles(theta: ThetaSample, beta, beta_dot):

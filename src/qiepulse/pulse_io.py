@@ -136,10 +136,22 @@ def serialize_config(config: RunConfig) -> str:
 
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     """'# key = value' metadata lines, a header row, then one row per sample
-    of the aligned arrays in scientific notation."""
+    of the aligned arrays in scientific notation.  A 't' column gets the
+    smallest precision >= precision at which it still reads back strictly
+    increasing (16 round-trips every double)."""
     lines = [f"# {key} = {value}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    row = ",".join([f"{{:.{precision}e}}"] * len(columns))
+    digits = [precision] * len(columns)
+    if columns[0] == "t":
+        t = arrays[0]
+        # printing merges only neighbours closer than 10^(1-p) of their size
+        # (10^(2-p) leaves a margin); only those are printed to check
+        close = np.flatnonzero(np.diff(t) < 10.0 ** (2 - precision)
+                               * np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+        digits[0] = next((p for p in range(precision, 17) if all(
+            float(f"{t[k]:.{p}e}") < float(f"{t[k + 1]:.{p}e}") for k in close)),
+            precision)
+    row = ",".join(f"{{:.{p}e}}" for p in digits)
     lines.extend(row.format(*values)
                  for values in np.column_stack(arrays).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

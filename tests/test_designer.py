@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qiepulse import (
     DegeneracyError,
     DesignParams,
     ParameterError,
+    Pulse,
     SingularityError,
     ThetaSample,
     adiabaticity_parameter,
@@ -12,6 +15,7 @@ from qiepulse import (
     design_pulse,
     initial_beta_rate,
     invert_angles,
+    pi_half_baseline,
 )
 from qiepulse.designer import _area
 
@@ -284,3 +288,23 @@ class TestPulseArea:
         t = np.linspace(-6, 6, 2001)
         assert _area(np.exp(-t * t), t) == pytest.approx(np.sqrt(np.pi),
                                                          abs=1e-6)
+
+
+class TestPulseEquality:
+    def test_compares_samples_and_metadata(self):
+        a = pi_half_baseline(1.0)
+        assert a == pi_half_baseline(1.0)
+        assert not a != pi_half_baseline(1.0)
+        assert a != pi_half_baseline(2.0)
+        assert a != pi_half_baseline(1.0, n_samples=301)
+        assert a != "pulse"
+        # provenance is not compared; NaN metadata equals NaN
+        assert replace(a, params=DesignParams(c=0.07)) == a
+        blank = replace(a, area=float("nan"))
+        assert blank == replace(a, area=float("nan"))
+        assert blank != a
+        omega = a.omega.copy()
+        omega[3] += 1e-12
+        assert Pulse(t=a.t, omega=omega, delta=a.delta, area=a.area,
+                     beta_final=a.beta_final,
+                     adiabaticity_residual=a.adiabaticity_residual) != a

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qiepulse import (
     ParameterError,
@@ -13,15 +16,19 @@ from qiepulse import (
     propagate,
     target_state,
 )
-from qiepulse.dynamics import final_states_over_errors
+from qiepulse.dynamics import _BLOCK, final_states_over_errors
+
+
+def axis_pulse(t, omega, delta):
+    """Pulse with the given field samples at the times t."""
+    return Pulse(t=t, omega=np.asarray(omega, dtype=float),
+                 delta=np.asarray(delta, dtype=float), area=float("nan"),
+                 beta_final=float("nan"), adiabaticity_residual=0.0)
 
 
 def field_pulse(omega, delta, duration=1.0):
     """Pulse with the given field samples on a uniform axis over duration."""
-    t = np.linspace(0.0, duration, np.size(omega))
-    return Pulse(t=t, omega=np.asarray(omega, dtype=float),
-                 delta=np.asarray(delta, dtype=float), area=float("nan"),
-                 beta_final=float("nan"), adiabaticity_residual=0.0)
+    return axis_pulse(np.linspace(0.0, duration, np.size(omega)), omega, delta)
 
 
 def flat_pulse(omega, delta, n=11):
@@ -121,6 +128,18 @@ class TestStepEvolve:
                            match="scale_omega is not finite at index 1"):
             final_states_over_errors(flat_pulse(1.0, 0.0), ket1(),
                                      [1.0, np.nan], [1.0, 1.0])
+
+
+    def test_overflowing_field_rejected(self):
+        # the kernel squares the scaled fields, so they are bounded by 1e150
+        omega = np.ones(11)
+        omega[4] = 1e149
+        assert np.all(np.isfinite(propagate(field_pulse(omega, np.zeros(11))).states))
+        with pytest.raises(ParameterError, match="scaled omega exceeds 1e150"):
+            final_states_over_errors(field_pulse(omega, np.zeros(11)), ket1(),
+                                     [1.0, 20.0], [1.0, 1.0])
+        with pytest.raises(ParameterError, match="scaled delta exceeds 1e150"):
+            propagate(field_pulse(np.ones(11), np.full(11, 1e151)))
 
 
 class TestPropagate:
@@ -360,3 +379,111 @@ class TestBloch:
         for k, psi in enumerate(states):
             np.testing.assert_allclose((u[k], v[k], w[k]),
                                        bloch_from_state(psi), atol=1e-15)
+
+
+# fields with exact zeros mixed in, so zero-field sub-steps occur at random
+FIELDS = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+ERRORS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3)
+# sub-step counts (at substeps = 2) below, at and between block multiples
+STEP_COUNTS = [4, _BLOCK - 2, _BLOCK, _BLOCK + 6, 2 * _BLOCK, 2 * _BLOCK + 34,
+               3 * _BLOCK]
+
+
+def random_axis_pulse(draw, n, fields=FIELDS):
+    widths = draw(st.lists(st.floats(0.01, 0.2), min_size=n - 1, max_size=n - 1))
+    t = np.concatenate(([0.0], np.cumsum(widths)))
+    samples = st.lists(fields, min_size=n, max_size=n)
+    return axis_pulse(t, draw(samples), draw(samples))
+
+
+def stepwise_states(pulse, initial, error, substeps=2):
+    """State at every sample, by a plain product of the frozen sub-step
+    exponentials applied one at a time."""
+    w = (np.arange(substeps) + 0.5) / substeps
+    om = (1.0 + error[0]) * (np.outer(pulse.omega[:-1], 1 - w) + np.outer(pulse.omega[1:], w))
+    de = (1.0 + error[1]) * (np.outer(pulse.delta[:-1], 1 - w) + np.outer(pulse.delta[1:], w))
+    h = 0.5 * np.stack([np.stack([-de, om], -1), np.stack([om, de], -1)], -2)
+    steps = expm(-1j * h * (np.diff(pulse.t) / substeps)[:, None, None, None])
+    states = [np.asarray(initial, dtype=complex)]
+    for interval in steps:
+        psi = states[-1]
+        for u in interval:
+            psi = u @ psi
+        states.append(psi)
+    return np.array(states)
+
+
+class TestBlockProductKernel:
+    """The block-product propagator against plain step-by-step products and
+    closed forms, on random pulses; `propagate` and the batch share it."""
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_stepwise_product(self, steps, data):
+        pulse = random_axis_pulse(data.draw, steps // 2 + 1)
+        errors = data.draw(ERRORS)
+        psi0 = angle_state(*data.draw(st.tuples(st.floats(0, np.pi),
+                                                st.floats(-np.pi, np.pi))))
+        finals = final_states_over_errors(pulse, psi0,
+                                          [1.0 + e for e in errors],
+                                          np.ones(len(errors)))
+        for e, final in zip(errors, finals):
+            ref = stepwise_states(pulse, psi0, (e, 0.0))
+            np.testing.assert_allclose(final, ref[-1], rtol=0, atol=1e-13)
+            states = propagate(pulse, initial=psi0, error=(e, 0.0)).states
+            np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("steps", STEP_COUNTS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_products_are_unitary(self, steps, data):
+        # the columns U|1>, U|2> of the propagator up to every sample; a
+        # pulse of one block is a single block product
+        pulse = random_axis_pulse(data.draw, steps // 2 + 1)
+        error = data.draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+        col1 = propagate(pulse, initial=ket1(), error=error).states
+        col2 = propagate(pulse, initial=[0.0, 1.0], error=error).states
+        for a, b in ((col1, col1), (col2, col2), (col1, col2)):
+            gram = np.sum(np.conj(a) * b, axis=1)
+            np.testing.assert_allclose(gram, 1.0 if a is b else 0.0, rtol=0,
+                                       atol=1e-13)
+        so, sd = [1.0 + error[0]], [1.0 + error[1]]
+        rows = np.array([final_states_over_errors(pulse, psi, so, sd)[0]
+                         for psi in (ket1(), [0.0, 1.0])])  # the transpose of U
+        np.testing.assert_allclose(rows @ rows.conj().T, np.eye(2), rtol=0,
+                                   atol=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(omega=st.floats(0.1, 10.0), delta=st.floats(-10.0, 10.0),
+           rabi_error=st.floats(-0.5, 0.5), n=st.integers(3, 3 * _BLOCK))
+    def test_flat_pulse_matches_rabi_formula(self, omega, delta, rabi_error, n):
+        # constant fields: P2(t) = (O^2 / g^2) sin^2(g t / 2), g^2 = O^2 + D^2
+        pulse = field_pulse(np.full(n, omega), np.full(n, delta), duration=2.0)
+        om = (1.0 + rabi_error) * omega
+        g = np.hypot(om, delta)
+        p2 = (om / g) ** 2 * np.sin(0.5 * g * pulse.t) ** 2
+        traj = propagate(pulse, error=(rabi_error, 0.0))
+        np.testing.assert_allclose(traj.pop2, p2, rtol=0, atol=1e-13)
+        final = final_states_over_errors(pulse, ket1(), [1.0 + rabi_error],
+                                         [1.0])[0]
+        assert abs(final[1]) ** 2 == pytest.approx(p2[-1], rel=0, abs=1e-13)
+
+    # zero-field gaps as [first, last] sample: at substeps = 2 the first
+    # spans sub-step _BLOCK, a block boundary; the second runs to the end
+    @pytest.mark.parametrize("gap", [(_BLOCK // 2 - 5, _BLOCK // 2 + 7),
+                                     (_BLOCK // 2 + 40, 3 * _BLOCK // 2)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_zero_field_gap_holds_state(self, gap, data):
+        first, last = gap
+        n = 3 * _BLOCK // 2 + 1
+        pulse = random_axis_pulse(data.draw, n, fields=st.floats(0.1, 3.0))
+        zero = (np.arange(n) >= first) & (np.arange(n) <= last)
+        pulse.omega[zero] = pulse.delta[zero] = 0.0
+        states = propagate(pulse).states
+        np.testing.assert_array_equal(states[zero],
+                                      np.tile(states[first], (zero.sum(), 1)))
+        if last == n - 1:  # the gap runs to the end: the batch ends there too
+            final = final_states_over_errors(pulse, ket1(), [1.0], [1.0])[0]
+            np.testing.assert_array_equal(final, states[first])

@@ -93,6 +93,25 @@ class TestPulseRoundTrip:
         assert (back.area, back.beta_final, back.adiabaticity_residual) == (
             pulse.area, pulse.beta_final, pulse.adiabaticity_residual)
 
+    def test_refined_design_reads_back_at_every_precision(self, tmp_path):
+        # the points that resolve the Omega spike lie closer in t than low
+        # precisions print; the t column keeps the digits it needs to stay
+        # strictly increasing, every other column is written as asked
+        pulse, trajectory = design_pulse(DesignParams(c=0.073, n_samples=401))
+        path = tmp_path / "pulse.csv"
+        for precision in (*range(1, 13), 20):
+            write_pulse_csv(pulse, trajectory, path, precision=precision)
+            back = read_pulse_csv(path)
+            assert back.t.size == pulse.t.size
+            np.testing.assert_allclose(back.t, pulse.t, atol=0,
+                                       rtol=0.5 * 10.0 ** -precision)
+            rows = [line.split(",") for line in path.read_text().splitlines()
+                    if line[0] in "-0123456789"]
+            assert {len(x.split("e")[0]) for row in rows for x in row[1:]} <= {
+                precision + 2, precision + 3}
+            if precision == 12:
+                assert [row[0] for row in rows] == [f"{x:.12e}" for x in pulse.t]
+
     def test_full_layout_has_six_columns(self, design_zero, tmp_path):
         pulse, trajectory = design_zero
         path = tmp_path / "pulse.csv"
