@@ -34,11 +34,10 @@ design_pulse refines where the field between uniform samples is not linear.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from .errors import (
     DegeneracyError, DesignError, GridError, ParameterError, SingularityError,
@@ -67,6 +66,36 @@ _SIN_BETA_FLOOR = 1e-14
 # interpolation between a designed pulse's samples may leave in an interval
 # the solver stepped through more than once; see _refine.
 REFINE_TOL = 1e-3
+
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
+# its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4-II.6.  Stage nodes c2..c5 (c6 = c7 = 1), the rows of
+# A, the 5th-order weights B and the error weights E, zeros left out.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                                17253 / 339200, -22 / 525, 1 / 40)
+_DENSE_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 @dataclass(frozen=True)
@@ -118,6 +147,24 @@ class DesignParams:
             raise ParameterError("ODE tolerances must be positive")
 
 
+def _value_eq(self, other):
+    """== for dataclasses that hold arrays: the same type and every compared
+    field equal, arrays and floats by np.array_equal (NaN equals NaN),
+    nested dataclasses field by field."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
+def _same(x, y):
+    if is_dataclass(x):
+        return _value_eq(x, y) is True
+    if isinstance(x, str):
+        return x == y
+    return np.array_equal(x, y, equal_nan=True)
+
+
 @dataclass
 class AngleTrajectory:
     """Designed angles at the pulse's times t; beta starts at pi/2 exactly."""
@@ -127,6 +174,8 @@ class AngleTrajectory:
     beta: np.ndarray
     beta_dot: np.ndarray
 
+    __eq__ = _value_eq  # by value, NaN equal to NaN
+
 
 @dataclass
 class Pulse:
@@ -134,12 +183,13 @@ class Pulse:
 
     t is the time axis, any spacing: 1-D, finite, strictly increasing, at
     least 3 samples, one omega and one delta sample per time (else
-    GridError).  beta_final is the Bloch azimuth the propagated state reaches
-    at t[-1] (equal to -beta[-1] of the design trajectory; the Hamiltonian
-    precession sense mirrors the azimuth).  adiabaticity_residual is the max
-    interior deviation of the analytically evaluated parameter from c;
-    params is the design provenance when the pulse came from design_pulse,
-    else None.
+    GridError); omega and delta are held as float arrays.  beta_final is the
+    Bloch azimuth the propagated state reaches at t[-1] (equal to -beta[-1]
+    of the design trajectory; the Hamiltonian precession sense mirrors the
+    azimuth).  adiabaticity_residual is the max interior deviation of the
+    analytically evaluated parameter from c; params is the design provenance
+    when the pulse came from design_pulse, else None.  Pulses are equal when
+    their samples and metadata are (NaN equals NaN); params is not compared.
     """
 
     t: np.ndarray
@@ -148,25 +198,21 @@ class Pulse:
     area: float
     beta_final: float
     adiabaticity_residual: float
-    params: Optional[DesignParams] = None
+    params: Optional[DesignParams] = field(default=None, compare=False)
+
+    __eq__ = _value_eq
 
     def __post_init__(self):
+        self.omega = np.asarray(self.omega, dtype=float)
+        self.delta = np.asarray(self.delta, dtype=float)
         t = self.t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise GridError(f"t must be 1-D with >= 3 samples, got shape {t.shape}")
         if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
             raise GridError("t must be finite and strictly increasing")
-        if np.shape(self.omega) != t.shape or np.shape(self.delta) != t.shape:
+        if self.omega.shape != t.shape or self.delta.shape != t.shape:
             raise GridError(f"omega and delta need one sample per time, "
                             f"t has {t.size}")
-
-    def __eq__(self, other):
-        """Equal samples and metadata (NaN equals NaN); params is not compared."""
-        if not isinstance(other, Pulse):
-            return NotImplemented
-        names = ("t", "omega", "delta", "area", "beta_final", "adiabaticity_residual")
-        return all(np.array_equal(getattr(self, k), getattr(other, k), equal_nan=True)
-                   for k in names)
 
 
 def invert_angles(theta: ThetaSample, beta, beta_dot):
@@ -223,23 +269,23 @@ def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
     Returns (omega, delta, omega_dot, G, beta_ddot): the fields, the
     beta_ddot-free parts of their rates (Delta_dot = beta_ddot + G), and the
     beta_ddot that holds the adiabaticity parameter at c on the given branch.
+    A float beta is evaluated with math on floats (the design ODE's
+    right-hand side), where 1/0, overflow and sin(inf) raise; anything else
+    with numpy.
     """
-    th = np.asarray(theta.theta, dtype=float)
-    thd = np.asarray(theta.theta_dot, dtype=float)
-    thdd = np.asarray(theta.theta_ddot, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    bd = np.asarray(beta_dot, dtype=float)
-    sb, cb = np.sin(b), np.cos(b)
-    st, ct = np.sin(th), np.cos(th)
+    m = math if isinstance(beta, float) else np
+    th, thd, thdd = theta.theta, theta.theta_dot, theta.theta_ddot
+    sb, cb = m.sin(beta), m.cos(beta)
+    st, ct = m.sin(th), m.cos(th)
     cot_b = cb / sb
     cot_t = ct / st
     omega = thd / sb
-    delta = bd - thd * cot_t * cot_b
-    omega_dot = (thdd - thd * bd * cot_b) / sb
+    delta = beta_dot - thd * cot_t * cot_b
+    omega_dot = (thdd - thd * beta_dot * cot_b) / sb
     G = (
         -thdd * cot_t * cot_b
         + thd * thd * cot_b / (st * st)
-        + thd * bd * cot_t / (sb * sb)
+        + thd * beta_dot * cot_t / (sb * sb)
     )
     gap3 = (omega * omega + delta * delta) ** 1.5
     A = omega_dot * delta - omega * G
@@ -258,10 +304,17 @@ def beta_acceleration(
     """beta_ddot enforcing a constant adiabaticity parameter c.
 
     Returns None when |Omega| is below omega_floor; the integrator
-    regularizes that region by holding the last finite value.
+    regularizes that region by holding the last finite value.  Where the
+    algebra divides by zero or overflows the result is inf or nan.
     """
-    omega, _, _, _, beta_ddot = _constraint(theta, beta, beta_dot, c,
-                                            branch_sign)
+    try:
+        omega, _, _, _, beta_ddot = _constraint(theta, beta, beta_dot, c,
+                                                branch_sign)
+    except (ArithmeticError, ValueError):  # math's 1/0, overflow, sin(inf)
+        with np.errstate(all="ignore"):
+            omega, _, _, _, beta_ddot = _constraint(
+                theta, np.asarray(beta, dtype=float), beta_dot, c,
+                branch_sign)
     if abs(omega) < omega_floor:
         return None
     return float(beta_ddot)
@@ -277,7 +330,8 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         omega, delta, omega_dot, G, beta_ddot = _constraint(
-            theta, beta, beta_dot, c, branch_sign
+            theta, np.asarray(beta, dtype=float),
+            np.asarray(beta_dot, dtype=float), c, branch_sign
         )
     delta_dot = beta_ddot + G
     mu = adiabaticity_parameter(omega, omega_dot, delta, delta_dot)
@@ -285,8 +339,9 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
 
 
 def _area(omega, t) -> float:
-    """Integral of |Omega| over the samples t (composite Simpson)."""
-    return float(simpson(np.abs(omega), x=t))
+    """Integral of |Omega| over the samples t: the trapezoid rule, which is
+    what the propagator's linear interpolation of the samples sees."""
+    return float(np.trapezoid(np.abs(omega), x=t))
 
 
 def initial_beta_rate(params: DesignParams) -> float:
@@ -303,6 +358,95 @@ def initial_beta_rate(params: DesignParams) -> float:
     return params.consistency_sign * math.sqrt(
         abs(sample.theta_ddot) / (2.0 * params.c)
     )
+
+
+def _dopri5(f, t0, t1, y0, rtol, atol):
+    """Integrate y' = f(t, y) from t0 to t1 > t0 with Dormand-Prince 5(4).
+
+    f takes a list of floats and returns a sequence of floats.  The step
+    control is that of scipy's RK45 (Hairer et al. II.4): the initial step
+    from the first two derivatives; the RMS norm of the error estimate over
+    atol + max(|y|, |y_new|) rtol; step factor 0.9 err^(-1/5) within
+    [0.2, 10], and no growth right after a rejection; the last step ends on
+    t1.  Returns (ts, ys, dense): the accepted times, the states there as an
+    (n, len(ts)) array, and dense(times) -> (n, len(times)) from each
+    step's quartic interpolant, a time on a step boundary taking the
+    earlier step.  Raises DesignError, with t_fail, when y0 is not finite
+    or the step falls below 10 ulp of t.
+    """
+    n = len(y0)
+
+    def rms(v):
+        return math.sqrt(sum(x * x for x in v) / n)
+
+    t, t1, y = float(t0), float(t1), [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
+        raise DesignError("the initial state is not finite", t_fail=t)
+    k1 = f(t, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = rms([v / s for v, s in zip(y, scale)])
+    d1 = rms([v / s for v, s in zip(k1, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    f1 = f(t + h0, [v + h0 * a for v, a in zip(y, k1)])
+    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t1 - t)
+    ts, ys, ks = [t], [y], []
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also a nan step
+                raise DesignError("Required step size is less than spacing "
+                                  "between numbers.", t_fail=t)
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            k2 = f(t + _C2 * h, [v + (_A21 * a) * h for v, a in zip(y, k1)])
+            k3 = f(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
+                                 for v, a, b in zip(y, k1, k2)])
+            k4 = f(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
+                                 for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = f(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c
+                                      + _A54 * d) * h
+                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
+                                + _A65 * e) * h
+                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y_new)
+            err = rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g
+                        + _E7 * q) * h / (atol + max(abs(v), abs(w)) * rtol)
+                       for v, w, a, c, d, e, g, q
+                       in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        ks.append((k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        ts.append(t)
+        ys.append(y)
+
+    ts, ys = np.array(ts), np.array(ys).T
+    widths = np.diff(ts)
+    q = np.einsum("skn,kp->snp", np.array(ks), _DENSE_P)
+
+    def dense(times):
+        seg = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
+                      widths.size - 1)
+        x = (times - ts[seg]) / widths[seg]
+        powers = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
+        return (widths[seg] * np.einsum("snp,ps->ns", q[seg], powers)
+                + ys[:, seg])
+
+    return ts, ys, dense
 
 
 def _refine(a, b, fa, fb, sample_at):
@@ -334,20 +478,21 @@ def _refine(a, b, fa, fb, sample_at):
 def design_pulse(params: DesignParams):
     """Integrate the constrained azimuth and reconstruct the drive.
 
-    Returns (Pulse, AngleTrajectory).  The ODE is integrated with an adaptive
-    RK45 stepper at the configured tolerances and sampled through its dense
-    output on the uniform n_samples grid, plus the points that resolve the
-    field inside the grid intervals that hold two or more solver steps:
-    where beta comes close to 0, Omega = theta_dot / sin(beta) spikes between
-    uniform samples.  Such an interval is bisected while linear
-    interpolation misses the midpoint field by more than REFINE_TOL / width
-    (see _refine); the pulse's t holds every uniform point and the added
-    ones, in order.  The area is a third ODE state, the integral of
-    theta_dot / |sin(beta)|, so it is exact to the solver tolerance whatever
-    the sampling.  Near the window
-    ends Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
+    Returns (Pulse, AngleTrajectory).  The ODE is integrated with the
+    adaptive Dormand-Prince 5(4) stepper _dopri5 at the configured
+    tolerances and sampled through its dense output on the uniform
+    n_samples grid, plus the points that resolve the field inside the grid
+    intervals that hold two or more solver steps: where beta comes close to
+    0, Omega = theta_dot / sin(beta) spikes between uniform samples.  Such
+    an interval is bisected while linear interpolation misses the midpoint
+    field by more than REFINE_TOL / width (see _refine); the pulse's t
+    holds every uniform point and the added ones, in order.  The area is a
+    third ODE state, the integral of theta_dot / |sin(beta)|, so it is exact
+    to the solver tolerance whatever the sampling.  Near the window ends
+    Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
     stiff; below OMEGA_FLOOR/T the acceleration is held at its last finite
-    value.
+    value.  A failed integration raises DesignError naming c, T and the
+    time it reached (t_fail).
     """
     half_width = params.kappa * params.T
     t = np.linspace(-half_width, half_width, params.n_samples)
@@ -360,24 +505,22 @@ def design_pulse(params: DesignParams):
                                 params.branch_sign, floor)
         if acc is not None:  # else hold it through the dead tails
             held[0] = acc
-        return (y[1], held[0], sample.theta_dot / abs(math.sin(y[0])))
+        try:
+            rate = sample.theta_dot / abs(math.sin(y[0]))
+        except (ZeroDivisionError, ValueError):  # sin(beta) = 0 or beta = inf
+            rate = math.nan  # rejects the step
+        return (y[1], held[0], rate)
 
-    y0 = (0.5 * np.pi, initial_beta_rate(params), 0.0)
-    sol = solve_ivp(
-        rhs,
-        (t[0], t[-1]),
-        y0,
-        method="RK45",
-        rtol=params.ode_rel_tol,
-        atol=params.ode_abs_tol,
-        dense_output=True,
-    )
-    if not sol.success:
+    y0 = (0.5 * math.pi, initial_beta_rate(params), 0.0)
+    try:
+        ts, ys, dense = _dopri5(rhs, t[0], t[-1], y0, params.ode_rel_tol,
+                                params.ode_abs_tol)
+    except DesignError as e:
         raise DesignError(
-            f"constrained integration failed at t = {sol.t[-1]:.6g}: "
-            f"{sol.message}",
-            t_fail=float(sol.t[-1]),
-        )
+            f"c = {params.c:g} (T = {params.T:g}): constrained integration "
+            f"failed at t = {e.t_fail:.6g}: {e}",
+            t_fail=e.t_fail,
+        ) from None
 
     def fields(times, y):
         omega, delta, *_ = _constraint(theta_profile(times, params.T), y[0],
@@ -385,12 +528,12 @@ def design_pulse(params: DesignParams):
         return np.stack((omega, delta))
 
     def sample_at(times):
-        y = sol.sol(times)
+        y = dense(times)
         return y, fields(times, y)
 
-    y = sol.sol(t)
+    y = dense(t)
     y[0, 0] = 0.5 * np.pi  # boundary condition, exact by construction
-    k = np.flatnonzero(np.diff(np.searchsorted(sol.t, t)) >= 2)
+    k = np.flatnonzero(np.diff(np.searchsorted(ts, t)) >= 2)
     t_add, y_add = _refine(t[k], t[k + 1], fields(t[k], y[:, k]),
                            fields(t[k + 1], y[:, k + 1]), sample_at)
     if t_add.size:
@@ -413,7 +556,7 @@ def design_pulse(params: DesignParams):
         t=t,
         omega=omega,
         delta=delta,
-        area=float(sol.y[2, -1]),
+        area=float(ys[2, -1]),
         beta_final=float(-beta[-1]),
         adiabaticity_residual=residual,
         params=params,

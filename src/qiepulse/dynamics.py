@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designer import Pulse
+from .designer import Pulse, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
@@ -70,6 +70,8 @@ class StateTrajectory:
     bloch_w: np.ndarray
     adiab_pop_minus: np.ndarray
     adiab_pop_plus: np.ndarray
+
+    __eq__ = _value_eq  # by value, NaN equal to NaN
 
 
 def ket1() -> np.ndarray:

@@ -15,14 +15,17 @@ theta_profile takes any time or array of times; the time axis a pulse is
 sampled on is a plain array that the pulse carries (designer.Pulse.t).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ParameterError
 
 __all__ = ["ThetaSample", "theta_profile"]
+
+_SQRT_PI = math.sqrt(math.pi)
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,14 @@ def theta_profile(t, T: float) -> ThetaSample:
     """
     if not T > 0:
         raise ParameterError(f"T must be positive, got {T}")
+    # one time, as the design ODE asks: math on floats (isinstance first, as
+    # np.ndim of a float costs more than the evaluation)
+    if isinstance(t, float) or np.ndim(t) == 0:
+        x = float(t) / T
+        theta_dot = (_SQRT_PI / (2.0 * T)) * math.exp(-x * x)
+        return ThetaSample(0.25 * math.pi * (math.erf(x) + 1.0), theta_dot,
+                           theta_dot * (-2.0 * x / T))
     x = np.asarray(t, dtype=float) / T
-    theta = 0.25 * np.pi * (erf(x) + 1.0)
-    theta_dot = (np.sqrt(np.pi) / (2.0 * T)) * np.exp(-x * x)
-    theta_ddot = theta_dot * (-2.0 * x / T)
-    if np.ndim(t) == 0:
-        return ThetaSample(float(theta), float(theta_dot), float(theta_ddot))
-    return ThetaSample(theta, theta_dot, theta_ddot)
+    theta = 0.25 * np.pi * (_erf(x).astype(float) + 1.0)
+    theta_dot = (_SQRT_PI / (2.0 * T)) * np.exp(-x * x)
+    return ThetaSample(theta, theta_dot, theta_dot * (-2.0 * x / T))

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .designer import Pulse
+from .designer import Pulse, _value_eq
 from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
 
@@ -64,6 +64,8 @@ class ScanResult:
     fidelities: np.ndarray
     min_fidelity_in_band: float
     area: float
+
+    __eq__ = _value_eq  # by value, NaN equal to NaN
 
 
 def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:

@@ -1,10 +1,18 @@
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import qiepulse.designer as designer
 from qiepulse import (
     DegeneracyError,
+    DesignError,
     DesignParams,
     ParameterError,
     Pulse,
@@ -17,13 +25,15 @@ from qiepulse import (
     invert_angles,
     pi_half_baseline,
 )
-from qiepulse.designer import _area
+from qiepulse.designer import _area, _dopri5
 
 # regression pins for the shipped default configuration
 # (branch_sign=-1, consistency init); see README for the endpoint discussion
 EXPECTED_AREAS_PI = {0.073: 1.9595, 0.060: 2.9706, 0.050: 3.1706, 0.040: 4.2877}
 EXPECTED_ABS_BETA_FINAL_PI = {0.073: 0.0797, 0.060: 0.0398, 0.050: 0.0634,
                               0.040: 0.0317}
+# right-hand-side evaluations scipy's RK45 (solve_ivp) took on these designs
+RK45_NFEV = {0.073: 6710, 0.060: 11042, 0.050: 11024, 0.040: 15410}
 
 
 def sample(theta, theta_dot=1.0, theta_ddot=0.0):
@@ -308,3 +318,100 @@ class TestPulseEquality:
         assert Pulse(t=a.t, omega=omega, delta=a.delta, area=a.area,
                      beta_final=a.beta_final,
                      adiabaticity_residual=a.adiabaticity_residual) != a
+
+
+class TestRecordEquality:
+    def test_angle_trajectory(self, design_zero):
+        trajectory = design_zero[1]
+        same = replace(trajectory, beta=trajectory.beta.copy())
+        assert trajectory == same and not trajectory != same
+        beta = trajectory.beta.copy()
+        beta[7] += 1e-12
+        assert trajectory != replace(trajectory, beta=beta)
+        # the nested ThetaSample is compared by value
+        theta = replace(trajectory.theta,
+                        theta_dot=trajectory.theta.theta_dot * 2)
+        assert trajectory != replace(trajectory, theta=theta)
+        assert trajectory != "trajectory"
+        beta[3] = np.nan  # NaN equals NaN
+        assert replace(trajectory, beta=beta) == replace(trajectory,
+                                                         beta=beta.copy())
+
+
+def smooth(t, y):
+    return (y[1], -y[0] - 0.1 * y[1] * y[2], math.cos(t) * y[0] - 0.3 * y[2])
+
+
+class TestDormandPrince:
+    """The in-repo Dormand-Prince 5(4) stepper behind design_pulse, with
+    scipy's RK45 as the oracle."""
+
+    @pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-11), (1e-6, 1e-8)])
+    def test_matches_scipy_rk45(self, rtol, atol):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return smooth(t, y)
+
+        ts, ys, dense = _dopri5(f, 0.0, 10.0, (1.0, 0.0, 0.5), rtol, atol)
+        sol = solve_ivp(smooth, (0.0, 10.0), (1.0, 0.0, 0.5), method="RK45",
+                        rtol=rtol, atol=atol, dense_output=True)
+        # the same controller takes the same steps; the error estimate's
+        # cancellation lets the summation order move them by round-off
+        assert len(calls) == sol.nfev
+        assert ts.shape == sol.t.shape and ts[-1] == 10.0
+        np.testing.assert_allclose(ts, sol.t, rtol=0, atol=1e-9)
+        assert ys.shape == sol.y.shape
+        x = np.concatenate((np.linspace(0.0, 10.0, 1001), sol.t))
+        np.testing.assert_allclose(dense(x), sol.sol(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(ts), ys, rtol=0, atol=1e-15)
+
+    def test_reference_designs_take_rk45_steps(self, monkeypatch):
+        # beta_acceleration runs once per right-hand-side evaluation (the
+        # benchmark's designer.rhs.calls); allow one rejected step (6 calls)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return acceleration(*args)
+
+        acceleration = designer.beta_acceleration
+        monkeypatch.setattr(designer, "beta_acceleration", counted)
+        for c, nfev in RK45_NFEV.items():
+            calls[0] = 0
+            design_pulse(DesignParams(c=c, n_samples=401))
+            assert abs(calls[0] - nfev) <= 6, c
+
+    def test_failure_names_c_and_time(self):
+        with pytest.raises(DesignError) as info:
+            design_pulse(DesignParams(c=1.0, n_samples=401))
+        message = str(info.value)
+        assert message.startswith("c = 1 (T = 1): constrained integration "
+                                  "failed at t = 0.2395: ")
+        assert "Required step size is less than spacing between numbers" \
+            in message
+        assert info.value.t_fail == pytest.approx(0.2395, abs=1e-4)
+
+    @pytest.mark.parametrize("c, kappa", [(0.073, 10.0), (100.0, 20.0)])
+    def test_wide_window_is_design_error(self, c, kappa):
+        # erf(-kappa) rounds to -1, so theta = 0 and the math right-hand
+        # side divides by zero (and later takes sin(inf)); that must reject
+        # steps, as numpy's inf and nan did, never escape the designer
+        with pytest.raises(DesignError, match="Required step size"):
+            design_pulse(DesignParams(c=c, kappa=kappa, n_samples=101))
+
+    def test_non_finite_start_is_design_error(self):
+        # theta_ddot overflows at T = 1e-200, and with it the initial rate
+        with pytest.raises(DesignError, match="initial state is not finite"):
+            design_pulse(DesignParams(c=0.073, T=1e-200, n_samples=401))
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(designer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = ("import sys, qiepulse, qiepulse.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"

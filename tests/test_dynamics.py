@@ -21,8 +21,7 @@ from qiepulse.dynamics import _BLOCK, final_states_over_errors
 
 def axis_pulse(t, omega, delta):
     """Pulse with the given field samples at the times t."""
-    return Pulse(t=t, omega=np.asarray(omega, dtype=float),
-                 delta=np.asarray(delta, dtype=float), area=float("nan"),
+    return Pulse(t=t, omega=omega, delta=delta, area=float("nan"),
                  beta_final=float("nan"), adiabaticity_residual=0.0)
 
 
@@ -143,6 +142,28 @@ class TestStepEvolve:
 
 
 class TestPropagate:
+    def test_list_built_pulse(self):
+        # Pulse holds its samples as float arrays, whatever it was given
+        listed = axis_pulse([0, 1, 2], [1, 2, 1], [0, 0, 0])
+        arrays = axis_pulse(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]),
+                            np.zeros(3))
+        assert listed.omega.dtype == listed.delta.dtype == float
+        a, b = propagate(listed), propagate(arrays)
+        assert np.array_equal(a.states, b.states)
+        assert a == b
+
+    def test_trajectory_equality(self, design_zero):
+        pulse = design_zero[0]
+        a = propagate(pulse)
+        assert a == propagate(pulse)
+        assert not a != propagate(pulse)
+        assert a != propagate(pulse, error=(0.01, 0.0))
+        assert a != "trajectory"
+        # NaN populations at a degenerate sample compare equal
+        gap = axis_pulse([0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        assert np.isnan(propagate(gap).adiab_pop_minus[-1])
+        assert propagate(gap) == propagate(gap)
+
     def test_zero_pulse_leaves_state_fixed(self):
         traj = propagate(flat_pulse(0.0, 0.0))
         np.testing.assert_array_equal(traj.states,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,18 @@ class TestScan1d:
         a = scan_1d(pulse, TargetState(pulse.beta_final), grid)
         b = scan_1d(pulse, TargetState(pulse.beta_final), grid)
         assert np.array_equal(a.fidelities, b.fidelities)
+
+    def test_results_compare_by_value(self):
+        pulse = pi_half_baseline(1.0, n_samples=5)
+        target = TargetState(pulse.beta_final)
+        grid = ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=5)
+        a = scan_1d(pulse, target, grid)
+        assert a == scan_1d(pulse, target, grid)
+        assert not a != scan_1d(pulse, target, grid)
+        assert a != scan_1d(pulse, target, grid, protocol_label="other")
+        assert a != scan_1d(pulse, target, replace(grid, hi=0.2))
+        assert a != scan_1d(pulse, TargetState(0.3), grid)
+        assert a != "scan"
 
     def test_fidelities_bounded(self, band_scans):
         for result in band_scans.values():
