@@ -48,10 +48,6 @@ __all__ = [
     "DesignParams",
     "AngleTrajectory",
     "Pulse",
-    "invert_angles",
-    "adiabaticity_parameter",
-    "beta_acceleration",
-    "initial_beta_rate",
     "design_pulse",
     "analytic_diagnostics",
 ]
@@ -215,53 +211,6 @@ class Pulse:
                             f"t has {t.size}")
 
 
-def invert_angles(theta: ThetaSample, beta, beta_dot):
-    """Recover (Omega, Delta) from the angle state.
-
-    Accepts scalars or aligned arrays.  Requires sin(beta) bounded away from
-    zero; at theta within 1e-12 of 0 the cot(theta) term is only defined for
-    cot(beta) = 0 to the same precision (regularized start), where it is
-    dropped.
-    """
-    th = np.asarray(theta.theta, dtype=float)
-    thd = np.asarray(theta.theta_dot, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    bd = np.asarray(beta_dot, dtype=float)
-    sb = np.sin(b)
-    cb = np.cos(b)
-    if np.any(np.abs(sb) < _SIN_BETA_FLOOR):
-        raise SingularityError("sin(beta) vanishes; Omega undefined")
-    cot_b = cb / sb
-    near_zero = np.abs(th) < 1e-12
-    if np.any(near_zero & (np.abs(cot_b) > 1e-12)):
-        raise SingularityError("theta = 0 with cot(beta) != 0")
-    st = np.sin(th)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot_term = np.where(near_zero, 0.0, thd * (np.cos(th) / st) * cot_b)
-    omega = thd / sb
-    delta = bd - cot_term
-    if np.ndim(beta) == 0 and np.ndim(theta.theta) == 0:
-        return float(omega), float(delta)
-    return omega, delta
-
-
-def adiabaticity_parameter(omega, omega_dot, delta, delta_dot):
-    """|Omega_dot Delta - Omega Delta_dot| / (2 (Omega^2 + Delta^2)^{3/2})."""
-    om = np.asarray(omega, dtype=float)
-    de = np.asarray(delta, dtype=float)
-    gap_sq = om * om + de * de
-    if np.any(gap_sq == 0.0):
-        raise DegeneracyError(
-            "adiabaticity parameter undefined at Omega = Delta = 0"
-        )
-    num = np.abs(
-        np.asarray(omega_dot, dtype=float) * de
-        - om * np.asarray(delta_dot, dtype=float)
-    )
-    out = num / (2.0 * gap_sq**1.5)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
                 branch_sign: int):
     """The constraint algebra at one point or along aligned arrays.
@@ -293,6 +242,15 @@ def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
     return omega, delta, omega_dot, G, beta_ddot
 
 
+def invert_angles(theta: ThetaSample, beta, beta_dot):
+    """(Omega, Delta) at the angles: the first two outputs of _constraint on
+    arrays, inf or nan where sin(beta) or sin(theta) vanishes."""
+    with np.errstate(all="ignore"):
+        omega, delta, *_ = _constraint(theta, np.asarray(beta, dtype=float),
+                                       beta_dot, 0.0, 1)
+    return omega, delta
+
+
 def beta_acceleration(
     theta: ThetaSample,
     beta: float,
@@ -322,42 +280,33 @@ def beta_acceleration(
 
 def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
                          branch_sign: int):
-    """Fields and their analytic rates along a constrained trajectory.
+    """Fields and adiabaticity parameter along a constrained trajectory.
 
-    Omega_dot and Delta_dot come from the angle derivatives (beta_ddot taken
-    from the constraint), never from differencing sampled fields.  Returns
-    (omega, delta, omega_dot, delta_dot, mu).
+    mu = |Omega_dot Delta - Omega Delta_dot| / (2 (Omega^2 + Delta^2)^{3/2}),
+    with Omega_dot and Delta_dot from the angle derivatives (beta_ddot taken
+    from the constraint), never from differencing sampled fields; a
+    non-finite field gives a non-finite mu.  Returns (omega, delta, mu).
+    Raises DegeneracyError where Omega = Delta = 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         omega, delta, omega_dot, G, beta_ddot = _constraint(
             theta, np.asarray(beta, dtype=float),
             np.asarray(beta_dot, dtype=float), c, branch_sign
         )
-    delta_dot = beta_ddot + G
-    mu = adiabaticity_parameter(omega, omega_dot, delta, delta_dot)
-    return omega, delta, omega_dot, delta_dot, mu
+        gap_sq = omega * omega + delta * delta
+        if np.any(gap_sq == 0.0):
+            raise DegeneracyError(
+                "adiabaticity parameter undefined at Omega = Delta = 0"
+            )
+        mu = (np.abs(omega_dot * delta - omega * (beta_ddot + G))
+              / (2.0 * gap_sq**1.5))
+    return omega, delta, mu
 
 
 def _area(omega, t) -> float:
     """Integral of |Omega| over the samples t: the trapezoid rule, which is
     what the propagator's linear interpolation of the samples sees."""
     return float(np.trapezoid(np.abs(omega), x=t))
-
-
-def initial_beta_rate(params: DesignParams) -> float:
-    """beta_dot at t_start per the configured initialization.
-
-    "zero" starts at rest.  "consistency" returns
-    consistency_sign * sqrt(|theta_ddot(t_start)| / (2 c)), the rate for
-    which the constraint holds in the Omega -> 0 limit, where the parameter
-    reduces to |Omega_dot| / (2 beta_dot^2).
-    """
-    if params.beta_rate_init == "zero":
-        return 0.0
-    sample = theta_profile(-params.kappa * params.T, params.T)
-    return params.consistency_sign * math.sqrt(
-        abs(sample.theta_ddot) / (2.0 * params.c)
-    )
 
 
 def _dopri5(f, t0, t1, y0, rtol, atol):
@@ -492,7 +441,8 @@ def design_pulse(params: DesignParams):
     Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
     stiff; below OMEGA_FLOOR/T the acceleration is held at its last finite
     value.  A failed integration raises DesignError naming c, T and the
-    time it reached (t_fail).
+    time it reached (t_fail), and so do fields that are not finite, at the
+    first such time.
     """
     half_width = params.kappa * params.T
     t = np.linspace(-half_width, half_width, params.n_samples)
@@ -511,7 +461,14 @@ def design_pulse(params: DesignParams):
             rate = math.nan  # rejects the step
         return (y[1], held[0], rate)
 
-    y0 = (0.5 * math.pi, initial_beta_rate(params), 0.0)
+    rate0 = 0.0  # "zero": at rest
+    if params.beta_rate_init == "consistency":
+        # the rate for which the constraint holds in the Omega -> 0 limit,
+        # where mu reduces to |Omega_dot| / (2 beta_dot^2)
+        rate0 = params.consistency_sign * math.sqrt(
+            abs(theta_profile(-half_width, params.T).theta_ddot)
+            / (2.0 * params.c))
+    y0 = (0.5 * math.pi, rate0, 0.0)
     try:
         ts, ys, dense = _dopri5(rhs, t[0], t[-1], y0, params.ode_rel_tol,
                                 params.ode_abs_tol)
@@ -523,9 +480,8 @@ def design_pulse(params: DesignParams):
         ) from None
 
     def fields(times, y):
-        omega, delta, *_ = _constraint(theta_profile(times, params.T), y[0],
-                                       y[1], params.c, params.branch_sign)
-        return np.stack((omega, delta))
+        return np.stack(invert_angles(theta_profile(times, params.T), y[0],
+                                      y[1]))
 
     def sample_at(times):
         y = dense(times)
@@ -534,8 +490,9 @@ def design_pulse(params: DesignParams):
     y = dense(t)
     y[0, 0] = 0.5 * np.pi  # boundary condition, exact by construction
     k = np.flatnonzero(np.diff(np.searchsorted(ts, t)) >= 2)
-    t_add, y_add = _refine(t[k], t[k + 1], fields(t[k], y[:, k]),
-                           fields(t[k + 1], y[:, k + 1]), sample_at)
+    with np.errstate(invalid="ignore"):  # a non-finite field is named below
+        t_add, y_add = _refine(t[k], t[k + 1], fields(t[k], y[:, k]),
+                               fields(t[k + 1], y[:, k + 1]), sample_at)
     if t_add.size:
         order = np.argsort(np.concatenate((t, t_add)))
         t = np.concatenate((t, t_add))[order]
@@ -546,9 +503,15 @@ def design_pulse(params: DesignParams):
 
     if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
         raise SingularityError("sin(beta) vanishes; Omega undefined")
-    omega, delta, _, _, mu = analytic_diagnostics(
+    omega, delta, mu = analytic_diagnostics(
         theta, beta, beta_dot, params.c, params.branch_sign
     )
+    bad = ~(np.isfinite(omega) & np.isfinite(delta))
+    if bad.any():
+        t_bad = float(t[np.argmax(bad)])
+        raise DesignError(
+            f"c = {params.c:g} (T = {params.T:g}): the fields are not finite "
+            f"at t = {t_bad:.6g}", t_fail=t_bad)
     interior = np.abs(t) <= 0.95 * params.kappa * params.T
     residual = float(np.max(np.abs(mu[interior] - params.c)))
 

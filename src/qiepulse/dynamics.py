@@ -35,7 +35,7 @@ _BLOCK = 64  # sub-steps per block product; a power of two
 _ROWS = 128  # error rows per pass: small block arrays are reused, not re-faulted
 
 __all__ = [
-    "TargetState", "StateTrajectory", "ket1", "angle_state", "target_state",
+    "TargetState", "StateTrajectory", "ket1", "target_state",
     "propagate", "fidelity", "bloch_from_angles", "bloch_from_state",
 ]
 
@@ -77,12 +77,6 @@ class StateTrajectory:
 def ket1() -> np.ndarray:
     """Basis state |1>."""
     return np.array([1.0 + 0.0j, 0.0 + 0.0j])
-
-
-def angle_state(theta: float, beta: float) -> np.ndarray:
-    """State (cos(theta/2) e^{-i beta/2}, sin(theta/2) e^{i beta/2})."""
-    return np.array([np.cos(0.5 * theta) * np.exp(-0.5j * beta),
-                     np.sin(0.5 * theta) * np.exp(0.5j * beta)])
 
 
 def target_state(beta_final) -> np.ndarray:

@@ -25,7 +25,7 @@ class GridError(QiePulseError, ValueError):
 
 
 class SingularityError(QiePulseError):
-    """Angle inversion hit sin(beta) = 0, or theta = 0 with cot(beta) != 0."""
+    """A designed beta reached sin(beta) = 0, where Omega is undefined."""
 
 
 class DegeneracyError(QiePulseError):

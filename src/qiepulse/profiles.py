@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["ThetaSample", "theta_profile"]
+__all__ = ["theta_profile"]
 
 _SQRT_PI = math.sqrt(math.pi)
 _erf = np.frompyfunc(math.erf, 1, 1)

@@ -14,7 +14,7 @@ as is: any finite, strictly increasing column of at least 3 samples is read
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +34,6 @@ from .robustness import ErrorGrid, ScanResult
 __all__ = [
     "RunConfig",
     "parse_config",
-    "serialize_config",
     "write_pulse_csv",
     "read_pulse_csv",
     "write_scan_csv",
@@ -98,7 +97,8 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past Python's digit limit, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -124,14 +124,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{name}: {exc}") from exc
 
     return RunConfig(design=design, **grids, **raw)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """JSON form that parse_config reads back to an equal config."""
-    payload = asdict(config)
-    for name in ("rabi_grid", "detuning_grid"):
-        del payload[name]["parameter"]
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
@@ -189,7 +181,7 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
             "writing the 6-column layout needs design params for the "
             "adiabaticity column"
         )
-    _, _, _, _, mu = analytic_diagnostics(
+    _, _, mu = analytic_diagnostics(
         trajectory.theta, trajectory.beta, trajectory.beta_dot,
         pulse.params.c, pulse.params.branch_sign,
     )

@@ -19,7 +19,6 @@ from .errors import ParameterError, ScanError
 __all__ = [
     "ErrorGrid",
     "ScanResult",
-    "SummaryRow",
     "pi_half_baseline",
     "scan_1d",
     "robustness_summary",

@@ -1,6 +1,6 @@
-"""The public surface: the package's exported names, and the functions the
-traced benchmark run wraps (bench/layers.py), which must keep existing
-under the names it looks them up by."""
+"""The public surface: the package's exported names, which the README
+lists, and the functions the traced benchmark run wraps (bench/layers.py),
+which must keep existing under the names it looks them up by."""
 
 import runpy
 from pathlib import Path
@@ -11,18 +11,16 @@ PUBLIC_NAMES = [
     "AngleTrajectory", "ConfigError", "DegeneracyError", "DesignError",
     "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
     "PulseFormatError", "QiePulseError", "RunConfig", "ScanError",
-    "ScanResult", "SingularityError", "StateTrajectory", "SummaryRow",
-    "TargetState", "ThetaSample", "__version__", "adiabaticity_parameter",
-    "analytic_diagnostics", "angle_state", "beta_acceleration",
-    "bloch_from_angles", "bloch_from_state", "design_pulse", "fidelity",
-    "format_summary", "initial_beta_rate", "invert_angles", "ket1",
+    "ScanResult", "SingularityError", "StateTrajectory", "TargetState",
+    "__version__", "analytic_diagnostics", "bloch_from_angles",
+    "bloch_from_state", "design_pulse", "fidelity", "format_summary", "ket1",
     "parse_config", "pi_half_baseline", "propagate", "read_pulse_csv",
-    "robustness_summary", "scan_1d", "serialize_config", "target_state",
-    "theta_profile", "write_pulse_csv", "write_scan_csv",
-    "write_trajectory_csv",
+    "robustness_summary", "scan_1d", "target_state", "theta_profile",
+    "write_pulse_csv", "write_scan_csv", "write_trajectory_csv",
 ]
 
-LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "bench" / "layers.py"
 
 
 def test_public_names_pinned():
@@ -30,6 +28,12 @@ def test_public_names_pinned():
     assert sorted(qiepulse.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qiepulse, name), name
+
+
+def test_readme_names_every_public_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in qiepulse.__all__ if f"`{name}`" not in readme]
+    assert not missing, f"README.md does not name {missing}"
 
 
 class ProbeTracer:

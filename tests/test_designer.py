@@ -16,16 +16,12 @@ from qiepulse import (
     DesignParams,
     ParameterError,
     Pulse,
-    SingularityError,
-    ThetaSample,
-    adiabaticity_parameter,
-    beta_acceleration,
+    analytic_diagnostics,
     design_pulse,
-    initial_beta_rate,
-    invert_angles,
     pi_half_baseline,
 )
-from qiepulse.designer import _area, _dopri5
+from qiepulse.designer import _area, _constraint, _dopri5, beta_acceleration
+from qiepulse.profiles import ThetaSample, theta_profile
 
 # regression pins for the shipped default configuration
 # (branch_sign=-1, consistency init); see README for the endpoint discussion
@@ -34,80 +30,123 @@ EXPECTED_ABS_BETA_FINAL_PI = {0.073: 0.0797, 0.060: 0.0398, 0.050: 0.0634,
                               0.040: 0.0317}
 # right-hand-side evaluations scipy's RK45 (solve_ivp) took on these designs
 RK45_NFEV = {0.073: 6710, 0.060: 11042, 0.050: 11024, 0.040: 15410}
+# the shipped consistency rate at c = 0.073: -sqrt(|theta_ddot(-4)| / (2c))
+CONSISTENCY_RATE_0073 = -2.3376806430439453e-3
 
 
 def sample(theta, theta_dot=1.0, theta_ddot=0.0):
     return ThetaSample(theta, theta_dot, theta_ddot)
 
 
+def fields_at(theta, beta, beta_dot):
+    """(Omega, Delta): the first two outputs of the constraint kernel."""
+    return _constraint(theta, beta, beta_dot, 0.073, -1)[:2]
+
+
+def mu_of(omega, omega_dot, delta, delta_dot):
+    """The adiabaticity parameter, written out as the oracle."""
+    return abs(omega_dot * delta - omega * delta_dot) / (
+        2.0 * (omega * omega + delta * delta) ** 1.5)
+
+
+def random_points(seed, n):
+    """Angle states and c away from every singularity, as arrays."""
+    rng = np.random.default_rng(seed)
+    theta = sample(rng.uniform(0.2, np.pi / 2 - 0.2, n),
+                   rng.uniform(0.1, 1.0, n), rng.uniform(-0.5, 0.5, n))
+    return (theta, rng.uniform(0.15, np.pi - 0.15, n),
+            rng.uniform(-1.0, 1.0, n), rng.uniform(0.02, 0.1, n))
+
+
 class TestInvertAngles:
+    """The field inversion: the first two outputs of designer._constraint,
+    on floats (the design ODE) and on arrays (the refinement and the
+    diagnostics)."""
+
     def test_beta_half_pi_kills_cot_terms(self):
-        om, de = invert_angles(sample(np.pi / 4), np.pi / 2, 0.0)
+        om, de = fields_at(sample(np.pi / 4), np.pi / 2, 0.0)
         assert om == pytest.approx(1.0, abs=1e-15)
         assert de == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_half_pi_kills_cot_theta(self):
-        om, de = invert_angles(sample(np.pi / 2, 2.0), np.pi / 4, 3.0)
+        om, de = fields_at(sample(np.pi / 2, 2.0), np.pi / 4, 3.0)
         assert om == pytest.approx(2 * np.sqrt(2), rel=1e-14)
         assert de == pytest.approx(3.0, abs=1e-14)
 
     def test_general_point(self):
-        om, de = invert_angles(sample(np.pi / 4), np.pi / 3, 0.0)
+        om, de = fields_at(sample(np.pi / 4), np.pi / 3, 0.0)
         assert om == pytest.approx(2 / np.sqrt(3), rel=1e-12)
         assert de == pytest.approx(-1 / np.sqrt(3), rel=1e-12)
+        # the array view the refinement calls gives the same fields
+        arrays = designer.invert_angles(sample(np.full(2, np.pi / 4)),
+                                        np.full(2, np.pi / 3), np.zeros(2))
+        np.testing.assert_allclose(arrays, [[om] * 2, [de] * 2], rtol=1e-14)
 
     def test_forward_consistency(self):
         # substituting back: theta_dot = Omega sin(beta),
         # beta_dot = Omega cot(theta) cos(beta) + Delta
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            th = rng.uniform(0.1, np.pi - 0.1)
-            thd = rng.uniform(-2, 2)
-            b = rng.uniform(0.1, np.pi - 0.1)
-            bd = rng.uniform(-2, 2)
-            om, de = invert_angles(sample(th, thd), b, bd)
-            assert om * np.sin(b) == pytest.approx(thd, rel=1e-10, abs=1e-12)
-            back = om * (np.cos(th) / np.sin(th)) * np.cos(b) + de
-            assert back == pytest.approx(bd, rel=1e-10, abs=1e-10)
-
-    def test_singularities(self):
-        with pytest.raises(SingularityError):
-            invert_angles(sample(np.pi / 4), 0.0, 0.0)
-        with pytest.raises(SingularityError):
-            invert_angles(sample(1e-13), np.pi / 4, 0.0)
-        # regularized start: theta ~ 0 is fine when cot(beta) = 0
-        om, de = invert_angles(sample(1e-13), np.pi / 2, 0.7)
-        assert de == pytest.approx(0.7, abs=1e-14)
+        th = rng.uniform(0.1, np.pi - 0.1, 200)
+        thd = rng.uniform(-2, 2, 200)
+        b = rng.uniform(0.1, np.pi - 0.1, 200)
+        bd = rng.uniform(-2, 2, 200)
+        om, de = fields_at(sample(th, thd), b, bd)
+        np.testing.assert_allclose(om * np.sin(b), thd, rtol=1e-10, atol=1e-12)
+        back = om * (np.cos(th) / np.sin(th)) * np.cos(b) + de
+        np.testing.assert_allclose(back, bd, rtol=1e-10, atol=1e-10)
 
 
 class TestAdiabaticityParameter:
+    """mu as analytic_diagnostics evaluates it along a constrained
+    trajectory, with the constraint's beta_ddot."""
+
     def test_hand_evaluated_point(self):
-        assert adiabaticity_parameter(1.0, 0.0, 0.0, 2.0) == pytest.approx(1.0)
+        # (Omega, Delta) = (1, 0) at rest: the constraint sets Delta_dot =
+        # 2c, and mu = |Omega Delta_dot| / 2 = c
+        om, de, mu = analytic_diagnostics(sample(np.pi / 4), np.pi / 2, 0.0,
+                                          1.0, -1)
+        assert om == pytest.approx(1.0, abs=1e-15)
+        assert de == pytest.approx(0.0, abs=1e-15)
+        assert mu == pytest.approx(1.0, rel=1e-14)
 
     def test_static_fields_are_adiabatic(self):
-        assert adiabaticity_parameter(0.3, 0.0, -1.2, 0.0) == 0.0
+        # at c = 0 the constraint holds the field direction still
+        theta, b, bd, _ = random_points(3, 100)
+        _, _, mu = analytic_diagnostics(theta, b, bd, 0.0, -1)
+        assert np.max(mu) <= 1e-13
 
     def test_crossing_form(self):
-        # Omega = 0: reduces to |Omega_dot| / (2 Delta^2)
-        assert adiabaticity_parameter(0.0, 3.0, 2.0, 0.0) == pytest.approx(0.375)
+        # at Omega = 0 (theta_dot = 0, beta = pi/2) mu reduces to
+        # |Omega_dot| / (2 Delta^2) with Delta = beta_dot; the consistency
+        # rate sqrt(|theta_ddot| / (2c)) holds it at c
+        c, thdd = 0.073, -0.4
+        rate = -math.sqrt(abs(thdd) / (2 * c))
+        with np.errstate(divide="ignore"):
+            om, de, omd, _, _ = _constraint(sample(0.3, 0.0, thdd),
+                                            np.array(np.pi / 2), rate, c, -1)
+        assert om == 0.0 and de == pytest.approx(rate, rel=1e-15)
+        assert abs(omd) / (2 * de * de) == pytest.approx(c, rel=1e-14)
 
     def test_degenerate_point_rejected(self):
+        # theta_dot = beta_dot = 0 at beta = pi/2: Omega = Delta = 0
         with pytest.raises(DegeneracyError):
-            adiabaticity_parameter(0.0, 1.0, 0.0, 1.0)
+            analytic_diagnostics(sample(np.pi / 4, 0.0, 1.0), np.pi / 2, 0.0,
+                                 0.073, -1)
 
     def test_time_rescaling_invariance(self):
-        # t -> t/a scales (Omega, Delta) by a and their rates by a^2
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            om, de = rng.uniform(-2, 2, 2)
-            if om == 0 and de == 0:
-                continue
-            omd, ded = rng.uniform(-3, 3, 2)
-            a = rng.uniform(0.2, 5.0)
-            base = adiabaticity_parameter(om, omd, de, ded)
-            scaled = adiabaticity_parameter(a * om, a * a * omd, a * de,
-                                            a * a * ded)
-            assert scaled == pytest.approx(base, rel=1e-10, abs=1e-12)
+        # t -> t/a scales theta_dot, beta_dot and the fields by a and every
+        # rate by a^2; the constrained beta_ddot follows, so mu stays c
+        theta, b, bd, c = random_points(5, 100)
+        a = np.random.default_rng(6).uniform(0.2, 5.0, 100)
+        scaled = sample(theta.theta, a * theta.theta_dot,
+                        a * a * theta.theta_ddot)
+        base = _constraint(theta, b, bd, c, -1)
+        again = _constraint(scaled, b, a * bd, c, -1)
+        for x, y, power in zip(base, again, (1, 1, 2, 2, 2)):
+            np.testing.assert_allclose(y, a ** power * x, rtol=1e-9,
+                                       atol=1e-12)
+        _, _, mu = analytic_diagnostics(scaled, b, a * bd, c, -1)
+        np.testing.assert_allclose(mu, c, rtol=1e-9)
 
 
 class TestBetaAcceleration:
@@ -123,7 +162,7 @@ class TestBetaAcceleration:
         b, bd, c = 0.8, 0.3, 0.05
         plus = beta_acceleration(th, b, bd, c, 1)
         minus = beta_acceleration(th, b, bd, c, -1)
-        om, de = invert_angles(th, b, bd)
+        om, de = fields_at(th, b, bd)
         gap3 = (om**2 + de**2) ** 1.5
         assert plus - minus == pytest.approx(-4 * c * gap3 / om, rel=1e-10)
 
@@ -151,37 +190,46 @@ class TestBetaAcceleration:
             def fields(dt):
                 ths = sample(th + thd * dt + 0.5 * thdd * dt * dt,
                              thd + thdd * dt, thdd)
-                return invert_angles(ths, b + bd * dt + 0.5 * acc * dt * dt,
-                                     bd + acc * dt)
+                return fields_at(ths, b + bd * dt + 0.5 * acc * dt * dt,
+                                 bd + acc * dt)
 
             om_m, de_m = fields(-h)
             om_0, de_0 = fields(0.0)
             om_p, de_p = fields(h)
-            mu = adiabaticity_parameter(om_0, (om_p - om_m) / (2 * h),
-                                        de_0, (de_p - de_m) / (2 * h))
+            mu = mu_of(om_0, (om_p - om_m) / (2 * h),
+                       de_0, (de_p - de_m) / (2 * h))
             assert mu == pytest.approx(c, abs=1e-6)
 
 
 class TestInitialBetaRate:
-    def test_zero_mode(self):
-        assert initial_beta_rate(DesignParams(c=0.073, beta_rate_init="zero")) == 0.0
+    """beta_dot(t_start), read off the designed trajectory."""
 
-    def test_consistency_value(self):
+    def test_zero_mode(self, design_zero):
+        assert design_zero[1].beta_dot[0] == 0.0
+
+    def test_consistency_value(self, designs4):
         # |theta_ddot(-4)| = (sqrt(pi)/2) e^{-16} * 8, rate = -sqrt(that/(2c))
         expected = -np.sqrt(np.sqrt(np.pi) / 2 * np.exp(-16.0) * 8.0
                             / (2 * 0.073))
-        got = initial_beta_rate(DesignParams(c=0.073))
+        got = designs4[0.073][1].beta_dot[0]
         assert got == pytest.approx(expected, rel=1e-14)
-        assert got == pytest.approx(-2.3376806430439453e-3, rel=1e-12)
+        assert got == pytest.approx(CONSISTENCY_RATE_0073, rel=1e-12)
+        # the crossing form: |Omega_dot| / (2 beta_dot^2) = c as Omega -> 0
+        theta_ddot = theta_profile(-4.0, 1.0).theta_ddot
+        assert abs(theta_ddot) / (2 * got * got) == pytest.approx(0.073,
+                                                                  rel=1e-14)
 
-    def test_sign_flag(self):
-        up = initial_beta_rate(DesignParams(c=0.073, consistency_sign=1))
-        down = initial_beta_rate(DesignParams(c=0.073))
-        assert up == -down and up > 0
+    def test_sign_flag(self, designs4):
+        # the ascending start designs on the mirrored branch
+        _, up = design_pulse(DesignParams(c=0.073, n_samples=401,
+                                          consistency_sign=1, branch_sign=1))
+        down = designs4[0.073][1].beta_dot[0]
+        assert up.beta_dot[0] == -down and down < 0
 
-    def test_deterministic(self):
-        p = DesignParams(c=0.05)
-        assert initial_beta_rate(p) == initial_beta_rate(p)
+    def test_deterministic(self, designs4):
+        # the rate does not depend on the sampling
+        _, trajectory = design_pulse(DesignParams(c=0.073, n_samples=401))
+        assert trajectory.beta_dot[0] == designs4[0.073][1].beta_dot[0]
 
 
 class TestDesignParams:
@@ -400,6 +448,19 @@ class TestDormandPrince:
         # steps, as numpy's inf and nan did, never escape the designer
         with pytest.raises(DesignError, match="Required step size"):
             design_pulse(DesignParams(c=c, kappa=kappa, n_samples=101))
+
+    def test_non_finite_field_is_design_error(self):
+        # erf(-6) rounds to -1: theta(-6) = 0 and cot(theta) is inf, so the
+        # design integrates but Delta(-6) is -inf; that is named, and no
+        # RuntimeWarning (an error under pytest) escapes the refinement
+        params = DesignParams(c=0.01, kappa=6, beta_rate_init="zero",
+                              ode_rel_tol=1e-3, ode_abs_tol=1e-5,
+                              n_samples=101)
+        with pytest.raises(DesignError) as info:
+            design_pulse(params)
+        assert str(info.value) == ("c = 0.01 (T = 1): the fields are not "
+                                   "finite at t = -6")
+        assert info.value.t_fail == -6.0
 
     def test_non_finite_start_is_design_error(self):
         # theta_ddot overflows at T = 1e-200, and with it the initial rate

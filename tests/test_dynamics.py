@@ -8,7 +8,6 @@ from qiepulse import (
     ParameterError,
     Pulse,
     TargetState,
-    angle_state,
     bloch_from_angles,
     bloch_from_state,
     fidelity,
@@ -17,6 +16,12 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import _BLOCK, final_states_over_errors
+
+
+def angle_state(theta, beta):
+    """State (cos(theta/2) e^{-i beta/2}, sin(theta/2) e^{i beta/2})."""
+    return np.array([np.cos(0.5 * theta) * np.exp(-0.5j * beta),
+                     np.sin(0.5 * theta) * np.exp(0.5j * beta)])
 
 
 def axis_pulse(t, omega, delta):

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,54 @@ from qiepulse import (
     propagate,
     read_pulse_csv,
     scan_1d,
-    serialize_config,
     write_pulse_csv,
     write_scan_csv,
     write_trajectory_csv,
 )
+
+# JSON value texts: any JSON value, plus literals that json.dumps never
+# writes (an overflowing 1e400, an integer past Python's digit limit, and
+# nesting past the recursion limit)
+JSON_VALUES = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                     "1e-400", "0", "-1", "3", "4001", "0.073", "0.5",
+                     '"zero"', '"rabi"', "1" + "0" * 4400,
+                     "[" * 2000 + "]" * 2000]),
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=8),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                 max_leaves=6).map(json.dumps),
+)
+
+
+@st.composite
+def json_objects(draw, valid):
+    """A JSON object text: the entries of valid (key -> value-text
+    strategy), a few of them dropped or replaced by any JSON value, maybe
+    with an unknown key."""
+    keys = sorted(valid)
+    entries = {key: draw(value) for key, value in valid.items()}
+    for key in draw(st.sets(st.sampled_from(keys), max_size=2)):
+        del entries[key]
+    entries.update(draw(st.dictionaries(st.sampled_from(keys + ["x"]),
+                                        JSON_VALUES, max_size=2)))
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}"
+                           for k, v in entries.items()) + "}"
+
+
+def config_texts():
+    design = {f.name: st.just(json.dumps(f.default))
+              for f in fields(DesignParams) if f.name != "c"}
+    design["c"] = st.just("0.073")
+    grid = {"lo": st.just("-0.5"), "hi": st.just("0.5"),
+            "n_points": st.just("101")}
+    return json_objects({
+        "design": json_objects(design), "rabi_grid": json_objects(grid),
+        "detuning_grid": json_objects(grid), "output_dir": st.just('"out"'),
+        "emit_plots": st.just("false"), "csv_precision": st.just("12"),
+    })
+
 
 MINIMAL_CSV = """t,omega,delta
 0.0,1.0,0.5
@@ -275,14 +319,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config('{"design": {"c": 0.073}, "csv_precision": 0}')
 
-    def test_serialize_round_trip(self):
-        config = parse_config(json.dumps({
-            "design": {"c": 0.05, "n_samples": 801, "beta_rate_init": "zero"},
-            "rabi_grid": {"lo": -0.3, "hi": 0.3, "n_points": 31},
-            "output_dir": "out",
-            "emit_plots": True,
-            "csv_precision": 9,
-        }))
-        again = parse_config(serialize_config(config))
-        assert again == config
-        assert isinstance(again, RunConfig)
+    @settings(max_examples=300, deadline=None)
+    @given(text=config_texts())
+    def test_fuzzed_config_is_run_config_or_config_error(self, text):
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
