@@ -34,7 +34,7 @@ design_pulse refines where the field between uniform samples is not linear.
 """
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (
     DegeneracyError, DesignError, GridError, ParameterError, SingularityError,
 )
-from .profiles import ThetaSample, theta_profile
+from .profiles import ThetaSample, _value_eq, theta_profile
 
 __all__ = [
     "DesignParams",
@@ -57,6 +57,9 @@ __all__ = [
 OMEGA_FLOOR = 1e-10
 
 _SIN_BETA_FLOOR = 1e-14
+
+# Most samples a pulse or error grid may have; a float array of them is 80 MB
+MAX_SAMPLES = 10**7
 
 # Largest defect (|field error| x interval width, in radians) that linear
 # interpolation between a designed pulse's samples may leave in an interval
@@ -122,10 +125,9 @@ class DesignParams:
             raise ParameterError(f"T must be positive and finite, got {self.T}")
         if not 3 <= self.kappa < math.inf:
             raise ParameterError(f"kappa must be finite and >= 3, got {self.kappa}")
-        if self.n_samples < 3:
-            raise ParameterError(
-                f"n_samples must be >= 3, got {self.n_samples}"
-            )
+        if not 3 <= self.n_samples <= MAX_SAMPLES:
+            raise ParameterError(f"n_samples must be >= 3 and <= "
+                                 f"{MAX_SAMPLES}, got {self.n_samples}")
         if self.branch_sign not in (-1, 1):
             raise ParameterError(
                 f"branch_sign must be +1 or -1, got {self.branch_sign}"
@@ -141,24 +143,6 @@ class DesignParams:
             )
         if not (self.ode_rel_tol > 0 and self.ode_abs_tol > 0):
             raise ParameterError("ODE tolerances must be positive")
-
-
-def _value_eq(self, other):
-    """== for dataclasses that hold arrays: the same type and every compared
-    field equal, arrays and floats by np.array_equal (NaN equals NaN),
-    nested dataclasses field by field."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(_same(getattr(self, f.name), getattr(other, f.name))
-               for f in fields(self) if f.compare)
-
-
-def _same(x, y):
-    if is_dataclass(x):
-        return _value_eq(x, y) is True
-    if isinstance(x, str):
-        return x == y
-    return np.array_equal(x, y, equal_nan=True)
 
 
 @dataclass
@@ -212,7 +196,7 @@ class Pulse:
 
 
 def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
-                branch_sign: int):
+                branch_sign: float):
     """The constraint algebra at one point or along aligned arrays.
 
     Returns (omega, delta, omega_dot, G, beta_ddot): the fields, the
@@ -256,7 +240,7 @@ def beta_acceleration(
     beta: float,
     beta_dot: float,
     c: float,
-    branch_sign: int,
+    branch_sign: float,
     omega_floor: float = OMEGA_FLOOR,
 ) -> Optional[float]:
     """beta_ddot enforcing a constant adiabaticity parameter c.
@@ -270,12 +254,12 @@ def beta_acceleration(
                                                 branch_sign)
     except (ArithmeticError, ValueError):  # math's 1/0, overflow, sin(inf)
         with np.errstate(all="ignore"):
-            omega, _, _, _, beta_ddot = _constraint(
+            omega, _, _, _, beta_ddot = map(float, _constraint(
                 theta, np.asarray(beta, dtype=float), beta_dot, c,
-                branch_sign)
+                branch_sign))
     if abs(omega) < omega_floor:
         return None
-    return float(beta_ddot)
+    return beta_ddot
 
 
 def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
@@ -309,41 +293,40 @@ def _area(omega, t) -> float:
     return float(np.trapezoid(np.abs(omega), x=t))
 
 
+def _rms(a, b, c):
+    """Root mean square of the three components of an error vector."""
+    return math.sqrt((a * a + b * b + c * c) / 3)
+
+
 def _dopri5(f, t0, t1, y0, rtol, atol):
     """Integrate y' = f(t, y) from t0 to t1 > t0 with Dormand-Prince 5(4).
 
-    f takes a list of floats and returns a sequence of floats.  The step
-    control is that of scipy's RK45 (Hairer et al. II.4): the initial step
-    from the first two derivatives; the RMS norm of the error estimate over
-    atol + max(|y|, |y_new|) rtol; step factor 0.9 err^(-1/5) within
-    [0.2, 10], and no growth right after a rejection; the last step ends on
-    t1.  Returns (ts, ys, dense): the accepted times, the states there as an
-    (n, len(ts)) array, and dense(times) -> (n, len(times)) from each
-    step's quartic interpolant, a time on a step boundary taking the
-    earlier step.  Raises DesignError, with t_fail, when y0 is not finite
-    or the step falls below 10 ulp of t.
+    The state (u, v, w) and stages (u1..w7) are float locals; f takes the
+    state as a tuple and returns three floats.  Step control as scipy's
+    RK45: initial step from the first two derivatives, RMS error norm over
+    atol + max(|y|, |y_new|) rtol, step factor 0.9 err^(-1/5) in [0.2, 10],
+    no growth right after a rejection, last step ending on t1.  Returns
+    (ts, ys, dense): the accepted times, the (3, len(ts)) states there, and
+    dense(times) -> (3, len(times)) from each step's quartic interpolant (a
+    step boundary takes the earlier step).  Raises DesignError, with t_fail,
+    when y0 is not finite or the step falls below 10 ulp of t.
     """
-    n = len(y0)
-
-    def rms(v):
-        return math.sqrt(sum(x * x for x in v) / n)
-
-    t, t1, y = float(t0), float(t1), [float(v) for v in y0]
-    if not all(map(math.isfinite, y)):
+    t, t1, (u, v, w) = float(t0), float(t1), map(float, y0)
+    if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(w)):
         raise DesignError("the initial state is not finite", t_fail=t)
-    k1 = f(t, y)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = rms([v / s for v, s in zip(y, scale)])
-    d1 = rms([v / s for v, s in zip(k1, scale)])
+    u1, v1, w1 = f(t, (u, v, w))
+    su, sv, sw = atol + abs(u) * rtol, atol + abs(v) * rtol, atol + abs(w) * rtol
+    d0 = _rms(u / su, v / sv, w / sw)
+    d1 = _rms(u1 / su, v1 / sv, w1 / sw)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    f1 = f(t + h0, [v + h0 * a for v, a in zip(y, k1)])
-    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, scale)]) / h0
+    fu, fv, fw = f(t + h0, (u + h0 * u1, v + h0 * v1, w + h0 * w1))
+    d2 = _rms((fu - u1) / su, (fv - v1) / sv, (fw - w1) / sw) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t1 - t)
-    ts, ys, ks = [t], [y], []
+    ts, ys, ks = [t], [(u, v, w)], []
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -354,38 +337,49 @@ def _dopri5(f, t0, t1, y0, rtol, atol):
                                   "between numbers.", t_fail=t)
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            k2 = f(t + _C2 * h, [v + (_A21 * a) * h for v, a in zip(y, k1)])
-            k3 = f(t + _C3 * h, [v + (_A31 * a + _A32 * b) * h
-                                 for v, a, b in zip(y, k1, k2)])
-            k4 = f(t + _C4 * h, [v + (_A41 * a + _A42 * b + _A43 * c) * h
-                                 for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f(t + _C5 * h, [v + (_A51 * a + _A52 * b + _A53 * c
-                                      + _A54 * d) * h
-                                 for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [v + (_A61 * a + _A62 * b + _A63 * c + _A64 * d
-                                + _A65 * e) * h
-                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
-            err = rms([(_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g
-                        + _E7 * q) * h / (atol + max(abs(v), abs(w)) * rtol)
-                       for v, w, a, c, d, e, g, q
-                       in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            u2, v2, w2 = f(t + _C2 * h, (u + _A21 * u1 * h, v + _A21 * v1 * h,
+                                         w + _A21 * w1 * h))
+            u3, v3, w3 = f(t + _C3 * h, (u + (_A31 * u1 + _A32 * u2) * h,
+                                         v + (_A31 * v1 + _A32 * v2) * h,
+                                         w + (_A31 * w1 + _A32 * w2) * h))
+            u4, v4, w4 = f(t + _C4 * h, (
+                u + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
+                v + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
+                w + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h))
+            u5, v5, w5 = f(t + _C5 * h, (
+                u + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
+                v + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
+                w + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h))
+            u6, v6, w6 = f(t + h, (
+                u + (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5) * h,
+                v + (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5) * h,
+                w + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h))
+            un = u + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
+            vn = v + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+            wn = w + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
+            u7, v7, w7 = f(t + h, (un, vn, wn))
+            err = _rms(
+                (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+                * h / (atol + max(abs(u), abs(un)) * rtol),
+                (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+                * h / (atol + max(abs(v), abs(vn)) * rtol),
+                (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
+                * h / (atol + max(abs(w), abs(wn)) * rtol))
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
-        ks.append((k1, k2, k3, k4, k5, k6, k7))
-        t, y, k1 = t_new, y_new, k7
+        ks.append((u1, v1, w1, u2, v2, w2, u3, v3, w3, u4, v4, w4,
+                   u5, v5, w5, u6, v6, w6, u7, v7, w7))
+        t, u, v, w, u1, v1, w1 = t_new, un, vn, wn, u7, v7, w7
         ts.append(t)
-        ys.append(y)
+        ys.append((u, v, w))
 
     ts, ys = np.array(ts), np.array(ys).T
     widths = np.diff(ts)
-    q = np.einsum("skn,kp->snp", np.array(ks), _DENSE_P)
+    q = np.einsum("skn,kp->snp", np.array(ks).reshape(-1, 7, 3), _DENSE_P)
 
     def dense(times):
         seg = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
@@ -446,20 +440,21 @@ def design_pulse(params: DesignParams):
     """
     half_width = params.kappa * params.T
     t = np.linspace(-half_width, half_width, params.n_samples)
-    floor = OMEGA_FLOOR / params.T
+    T, c, floor = params.T, params.c, OMEGA_FLOOR / params.T
+    sign = float(params.branch_sign)  # keeps the RHS arithmetic on floats
     held = [0.0]
 
     def rhs(ti, y):
-        sample = theta_profile(ti, params.T)
-        acc = beta_acceleration(sample, y[0], y[1], params.c,
-                                params.branch_sign, floor)
+        beta, beta_dot, _ = y
+        sample = theta_profile(ti, T)
+        acc = beta_acceleration(sample, beta, beta_dot, c, sign, floor)
         if acc is not None:  # else hold it through the dead tails
             held[0] = acc
         try:
-            rate = sample.theta_dot / abs(math.sin(y[0]))
+            rate = sample.theta_dot / abs(math.sin(beta))
         except (ZeroDivisionError, ValueError):  # sin(beta) = 0 or beta = inf
             rate = math.nan  # rejects the step
-        return (y[1], held[0], rate)
+        return beta_dot, held[0], rate
 
     rate0 = 0.0  # "zero": at rest
     if params.beta_rate_init == "consistency":

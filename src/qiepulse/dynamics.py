@@ -11,11 +11,13 @@ sub-step's midpoint fields (linear interpolation, then scaled by the
 are multiplied in blocks of _BLOCK.  final_states_over_errors reduces each
 block by a pairwise product tree and applies it to the batch of states, one
 row per error setting; propagate takes prefix products in each block
-(Hillis-Steele) for the state at every sample.  The last prefix of a
-power-of-two block is the tree's root, so both give the same bits at the
-same error.  Sub-steps with midpoint Omega = Delta = 0 are the identity and
-are dropped, so a zero-field gap holds the state bit-for-bit.  Exact
-rotations keep the norm at machine precision.
+(Hillis-Steele) for the state at every sample, _ROWS blocks a pass.  The
+last prefix of a power-of-two block is the tree's root, and both multiply
+at most _ROWS x _BLOCK arrays (numpy may round larger strided products
+differently), so both give the same bits at the same error.  Sub-steps
+with midpoint Omega = Delta = 0 are the identity and are dropped, so a
+zero-field gap holds the state bit-for-bit.  Exact rotations keep the norm
+at machine precision.
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -32,7 +34,7 @@ from .designer import Pulse, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
-_ROWS = 128  # error rows per pass: small block arrays are reused, not re-faulted
+_ROWS = 128  # error rows, or blocks of propagate, per pass: a bounded working set
 
 __all__ = [
     "TargetState", "StateTrajectory", "ket1", "target_state",
@@ -172,17 +174,22 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 
     scale_omega, scale_delta = 1.0 + float(error[0]), 1.0 + float(error[1])
     om, de, dt, done = _steps(pulse, scale_omega, scale_delta, substeps)
-    a, b = _factors(scale_omega * om, scale_delta * de, dt)
-    for k in 2 ** np.arange(_BLOCK.bit_length() - 1):  # Hillis-Steele prefixes
-        a[:, k:], b[:, k:] = _mul(a[:, k:], b[:, k:], a[:, :-k], b[:, :-k])
-    starts = [psi[None]]
-    for j in range(a.shape[0]):
-        starts.append(_apply(a[j:j + 1, -1], b[j:j + 1, -1], starts[-1]))
-    # each sample reads the prefix of its last non-identity step
-    last = (done + dt.size - done[-1] - 1)[done > 0]
-    blk, pos = np.divmod(last, _BLOCK)
-    states = np.tile(psi, (done.size, 1))
-    states[done > 0] = _apply(a[blk, pos], b[blk, pos], np.concatenate(starts)[blk])
+    # samples past a non-identity step read its prefix; the others hold psi
+    rows = np.flatnonzero(done > 0)
+    blk, pos = np.divmod(done[rows] + dt.size - done[-1] - 1, _BLOCK)  # sorted
+    states, entry = np.tile(psi, (done.size, 1)), psi[None]
+    for g in range(0, om.shape[0], _ROWS):
+        a, b = _factors(scale_omega * om[g:g + _ROWS], scale_delta * de[g:g + _ROWS],
+                        dt[g:g + _ROWS])
+        for k in 2 ** np.arange(_BLOCK.bit_length() - 1):  # Hillis-Steele prefixes
+            a[:, k:], b[:, k:] = _mul(a[:, k:], b[:, k:], a[:, :-k], b[:, :-k])
+        starts = [entry]
+        for j in range(a.shape[0]):
+            starts.append(_apply(a[j:j + 1, -1], b[j:j + 1, -1], starts[-1]))
+        entry = starts.pop()
+        at = slice(*np.searchsorted(blk, (g, g + _ROWS)))
+        j, p = blk[at] - g, pos[at]
+        states[rows[at]] = _apply(a[j, p], b[j, p], np.concatenate(starts)[j])
 
     pop1, pop2 = np.abs(states.T) ** 2
     u, v, w = bloch_from_state(states)

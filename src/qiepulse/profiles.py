@@ -16,7 +16,7 @@ sampled on is a plain array that the pulse carries (designer.Pulse.t).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -28,14 +28,35 @@ _SQRT_PI = math.sqrt(math.pi)
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
-@dataclass(frozen=True)
+def _value_eq(self, other):
+    """== for dataclasses that hold arrays: the same type and every compared
+    field equal, arrays and floats by np.array_equal (NaN equals NaN),
+    nested dataclasses field by field."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(_same(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
+
+
+def _same(x, y):
+    if is_dataclass(x):
+        return _value_eq(x, y) is True
+    if isinstance(x, str):
+        return x == y
+    return np.array_equal(x, y, equal_nan=True)
+
+
+@dataclass(slots=True)
 class ThetaSample:
-    """theta and its first two time derivatives; fields may be scalars or
-    arrays sampled at common times."""
+    """theta and its first two time derivatives, scalars or arrays sampled at
+    common times; equal by value.  Slotted, not frozen: the design ODE builds
+    one per right-hand side, and a frozen one costs three times as much."""
 
     theta: np.ndarray
     theta_dot: np.ndarray
     theta_ddot: np.ndarray
+
+    __eq__ = _value_eq
 
 
 def theta_profile(t, T: float) -> ThetaSample:

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .designer import Pulse, _value_eq
+from .designer import MAX_SAMPLES, Pulse, _value_eq
 from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
 
@@ -44,8 +44,9 @@ class ErrorGrid:
             )
         if not -np.inf < self.lo < self.hi < np.inf:
             raise ParameterError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n_points < 2:
-            raise ParameterError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_SAMPLES:
+            raise ParameterError(f"n_points must be >= 2 and <= {MAX_SAMPLES}, "
+                                 f"got {self.n_points}")
 
     def values(self) -> np.ndarray:
         """Grid values; when the range spans 0 the closest point is snapped
@@ -77,8 +78,9 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     """
     if not 0 < duration < np.inf:
         raise ParameterError(f"duration must be positive and finite, got {duration}")
-    if n_samples < 3:
-        raise ParameterError(f"n_samples must be >= 3, got {n_samples}")
+    if not 3 <= n_samples <= MAX_SAMPLES:
+        raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
+                             f"got {n_samples}")
     return Pulse(
         t=np.linspace(0.0, duration, n_samples),
         omega=np.full(n_samples, 0.5 * np.pi / duration),

@@ -15,6 +15,11 @@ from qiepulse import (
     write_pulse_csv,
 )
 from qiepulse.cli import exit_code_for, main
+from qiepulse.designer import MAX_SAMPLES
+
+# 728 TiB of float samples: past MAX_SAMPLES, and far past anything numpy
+# could allocate, so a size that reached an allocation would not exit 2
+HUGE = 100000000000000
 
 EXTERNAL_CSV = """t,omega,delta
 0.0,1.0,0.0
@@ -324,3 +329,34 @@ class TestReportCommand:
             assert main(["report", "--config", str(config_path)]) == 2
             assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestHugeSizes:
+    """A size past MAX_SAMPLES is an argument error (exit 2), raised before
+    an array of that size is built."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["design", "--c", "0.073", f"--n={HUGE}"], "n_samples"),
+        (["baseline", "pi2", f"--n={HUGE}"], "n_samples"),
+        (["scan", "--param", "rabi", f"--range=-0.5:0.5:{HUGE}"], "n_points"),
+    ])
+    def test_command(self, argv, message, pulse_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        if argv[0] == "scan":
+            argv = argv + ["--pulse", str(pulse_file)]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{message} must be >= " in err
+        assert f"<= {MAX_SAMPLES}, got {HUGE}" in err
+        assert not out.exists()
+
+    def test_report_config(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        out_dir = tmp_path / "out"
+        for config in ({"design": {"c": 0.073, "n_samples": HUGE}},
+                       {"design": {"c": 0.073}, "rabi_grid": {"n_points": HUGE}}):
+            config_path.write_text(json.dumps({**config,
+                                               "output_dir": str(out_dir)}))
+            assert main(["report", "--config", str(config_path)]) == 2
+            assert f"<= {MAX_SAMPLES}, got {HUGE}" in capsys.readouterr().err
+        assert not out_dir.exists()

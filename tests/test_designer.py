@@ -238,6 +238,7 @@ class TestDesignParams:
         dict(c=0.073, T=0.0),
         dict(c=0.073, kappa=2.0),
         dict(c=0.073, n_samples=2),
+        dict(c=0.073, n_samples=designer.MAX_SAMPLES + 1),
         dict(c=0.073, branch_sign=0),
         dict(c=0.073, beta_rate_init="random"),
         dict(c=0.073, ode_rel_tol=0.0),
@@ -390,9 +391,150 @@ def smooth(t, y):
     return (y[1], -y[0] - 0.1 * y[1] * y[2], math.cos(t) * y[0] - 0.3 * y[2])
 
 
+def stiff(t, y):
+    # the third state relaxes onto cos(t) at rate 300, so steps get rejected
+    return (y[1], -y[0] - 0.1 * y[1] * y[2], -300.0 * (y[2] - math.cos(t)))
+
+
+# The Dormand-Prince 5(4) tableau and its dense-output matrix, transcribed
+# for the oracle below (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and
+# II.6): nodes, rows of A, 5th-order weights B, error weights E, zeros left
+# out of the sums.
+DP_C2, DP_C3, DP_C4, DP_C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+DP_A = ((1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+DP_B1, DP_B3, DP_B4, DP_B5, DP_B6 = (35 / 384, 500 / 1113, 125 / 192,
+                                     -2187 / 6784, 11 / 84)
+DP_E1, DP_E3, DP_E4, DP_E5, DP_E6, DP_E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+def dopri5_lists(f, t0, t1, y0, rtol, atol):
+    """The stepper with its state and stages as lists, one comprehension
+    per stage: the oracle that _dopri5, which holds them as float locals,
+    must match to the bit.  Same controller; every sum left to right."""
+    n = len(y0)
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = DP_A
+
+    def rms(v):
+        total = 0.0
+        for x in v:
+            total += x * x
+        return math.sqrt(total / n)
+
+    t, t1, y = float(t0), float(t1), [float(v) for v in y0]
+    k1 = f(t, y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = rms([v / s for v, s in zip(y, scale)])
+    d1 = rms([v / s for v, s in zip(k1, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    f1 = f(t + h0, [v + h0 * a for v, a in zip(y, k1)])
+    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t1 - t)
+    ts, ys, ks = [t], [y], []
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            k2 = f(t + DP_C2 * h, [v + (a21 * a) * h for v, a in zip(y, k1)])
+            k3 = f(t + DP_C3 * h, [v + (a31 * a + a32 * b) * h
+                                   for v, a, b in zip(y, k1, k2)])
+            k4 = f(t + DP_C4 * h, [v + (a41 * a + a42 * b + a43 * c) * h
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = f(t + DP_C5 * h, [v + (a51 * a + a52 * b + a53 * c
+                                        + a54 * d) * h
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + h, [v + (a61 * a + a62 * b + a63 * c + a64 * d
+                                + a65 * e) * h
+                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (DP_B1 * a + DP_B3 * c + DP_B4 * d + DP_B5 * e
+                              + DP_B6 * g)
+                     for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y_new)
+            err = rms([(DP_E1 * a + DP_E3 * c + DP_E4 * d + DP_E5 * e
+                        + DP_E6 * g + DP_E7 * q) * h
+                       / (atol + max(abs(v), abs(w)) * rtol)
+                       for v, w, a, c, d, e, g, q
+                       in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        ks.append((k1, k2, k3, k4, k5, k6, k7))
+        t, y, k1 = t_new, y_new, k7
+        ts.append(t)
+        ys.append(y)
+
+    ts, ys = np.array(ts), np.array(ys).T
+    widths = np.diff(ts)
+    q = np.einsum("skn,kp->snp", np.array(ks), DP_P)
+
+    def dense(times):
+        seg = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
+                      widths.size - 1)
+        x = (times - ts[seg]) / widths[seg]
+        powers = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
+        return (widths[seg] * np.einsum("snp,ps->ns", q[seg], powers)
+                + ys[:, seg])
+
+    return ts, ys, dense
+
+
 class TestDormandPrince:
     """The in-repo Dormand-Prince 5(4) stepper behind design_pulse, with
-    scipy's RK45 as the oracle."""
+    scipy's RK45 and a list-form transcription of the tableau as oracles."""
+
+    @pytest.mark.parametrize("rhs, rtol, atol", [(smooth, 1e-9, 1e-11),
+                                                 (smooth, 1e-6, 1e-8),
+                                                 (stiff, 1e-6, 1e-8)])
+    def test_bit_identical_to_list_form(self, rhs, rtol, atol):
+        runs = []
+        for stepper in (_dopri5, dopri5_lists):
+            calls = []
+
+            def f(t, y):
+                calls.append((t, *y))
+                return rhs(t, y)
+
+            runs.append((stepper(f, 0.0, 10.0, (1.0, 0.0, 0.5), rtol, atol),
+                         np.array(calls)))
+        ((ts, ys, dense), calls), ((ts_ref, ys_ref, dense_ref), ref) = runs
+        np.testing.assert_array_equal(calls, ref)  # every (t, y) f was given
+        np.testing.assert_array_equal(ts, ts_ref)
+        np.testing.assert_array_equal(ys, ys_ref)
+        x = np.concatenate((np.linspace(0.0, 10.0, 1001), ts,
+                            0.5 * (ts[1:] + ts[:-1])))
+        np.testing.assert_array_equal(dense(x), dense_ref(x))
+        if rhs is stiff:  # the rejection branch of the controller ran
+            assert len(calls) > 2 + 6 * (ts.size - 1)
 
     @pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-11), (1e-6, 1e-8)])
     def test_matches_scipy_rk45(self, rtol, atol):
@@ -430,6 +572,31 @@ class TestDormandPrince:
             calls[0] = 0
             design_pulse(DesignParams(c=c, n_samples=401))
             assert abs(calls[0] - nfev) <= 6, c
+
+    def test_rhs_spans_count_nfev(self, monkeypatch):
+        # the benchmark's spans wrap designer.beta_acceleration and
+        # designer.theta_profile, and bench/layers.json reads the first as
+        # nfev: one call of each per evaluation, plus the scalar
+        # theta_profile call of the consistency rate
+        counts = {"f": 0, "acceleration": 0, "theta": 0}
+
+        def counted(key, fn, scalar_only=False):
+            def wrapper(*args):
+                counts[key] += not scalar_only or np.ndim(args[0]) == 0
+                return fn(*args)
+            return wrapper
+
+        dopri5 = designer._dopri5
+        monkeypatch.setattr(designer, "_dopri5",
+                            lambda f, *args: dopri5(counted("f", f), *args))
+        monkeypatch.setattr(designer, "beta_acceleration", counted(
+            "acceleration", designer.beta_acceleration))
+        monkeypatch.setattr(designer, "theta_profile", counted(
+            "theta", designer.theta_profile, scalar_only=True))
+        design_pulse(DesignParams(c=0.073, n_samples=401))
+        assert counts["f"] == RK45_NFEV[0.073]
+        assert counts["acceleration"] == counts["f"]
+        assert counts["theta"] == counts["f"] + 1
 
     def test_failure_names_c_and_time(self):
         with pytest.raises(DesignError) as info:

@@ -15,7 +15,7 @@ from qiepulse import (
     propagate,
     target_state,
 )
-from qiepulse.dynamics import _BLOCK, final_states_over_errors
+from qiepulse.dynamics import _BLOCK, _ROWS, final_states_over_errors
 
 
 def angle_state(theta, beta):
@@ -513,3 +513,25 @@ class TestBlockProductKernel:
         if last == n - 1:  # the gap runs to the end: the batch ends there too
             final = final_states_over_errors(pulse, ket1(), [1.0], [1.0])[0]
             np.testing.assert_array_equal(final, states[first])
+
+    def test_several_passes(self):
+        # propagate takes _ROWS blocks per pass; on a pulse of three passes
+        # that starts with zero fields and has a zero-field gap, it matches
+        # the plain product, holds the state bit-for-bit where the fields
+        # vanish, and ends on the batch's bits at any length
+        n = _ROWS * _BLOCK + 800  # about 2.2 passes of sub-steps
+        rng = np.random.default_rng(7)
+        pulse = axis_pulse(np.cumsum(rng.uniform(5e-4, 1.5e-3, n)),
+                           rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n))
+        zero = np.r_[:10, 4000:4300]
+        pulse.omega[zero] = pulse.delta[zero] = 0.0
+        psi0 = angle_state(1.1, -0.4)
+        states = propagate(pulse, initial=psi0, error=(0.13, -0.07)).states
+        np.testing.assert_allclose(
+            states, stepwise_states(pulse, psi0, (0.13, -0.07)), rtol=0,
+            atol=1e-12)
+        np.testing.assert_array_equal(states[:10], np.tile(psi0, (10, 1)))
+        np.testing.assert_array_equal(states[4000:4300],
+                                      np.tile(states[4000], (300, 1)))
+        final = final_states_over_errors(pulse, psi0, [1 + 0.13], [1 - 0.07])[0]
+        np.testing.assert_array_equal(final, states[-1])

@@ -12,6 +12,7 @@ from qiepulse import (
     robustness_summary,
     scan_1d,
 )
+from qiepulse.designer import MAX_SAMPLES
 
 from conftest import C_VALUES
 
@@ -36,6 +37,11 @@ class TestErrorGrid:
             ErrorGrid(parameter="rabi", lo=0.2, hi=0.2, n_points=5)
         with pytest.raises(ParameterError):
             ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=1)
+        # the bound is inclusive, and checked before any grid is built
+        ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=MAX_SAMPLES)
+        with pytest.raises(ParameterError, match=f"<= {MAX_SAMPLES}"):
+            ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1,
+                      n_points=MAX_SAMPLES + 1)
         for lo, hi in ((-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)):
             with pytest.raises(ParameterError, match="finite"):
                 ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=11)
@@ -50,6 +56,10 @@ class TestPiHalfBaseline:
         for duration in (0.0, np.inf, np.nan):
             with pytest.raises(ParameterError):
                 pi_half_baseline(duration)
+
+    def test_too_many_samples(self):
+        with pytest.raises(ParameterError, match=f"<= {MAX_SAMPLES}"):
+            pi_half_baseline(1.0, n_samples=MAX_SAMPLES + 1)
 
     def test_rabi_scan_matches_closed_form(self):
         # rotation angle (1+delta) pi/2 about u: F = (1 + cos(delta pi/2))/2
