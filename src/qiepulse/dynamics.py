@@ -5,19 +5,13 @@ The Hamiltonian (hbar = 1, frequencies in units of 1/T) is
     H(t) = (1/2) [[-Delta(t), Omega(t)], [Omega(t), Delta(t)]]
 
 on the basis |1> = (1, 0), |2> = (0, 1).  Each interval of t is cut into
-equal sub-steps, each the exact unitary of the frozen Hamiltonian at the
-sub-step's midpoint fields (linear interpolation, then scaled by the
-(1 + delta) error factors): an SU(2) matrix [[a, b], [-b*, a*]].  Sub-steps
-are multiplied in blocks of _BLOCK.  final_states_over_errors reduces each
-block by a pairwise product tree and applies it to the batch of states, one
-row per error setting; propagate takes prefix products in each block
-(Hillis-Steele) for the state at every sample, _ROWS blocks a pass.  The
-last prefix of a power-of-two block is the tree's root, and both multiply
-at most _ROWS x _BLOCK arrays (numpy may round larger strided products
-differently), so both give the same bits at the same error.  Sub-steps
-with midpoint Omega = Delta = 0 are the identity and are dropped, so a
-zero-field gap holds the state bit-for-bit.  Exact rotations keep the norm
-at machine precision.
+equal sub-steps, each the exact unitary [[a, b], [-b*, a*]] of the frozen
+Hamiltonian at the sub-step's midpoint fields (linear interpolation, scaled
+by the (1 + delta) error factors).  Sub-steps with Omega = Delta = 0 there are
+the identity and are dropped, so a zero-field gap holds the state bit for bit;
+the rest are multiplied in blocks of _BLOCK, into buffers made once a pass, by
+the scan batch and propagate in the same pairs and operand order (numpy's SIMD
+complex x * y fuses multiply-adds, and y * x can round apart), so they agree.
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -34,7 +28,9 @@ from .designer import Pulse, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
-_ROWS = 128  # error rows, or blocks of propagate, per pass: a bounded working set
+_ROWS = 128  # blocks per pass of propagate: a bounded working set
+_WIDTH = 512  # error rows per pass of final_states_over_errors
+_REV = np.arange(_BLOCK).reshape((2,) * (_BLOCK.bit_length() - 1)).T.ravel()
 
 __all__ = [
     "TargetState", "StateTrajectory", "ket1", "target_state",
@@ -113,23 +109,28 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
     return om, de, dt, done
 
 
-def _factors(om, de, dt):
-    """Cayley-Klein parameters of the frozen steps exp(-i H dt) =
-    [[a, b], [-b*, a*]]: a = cos(phi) + i f Delta and b = -i f Omega, with
-    g = sqrt(Omega^2 + Delta^2), phi = g dt / 2 and f = sin(phi) / g (0 at
-    g = 0); cos and sin are taken from u = tan(phi / 2)."""
-    g = np.sqrt(om * om + de * de)
-    u = np.tan(g * (0.25 * dt))
-    uu = u * u
-    s = 2.0 / (1.0 + uu)
-    f = np.divide(u * s, g, out=np.zeros_like(g), where=g > 0.0)
-    ab = np.stack((1.0 - uu * s, f * de, np.zeros_like(f), -f * om), axis=-1).view(complex)
-    return ab[..., 0], ab[..., 1]
+def _factors(o, so, d, sd, h, a, b, x):
+    """Cayley-Klein (a, b) of the frozen steps exp(-i H dt) = [[a, b], [-b*, a*]]
+    into a and b (b.real must be 0): a = cos(phi) + i f Delta, b = -i f Omega,
+    g = sqrt(Omega^2 + Delta^2), phi = g dt / 2, cos and sin from u = tan(phi / 2),
+    f = sin(phi) / max(g, 1e-300): sin(phi) is 0 where g is, and g > 0 means
+    g > 1e-162.  Omega = o so, Delta = d sd, h is dt; x is real scratch (3, ...)."""
+    o, d, (g, u, s) = np.multiply(o, so, out=b.imag), np.multiply(d, sd, out=a.imag), x
+    np.sqrt(np.add(np.multiply(o, o, out=g), np.multiply(d, d, out=s), out=g), out=g)
+    np.tan(np.multiply(g, 0.25 * h, out=s), out=u)
+    np.divide(2.0, np.add(np.multiply(u, u, out=a.real), 1.0, out=s), out=s)
+    np.subtract(1.0, np.multiply(a.real, s, out=a.real), out=a.real)
+    np.divide(np.multiply(u, s, out=u), np.maximum(g, 1e-300, out=g), out=u)
+    np.multiply(u, d, out=a.imag)
+    np.negative(np.multiply(u, o, out=g), out=b.imag)
 
 
-def _mul(a2, b2, a1, b1):
-    """Cayley-Klein parameters of the product U2 @ U1."""
-    return a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
+def _mul(a2, b2, a1, b1, a, b, t):
+    """(a, b) of U2 @ U1 into a and b; t is complex scratch (2,) + a.shape."""
+    np.subtract(np.multiply(a2, a1, out=a),
+                np.multiply(b2, np.conjugate(b1, out=t[0]), out=t[1]), out=a)
+    np.add(np.multiply(a2, b1, out=b),
+           np.multiply(b2, np.conjugate(a1, out=t[0]), out=t[1]), out=b)
 
 
 def _apply(a, b, psi):
@@ -138,24 +139,55 @@ def _apply(a, b, psi):
     return np.stack((a * p + b * q, a.conj() * q - b.conj() * p), axis=1)
 
 
+def _tree(ab, t):
+    """Reduce a heap of products in place (see final_states_over_errors)."""
+    for m in 2 ** np.arange(ab.shape[1].bit_length() - 3, -1, -1):
+        _mul(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], t[:, :m])
+
+
 def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
                              substeps: int = 2) -> np.ndarray:
     """Final states for a batch of multiplicative field scalings.
 
     scale_omega/scale_delta are aligned 1-D arrays of (1 + delta) factors.
-    Each row is computed exactly as a batch of one would be.
+    Each row is computed exactly as a batch of one would be.  Blocks are laid
+    out as (steps, rows), _WIDTH rows a pass, as `parts` pairwise trees of
+    `leaves` steps (leaves x rows <= _BLOCK x _WIDTH / 2), each a heap on axis 1
+    of buffers made once a pass, leaves at [leaves, 2 leaves) in bit-reversed
+    order (_REV) and level m at [m, 2m): each level is two contiguous halves.
     """
-    scale_omega, scale_delta = (np.asarray(x, dtype=float).reshape(-1, 1) for x in
+    scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
-    om, de, dt, _ = _steps(pulse, scale_omega, scale_delta, substeps)
     psi = np.tile(np.asarray(initial, dtype=complex), (scale_omega.size, 1))
-    for rows in (slice(r, r + _ROWS) for r in range(0, scale_omega.size, _ROWS)):
-        for o, d, h in zip(om, de, dt):
-            a, b = _factors(scale_omega[rows] * o, scale_delta[rows] * d, h)
-            while a.shape[1] > 1:  # pairwise product tree over the block
-                a, b = _mul(a[:, 1::2], b[:, 1::2], a[:, ::2], b[:, ::2])
-            psi[rows] = _apply(a[:, 0], b[:, 0], psi[rows])
+    parts, leaves = (1, _BLOCK) if 2 * scale_omega.size <= _WIDTH else (2, _BLOCK // 2)
+    om, de, dt = (x.reshape(-1, parts, leaves)[:, :, _REV[::parts], None] for x in
+                  _steps(pulse, scale_omega, scale_delta, substeps)[:3])
+    for r in range(0, scale_omega.size, _WIDTH):
+        so, sd, rows = (y[r:r + _WIDTH] for y in (scale_omega, scale_delta, psi))
+        ab, roots = (np.zeros((2, 2 * m, so.size), dtype=complex) for m in (leaves, parts))
+        x = np.empty((3, leaves, so.size))
+        t = x[:2].reshape(2, leaves // 2, -1).view(complex)
+        for blk in zip(om, de, dt):
+            for k, (o, d, h) in enumerate(zip(*blk)):
+                _factors(o, so, d, sd, h, *ab[:, leaves:], x)
+                _tree(ab, t)
+                roots[:, parts + k] = ab[:, 1]
+            _tree(roots, t)
+            rows[:] = _apply(*roots[:, 1], rows)
+        del ab, x, t  # before the next pass allocates its own
     return psi
+
+
+def _prefixes(so, sd, *steps):
+    """(a, b) of the prefix products along each row of steps (Hillis-Steele)."""
+    o, d, h = (np.ascontiguousarray(x.T) for x in steps)
+    cur, nxt, t = (np.zeros((2,) + o.shape, dtype=complex) for _ in range(3))
+    _factors(o, so, d, sd, h, *cur, t.view(float).reshape((4,) + o.shape)[:3])
+    for k in 2 ** np.arange(_BLOCK.bit_length() - 1):
+        nxt[:, :k] = cur[:, :k]
+        _mul(*cur[:, k:], *cur[:, :-k], *nxt[:, k:], t[:, k:])
+        cur, nxt = nxt, cur
+    return cur.transpose(0, 2, 1)
 
 
 def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
@@ -179,10 +211,8 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     blk, pos = np.divmod(done[rows] + dt.size - done[-1] - 1, _BLOCK)  # sorted
     states, entry = np.tile(psi, (done.size, 1)), psi[None]
     for g in range(0, om.shape[0], _ROWS):
-        a, b = _factors(scale_omega * om[g:g + _ROWS], scale_delta * de[g:g + _ROWS],
-                        dt[g:g + _ROWS])
-        for k in 2 ** np.arange(_BLOCK.bit_length() - 1):  # Hillis-Steele prefixes
-            a[:, k:], b[:, k:] = _mul(a[:, k:], b[:, k:], a[:, :-k], b[:, :-k])
+        a, b = _prefixes(scale_omega, scale_delta,
+                         *(x[g:g + _ROWS] for x in (om, de, dt)))
         starts = [entry]
         for j in range(a.shape[0]):
             starts.append(_apply(a[j:j + 1, -1], b[j:j + 1, -1], starts[-1]))

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +8,20 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qiepulse import (
+    DesignParams,
     ParameterError,
     Pulse,
     TargetState,
     bloch_from_angles,
     bloch_from_state,
+    design_pulse,
     fidelity,
     ket1,
+    pi_half_baseline,
     propagate,
     target_state,
 )
-from qiepulse.dynamics import _BLOCK, _ROWS, final_states_over_errors
+from qiepulse.dynamics import _BLOCK, _ROWS, _WIDTH, final_states_over_errors
 
 
 def angle_state(theta, beta):
@@ -535,3 +541,50 @@ class TestBlockProductKernel:
                                       np.tile(states[4000], (300, 1)))
         final = final_states_over_errors(pulse, psi0, [1 + 0.13], [1 - 0.07])[0]
         np.testing.assert_array_equal(final, states[-1])
+
+    def test_rows_independent_of_width_and_passes(self):
+        # 2 _WIDTH + 37 rows run as three passes of two half-block trees; a
+        # batch of one is one pass of whole-block trees: the same products
+        pulse, _ = design_pulse(DesignParams(c=0.073, n_samples=101))
+        errors = np.random.default_rng(11).uniform(-0.5, 0.5, (2 * _WIDTH + 37, 2))
+        finals = final_states_over_errors(pulse, ket1(), 1 + errors[:, 0],
+                                          1 + errors[:, 1])
+        for e, final in zip(errors, finals):
+            np.testing.assert_array_equal(
+                final, final_states_over_errors(pulse, ket1(), [1 + e[0]], [1 + e[1]])[0])
+        for row in (0, _WIDTH - 1, _WIDTH, len(errors) - 1):
+            np.testing.assert_array_equal(
+                finals[row], propagate(pulse, error=tuple(errors[row])).states[-1])
+
+    def test_zero_scale_row_holds_state(self):
+        # a row scaled by 0 has g = 0 at every step: f must come out 0, not
+        # 0 / 0, and the row must keep the initial state bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flat = final_states_over_errors(pi_half_baseline(1.0), ket1(),
+                                            [0.0, 1.0], [1.0, 1.0])
+            pulse, _ = design_pulse(DesignParams(c=0.073, n_samples=101))
+            psi0 = angle_state(1.1, -0.4)
+            rows = final_states_over_errors(pulse, psi0, [1.2, 0.0], [0.9, 0.0])
+            held = propagate(pulse, initial=psi0, error=(-1.0, -1.0)).states
+        np.testing.assert_array_equal(flat[0], ket1())
+        np.testing.assert_array_equal(rows[1], psi0)
+        np.testing.assert_array_equal(held, np.tile(rows[1], (pulse.t.size, 1)))
+
+    def test_bounded_working_set(self):
+        # the former per-block batch peaked at 1.97 MB on 501 rows of a
+        # 16001-sample design (tracemalloc; the sub-steps' fields and widths
+        # alone hold 0.77 MB); the pass buffers may add at most 0.6 MB
+        def peak(pulse, rows):
+            scale = 1.0 + np.linspace(-0.5, 0.5, rows)
+            tracemalloc.start()
+            try:
+                final_states_over_errors(pulse, ket1(), scale, np.ones(rows))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(design_pulse(DesignParams(c=0.073, n_samples=16001))[0], 501) <= 2.57e6
+        # more passes reuse the room of the first: no second set of buffers
+        small, _ = design_pulse(DesignParams(c=0.073, n_samples=101))
+        assert peak(small, 2 * _WIDTH + 37) <= peak(small, _WIDTH) + 0.1e6
