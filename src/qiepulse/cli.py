@@ -96,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--beta-init", choices=("zero", "consistency"),
                    default="consistency")
-    p.add_argument("--consistency-sign", type=int, choices=(-1, 1), default=-1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("simulate", help="propagate a pulse file")
@@ -131,7 +130,6 @@ def _cmd_design(args) -> int:
     params = DesignParams(
         c=args.c, T=args.T, kappa=args.kappa, n_samples=args.n,
         branch_sign=args.branch, beta_rate_init=args.beta_init,
-        consistency_sign=args.consistency_sign,
     )
     pulse, trajectory = design_pulse(params)
     write_pulse_csv(pulse, trajectory, args.out)

@@ -52,14 +52,17 @@ __all__ = [
     "analytic_diagnostics",
 ]
 
-# |Omega| floor (units of 1/T) below which the constrained acceleration is
-# frozen at its last finite value; the fields there are physically negligible.
-OMEGA_FLOOR = 1e-10
-
 _SIN_BETA_FLOOR = 1e-14
 
 # Most samples a pulse or error grid may have; a float array of them is 80 MB
 MAX_SAMPLES = 10**7
+
+# Most accepted steps a design may take: 30x the 3,234 of c = 0.03, and a
+# bound on the steps' record and dense output (about 1 kB a step)
+MAX_STEPS = 10**5
+
+# Relative and absolute tolerances of the design ODE's step control
+ODE_RTOL, ODE_ATOL = 1e-9, 1e-11
 
 # Largest defect (|field error| x interval width, in radians) that linear
 # interpolation between a designed pulse's samples may leave in an interval
@@ -103,9 +106,11 @@ class DesignParams:
 
     branch_sign picks the sign of the constrained term in beta_ddot;
     beta_rate_init picks beta_dot(t_start): "zero", or "consistency" for the
-    rate that satisfies the constraint in the Omega -> 0 limit, with its sign
-    given by consistency_sign (negative descends from pi/2, the shipped
-    default).
+    rate that satisfies the constraint in the Omega -> 0 limit, with the sign
+    of branch_sign (negative descends from pi/2, the shipped default; the
+    other sign designs the mirrored branch).  The window [-kappa T, kappa T]
+    needs no floor on Omega: |Omega| = theta_dot / |sin(beta)| >=
+    theta_dot(kappa T) = (sqrt(pi) / 2T) exp(-kappa^2).
     """
 
     c: float
@@ -114,9 +119,6 @@ class DesignParams:
     n_samples: int = 4001
     branch_sign: int = -1
     beta_rate_init: str = "consistency"
-    consistency_sign: int = -1
-    ode_rel_tol: float = 1e-9
-    ode_abs_tol: float = 1e-11
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
@@ -137,12 +139,6 @@ class DesignParams:
                 "beta_rate_init must be 'zero' or 'consistency', "
                 f"got {self.beta_rate_init!r}"
             )
-        if self.consistency_sign not in (-1, 1):
-            raise ParameterError(
-                f"consistency_sign must be +1 or -1, got {self.consistency_sign}"
-            )
-        if not (self.ode_rel_tol > 0 and self.ode_abs_tol > 0):
-            raise ParameterError("ODE tolerances must be positive")
 
 
 @dataclass
@@ -235,31 +231,15 @@ def invert_angles(theta: ThetaSample, beta, beta_dot):
     return omega, delta
 
 
-def beta_acceleration(
-    theta: ThetaSample,
-    beta: float,
-    beta_dot: float,
-    c: float,
-    branch_sign: float,
-    omega_floor: float = OMEGA_FLOOR,
-) -> Optional[float]:
-    """beta_ddot enforcing a constant adiabaticity parameter c.
-
-    Returns None when |Omega| is below omega_floor; the integrator
-    regularizes that region by holding the last finite value.  Where the
-    algebra divides by zero or overflows the result is inf or nan.
-    """
+def beta_acceleration(theta: ThetaSample, beta: float, beta_dot: float,
+                      c: float, branch_sign: float) -> float:
+    """beta_ddot enforcing a constant adiabaticity parameter c at one point:
+    the last output of _constraint on floats, nan where the algebra divides
+    by zero or overflows (the step is then rejected)."""
     try:
-        omega, _, _, _, beta_ddot = _constraint(theta, beta, beta_dot, c,
-                                                branch_sign)
+        return _constraint(theta, beta, beta_dot, c, branch_sign)[4]
     except (ArithmeticError, ValueError):  # math's 1/0, overflow, sin(inf)
-        with np.errstate(all="ignore"):
-            omega, _, _, _, beta_ddot = map(float, _constraint(
-                theta, np.asarray(beta, dtype=float), beta_dot, c,
-                branch_sign))
-    if abs(omega) < omega_floor:
-        return None
-    return beta_ddot
+        return math.nan
 
 
 def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
@@ -309,7 +289,8 @@ def _dopri5(f, t0, t1, y0, rtol, atol):
     (ts, ys, dense): the accepted times, the (3, len(ts)) states there, and
     dense(times) -> (3, len(times)) from each step's quartic interpolant (a
     step boundary takes the earlier step).  Raises DesignError, with t_fail,
-    when y0 is not finite or the step falls below 10 ulp of t.
+    when y0 is not finite, the step falls below 10 ulp of t, or MAX_STEPS
+    steps have been accepted short of t1.
     """
     t, t1, (u, v, w) = float(t0), float(t1), map(float, y0)
     if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(w)):
@@ -328,6 +309,9 @@ def _dopri5(f, t0, t1, y0, rtol, atol):
     h_abs = min(100 * h0, h1, t1 - t)
     ts, ys, ks = [t], [(u, v, w)], []
     while t < t1:
+        if len(ks) == MAX_STEPS:
+            raise DesignError(f"no end after {MAX_STEPS} accepted steps",
+                              t_fail=t)
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -422,8 +406,8 @@ def design_pulse(params: DesignParams):
     """Integrate the constrained azimuth and reconstruct the drive.
 
     Returns (Pulse, AngleTrajectory).  The ODE is integrated with the
-    adaptive Dormand-Prince 5(4) stepper _dopri5 at the configured
-    tolerances and sampled through its dense output on the uniform
+    adaptive Dormand-Prince 5(4) stepper _dopri5 at tolerances ODE_RTOL and
+    ODE_ATOL and sampled through its dense output on the uniform
     n_samples grid, plus the points that resolve the field inside the grid
     intervals that hold two or more solver steps: where beta comes close to
     0, Omega = theta_dot / sin(beta) spikes between uniform samples.  Such
@@ -433,40 +417,38 @@ def design_pulse(params: DesignParams):
     third ODE state, the integral of theta_dot / |sin(beta)|, so it is exact
     to the solver tolerance whatever the sampling.  Near the window ends
     Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
-    stiff; below OMEGA_FLOOR/T the acceleration is held at its last finite
-    value.  A failed integration raises DesignError naming c, T and the
-    time it reached (t_fail), and so do fields that are not finite, at the
-    first such time.
+    stiff, but |Omega| >= theta_dot(kappa T) = (sqrt(pi) / 2T)
+    exp(-kappa^2) > 0.  Past kappa ~ 5.92, erf(-kappa) rounds to -1, theta
+    to 0, and the integration fails at t = -kappa T.  A failed integration,
+    or one still short of the window end after MAX_STEPS steps, raises
+    DesignError naming c, T and the time it reached (t_fail), and so do
+    fields that are not finite, at the first such time.
     """
     half_width = params.kappa * params.T
     t = np.linspace(-half_width, half_width, params.n_samples)
-    T, c, floor = params.T, params.c, OMEGA_FLOOR / params.T
+    T, c = params.T, params.c
     sign = float(params.branch_sign)  # keeps the RHS arithmetic on floats
-    held = [0.0]
 
     def rhs(ti, y):
         beta, beta_dot, _ = y
         sample = theta_profile(ti, T)
-        acc = beta_acceleration(sample, beta, beta_dot, c, sign, floor)
-        if acc is not None:  # else hold it through the dead tails
-            held[0] = acc
+        acc = beta_acceleration(sample, beta, beta_dot, c, sign)
         try:
             rate = sample.theta_dot / abs(math.sin(beta))
         except (ZeroDivisionError, ValueError):  # sin(beta) = 0 or beta = inf
             rate = math.nan  # rejects the step
-        return beta_dot, held[0], rate
+        return beta_dot, acc, rate
 
     rate0 = 0.0  # "zero": at rest
     if params.beta_rate_init == "consistency":
         # the rate for which the constraint holds in the Omega -> 0 limit,
         # where mu reduces to |Omega_dot| / (2 beta_dot^2)
-        rate0 = params.consistency_sign * math.sqrt(
+        rate0 = params.branch_sign * math.sqrt(
             abs(theta_profile(-half_width, params.T).theta_ddot)
             / (2.0 * params.c))
     y0 = (0.5 * math.pi, rate0, 0.0)
     try:
-        ts, ys, dense = _dopri5(rhs, t[0], t[-1], y0, params.ode_rel_tol,
-                                params.ode_abs_tol)
+        ts, ys, dense = _dopri5(rhs, t[0], t[-1], y0, ODE_RTOL, ODE_ATOL)
     except DesignError as e:
         raise DesignError(
             f"c = {params.c:g} (T = {params.T:g}): constrained integration "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designer import Pulse, _value_eq
+from .designer import MAX_SAMPLES, Pulse, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
@@ -87,8 +87,9 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
     """Midpoint fields and widths of the sub-steps that are not exactly the
     identity, front-padded with zero-width steps to whole blocks and shaped
     (blocks, _BLOCK), and the count of such steps up to each sample of t."""
-    if substeps < 2:
-        raise ParameterError(f"substeps must be >= 2, got {substeps}")
+    if not (substeps >= 2 and (pulse.t.size - 1) * substeps <= MAX_SAMPLES):
+        raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
+                             f"substeps <= {MAX_SAMPLES}, got {substeps}")
     for name, values in (("omega", pulse.omega), ("delta", pulse.delta),
                          ("scale_omega", scale_omega), ("scale_delta", scale_delta)):
         bad = np.flatnonzero(~np.isfinite(values))

@@ -170,7 +170,6 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
             c=repr(p.c), T=repr(p.T), kappa=repr(p.kappa),
             n_samples=p.n_samples, branch_sign=p.branch_sign,
             beta_rate_init=p.beta_rate_init,
-            consistency_sign=p.consistency_sign,
         )
     if trajectory is None:
         _write_csv(path, meta, PULSE_COLUMNS_MINIMAL,

@@ -76,8 +76,9 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     to global phase, which is target_state(-pi/2), giving fidelity 1 at
     delta = 0.
     """
-    if not 0 < duration < np.inf:
-        raise ParameterError(f"duration must be positive and finite, got {duration}")
+    if not (0 < duration < np.inf and 0.5 * np.pi / duration < np.inf):
+        raise ParameterError(f"duration must be positive and finite, with "
+                             f"(pi/2)/duration finite, got {duration}")
     if not 3 <= n_samples <= MAX_SAMPLES:
         raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
                              f"got {n_samples}")

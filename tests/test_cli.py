@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import qiepulse.designer as designer
 from qiepulse import (
     ConfigError,
     DesignError,
@@ -105,6 +106,18 @@ class TestDesignCommand:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 3
         assert "Required step size" in capsys.readouterr().err
+
+    def test_step_budget_is_numerical_error(self, monkeypatch, tmp_path,
+                                            capsys):
+        # c = 0.073 takes about 1,100 accepted steps
+        monkeypatch.setattr(designer, "MAX_STEPS", 100)
+        out = tmp_path / "p.csv"
+        rc = main(["design", "--c", "0.073", "--n", "401", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "c = 0.073 (T = 1): constrained integration failed at t = " in err
+        assert "no end after 100 accepted steps" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -236,12 +249,15 @@ class TestBaselineCommand:
         assert "beta_final = -0.500000 pi" in printed
 
     def test_non_finite_duration_is_argument_error(self, tmp_path, capsys):
+        # at 1e-320, Omega = (pi/2)/duration overflows to inf
         out = tmp_path / "base.csv"
-        rc = main(["baseline", "pi2", "--duration", "inf", "--out", str(out)])
-        assert rc == 2
-        assert "duration must be positive and finite" in (
-            capsys.readouterr().err)
-        assert not out.exists()
+        for duration in ("inf", "1e-320"):
+            rc = main(["baseline", "pi2", "--duration", duration,
+                       "--out", str(out)])
+            assert rc == 2
+            assert "duration must be positive and finite" in (
+                capsys.readouterr().err)
+            assert not out.exists()
 
     def test_too_few_samples_is_argument_error(self, tmp_path, capsys):
         out = tmp_path / "base.csv"
@@ -323,6 +339,8 @@ class TestReportCommand:
             ({"design": {"c": 0.073}, "output_dir": 5}, "output_dir"),
             ({"design": {"c": 0.073}, "rabi_grid": {"n_points": "7"},
               "output_dir": out_dir}, "rabi_grid.n_points"),
+            ({"design": {"c": 0.073, "consistency_sign": 1},
+              "output_dir": out_dir}, "consistency_sign"),
         ]
         for config, field in cases:
             config_path.write_text(json.dumps(config))
@@ -339,10 +357,12 @@ class TestHugeSizes:
         (["design", "--c", "0.073", f"--n={HUGE}"], "n_samples"),
         (["baseline", "pi2", f"--n={HUGE}"], "n_samples"),
         (["scan", "--param", "rabi", f"--range=-0.5:0.5:{HUGE}"], "n_points"),
+        (["simulate", f"--substeps={HUGE}"], "substeps"),
+        (["scan", "--param", "rabi", f"--substeps={HUGE}"], "substeps"),
     ])
     def test_command(self, argv, message, pulse_file, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        if argv[0] == "scan":
+        if argv[0] in ("scan", "simulate"):
             argv = argv + ["--pulse", str(pulse_file)]
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err

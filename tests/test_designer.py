@@ -166,12 +166,6 @@ class TestBetaAcceleration:
         gap3 = (om**2 + de**2) ** 1.5
         assert plus - minus == pytest.approx(-4 * c * gap3 / om, rel=1e-10)
 
-    def test_stiffness_floor(self):
-        # below the Omega floor there is no acceleration to return; the
-        # integrator holds its last value there
-        assert beta_acceleration(sample(np.pi / 4, 1e-12), np.pi / 2, 0.0,
-                                 0.073, -1) is None
-
     def test_finite_difference_residual(self):
         # advancing (beta, beta_dot) with the returned acceleration must keep
         # the finite-difference adiabaticity parameter at c
@@ -220,9 +214,9 @@ class TestInitialBetaRate:
                                                                   rel=1e-14)
 
     def test_sign_flag(self, designs4):
-        # the ascending start designs on the mirrored branch
+        # the mirrored branch starts ascending
         _, up = design_pulse(DesignParams(c=0.073, n_samples=401,
-                                          consistency_sign=1, branch_sign=1))
+                                          branch_sign=1))
         down = designs4[0.073][1].beta_dot[0]
         assert up.beta_dot[0] == -down and down < 0
 
@@ -241,7 +235,7 @@ class TestDesignParams:
         dict(c=0.073, n_samples=designer.MAX_SAMPLES + 1),
         dict(c=0.073, branch_sign=0),
         dict(c=0.073, beta_rate_init="random"),
-        dict(c=0.073, ode_rel_tol=0.0),
+        dict(c=0.073, kappa=np.nan),
         dict(c=np.inf),
         dict(c=0.073, T=np.inf),
         dict(c=0.073, kappa=np.inf),
@@ -617,17 +611,39 @@ class TestDormandPrince:
             design_pulse(DesignParams(c=c, kappa=kappa, n_samples=101))
 
     def test_non_finite_field_is_design_error(self):
-        # erf(-6) rounds to -1: theta(-6) = 0 and cot(theta) is inf, so the
-        # design integrates but Delta(-6) is -inf; that is named, and no
-        # RuntimeWarning (an error under pytest) escapes the refinement
+        # erf(-6) rounds to -1: theta(-6) = 0 and cot(theta) is inf, so every
+        # step from t = -6 is rejected
         params = DesignParams(c=0.01, kappa=6, beta_rate_init="zero",
-                              ode_rel_tol=1e-3, ode_abs_tol=1e-5,
                               n_samples=101)
-        with pytest.raises(DesignError) as info:
+        with pytest.raises(DesignError, match="Required step size") as info:
             design_pulse(params)
-        assert str(info.value) == ("c = 0.01 (T = 1): the fields are not "
-                                   "finite at t = -6")
+        assert str(info.value).startswith("c = 0.01 (T = 1): constrained "
+                                          "integration failed at t = -6: ")
         assert info.value.t_fail == -6.0
+
+    def test_non_finite_diagnostic_field_is_design_error(self, monkeypatch):
+        # a Delta sample that is not finite is named at its time
+        def inf_at_sample_7(*args):
+            omega, delta, mu = diagnostics(*args)
+            delta[7] = -np.inf
+            return omega, delta, mu
+
+        diagnostics = designer.analytic_diagnostics
+        monkeypatch.setattr(designer, "analytic_diagnostics", inf_at_sample_7)
+        with pytest.raises(DesignError) as info:
+            design_pulse(DesignParams(c=0.073, n_samples=101))
+        assert str(info.value) == ("c = 0.073 (T = 1): the fields are not "
+                                   "finite at t = -3.44")
+        assert info.value.t_fail == np.linspace(-4, 4, 101)[7]
+
+    @pytest.mark.parametrize("c", [0.04, 0.073, 0.10])
+    def test_kappa_5_designs(self, c):
+        # the window tails are stiff but never floored: kappa = 5 designs the
+        # kappa = 4 pulse, whose area does not depend on the window
+        wide, _ = design_pulse(DesignParams(c=c, kappa=5.0, n_samples=401))
+        narrow, _ = design_pulse(DesignParams(c=c, n_samples=401))
+        assert wide.area == pytest.approx(narrow.area, rel=1e-7)
+        assert wide.adiabaticity_residual <= 1e-3 * c
 
     def test_non_finite_start_is_design_error(self):
         # theta_ddot overflows at T = 1e-200, and with it the initial rate
