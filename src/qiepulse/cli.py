@@ -210,9 +210,12 @@ def _cmd_report(args) -> int:
     lines = ["reference reproduction summary", ""]
     lines.append(
         f"{'c':>6} {'area/pi':>9} {'ref':>7} {'ok':>4} "
-        f"{'|beta_f|/pi':>12} {'ref':>7} {'ok':>4} {'residual':>10}"
+        f"{'|beta_f|/pi':>12} {'ref':>7} {'ok':>4} {'residual':>10} "
+        f"{'x_f/pi':>8}"
     )
     for c, (pulse, _) in designs.items():
+        # the field's mixing angle at the window end; area c follows it
+        x_f_pi = np.arctan2(pulse.omega[-1], pulse.delta[-1]) / np.pi
         area_pi = pulse.area / np.pi
         beta_pi = abs(pulse.beta_final) / np.pi
         area_ref, beta_ref = REFERENCE_TABLE[c]
@@ -222,7 +225,7 @@ def _cmd_report(args) -> int:
             f"{c:>6g} {area_pi:>9.4f} {area_ref:>7.3f} "
             f"{'yes' if area_ok else 'NO':>4} {beta_pi:>12.4f} "
             f"{beta_ref:>7.3f} {'yes' if beta_ok else 'NO':>4} "
-            f"{pulse.adiabaticity_residual:>10.2e}"
+            f"{pulse.adiabaticity_residual:>10.2e} {x_f_pi:>8.4f}"
         )
     lines.append("")
     rows = robustness_summary(list(scans.values()) + [baseline_scan])

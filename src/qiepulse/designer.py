@@ -7,22 +7,42 @@ algebraically from the angles,
     Omega = theta_dot / sin(beta)
     Delta = beta_dot - theta_dot * cot(theta) * cot(beta),
 
-and beta(t) is integrated under the constraint that the adiabaticity
-parameter
+and the design holds the adiabaticity parameter
 
     mu = |Omega_dot * Delta - Omega * Delta_dot| / (2 (Omega^2 + Delta^2)^{3/2})
 
-stays equal to a constant c.  Because Delta_dot is affine in beta_ddot with
-unit coefficient and Omega_dot does not contain beta_ddot, the constraint is
-affine in beta_ddot and solves to
+at a constant c.  In the field's mixing angle x = atan2(Omega, Delta) this
+is mu = |x_dot| / (2 sqrt(Omega^2 + Delta^2)), the local-adiabaticity form
+(Roland & Cerf, PRA 65, 042308 (2002)), so mu = c fixes
+x_dot = branch_sign * 2 c sqrt(Omega^2 + Delta^2).  With Omega as above,
+Delta = Omega * cot(x) and the Sundman time s, dt/ds = sin(beta) sin(x), the
+constraint is the first-order system design_pulse integrates (the s-form):
+
+    dt/ds    = sin(beta) * sin(x)
+    dbeta/ds = theta_dot * (cot(theta) * cos(beta) * sin(x) + cos(x))
+    dx/ds    = branch_sign * 2 c * theta_dot
+
+Nothing in it divides by sin(beta).  Where beta comes close to 0 the field
+spikes and t(s) slows, and the bounce is a smooth turning point in s; t(s)
+increases while beta and x stay in (0, pi), and a design that leaves that
+range fails.  Since |Omega| dt/ds = theta_dot sin(x) = sin(x) (dx/ds) /
+(2 c branch_sign), the area has a closed form:
+
+    area = (cos(x0) - cos(x_f)) / (2 c branch_sign).
+
+The boundary condition is beta(t_start) = pi/2, where Delta = beta_dot, so
+x0 = atan2(theta_dot, beta_dot) at t_start; beta_dot(t_start) is a
+configuration choice (DesignParams.beta_rate_init).
+
+The t-form of the same constraint, second order in beta, is kept as the
+kernel _constraint: Delta_dot is affine in beta_ddot with unit coefficient
+and Omega_dot does not contain beta_ddot, so
 
     beta_ddot = (A - branch_sign * 2 c (Omega^2 + Delta^2)^{3/2}) / Omega,
     A         = Omega_dot * Delta - Omega * G,
 
 where G collects the beta_ddot-free part of Delta_dot (Delta_dot =
-beta_ddot + G).  The boundary condition is beta(t_start) = pi/2; the initial
-rate is a configuration choice because the constraint ODE is second order
-and admits a family of solutions.
+beta_ddot + G).  analytic_diagnostics evaluates mu with it along a design.
 
 Sign conventions are fixed by the algebra above and by the propagator's
 Hamiltonian (see dynamics): under that Hamiltonian the Bloch azimuth of the
@@ -57,12 +77,17 @@ _SIN_BETA_FLOOR = 1e-14
 # Most samples a pulse or error grid may have; a float array of them is 80 MB
 MAX_SAMPLES = 10**7
 
-# Most accepted steps a design may take: 30x the 3,234 of c = 0.03, and a
-# bound on the steps' record and dense output (about 1 kB a step)
+# Most accepted steps a design may take: 200x the 508 s-steps of c = 0.03
+# (c = 0.001 takes 8,376), and a bound on the steps' record and dense output
+# (about 1 kB a step)
 MAX_STEPS = 10**5
 
 # Relative and absolute tolerances of the design ODE's step control
 ODE_RTOL, ODE_ATOL = 1e-9, 1e-11
+
+# Largest |t(s) - t_k| in units of T at which the clock's inversion stops,
+# and the most Newton steps it may take
+CLOCK_TOL, _NEWTON_STEPS = 1e-12, 8
 
 # Largest defect (|field error| x interval width, in radians) that linear
 # interpolation between a designed pulse's samples may leave in an interval
@@ -104,13 +129,14 @@ _DENSE_P = np.array([
 class DesignParams:
     """Complete specification of one design run.
 
-    branch_sign picks the sign of the constrained term in beta_ddot;
-    beta_rate_init picks beta_dot(t_start): "zero", or "consistency" for the
-    rate that satisfies the constraint in the Omega -> 0 limit, with the sign
-    of branch_sign (negative descends from pi/2, the shipped default; the
-    other sign designs the mirrored branch).  The window [-kappa T, kappa T]
-    needs no floor on Omega: |Omega| = theta_dot / |sin(beta)| >=
-    theta_dot(kappa T) = (sqrt(pi) / 2T) exp(-kappa^2).
+    branch_sign is the sign of x_dot, the turn of the field's mixing angle;
+    beta_rate_init picks beta_dot(t_start): "zero" (x0 = pi/2), or
+    "consistency" for the rate that satisfies the constraint in the
+    Omega -> 0 limit, with the sign of branch_sign (negative descends from
+    pi/2 and starts x just below pi, the shipped default; the other sign
+    designs the mirrored branch).  The window [-kappa T, kappa T] needs no
+    floor on Omega: |Omega| = theta_dot / |sin(beta)| >= theta_dot(kappa T)
+    = (sqrt(pi) / 2T) exp(-kappa^2).
     """
 
     c: float
@@ -198,9 +224,8 @@ def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
     Returns (omega, delta, omega_dot, G, beta_ddot): the fields, the
     beta_ddot-free parts of their rates (Delta_dot = beta_ddot + G), and the
     beta_ddot that holds the adiabaticity parameter at c on the given branch.
-    A float beta is evaluated with math on floats (the design ODE's
-    right-hand side), where 1/0, overflow and sin(inf) raise; anything else
-    with numpy.
+    A float beta is evaluated with math on floats (beta_acceleration),
+    where 1/0, overflow and sin(inf) raise; anything else with numpy.
     """
     m = math if isinstance(beta, float) else np
     th, thd, thdd = theta.theta, theta.theta_dot, theta.theta_ddot
@@ -223,8 +248,9 @@ def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
 
 
 def invert_angles(theta: ThetaSample, beta, beta_dot):
-    """(Omega, Delta) at the angles: the first two outputs of _constraint on
-    arrays, inf or nan where sin(beta) or sin(theta) vanishes."""
+    """(Omega, Delta) at the angles (beta, beta_dot): the first two outputs
+    of _constraint on arrays, inf or nan where sin(beta) or sin(theta)
+    vanishes."""
     with np.errstate(all="ignore"):
         omega, delta, *_ = _constraint(theta, np.asarray(beta, dtype=float),
                                        beta_dot, 0.0, 1)
@@ -235,7 +261,8 @@ def beta_acceleration(theta: ThetaSample, beta: float, beta_dot: float,
                       c: float, branch_sign: float) -> float:
     """beta_ddot enforcing a constant adiabaticity parameter c at one point:
     the last output of _constraint on floats, nan where the algebra divides
-    by zero or overflows (the step is then rejected)."""
+    by zero or overflows.  This is the t-form's right-hand side; design_pulse
+    integrates the s-form and does not call it."""
     try:
         return _constraint(theta, beta, beta_dot, c, branch_sign)[4]
     except (ArithmeticError, ValueError):  # math's 1/0, overflow, sin(inf)
@@ -278,70 +305,70 @@ def _rms(a, b, c):
     return math.sqrt((a * a + b * b + c * c) / 3)
 
 
-def _dopri5(f, t0, t1, y0, rtol, atol):
-    """Integrate y' = f(t, y) from t0 to t1 > t0 with Dormand-Prince 5(4).
+def _dopri5(f, y0, t_end, rtol, atol, check):
+    """Integrate y' = f(s, y) from s = 0 with Dormand-Prince 5(4) until the
+    first state, a clock, reaches t_end.
 
     The state (u, v, w) and stages (u1..w7) are float locals; f takes the
     state as a tuple and returns three floats.  Step control as scipy's
     RK45: initial step from the first two derivatives, RMS error norm over
     atol + max(|y|, |y_new|) rtol, step factor 0.9 err^(-1/5) in [0.2, 10],
-    no growth right after a rejection, last step ending on t1.  Returns
-    (ts, ys, dense): the accepted times, the (3, len(ts)) states there, and
-    dense(times) -> (3, len(times)) from each step's quartic interpolant (a
-    step boundary takes the earlier step).  Raises DesignError, with t_fail,
-    when y0 is not finite, the step falls below 10 ulp of t, or MAX_STEPS
-    steps have been accepted short of t1.
+    no growth right after a rejection.  No step is clamped: the run ends on
+    the accepted step where u >= t_end.  check(u, v, w) sees every accepted
+    state first and may raise.  Returns (ss, ys, q): the accepted s, the
+    (3, len(ss)) states there, and the (steps, 3, 4) coefficients of each
+    step's quartic interpolant (see _dense).  Raises DesignError, with
+    t_fail the clock, when the step falls below 10 ulp of s or MAX_STEPS
+    steps have been accepted short of t_end.
     """
-    t, t1, (u, v, w) = float(t0), float(t1), map(float, y0)
-    if not (math.isfinite(u) and math.isfinite(v) and math.isfinite(w)):
-        raise DesignError("the initial state is not finite", t_fail=t)
-    u1, v1, w1 = f(t, (u, v, w))
+    s, (u, v, w) = 0.0, map(float, y0)
+    u1, v1, w1 = f(s, (u, v, w))
     su, sv, sw = atol + abs(u) * rtol, atol + abs(v) * rtol, atol + abs(w) * rtol
     d0 = _rms(u / su, v / sv, w / sw)
     d1 = _rms(u1 / su, v1 / sv, w1 / sw)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    fu, fv, fw = f(t + h0, (u + h0 * u1, v + h0 * v1, w + h0 * w1))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    fu, fv, fw = f(s + h0, (u + h0 * u1, v + h0 * v1, w + h0 * w1))
     d2 = _rms((fu - u1) / su, (fv - v1) / sv, (fw - w1) / sw) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t1 - t)
-    ts, ys, ks = [t], [(u, v, w)], []
-    while t < t1:
+    h_abs = min(100 * h0, h1)
+    ss, ys, ks = [s], [(u, v, w)], []
+    while u < t_end:
         if len(ks) == MAX_STEPS:
             raise DesignError(f"no end after {MAX_STEPS} accepted steps",
-                              t_fail=t)
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+                              t_fail=u)
+        min_step = 10 * (math.nextafter(s, math.inf) - s)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:  # also a nan step
                 raise DesignError("Required step size is less than spacing "
-                                  "between numbers.", t_fail=t)
-            t_new = min(t + h_abs, t1)
-            h = h_abs = t_new - t
-            u2, v2, w2 = f(t + _C2 * h, (u + _A21 * u1 * h, v + _A21 * v1 * h,
+                                  "between numbers.", t_fail=u)
+            s_new = s + h_abs
+            h = h_abs = s_new - s
+            u2, v2, w2 = f(s + _C2 * h, (u + _A21 * u1 * h, v + _A21 * v1 * h,
                                          w + _A21 * w1 * h))
-            u3, v3, w3 = f(t + _C3 * h, (u + (_A31 * u1 + _A32 * u2) * h,
+            u3, v3, w3 = f(s + _C3 * h, (u + (_A31 * u1 + _A32 * u2) * h,
                                          v + (_A31 * v1 + _A32 * v2) * h,
                                          w + (_A31 * w1 + _A32 * w2) * h))
-            u4, v4, w4 = f(t + _C4 * h, (
+            u4, v4, w4 = f(s + _C4 * h, (
                 u + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
                 v + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
                 w + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h))
-            u5, v5, w5 = f(t + _C5 * h, (
+            u5, v5, w5 = f(s + _C5 * h, (
                 u + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
                 v + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
                 w + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h))
-            u6, v6, w6 = f(t + h, (
+            u6, v6, w6 = f(s + h, (
                 u + (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5) * h,
                 v + (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5) * h,
                 w + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h))
             un = u + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
             vn = v + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
             wn = w + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
-            u7, v7, w7 = f(t + h, (un, vn, wn))
+            u7, v7, w7 = f(s + h, (un, vn, wn))
             err = _rms(
                 (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
                 * h / (atol + max(abs(u), abs(un)) * rtol),
@@ -355,148 +382,209 @@ def _dopri5(f, t0, t1, y0, rtol, atol):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+        check(un, vn, wn)
         ks.append((u1, v1, w1, u2, v2, w2, u3, v3, w3, u4, v4, w4,
                    u5, v5, w5, u6, v6, w6, u7, v7, w7))
-        t, u, v, w, u1, v1, w1 = t_new, un, vn, wn, u7, v7, w7
-        ts.append(t)
+        s, u, v, w, u1, v1, w1 = s_new, un, vn, wn, u7, v7, w7
+        ss.append(s)
         ys.append((u, v, w))
-
-    ts, ys = np.array(ts), np.array(ys).T
-    widths = np.diff(ts)
     q = np.einsum("skn,kp->snp", np.array(ks).reshape(-1, 7, 3), _DENSE_P)
-
-    def dense(times):
-        seg = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
-                      widths.size - 1)
-        x = (times - ts[seg]) / widths[seg]
-        powers = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
-        return (widths[seg] * np.einsum("snp,ps->ns", q[seg], powers)
-                + ys[:, seg])
-
-    return ts, ys, dense
+    return np.array(ss), np.array(ys).T, q
 
 
-def _refine(a, b, fa, fb, sample_at):
-    """Points that resolve the field inside the intervals (a, b).
+def _dense(ss, ys, q, seg, frac):
+    """The (3, len(seg)) states at fraction frac of accepted steps seg: each
+    step's quartic, y = y[seg] + h sum_p q[seg, :, p] frac^(p+1)."""
+    powers = np.cumprod(np.broadcast_to(frac, (4, frac.size)), axis=0)
+    return ((ss[seg + 1] - ss[seg]) * np.einsum("snp,ps->ns", q[seg], powers)
+            + ys[:, seg])
 
-    fa and fb are (2, m): Omega and Delta at the interval ends.
-    sample_at(times) returns (y, fields) there, y being the (3, len) ODE
-    state (beta, beta_dot, area).  An interval is split at its midpoint
-    while linear interpolation of its end fields misses the midpoint fields
-    by more than REFINE_TOL / width, and each half is tested the same way;
-    only the midpoints are evaluated.  Returns the added times and the
-    state there.
+
+def _locate(ss, s):
+    """(seg, frac) of the values s in the accepted steps ss (a step
+    boundary takes the earlier step)."""
+    seg = np.clip(np.searchsorted(ss, s, side="left") - 1, 0, ss.size - 2)
+    return seg, (s - ss[seg]) / (ss[seg + 1] - ss[seg])
+
+
+def _locate_clock(ss, ys, q, times, tol):
+    """(seg, frac) where the dense first state, an increasing clock, equals
+    the times: Newton's method on each step's quartic, from the linear
+    interpolation between the step's ends, to |clock - time| <= tol.
+    Raises DesignError, with t_fail, where _NEWTON_STEPS steps do not get
+    there."""
+    clock = ys[0]
+    seg = np.clip(np.searchsorted(clock, times, side="left") - 1, 0,
+                  clock.size - 2)
+    a0, a1, a2, a3 = ((ss[seg + 1] - ss[seg]) * q[seg, 0].T)
+    goal = times - clock[seg]
+    frac = goal / (clock[seg + 1] - clock[seg])
+    for _ in range(_NEWTON_STEPS):
+        miss = frac * (a0 + frac * (a1 + frac * (a2 + frac * a3))) - goal
+        off = np.flatnonzero(~(np.abs(miss) <= tol))  # nan is not there
+        if not off.size:
+            return seg, frac
+        x = frac[off]
+        slope = a0[off] + x * (2 * a1[off]
+                               + x * (3 * a2[off] + x * 4 * a3[off]))
+        frac[off] = np.clip(x - miss[off] / slope, 0.0, 1.0)
+    t_bad = float(times[off[0]])
+    raise DesignError(f"the clock t(s) was not inverted to {tol:.3g} in "
+                      f"{_NEWTON_STEPS} Newton steps", t_fail=t_bad)
+
+
+def _fields(theta_dot, beta, x):
+    """(Omega, Delta) of an s-form state: Omega = theta_dot / sin(beta) and
+    Delta = Omega cot(x)."""
+    omega = theta_dot / np.sin(beta)
+    return omega, omega * np.cos(x) / np.sin(x)
+
+
+def _refine(a, b, ta, tb, fa, fb, sample_at):
+    """States that resolve the field inside the intervals (a, b) of s.
+
+    ta and tb are the intervals' end times, fa and fb (2, m) their fields
+    Omega and Delta.  sample_at(s) returns (y, fields) there, y being the
+    (3, len) state (t, beta, x).  An interval is split at its midpoint in s
+    while linear interpolation in t between its end fields misses the
+    midpoint's fields by more than REFINE_TOL / width (the width in t), and
+    each half is tested the same way; only the midpoints are evaluated, and
+    one whose time is not strictly inside its interval is not added.
+    Returns the added states.
     """
-    times, states = [np.zeros(0)], [np.zeros((3, 0))]
+    states = [np.zeros((3, 0))]
     while a.size:
         m = 0.5 * (a + b)
         y, fm = sample_at(m)
-        defect = np.max(np.abs(0.5 * (fa + fb) - fm), axis=0) * (b - a)
-        split = (defect > REFINE_TOL) & (a < m) & (m < b)
-        times.append(m[split])
+        tm = y[0]
+        width = tb - ta
+        line = fa + (fb - fa) * ((tm - ta) / width)
+        defect = np.max(np.abs(line - fm), axis=0) * width
+        split = (defect > REFINE_TOL) & (ta < tm) & (tm < tb)
         states.append(y[:, split])
         a = np.concatenate((a[split], m[split]))
         b = np.concatenate((m[split], b[split]))
+        ta = np.concatenate((ta[split], tm[split]))
+        tb = np.concatenate((tm[split], tb[split]))
         fa = np.concatenate((fa[:, split], fm[:, split]), axis=1)
         fb = np.concatenate((fm[:, split], fb[:, split]), axis=1)
-    return np.concatenate(times), np.concatenate(states, axis=1)
+    return np.concatenate(states, axis=1)
 
 
 def design_pulse(params: DesignParams):
-    """Integrate the constrained azimuth and reconstruct the drive.
+    """Integrate the constrained angles and reconstruct the drive.
 
-    Returns (Pulse, AngleTrajectory).  The ODE is integrated with the
-    adaptive Dormand-Prince 5(4) stepper _dopri5 at tolerances ODE_RTOL and
-    ODE_ATOL and sampled through its dense output on the uniform
-    n_samples grid, plus the points that resolve the field inside the grid
-    intervals that hold two or more solver steps: where beta comes close to
-    0, Omega = theta_dot / sin(beta) spikes between uniform samples.  Such
-    an interval is bisected while linear interpolation misses the midpoint
-    field by more than REFINE_TOL / width (see _refine); the pulse's t
-    holds every uniform point and the added ones, in order.  The area is a
-    third ODE state, the integral of theta_dot / |sin(beta)|, so it is exact
-    to the solver tolerance whatever the sampling.  Near the window ends
-    Omega ~ theta_dot is exponentially small and beta_ddot ~ 1/Omega is
-    stiff, but |Omega| >= theta_dot(kappa T) = (sqrt(pi) / 2T)
-    exp(-kappa^2) > 0.  Past kappa ~ 5.92, erf(-kappa) rounds to -1, theta
-    to 0, and the integration fails at t = -kappa T.  A failed integration,
-    or one still short of the window end after MAX_STEPS steps, raises
-    DesignError naming c, T and the time it reached (t_fail), and so do
-    fields that are not finite, at the first such time.
+    Returns (Pulse, AngleTrajectory).  The s-form (see the module notes) is
+    integrated in the Sundman time s by the adaptive Dormand-Prince 5(4)
+    stepper _dopri5 at tolerances ODE_RTOL and ODE_ATOL, from
+    (t, beta, x) = (-kappa T, pi/2, x0) to the accepted step where t reaches
+    kappa T.  The uniform n_samples grid is found on its dense output by
+    inverting the increasing clock t(s) (_locate_clock), and the grid
+    intervals that hold two or more solver steps get the points that resolve
+    the field there: such an interval is bisected in s while linear
+    interpolation misses the midpoint field by more than REFINE_TOL / width
+    (see _refine).  The pulse's t holds every uniform point and the added
+    ones, in order.  The fields are Omega = theta_dot / sin(beta) and
+    Delta = Omega cot(x); the area is the closed form
+    (cos x0 - cos x_f) / (2 c branch_sign), exact to the solver's x_f at
+    any sampling.
+
+    An accepted state with beta or x outside (0, pi), a failed step (below
+    10 ulp of s: at kappa >~ 5.92, erf(-kappa) rounds to -1, theta to 0 and
+    every step from t = -kappa T divides by zero), MAX_STEPS steps short of
+    the window end, and fields that are not finite raise DesignError naming
+    c, T and the time t_fail it reached.
     """
-    half_width = params.kappa * params.T
+    T, c, sign = params.T, params.c, float(params.branch_sign)
+    half_width = params.kappa * T
     t = np.linspace(-half_width, half_width, params.n_samples)
-    T, c = params.T, params.c
-    sign = float(params.branch_sign)  # keeps the RHS arithmetic on floats
+    x_rate = 2.0 * c * sign  # dx/ds per unit theta_dot
 
-    def rhs(ti, y):
-        beta, beta_dot, _ = y
-        sample = theta_profile(ti, T)
-        acc = beta_acceleration(sample, beta, beta_dot, c, sign)
+    def rhs(s, y):
+        t_now, beta, x = y
+        theta = theta_profile(t_now, T)
+        theta_dot = theta.theta_dot
         try:
-            rate = sample.theta_dot / abs(math.sin(beta))
-        except (ZeroDivisionError, ValueError):  # sin(beta) = 0 or beta = inf
-            rate = math.nan  # rejects the step
-        return beta_dot, acc, rate
+            sin_x = math.sin(x)
+            cot_theta = math.cos(theta.theta) / math.sin(theta.theta)
+            return (math.sin(beta) * sin_x,
+                    theta_dot * (cot_theta * math.cos(beta) * sin_x
+                                 + math.cos(x)),
+                    x_rate * theta_dot)
+        except (ArithmeticError, ValueError):  # 1/0 at theta = 0, sin(inf)
+            return math.nan, math.nan, math.nan  # rejects the step
 
+    def check(t_now, beta, x):
+        for name, angle in (("beta", beta), ("the mixing angle x", x)):
+            if not 0.0 < angle < math.pi:
+                raise DesignError(f"{name} left (0, pi), at "
+                                  f"{angle / math.pi:.6g} pi", t_fail=t_now)
+
+    start = theta_profile(t[0], T)
     rate0 = 0.0  # "zero": at rest
     if params.beta_rate_init == "consistency":
         # the rate for which the constraint holds in the Omega -> 0 limit,
         # where mu reduces to |Omega_dot| / (2 beta_dot^2)
-        rate0 = params.branch_sign * math.sqrt(
-            abs(theta_profile(-half_width, params.T).theta_ddot)
-            / (2.0 * params.c))
-    y0 = (0.5 * math.pi, rate0, 0.0)
+        rate0 = sign * math.sqrt(abs(start.theta_ddot) / (2.0 * c))
+    x0 = math.atan2(start.theta_dot, rate0)  # at beta = pi/2, Delta = beta_dot
     try:
-        ts, ys, dense = _dopri5(rhs, t[0], t[-1], y0, ODE_RTOL, ODE_ATOL)
+        if not (math.isfinite(start.theta_dot) and math.isfinite(rate0)):
+            raise DesignError("the initial state is not finite",
+                              t_fail=float(t[0]))
+        ss, ys, q = _dopri5(rhs, (t[0], 0.5 * math.pi, x0), t[-1], ODE_RTOL,
+                            ODE_ATOL, check)
+        seg, frac = _locate_clock(ss, ys, q, t, CLOCK_TOL * T)
     except DesignError as e:
         raise DesignError(
-            f"c = {params.c:g} (T = {params.T:g}): constrained integration "
+            f"c = {c:g} (T = {T:g}): constrained integration "
             f"failed at t = {e.t_fail:.6g}: {e}",
             t_fail=e.t_fail,
         ) from None
 
-    def fields(times, y):
-        return np.stack(invert_angles(theta_profile(times, params.T), y[0],
-                                      y[1]))
+    def fields_at(y):
+        return np.stack(_fields(theta_profile(y[0], T).theta_dot, y[1], y[2]))
 
-    def sample_at(times):
-        y = dense(times)
-        return y, fields(times, y)
+    def sample_at(s):
+        y = _dense(ss, ys, q, *_locate(ss, s))
+        return y, fields_at(y)
 
-    y = dense(t)
-    y[0, 0] = 0.5 * np.pi  # boundary condition, exact by construction
-    k = np.flatnonzero(np.diff(np.searchsorted(ts, t)) >= 2)
-    with np.errstate(invalid="ignore"):  # a non-finite field is named below
-        t_add, y_add = _refine(t[k], t[k + 1], fields(t[k], y[:, k]),
-                               fields(t[k + 1], y[:, k + 1]), sample_at)
-    if t_add.size:
-        order = np.argsort(np.concatenate((t, t_add)))
-        t = np.concatenate((t, t_add))[order]
-        y = np.concatenate((y, y_add), axis=1)[:, order]
-    beta, beta_dot = y[0], y[1]
-    theta = theta_profile(t, params.T)
-    trajectory = AngleTrajectory(t, theta, beta, beta_dot)
+    y = _dense(ss, ys, q, seg, frac)
+    y[0] = t  # the clock there is within CLOCK_TOL T of t
+    y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
+    s = ss[seg] + frac * (ss[seg + 1] - ss[seg])
+    k = np.flatnonzero(np.diff(np.searchsorted(ys[0], t)) >= 2)
+    with np.errstate(invalid="ignore", divide="ignore"):  # named below
+        y_add = _refine(s[k], s[k + 1], t[k], t[k + 1], fields_at(y[:, k]),
+                        fields_at(y[:, k + 1]), sample_at)
+    if y_add.size:
+        y = np.concatenate((y, y_add), axis=1)
+        y = y[:, np.argsort(y[0])]
+    t, beta, x = y
+    theta = theta_profile(t, T)
 
     if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
         raise SingularityError("sin(beta) vanishes; Omega undefined")
-    omega, delta, mu = analytic_diagnostics(
-        theta, beta, beta_dot, params.c, params.branch_sign
-    )
+    with np.errstate(all="ignore"):
+        omega, delta = _fields(theta.theta_dot, beta, x)
+        cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
+        beta_dot = delta + omega * cot_theta * np.cos(beta)
+    beta_dot[0] = rate0  # exact, as the start
     bad = ~(np.isfinite(omega) & np.isfinite(delta))
     if bad.any():
         t_bad = float(t[np.argmax(bad)])
         raise DesignError(
-            f"c = {params.c:g} (T = {params.T:g}): the fields are not finite "
+            f"c = {c:g} (T = {T:g}): the fields are not finite "
             f"at t = {t_bad:.6g}", t_fail=t_bad)
-    interior = np.abs(t) <= 0.95 * params.kappa * params.T
-    residual = float(np.max(np.abs(mu[interior] - params.c)))
+    trajectory = AngleTrajectory(t, theta, beta, beta_dot)
+    mu = analytic_diagnostics(theta, beta, beta_dot, c, params.branch_sign)[2]
+    interior = np.abs(t) <= 0.95 * half_width
+    residual = float(np.max(np.abs(mu[interior] - c)))
 
     pulse = Pulse(
         t=t,
         omega=omega,
         delta=delta,
-        area=float(ys[2, -1]),
+        area=(math.cos(x0) - math.cos(x[-1])) / x_rate,
         beta_final=float(-beta[-1]),
         adiabaticity_residual=residual,
         params=params,

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -105,11 +106,11 @@ class TestDesignCommand:
         rc = main(["design", "--c", "1.0", "--n", "401",
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 3
-        assert "Required step size" in capsys.readouterr().err
+        assert "the mixing angle x left (0, pi)" in capsys.readouterr().err
 
     def test_step_budget_is_numerical_error(self, monkeypatch, tmp_path,
                                             capsys):
-        # c = 0.073 takes about 1,100 accepted steps
+        # c = 0.073 takes about 270 accepted steps
         monkeypatch.setattr(designer, "MAX_STEPS", 100)
         out = tmp_path / "p.csv"
         rc = main(["design", "--c", "0.073", "--n", "401", "--out", str(out)])
@@ -296,6 +297,15 @@ class TestReportCommand:
             assert (out_dir / f"scan_c{c}_detuning.csv").exists()
         summary = (out_dir / "summary.txt").read_text()
         assert "qie c=0.073 rabi band min" in summary
+        # x_f/pi ends each design row; with x0 ~ pi, the area identity
+        # gives cos(x_f) = 2 c area - 1 (to the 4 printed digits)
+        lines = summary.splitlines()
+        assert lines[2].split()[-1] == "x_f/pi"
+        for line in lines[3:7]:
+            c, area_pi, *_, x_f_pi = map(float, [
+                v for v in line.split() if v not in ("yes", "NO")])
+            assert math.cos(math.pi * x_f_pi) == pytest.approx(
+                2 * c * math.pi * area_pi - 1, abs=1e-3)
 
     def test_pulse_plots_span_the_uniform_samples(self, tmp_path, capsys):
         # the y axis of pulse_c*.svg spans the fields at the uniform design

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import qiepulse.designer as designer
@@ -20,16 +22,23 @@ from qiepulse import (
     design_pulse,
     pi_half_baseline,
 )
-from qiepulse.designer import _area, _constraint, _dopri5, beta_acceleration
+from qiepulse.designer import (
+    ODE_RTOL, _area, _constraint, _dense, _dopri5, _locate, beta_acceleration,
+)
 from qiepulse.profiles import ThetaSample, theta_profile
 
-# regression pins for the shipped default configuration
-# (branch_sign=-1, consistency init); see README for the endpoint discussion
-EXPECTED_AREAS_PI = {0.073: 1.9595, 0.060: 2.9706, 0.050: 3.1706, 0.040: 4.2877}
-EXPECTED_ABS_BETA_FINAL_PI = {0.073: 0.0797, 0.060: 0.0398, 0.050: 0.0634,
-                              0.040: 0.0317}
-# right-hand-side evaluations scipy's RK45 (solve_ivp) took on these designs
-RK45_NFEV = {0.073: 6710, 0.060: 11042, 0.050: 11024, 0.040: 15410}
+# regression pins for the shipped default configuration (branch_sign=-1,
+# consistency init): the area and beta_final of the t-form design, which
+# integrated (beta, beta_dot, area) in t; the s-form keeps them to 1e-8.
+# See README for the endpoint discussion.
+T_FORM_AREAS_PI = {0.073: 1.9594910801206642, 0.060: 2.9706273747787475,
+                   0.050: 3.170569410783142, 0.040: 4.287703184367967}
+T_FORM_BETA_FINAL = {0.073: -0.25053008183140435, 0.060: -0.12518252132759028,
+                     0.050: -0.19926133300664187, 0.040: -0.09944705883609972}
+# right-hand-side evaluations of these designs: the t-form's (scipy's RK45
+# took the same) and the s-form's, at a third of them or fewer
+T_FORM_NFEV = {0.073: 6710, 0.060: 11042, 0.050: 11024, 0.040: 15410}
+RK45_NFEV = {0.073: 1604, 0.060: 2018, 0.050: 2078, 0.040: 2558}
 # the shipped consistency rate at c = 0.073: -sqrt(|theta_ddot(-4)| / (2c))
 CONSISTENCY_RATE_0073 = -2.3376806430439453e-3
 
@@ -59,9 +68,8 @@ def random_points(seed, n):
 
 
 class TestInvertAngles:
-    """The field inversion: the first two outputs of designer._constraint,
-    on floats (the design ODE) and on arrays (the refinement and the
-    diagnostics)."""
+    """The field inversion from (beta, beta_dot): the first two outputs of
+    designer._constraint, on floats and on arrays (the diagnostics)."""
 
     def test_beta_half_pi_kills_cot_terms(self):
         om, de = fields_at(sample(np.pi / 4), np.pi / 2, 0.0)
@@ -77,7 +85,7 @@ class TestInvertAngles:
         om, de = fields_at(sample(np.pi / 4), np.pi / 3, 0.0)
         assert om == pytest.approx(2 / np.sqrt(3), rel=1e-12)
         assert de == pytest.approx(-1 / np.sqrt(3), rel=1e-12)
-        # the array view the refinement calls gives the same fields
+        # the array view gives the same fields
         arrays = designer.invert_angles(sample(np.full(2, np.pi / 4)),
                                         np.full(2, np.pi / 3), np.zeros(2))
         np.testing.assert_allclose(arrays, [[om] * 2, [de] * 2], rtol=1e-14)
@@ -266,10 +274,10 @@ class TestDesignPulse:
 
     def test_regression_endpoints(self, designs4):
         for c, (pulse, _) in designs4.items():
-            assert pulse.area / np.pi == pytest.approx(
-                EXPECTED_AREAS_PI[c], abs=2e-4)
-            assert abs(pulse.beta_final) / np.pi == pytest.approx(
-                EXPECTED_ABS_BETA_FINAL_PI[c], abs=2e-4)
+            assert pulse.area / np.pi == pytest.approx(T_FORM_AREAS_PI[c],
+                                                       rel=1e-8)
+            assert pulse.beta_final == pytest.approx(T_FORM_BETA_FINAL[c],
+                                                     abs=1e-8)
             assert pulse.beta_final < 0  # reached azimuth is negative
 
     def test_area_independent_of_sampling(self, designs4):
@@ -318,11 +326,70 @@ class TestDesignPulse:
         assert abs(a.area - b.area) <= 1e-6
         assert abs(a.beta_final - b.beta_final) <= 1e-6
 
+    @settings(max_examples=15, deadline=None)
+    @given(c=st.floats(0.03, 0.10), log_T=st.floats(-3.0, 3.0),
+           zero=st.booleans())
+    def test_time_rescaling(self, c, log_T, zero):
+        # the s-form at T is the T = 1 system with its clock scaled by T and
+        # its rates by 1/T: t scales by T, the fields by 1/T, and the area
+        # and beta_final do not move.  The two runs are two solutions at
+        # ODE_RTOL (ODE_ATOL is not scaled), and a field's error from an
+        # error in beta grows as 1/sin(beta) towards a bounce.
+        T = 10.0 ** log_T
+        init = "zero" if zero else "consistency"
+        (base, angles), (scaled, _) = (
+            design_pulse(DesignParams(c=c, T=t_scale, n_samples=201,
+                                      beta_rate_init=init))
+            for t_scale in (1.0, T))
+        on = np.isin(base.t, np.linspace(-4.0, 4.0, 201))
+        on_scaled = np.isin(scaled.t, np.linspace(-4.0 * T, 4.0 * T, 201))
+        np.testing.assert_allclose(scaled.t[on_scaled] / T, base.t[on],
+                                   rtol=0, atol=1e-14)
+        assert scaled.area == pytest.approx(base.area, rel=1e2 * ODE_RTOL)
+        assert scaled.beta_final == pytest.approx(base.beta_final,
+                                                  abs=1e2 * ODE_RTOL)
+        gap = np.hypot(base.omega[on], base.delta[on])
+        tol = 1e3 * ODE_RTOL * gap / np.abs(np.sin(angles.beta[on]))
+        for name in ("omega", "delta"):
+            error = np.abs(T * getattr(scaled, name)[on_scaled]
+                           - getattr(base, name)[on])
+            assert np.all(error <= tol), name
+
     def test_bit_reproducible(self):
         p1, _ = design_pulse(DesignParams(c=0.06, n_samples=801))
         p2, _ = design_pulse(DesignParams(c=0.06, n_samples=801))
         assert np.array_equal(p1.omega, p2.omega)
         assert np.array_equal(p1.delta, p2.delta)
+
+
+def trapezoid_error_bound(t, f):
+    """The trapezoid rule's error bound, the sum over intervals of
+    h^3 / 12 max|f''|, with f'' taken as the larger second divided
+    difference (times 2) of the two sample triples that hold the interval."""
+    h = np.diff(t)
+    second = np.abs(2.0 * np.diff(np.diff(f) / h) / (h[1:] + h[:-1]))
+    f2 = np.concatenate(([second[0]], np.maximum(second[1:], second[:-1]),
+                         [second[-1]]))
+    return float(np.sum(h ** 3 / 12.0 * f2))
+
+
+class TestAreaIdentity:
+    """With mu = c the gap is |x_dot| / (2c), so |Omega| dt =
+    gap |sin x| dt = |sin x| |dx| / (2c), and with x monotone in (0, pi)
+    area = (cos x0 - cos x_f) / (2 c branch_sign): the closed form the
+    design returns.  The check is an independent integral of the pulse, the
+    trapezoid of |Omega| over its 16001 samples, within the trapezoid's
+    error bound plus 10 ODE_RTOL for the solver's x_f."""
+
+    @pytest.mark.parametrize("init", ["consistency", "zero"])
+    @pytest.mark.parametrize("c", [0.03, 0.04, 0.05, 0.06, 0.073, 0.10])
+    def test_closed_form_is_the_integral(self, c, init):
+        pulse, _ = design_pulse(DesignParams(c=c, n_samples=16001,
+                                             beta_rate_init=init))
+        f = np.abs(pulse.omega)
+        bound = (trapezoid_error_bound(pulse.t, f)
+                 + 10 * ODE_RTOL * pulse.area)
+        assert abs(np.trapezoid(f, pulse.t) - pulse.area) <= bound
 
 
 class TestPulseArea:
@@ -381,13 +448,16 @@ class TestRecordEquality:
                                                          beta=beta.copy())
 
 
-def smooth(t, y):
-    return (y[1], -y[0] - 0.1 * y[1] * y[2], math.cos(t) * y[0] - 0.3 * y[2])
+def smooth(s, y):
+    # the first state is the clock: it runs at a rate in [0.7, 1.7]
+    t, p, q = y
+    return (1.2 + 0.5 * math.sin(p), q, -p - 0.1 * q * math.cos(t))
 
 
-def stiff(t, y):
+def stiff(s, y):
     # the third state relaxes onto cos(t) at rate 300, so steps get rejected
-    return (y[1], -y[0] - 0.1 * y[1] * y[2], -300.0 * (y[2] - math.cos(t)))
+    t, p, q = y
+    return (1.2 + 0.5 * math.sin(p), q - 0.1 * p, -300.0 * (q - math.cos(t)))
 
 
 # The Dormand-Prince 5(4) tableau and its dense-output matrix, transcribed
@@ -420,10 +490,11 @@ DP_P = np.array([
 ])
 
 
-def dopri5_lists(f, t0, t1, y0, rtol, atol):
+def dopri5_lists(f, y0, t_end, rtol, atol, check):
     """The stepper with its state and stages as lists, one comprehension
     per stage: the oracle that _dopri5, which holds them as float locals,
-    must match to the bit.  Same controller; every sum left to right."""
+    must match to the bit.  Same controller, no clamped step, the same end
+    on the first state; every sum left to right."""
     n = len(y0)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = DP_A
@@ -434,43 +505,43 @@ def dopri5_lists(f, t0, t1, y0, rtol, atol):
             total += x * x
         return math.sqrt(total / n)
 
-    t, t1, y = float(t0), float(t1), [float(v) for v in y0]
-    k1 = f(t, y)
+    s, y = 0.0, [float(v) for v in y0]
+    k1 = f(s, y)
     scale = [atol + abs(v) * rtol for v in y]
-    d0 = rms([v / s for v, s in zip(y, scale)])
-    d1 = rms([v / s for v, s in zip(k1, scale)])
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    f1 = f(t + h0, [v + h0 * a for v, a in zip(y, k1)])
-    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, scale)]) / h0
+    d0 = rms([v / w for v, w in zip(y, scale)])
+    d1 = rms([v / w for v, w in zip(k1, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    f1 = f(s + h0, [v + h0 * a for v, a in zip(y, k1)])
+    d2 = rms([(a - b) / w for a, b, w in zip(f1, k1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t1 - t)
-    ts, ys, ks = [t], [y], []
-    while t < t1:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+    h_abs = min(100 * h0, h1)
+    ss, ys, ks = [s], [y], []
+    while y[0] < t_end:
+        min_step = 10 * (math.nextafter(s, math.inf) - s)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             assert h_abs >= min_step
-            t_new = min(t + h_abs, t1)
-            h = h_abs = t_new - t
-            k2 = f(t + DP_C2 * h, [v + (a21 * a) * h for v, a in zip(y, k1)])
-            k3 = f(t + DP_C3 * h, [v + (a31 * a + a32 * b) * h
+            s_new = s + h_abs
+            h = h_abs = s_new - s
+            k2 = f(s + DP_C2 * h, [v + (a21 * a) * h for v, a in zip(y, k1)])
+            k3 = f(s + DP_C3 * h, [v + (a31 * a + a32 * b) * h
                                    for v, a, b in zip(y, k1, k2)])
-            k4 = f(t + DP_C4 * h, [v + (a41 * a + a42 * b + a43 * c) * h
+            k4 = f(s + DP_C4 * h, [v + (a41 * a + a42 * b + a43 * c) * h
                                    for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f(t + DP_C5 * h, [v + (a51 * a + a52 * b + a53 * c
+            k5 = f(s + DP_C5 * h, [v + (a51 * a + a52 * b + a53 * c
                                         + a54 * d) * h
                                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + h, [v + (a61 * a + a62 * b + a63 * c + a64 * d
+            k6 = f(s + h, [v + (a61 * a + a62 * b + a63 * c + a64 * d
                                 + a65 * e) * h
                            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
             y_new = [v + h * (DP_B1 * a + DP_B3 * c + DP_B4 * d + DP_B5 * e
                               + DP_B6 * g)
                      for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
+            k7 = f(s + h, y_new)
             err = rms([(DP_E1 * a + DP_E3 * c + DP_E4 * d + DP_E5 * e
                         + DP_E6 * g + DP_E7 * q) * h
                        / (atol + max(abs(v), abs(w)) * rtol)
@@ -482,24 +553,27 @@ def dopri5_lists(f, t0, t1, y0, rtol, atol):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+        check(*y_new)
         ks.append((k1, k2, k3, k4, k5, k6, k7))
-        t, y, k1 = t_new, y_new, k7
-        ts.append(t)
+        s, y, k1 = s_new, y_new, k7
+        ss.append(s)
         ys.append(y)
+    return np.array(ss), np.array(ys).T, np.einsum("skn,kp->snp",
+                                                   np.array(ks), DP_P)
 
-    ts, ys = np.array(ts), np.array(ys).T
-    widths = np.diff(ts)
-    q = np.einsum("skn,kp->snp", np.array(ks), DP_P)
 
-    def dense(times):
-        seg = np.clip(np.searchsorted(ts, times, side="left") - 1, 0,
-                      widths.size - 1)
-        x = (times - ts[seg]) / widths[seg]
-        powers = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
-        return (widths[seg] * np.einsum("snp,ps->ns", q[seg], powers)
-                + ys[:, seg])
-
-    return ts, ys, dense
+def dense_lists(ss, ys, q, s):
+    """The oracle's dense output at s: each step's quartic in the fraction
+    of its step, a boundary taking the earlier step."""
+    out = []
+    for v in s:
+        j = min(max(int(np.searchsorted(ss, v, side="left")) - 1, 0),
+                ss.size - 2)
+        h = ss[j + 1] - ss[j]
+        x = (v - ss[j]) / h
+        out.append([ys[n, j] + h * sum(q[j, n, p] * x ** (p + 1)
+                                       for p in range(4)) for n in range(3)])
+    return np.array(out).T
 
 
 class TestDormandPrince:
@@ -512,66 +586,97 @@ class TestDormandPrince:
     def test_bit_identical_to_list_form(self, rhs, rtol, atol):
         runs = []
         for stepper in (_dopri5, dopri5_lists):
-            calls = []
+            calls, seen = [], []
 
-            def f(t, y):
-                calls.append((t, *y))
-                return rhs(t, y)
+            def f(s, y):
+                calls.append((s, *y))
+                return rhs(s, y)
 
-            runs.append((stepper(f, 0.0, 10.0, (1.0, 0.0, 0.5), rtol, atol),
-                         np.array(calls)))
-        ((ts, ys, dense), calls), ((ts_ref, ys_ref, dense_ref), ref) = runs
-        np.testing.assert_array_equal(calls, ref)  # every (t, y) f was given
-        np.testing.assert_array_equal(ts, ts_ref)
+            runs.append((stepper(f, (0.0, 1.0, 0.5), 10.0, rtol, atol,
+                                 lambda *y: seen.append(y)),
+                         np.array(calls), np.array(seen)))
+        ((ss, ys, q), calls, seen), ((ss_ref, ys_ref, q_ref), ref, _) = runs
+        np.testing.assert_array_equal(calls, ref)  # every (s, y) f was given
+        np.testing.assert_array_equal(ss, ss_ref)
         np.testing.assert_array_equal(ys, ys_ref)
-        x = np.concatenate((np.linspace(0.0, 10.0, 1001), ts,
-                            0.5 * (ts[1:] + ts[:-1])))
-        np.testing.assert_array_equal(dense(x), dense_ref(x))
+        np.testing.assert_array_equal(q, q_ref)
+        # check saw every accepted state; the run ends on the first step
+        # whose clock reaches the end, unclamped
+        np.testing.assert_array_equal(seen.T, ys[:, 1:])
+        assert ys[0, -2] < 10.0 <= ys[0, -1]
+        x = np.concatenate((np.linspace(0.0, ss[-1], 1001), ss,
+                            0.5 * (ss[1:] + ss[:-1])))
+        np.testing.assert_allclose(_dense(ss, ys, q, *_locate(ss, x)),
+                                   dense_lists(ss, ys, q, x), rtol=1e-14,
+                                   atol=1e-14)
         if rhs is stiff:  # the rejection branch of the controller ran
-            assert len(calls) > 2 + 6 * (ts.size - 1)
+            assert len(calls) > 2 + 6 * (ss.size - 1)
 
     @pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-11), (1e-6, 1e-8)])
     def test_matches_scipy_rk45(self, rtol, atol):
         calls = []
 
-        def f(t, y):
-            calls.append(t)
-            return smooth(t, y)
+        def f(s, y):
+            calls.append(s)
+            return smooth(s, y)
 
-        ts, ys, dense = _dopri5(f, 0.0, 10.0, (1.0, 0.0, 0.5), rtol, atol)
-        sol = solve_ivp(smooth, (0.0, 10.0), (1.0, 0.0, 0.5), method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True)
+        def clock_at_end(s, y):
+            return y[0] - 10.0
+
+        clock_at_end.terminal = True
+        ss, ys, q = _dopri5(f, (0.0, 1.0, 0.5), 10.0, rtol, atol,
+                            lambda *y: None)
+        # scipy's RK45 with a far end clamps no step and, stopped by a
+        # terminal event, has taken the same steps
+        sol = solve_ivp(smooth, (0.0, 1e3), (0.0, 1.0, 0.5), method="RK45",
+                        rtol=rtol, atol=atol, dense_output=True,
+                        events=clock_at_end)
         # the same controller takes the same steps; the error estimate's
         # cancellation lets the summation order move them by round-off
-        assert len(calls) == sol.nfev
-        assert ts.shape == sol.t.shape and ts[-1] == 10.0
-        np.testing.assert_allclose(ts, sol.t, rtol=0, atol=1e-9)
+        assert sol.status == 1 and len(calls) == sol.nfev
+        assert ss.shape == sol.t.shape
+        np.testing.assert_allclose(ss[:-1], sol.t[:-1], rtol=0, atol=1e-9)
+        assert ss[-2] < sol.t_events[0][0] <= ss[-1]
         assert ys.shape == sol.y.shape
-        x = np.concatenate((np.linspace(0.0, 10.0, 1001), sol.t))
-        np.testing.assert_allclose(dense(x), sol.sol(x), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dense(ts), ys, rtol=0, atol=1e-15)
+        x = np.concatenate((np.linspace(0.0, ss[-2], 1001), sol.t[:-1]))
+        np.testing.assert_allclose(_dense(ss, ys, q, *_locate(ss, x)),
+                                   sol.sol(x), rtol=0, atol=1e-12)
+
+    def test_clock_inversion(self):
+        # the dense clock at the located (step, fraction) is within the
+        # tolerance of every asked time, end points included
+        ss, ys, q = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
+                            lambda *y: None)
+        times = np.concatenate((np.linspace(0.0, 10.0, 2001), ys[0, :-1]))
+        seg, frac = designer._locate_clock(ss, ys, q, np.sort(times), 1e-12)
+        assert np.all((0 <= frac) & (frac <= 1))
+        clock = _dense(ss, ys, q, seg, frac)[0]
+        assert np.max(np.abs(clock - np.sort(times))) <= 1.5e-12
 
     def test_reference_designs_take_rk45_steps(self, monkeypatch):
-        # beta_acceleration runs once per right-hand-side evaluation (the
-        # benchmark's designer.rhs.calls); allow one rejected step (6 calls)
+        # the s-form's right-hand-side evaluations, at a third of the
+        # t-form's or fewer; allow one rejected step (6 calls)
         calls = [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return acceleration(*args)
+        def counted(f, *args):
+            def g(*y):
+                calls[0] += 1
+                return f(*y)
+            return dopri5(g, *args)
 
-        acceleration = designer.beta_acceleration
-        monkeypatch.setattr(designer, "beta_acceleration", counted)
+        dopri5 = designer._dopri5
+        monkeypatch.setattr(designer, "_dopri5", counted)
         for c, nfev in RK45_NFEV.items():
+            assert 3 * nfev <= T_FORM_NFEV[c]
             calls[0] = 0
             design_pulse(DesignParams(c=c, n_samples=401))
             assert abs(calls[0] - nfev) <= 6, c
 
     def test_rhs_spans_count_nfev(self, monkeypatch):
-        # the benchmark's spans wrap designer.beta_acceleration and
-        # designer.theta_profile, and bench/layers.json reads the first as
-        # nfev: one call of each per evaluation, plus the scalar
-        # theta_profile call of the consistency rate
+        # the benchmark's spans wrap designer.beta_acceleration (as
+        # designer.rhs) and designer.theta_profile: the s-form calls
+        # theta_profile once per evaluation, plus the scalar call at the
+        # start, and beta_acceleration not at all
         counts = {"f": 0, "acceleration": 0, "theta": 0}
 
         def counted(key, fn, scalar_only=False):
@@ -587,20 +692,39 @@ class TestDormandPrince:
             "acceleration", designer.beta_acceleration))
         monkeypatch.setattr(designer, "theta_profile", counted(
             "theta", designer.theta_profile, scalar_only=True))
-        design_pulse(DesignParams(c=0.073, n_samples=401))
-        assert counts["f"] == RK45_NFEV[0.073]
-        assert counts["acceleration"] == counts["f"]
-        assert counts["theta"] == counts["f"] + 1
+        for init in ("consistency", "zero"):
+            counts.update(f=0, acceleration=0, theta=0)
+            design_pulse(DesignParams(c=0.073, n_samples=401,
+                                      beta_rate_init=init))
+            assert counts["f"] > 0
+            assert counts["acceleration"] == 0
+            assert counts["theta"] == counts["f"] + 1
 
     def test_failure_names_c_and_time(self):
+        # at c = 1 the mixing angle runs through 0
         with pytest.raises(DesignError) as info:
             design_pulse(DesignParams(c=1.0, n_samples=401))
         message = str(info.value)
         assert message.startswith("c = 1 (T = 1): constrained integration "
-                                  "failed at t = 0.2395: ")
-        assert "Required step size is less than spacing between numbers" \
-            in message
-        assert info.value.t_fail == pytest.approx(0.2395, abs=1e-4)
+                                  "failed at t = 0.2391")
+        assert ": the mixing angle x left (0, pi), at -0.01" in message
+        assert info.value.t_fail == pytest.approx(0.2391, abs=1e-4)
+
+    def test_beta_leaving_is_named(self, monkeypatch):
+        # theta held at pi/2 with theta_dot = 10: from x0 = pi/2 the mixing
+        # angle rises by 2c theta_dot ds and beta moves by theta_dot cos(x)
+        # ds, so beta = pi/2 + (sin(x) - 1) / (2c) reaches 0 at x = 1.82,
+        # near t = -3
+        def held(t, T):
+            return ThetaSample(np.pi / 2 + 0 * t, 10.0 + 0 * t, 0 * t)
+
+        monkeypatch.setattr(designer, "theta_profile", held)
+        with pytest.raises(DesignError, match=r"^c = 0\.01 \(T = 1\): "
+                           r"constrained integration failed at t = .*: beta "
+                           r"left \(0, pi\), at -") as info:
+            design_pulse(DesignParams(c=0.01, beta_rate_init="zero",
+                                      branch_sign=1, n_samples=101))
+        assert -4.0 < info.value.t_fail < 4.0
 
     @pytest.mark.parametrize("c, kappa", [(0.073, 10.0), (100.0, 20.0)])
     def test_wide_window_is_design_error(self, c, kappa):
@@ -622,24 +746,27 @@ class TestDormandPrince:
         assert info.value.t_fail == -6.0
 
     def test_non_finite_diagnostic_field_is_design_error(self, monkeypatch):
-        # a Delta sample that is not finite is named at its time
-        def inf_at_sample_7(*args):
-            omega, delta, mu = diagnostics(*args)
-            delta[7] = -np.inf
-            return omega, delta, mu
+        # a field sample that is not finite is named at its time: theta_dot
+        # of the sampled profile is inf at the eighth sample
+        def inf_at_sample_7(t, T):
+            theta = profile(t, T)
+            if np.ndim(t):
+                theta.theta_dot = np.where(t == t_7, np.inf, theta.theta_dot)
+            return theta
 
-        diagnostics = designer.analytic_diagnostics
-        monkeypatch.setattr(designer, "analytic_diagnostics", inf_at_sample_7)
+        t_7 = np.linspace(-4, 4, 101)[7]
+        profile = designer.theta_profile
+        monkeypatch.setattr(designer, "theta_profile", inf_at_sample_7)
         with pytest.raises(DesignError) as info:
             design_pulse(DesignParams(c=0.073, n_samples=101))
         assert str(info.value) == ("c = 0.073 (T = 1): the fields are not "
                                    "finite at t = -3.44")
         assert info.value.t_fail == np.linspace(-4, 4, 101)[7]
 
-    @pytest.mark.parametrize("c", [0.04, 0.073, 0.10])
+    @pytest.mark.parametrize("c", [0.03, 0.04, 0.073, 0.10])
     def test_kappa_5_designs(self, c):
-        # the window tails are stiff but never floored: kappa = 5 designs the
-        # kappa = 4 pulse, whose area does not depend on the window
+        # kappa = 5 designs the kappa = 4 pulse, whose area does not depend
+        # on the window, also at c = 0.03 with its four bounces
         wide, _ = design_pulse(DesignParams(c=c, kappa=5.0, n_samples=401))
         narrow, _ = design_pulse(DesignParams(c=c, n_samples=401))
         assert wide.area == pytest.approx(narrow.area, rel=1e-7)
