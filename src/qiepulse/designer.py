@@ -50,7 +50,8 @@ propagated state is -beta(t), so Pulse.beta_final records -beta[-1], the
 azimuth actually reached.  That is the value to hand to target_state.
 
 A Pulse is its samples: the fields at the times t it carries, which
-design_pulse refines where the field between uniform samples is not linear.
+design_pulse refines where the trapezoid of |Omega| between uniform samples
+misses the exact area.
 """
 
 import math
@@ -86,13 +87,14 @@ MAX_STEPS = 10**5
 ODE_RTOL, ODE_ATOL = 1e-9, 1e-11
 
 # Largest |t(s) - t_k| in units of T at which the clock's inversion stops,
-# and the most Newton steps it may take
-CLOCK_TOL, _NEWTON_STEPS = 1e-12, 8
+# and the most steps it may take (see _locate_clock): the 24,000 designs of
+# ten 30 s design_sweep runs took at most 8, and 53 bisections alone narrow
+# a step's fraction to its float resolution
+CLOCK_TOL, _CLOCK_STEPS = 1e-12, 64
 
-# Largest defect (|field error| x interval width, in radians) that linear
-# interpolation between a designed pulse's samples may leave in an interval
-# the solver stepped through more than once; see _refine.
-REFINE_TOL = 1e-3
+# Largest gap, in radians, between the trapezoid of |Omega| over an interval
+# of a designed pulse's samples and the interval's exact area; see _refine.
+REFINE_TOL = 1e-4
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
 # its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
@@ -224,13 +226,10 @@ def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
     Returns (omega, delta, omega_dot, G, beta_ddot): the fields, the
     beta_ddot-free parts of their rates (Delta_dot = beta_ddot + G), and the
     beta_ddot that holds the adiabaticity parameter at c on the given branch.
-    A float beta is evaluated with math on floats (beta_acceleration),
-    where 1/0, overflow and sin(inf) raise; anything else with numpy.
     """
-    m = math if isinstance(beta, float) else np
     th, thd, thdd = theta.theta, theta.theta_dot, theta.theta_ddot
-    sb, cb = m.sin(beta), m.cos(beta)
-    st, ct = m.sin(th), m.cos(th)
+    sb, cb = np.sin(beta), np.cos(beta)
+    st, ct = np.sin(th), np.cos(th)
     cot_b = cb / sb
     cot_t = ct / st
     omega = thd / sb
@@ -260,13 +259,13 @@ def invert_angles(theta: ThetaSample, beta, beta_dot):
 def beta_acceleration(theta: ThetaSample, beta: float, beta_dot: float,
                       c: float, branch_sign: float) -> float:
     """beta_ddot enforcing a constant adiabaticity parameter c at one point:
-    the last output of _constraint on floats, nan where the algebra divides
-    by zero or overflows.  This is the t-form's right-hand side; design_pulse
-    integrates the s-form and does not call it."""
-    try:
-        return _constraint(theta, beta, beta_dot, c, branch_sign)[4]
-    except (ArithmeticError, ValueError):  # math's 1/0, overflow, sin(inf)
-        return math.nan
+    the last output of _constraint, nan where it is not finite (the algebra
+    divides by zero or overflows).  This is the t-form's right-hand side;
+    design_pulse integrates the s-form and does not call it."""
+    with np.errstate(all="ignore"):
+        acc = float(_constraint(theta, np.float64(beta), beta_dot, c,
+                                branch_sign)[4])
+    return acc if math.isfinite(acc) else math.nan
 
 
 def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
@@ -410,65 +409,69 @@ def _locate(ss, s):
 def _locate_clock(ss, ys, q, times, tol):
     """(seg, frac) where the dense first state, an increasing clock, equals
     the times: Newton's method on each step's quartic, from the linear
-    interpolation between the step's ends, to |clock - time| <= tol.
-    Raises DesignError, with t_fail, where _NEWTON_STEPS steps do not get
-    there."""
-    clock = ys[0]
-    seg = np.clip(np.searchsorted(clock, times, side="left") - 1, 0,
-                  clock.size - 2)
-    a0, a1, a2, a3 = ((ss[seg + 1] - ss[seg]) * q[seg, 0].T)
-    goal = times - clock[seg]
-    frac = goal / (clock[seg + 1] - clock[seg])
-    for _ in range(_NEWTON_STEPS):
-        miss = frac * (a0 + frac * (a1 + frac * (a2 + frac * a3))) - goal
-        off = np.flatnonzero(~(np.abs(miss) <= tol))  # nan is not there
-        if not off.size:
+    interpolation between the step's ends (_locate on the clock), to
+    |clock - time| <= tol.  Each point keeps a bracket [lo, hi] of fractions
+    whose clock lies below and above its time, and a Newton step that leaves
+    the bracket, or does not halve the miss, is replaced by the bracket's
+    midpoint.  Raises DesignError, with t_fail, where _CLOCK_STEPS steps do
+    not get there."""
+    seg, frac = _locate(ys[0], times)
+    coef = (ss[seg + 1] - ss[seg]) * q[seg, 0].T
+    goal = times - ys[0, seg]
+    lo, hi = np.zeros(frac.size), np.ones(frac.size)
+    last = np.full(frac.size, np.inf)  # |miss| of the step before
+    off = np.arange(frac.size)
+    for _ in range(_CLOCK_STEPS):
+        x, a = frac[off], coef[:, off]
+        miss = x * (a[0] + x * (a[1] + x * (a[2] + x * a[3]))) - goal[off]
+        keep = ~(np.abs(miss) <= tol)  # nan is not there
+        if not keep.any():
             return seg, frac
-        x = frac[off]
-        slope = a0[off] + x * (2 * a1[off]
-                               + x * (3 * a2[off] + x * 4 * a3[off]))
-        frac[off] = np.clip(x - miss[off] / slope, 0.0, 1.0)
+        off, x, miss, a = off[keep], x[keep], miss[keep], a[:, keep]
+        below = miss < 0
+        lo[off] = np.where(below, x, lo[off])
+        hi[off] = np.where(below, hi[off], x)
+        slope = a[0] + x * (2 * a[1] + x * (3 * a[2] + x * 4 * a[3]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - miss / slope
+        newton = ((lo[off] < step) & (step < hi[off])
+                  & (np.abs(miss) <= 0.5 * last[off]))
+        frac[off] = np.where(newton, step, 0.5 * (lo[off] + hi[off]))
+        last[off] = np.abs(miss)
     t_bad = float(times[off[0]])
     raise DesignError(f"the clock t(s) was not inverted to {tol:.3g} in "
-                      f"{_NEWTON_STEPS} Newton steps", t_fail=t_bad)
+                      f"{_CLOCK_STEPS} steps", t_fail=t_bad)
 
 
-def _fields(theta_dot, beta, x):
-    """(Omega, Delta) of an s-form state: Omega = theta_dot / sin(beta) and
-    Delta = Omega cot(x)."""
-    omega = theta_dot / np.sin(beta)
-    return omega, omega * np.cos(x) / np.sin(x)
+def _refine(s, y, omega, x_rate, sample_at):
+    """States that resolve the field between the states y at the values s.
 
-
-def _refine(a, b, ta, tb, fa, fb, sample_at):
-    """States that resolve the field inside the intervals (a, b) of s.
-
-    ta and tb are the intervals' end times, fa and fb (2, m) their fields
-    Omega and Delta.  sample_at(s) returns (y, fields) there, y being the
-    (3, len) state (t, beta, x).  An interval is split at its midpoint in s
-    while linear interpolation in t between its end fields misses the
-    midpoint's fields by more than REFINE_TOL / width (the width in t), and
-    each half is tested the same way; only the midpoints are evaluated, and
-    one whose time is not strictly inside its interval is not added.
-    Returns the added states.
+    y is the (3, len(s)) state (t, beta, x) and omega the field Omega there.
+    Between two states the exact area is (cos x_a - cos x_b) / x_rate (see
+    the module notes), and the samples carry the trapezoid of |Omega|.  An
+    interval whose trapezoid misses its exact area by more than REFINE_TOL
+    is split at its midpoint in s, and each half is tested the same way;
+    sample_at(s) returns (y, omega) there.  A midpoint whose time is not
+    strictly inside its interval is not added.  Returns the added states.
     """
+    a, b = s[:-1], s[1:]
+    ya, yb, oa, ob = y[:, :-1], y[:, 1:], omega[:-1], omega[1:]
     states = [np.zeros((3, 0))]
-    while a.size:
-        m = 0.5 * (a + b)
-        y, fm = sample_at(m)
-        tm = y[0]
-        width = tb - ta
-        line = fa + (fb - fa) * ((tm - ta) / width)
-        defect = np.max(np.abs(line - fm), axis=0) * width
-        split = (defect > REFINE_TOL) & (ta < tm) & (tm < tb)
-        states.append(y[:, split])
-        a = np.concatenate((a[split], m[split]))
-        b = np.concatenate((m[split], b[split]))
-        ta = np.concatenate((ta[split], tm[split]))
-        tb = np.concatenate((tm[split], tb[split]))
-        fa = np.concatenate((fa[:, split], fm[:, split]), axis=1)
-        fb = np.concatenate((fm[:, split], fb[:, split]), axis=1)
-    return np.concatenate(states, axis=1)
+    while True:
+        trap = 0.5 * (np.abs(oa) + np.abs(ob)) * (yb[0] - ya[0])
+        exact = (np.cos(ya[2]) - np.cos(yb[2])) / x_rate
+        k = np.flatnonzero(np.abs(trap - exact) > REFINE_TOL)
+        if not k.size:
+            return np.concatenate(states, axis=1)
+        m = 0.5 * (a[k] + b[k])
+        ym, om = sample_at(m)
+        inside = (ya[0, k] < ym[0]) & (ym[0] < yb[0, k])
+        k, m, ym, om = k[inside], m[inside], ym[:, inside], om[inside]
+        states.append(ym)
+        a, b = np.concatenate((a[k], m)), np.concatenate((m, b[k]))
+        ya = np.concatenate((ya[:, k], ym), axis=1)
+        yb = np.concatenate((ym, yb[:, k]), axis=1)
+        oa, ob = np.concatenate((oa[k], om)), np.concatenate((om, ob[k]))
 
 
 def design_pulse(params: DesignParams):
@@ -480,11 +483,10 @@ def design_pulse(params: DesignParams):
     (t, beta, x) = (-kappa T, pi/2, x0) to the accepted step where t reaches
     kappa T.  The uniform n_samples grid is found on its dense output by
     inverting the increasing clock t(s) (_locate_clock), and the grid
-    intervals that hold two or more solver steps get the points that resolve
-    the field there: such an interval is bisected in s while linear
-    interpolation misses the midpoint field by more than REFINE_TOL / width
-    (see _refine).  The pulse's t holds every uniform point and the added
-    ones, in order.  The fields are Omega = theta_dot / sin(beta) and
+    intervals get the points that resolve the field there: an interval is
+    bisected in s while the trapezoid of |Omega| over it misses its exact
+    area by more than REFINE_TOL (see _refine).  The pulse's t holds every
+    uniform point and the added ones, in order.  The fields are Omega = theta_dot / sin(beta) and
     Delta = Omega cot(x); the area is the closed form
     (cos x0 - cos x_f) / (2 c branch_sign), exact to the solver's x_f at
     any sampling.
@@ -541,21 +543,19 @@ def design_pulse(params: DesignParams):
             t_fail=e.t_fail,
         ) from None
 
-    def fields_at(y):
-        return np.stack(_fields(theta_profile(y[0], T).theta_dot, y[1], y[2]))
+    def omega_at(y):
+        return theta_profile(y[0], T).theta_dot / np.sin(y[1])
 
     def sample_at(s):
         y = _dense(ss, ys, q, *_locate(ss, s))
-        return y, fields_at(y)
+        return y, omega_at(y)
 
     y = _dense(ss, ys, q, seg, frac)
     y[0] = t  # the clock there is within CLOCK_TOL T of t
     y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
     s = ss[seg] + frac * (ss[seg + 1] - ss[seg])
-    k = np.flatnonzero(np.diff(np.searchsorted(ys[0], t)) >= 2)
     with np.errstate(invalid="ignore", divide="ignore"):  # named below
-        y_add = _refine(s[k], s[k + 1], t[k], t[k + 1], fields_at(y[:, k]),
-                        fields_at(y[:, k + 1]), sample_at)
+        y_add = _refine(s, y, omega_at(y), x_rate, sample_at)
     if y_add.size:
         y = np.concatenate((y, y_add), axis=1)
         y = y[:, np.argsort(y[0])]
@@ -565,7 +565,8 @@ def design_pulse(params: DesignParams):
     if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
         raise SingularityError("sin(beta) vanishes; Omega undefined")
     with np.errstate(all="ignore"):
-        omega, delta = _fields(theta.theta_dot, beta, x)
+        omega = theta.theta_dot / np.sin(beta)
+        delta = omega * np.cos(x) / np.sin(x)
         cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
         beta_dot = delta + omega * cot_theta * np.cos(beta)
     beta_dot[0] = rate0  # exact, as the start

@@ -23,7 +23,8 @@ from qiepulse import (
     pi_half_baseline,
 )
 from qiepulse.designer import (
-    ODE_RTOL, _area, _constraint, _dense, _dopri5, _locate, beta_acceleration,
+    ODE_RTOL, REFINE_TOL, _area, _constraint, _dense, _dopri5, _locate,
+    beta_acceleration,
 )
 from qiepulse.profiles import ThetaSample, theta_profile
 
@@ -287,6 +288,15 @@ class TestDesignPulse:
             pulse, _ = design_pulse(DesignParams(c=0.073, n_samples=n))
             assert pulse.area == pytest.approx(area, rel=1e-9)
 
+    @pytest.mark.parametrize("c", [0.06149843267186144,
+                                   0.034214830402355303])
+    def test_grid_time_on_a_flat_clock(self, c):
+        # a uniform grid time falls where t(s) is nearly flat, at t = 1.406
+        # and 0.082: eight Newton steps from the linear guess were not
+        # enough (a DesignError on the clock); the grid is there
+        pulse, _ = design_pulse(DesignParams(c=c))
+        assert np.all(np.isin(np.linspace(-4.0, 4.0, 4001), pulse.t))
+
     def test_refined_grid_keeps_uniform_points(self, designs4):
         # the Omega spike near beta -> 0 is resolved by points added between
         # the uniform samples; every uniform sample stays on the axis
@@ -390,6 +400,22 @@ class TestAreaIdentity:
         bound = (trapezoid_error_bound(pulse.t, f)
                  + 10 * ODE_RTOL * pulse.area)
         assert abs(np.trapezoid(f, pulse.t) - pulse.area) <= bound
+
+    def test_every_interval_keeps_its_area(self, designs4):
+        # at the report's 4001 samples, between any two emitted samples the
+        # trapezoid of |Omega| is within REFINE_TOL of the interval's exact
+        # area (cos x_a - cos x_b) / (2 c branch_sign), x read back from the
+        # fields; summed, the samples carry the design's area to within
+        # 0.3%, the worst of the t-form design at this sampling (+0.29% at
+        # c = 0.04)
+        for c, (pulse, _) in designs4.items():
+            x = np.arctan2(pulse.omega, pulse.delta)
+            exact = ((np.cos(x[:-1]) - np.cos(x[1:]))
+                     / (2 * c * pulse.params.branch_sign))
+            f = np.abs(pulse.omega)
+            trap = 0.5 * (f[:-1] + f[1:]) * np.diff(pulse.t)
+            assert np.max(np.abs(trap - exact)) <= REFINE_TOL + 1e-12, c
+            assert abs(trap.sum() - pulse.area) <= 3e-3 * pulse.area, c
 
 
 class TestPulseArea:
@@ -652,6 +678,20 @@ class TestDormandPrince:
         assert np.all((0 <= frac) & (frac <= 1))
         clock = _dense(ss, ys, q, seg, frac)[0]
         assert np.max(np.abs(clock - np.sort(times))) <= 1.5e-12
+
+    def test_clock_inversion_at_a_flat_point(self):
+        # dt/ds = (s - 1)^2 vanishes at s = 1, t = 0, where Newton's method
+        # only creeps (by 2/3 a step) and leaves its step's bracket near the
+        # flat point; the guarded steps still get every time
+        def flat(s, y):
+            return (s - 1.0) ** 2, 0.0, 0.0
+        ss, ys, q = _dopri5(flat, (-1 / 3, 0.0, 0.0), 1.0, 1e-9, 1e-11,
+                            lambda *y: None)
+        times = np.sort(np.concatenate((np.linspace(-1 / 3, 1.0, 2001),
+                                        [0.0, 1e-9, -1e-9])))
+        seg, frac = designer._locate_clock(ss, ys, q, times, 1e-12)
+        clock = _dense(ss, ys, q, seg, frac)[0]
+        assert np.max(np.abs(clock - times)) <= 1e-12
 
     def test_reference_designs_take_rk45_steps(self, monkeypatch):
         # the s-form's right-hand-side evaluations, at a third of the
