@@ -486,10 +486,10 @@ def design_pulse(params: DesignParams):
     intervals get the points that resolve the field there: an interval is
     bisected in s while the trapezoid of |Omega| over it misses its exact
     area by more than REFINE_TOL (see _refine).  The pulse's t holds every
-    uniform point and the added ones, in order.  The fields are Omega = theta_dot / sin(beta) and
-    Delta = Omega cot(x); the area is the closed form
-    (cos x0 - cos x_f) / (2 c branch_sign), exact to the solver's x_f at
-    any sampling.
+    uniform point and the added ones, in order.  The fields are
+    Omega = theta_dot / sin(beta) and Delta = Omega cot(x); the area is the
+    closed form (cos x0 - cos x_f) / (2 c branch_sign), exact to the
+    solver's x_f at any sampling.
 
     An accepted state with beta or x outside (0, pi), a failed step (below
     10 ulp of s: at kappa >~ 5.92, erf(-kappa) rounds to -1, theta to 0 and
