@@ -564,8 +564,12 @@ def design_pulse(params: DesignParams):
             (theta.theta_ddot, added.theta_ddot))))
     t, beta, x = y
 
-    if np.any(np.abs(np.sin(beta)) < _SIN_BETA_FLOOR):
-        raise SingularityError("sin(beta) vanishes; Omega undefined")
+    vanishes = np.abs(np.sin(beta)) < _SIN_BETA_FLOOR
+    if vanishes.any():
+        t_bad = float(t[np.argmax(vanishes)])
+        raise SingularityError(
+            f"c = {c:g} (T = {T:g}): sin(beta) vanishes at t = {t_bad:.6g}; "
+            f"Omega undefined", t_fail=t_bad)
     with np.errstate(all="ignore"):
         omega = theta.theta_dot / np.sin(beta)
         delta = omega * np.cos(x) / np.sin(x)

@@ -25,7 +25,12 @@ class GridError(QiePulseError, ValueError):
 
 
 class SingularityError(QiePulseError):
-    """A designed beta reached sin(beta) = 0, where Omega is undefined."""
+    """A designed beta reached sin(beta) = 0, where Omega is undefined;
+    carries the first such time."""
+
+    def __init__(self, message, t_fail=None):
+        super().__init__(message)
+        self.t_fail = t_fail
 
 
 class DegeneracyError(QiePulseError):

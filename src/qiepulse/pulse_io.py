@@ -14,8 +14,8 @@ as is: any finite, strictly increasing column of at least 3 samples is read
 """
 
 import json
+import warnings
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -126,13 +126,14 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(design=design, **grids, **raw)
 
 
+_CHUNK_ROWS = 1024  # rows formatted per write
+
+
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     """'# key = value' metadata lines, a header row, then one row per sample
     of the aligned arrays in scientific notation.  A 't' column gets the
     smallest precision >= precision at which it still reads back strictly
     increasing (16 round-trips every double)."""
-    lines = [f"# {key} = {value}" for key, value in meta.items()]
-    lines.append(",".join(columns))
     digits = [precision] * len(columns)
     if columns[0] == "t":
         t = arrays[0]
@@ -143,10 +144,14 @@ def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
         digits[0] = next((p for p in range(precision, 17) if all(
             float(f"{t[k]:.{p}e}") < float(f"{t[k + 1]:.{p}e}") for k in close)),
             precision)
-    row = ",".join(f"{{:.{p}e}}" for p in digits)
-    lines.extend(row.format(*values)
-                 for values in np.column_stack(arrays).tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(f"%.{p}e" for p in digits) + "\n"
+    data = np.column_stack(arrays)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(data), _CHUNK_ROWS):
+            chunk = data[start:start + _CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
@@ -206,47 +211,46 @@ def _float_metadata(meta: dict, key: str) -> float:
         ) from exc
 
 
-def read_pulse_csv(path) -> Pulse:
-    """Read a pulse CSV (either layout).
+def _check_columns(header) -> None:
+    for required in PULSE_COLUMNS_MINIMAL:
+        if required not in header:
+            raise PulseFormatError(f"missing required column {required!r}")
 
-    The t column is read as is; Pulse checks it (GridError).  Design
-    metadata absent from the file stays absent: beta_final defaults to NaN
-    and the area is recomputed from the samples when not recorded.
-    """
+
+def _read_lines(fh):
+    """(metadata, header, rows) of a pulse file, parsed line by line; a
+    malformed or non-finite row raises PulseFormatError naming its line."""
     meta = {}
     header = None
     rows = []
     linenos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                _parse_metadata_line(line, meta)
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise PulseFormatError(
-                    f"line {lineno}: expected {len(header)} fields, "
-                    f"got {len(parts)}",
-                    line_number=lineno,
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise PulseFormatError(
-                    f"line {lineno}: {exc}", line_number=lineno
-                ) from exc
-            linenos.append(lineno)
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _parse_metadata_line(line, meta)
+            continue
+        if header is None:
+            header = [c.strip() for c in line.split(",")]
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise PulseFormatError(
+                f"line {lineno}: expected {len(header)} fields, "
+                f"got {len(parts)}",
+                line_number=lineno,
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise PulseFormatError(
+                f"line {lineno}: {exc}", line_number=lineno
+            ) from exc
+        linenos.append(lineno)
     if header is None or not rows:
         raise PulseFormatError("no data rows found")
-    for required in PULSE_COLUMNS_MINIMAL:
-        if required not in header:
-            raise PulseFormatError(f"missing required column {required!r}")
+    _check_columns(header)
 
     data = np.asarray(rows, dtype=float)
     finite = np.isfinite(data).all(axis=1)
@@ -254,6 +258,48 @@ def read_pulse_csv(path) -> Pulse:
         lineno = linenos[int(np.argmin(finite))]
         raise PulseFormatError(f"line {lineno}: non-finite value",
                                line_number=lineno)
+    return meta, header, data
+
+
+def _read_columns(fh):
+    """(metadata, header, rows) of a pulse file: the metadata and header
+    line by line, then the body in one columnar parse.  A body that parse
+    rejects, or one that is not a full, finite table of the header's width,
+    is read again from the start by _read_lines, which accepts what float()
+    accepts (and '#' lines anywhere) and names the first bad line."""
+    meta, header = {}, None
+    for line in iter(fh.readline, ""):
+        line = line.strip()
+        if line.startswith("#"):
+            _parse_metadata_line(line, meta)
+        elif line:
+            header = [c.strip() for c in line.split(",")]
+            break
+    if header is not None:
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns; _read_lines names it
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = np.empty((0, 0))
+        if (data.shape[1] == len(header) and len(data)
+                and np.isfinite(data).all()):
+            _check_columns(header)
+            return meta, header, data
+    fh.seek(0)
+    return _read_lines(fh)
+
+
+def read_pulse_csv(path) -> Pulse:
+    """Read a pulse CSV (either layout).
+
+    The t column is read as is; Pulse checks it (GridError).  Design
+    metadata absent from the file stays absent: beta_final defaults to NaN
+    and the area is recomputed from the samples when not recorded.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        meta, header, data = _read_columns(fh)
     col = {name: data[:, i] for i, name in enumerate(header)}
     t, omega, delta = col["t"], col["omega"], col["delta"]
     return Pulse(

@@ -108,6 +108,15 @@ class TestDesignCommand:
         assert rc == 3
         assert "the mixing angle x left (0, pi)" in capsys.readouterr().err
 
+    def test_vanishing_sin_beta_is_numerical_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        rc = main(["design", "--c", "0.0489", "--kappa", "5.5", "--branch",
+                   "1", "--n", "401", "--out", str(out)])
+        assert rc == 3
+        assert ("c = 0.0489 (T = 1): sin(beta) vanishes at t = -0.198721"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_step_budget_is_numerical_error(self, monkeypatch, tmp_path,
                                             capsys):
         # c = 0.073 takes about 270 accepted steps

@@ -18,6 +18,7 @@ from qiepulse import (
     DesignParams,
     ParameterError,
     Pulse,
+    SingularityError,
     analytic_diagnostics,
     design_pulse,
     pi_half_baseline,
@@ -749,6 +750,18 @@ class TestDormandPrince:
                                   "failed at t = 0.2391")
         assert ": the mixing angle x left (0, pi), at -0.01" in message
         assert info.value.t_fail == pytest.approx(0.2391, abs=1e-4)
+
+    @pytest.mark.parametrize("c, t_fail", [(0.1164, 0.934931),
+                                           (0.0489, -0.198721)])
+    def test_vanishing_sin_beta_names_c_and_time(self, c, t_fail):
+        # on branch +1 at kappa = 5.5 these designs bounce through |sin beta|
+        # below the 1e-14 floor at a sample, where Omega is undefined
+        with pytest.raises(SingularityError) as info:
+            design_pulse(DesignParams(c=c, kappa=5.5, branch_sign=1,
+                                      n_samples=401))
+        assert str(info.value) == (f"c = {c:g} (T = 1): sin(beta) vanishes "
+                                   f"at t = {t_fail:.6g}; Omega undefined")
+        assert info.value.t_fail == pytest.approx(t_fail, abs=1e-6)
 
     def test_beta_leaving_is_named(self, monkeypatch):
         # theta held at pi/2 with theta_dot = 10: from x0 = pi/2 the mixing

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiepulse.pulse_io as pulse_io
 from qiepulse import (
     ConfigError,
     DesignParams,
@@ -248,6 +250,178 @@ class TestReadExternal:
         path.write_text("")
         with pytest.raises(PulseFormatError):
             read_pulse_csv(path)
+
+
+def read_both(path):
+    """The columnar reader's (metadata, header, rows) and the line parser's,
+    each as its value or as the PulseFormatError it raised."""
+    outcomes = []
+    for read in (pulse_io._read_columns, pulse_io._read_lines):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                outcomes.append(read(fh))
+            except PulseFormatError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_outcome(columnar, lines):
+    """Equal metadata, header and bit-identical rows, or the same error
+    with the same line number."""
+    if isinstance(lines, PulseFormatError):
+        assert isinstance(columnar, PulseFormatError), columnar
+        assert str(columnar) == str(lines)
+        assert columnar.line_number == lines.line_number
+        return
+    assert not isinstance(columnar, PulseFormatError), columnar
+    assert columnar[:2] == lines[:2]
+    assert columnar[2].shape == lines[2].shape
+    assert columnar[2].tobytes() == lines[2].tobytes()
+
+
+# numbers as float() reads them; some only float() accepts
+FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.3e}"),
+    st.sampled_from(["0", "-0", "+1", "1.", ".5", "1e-320", "1_0", "２",
+                     " 1 ", "\t2", "+inf", "-Infinity", "nan", "oops", "",
+                     "1e400"]),
+)
+BODY_LINES = st.one_of(
+    st.lists(FIELDS, min_size=3, max_size=3).map(",".join),
+    st.lists(FIELDS, min_size=2, max_size=4).map(",".join),
+    st.sampled_from(["", "   ", "# beta_final = 0.25", "#", "t,omega,delta"]),
+)
+
+
+class TestReaderParity:
+    """The columnar read and the line parser it falls back to agree: same
+    arrays, metadata and errors, whichever path runs."""
+
+    @pytest.mark.parametrize("name, text, line_number", [
+        ("crlf", b"# area = 1.5\r\nt,omega,delta\r\n0,1,0\r\n0.5,2,0\r\n"
+                 b"1,1,0\r\n", None),
+        ("blank lines", b"t,omega,delta\n0,1,0\n\n0.5,2,0\n  \t\n1,1,0\n\n",
+         None),
+        ("spaces", b"t , omega,delta \n 0 , 1,0\n0.5 ,2 , 0\n\t1,1,0 \n",
+         None),
+        ("metadata after header", b"t,omega,delta\n0,1,0\n"
+                                  b"# beta_final = 0.25\n0.5,2,0\n1,1,0\n",
+         None),
+        ("underscore", b"t,omega,delta\n0,1_0,0\n0.5,2,0\n1,1,0\n", None),
+        ("plus inf", b"t,omega,delta\n0,1,0\n0.5,+inf,0\n1,1,0\n", 3),
+        ("single row", b"t,omega,delta\n0,1,0\n", None),
+        ("every row short", b"t,omega,delta\n0,1\n0.5,2\n1,1\n", 2),
+        ("bad value then field count",
+         b"t,omega,delta\n0,1,0\n0.5,oops,0\n0.7,1,0\n1,1\n", 3),
+        ("nan after blank line", b"t,omega,delta\n0,1,0\n\n0.5,nan,0\n"
+                                 b"1,1,0\n", 4),
+    ])
+    def test_paths_agree(self, tmp_path, name, text, line_number):
+        path = tmp_path / "pulse.csv"
+        path.write_bytes(text)
+        columnar, lines = read_both(path)
+        assert_same_outcome(columnar, lines)
+        if line_number is None:
+            assert lines[1] == ["t", "omega", "delta"]
+        else:
+            assert lines.line_number == line_number
+            assert str(lines).startswith(f"line {line_number}: ")
+
+    def test_fallback_reads_what_float_accepts(self, tmp_path):
+        # a '# key = value' line after the header is still metadata, and
+        # '1_0' is ten
+        path = tmp_path / "pulse.csv"
+        path.write_text("t,omega,delta\n0,1_0,0\n# beta_final = 0.25\n"
+                        "0.5,2,0\n1,1,0\n")
+        back = read_pulse_csv(path)
+        assert back.beta_final == 0.25
+        np.testing.assert_array_equal(back.omega, [10.0, 2.0, 1.0])
+
+    def test_columnar_path_reads_a_written_pulse(self, monkeypatch, tmp_path):
+        # a file the package writes never needs the line parser
+        def no_fallback(fh):
+            raise AssertionError("line parser used")
+
+        pulse = pi_half_baseline(1.0, n_samples=11)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(pulse, None, path, precision=16)
+        monkeypatch.setattr(pulse_io, "_read_lines", no_fallback)
+        back = read_pulse_csv(path)
+        assert np.array_equal(back.omega, pulse.omega)
+
+    @pytest.mark.parametrize("text", ["# area = 1.0\nt,omega,delta\n",
+                                      "t\n\n"])
+    def test_header_without_rows_rejected(self, tmp_path, text):
+        # no rows is named before a missing column, and numpy's warning
+        # about an empty input does not escape
+        path = tmp_path / "pulse.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PulseFormatError,
+                               match="^no data rows found$") as excinfo:
+                read_pulse_csv(path)
+        assert excinfo.value.line_number is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.lists(BODY_LINES, max_size=6),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_random_files_agree(self, body, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pulse.csv"
+            path.write_bytes(newline.join(["# area = 2", "t,omega,delta",
+                                           *body, ""]).encode())
+            assert_same_outcome(*read_both(path))
+
+
+def reference_csv(meta, columns, arrays, precision):
+    """The file text as the row-by-row writer rendered it: str.format per
+    row, with the t column's precision raised until it reads back strictly
+    increasing."""
+    lines = [f"# {key} = {value}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    digits = [precision] * len(columns)
+    if columns[0] == "t":
+        t = arrays[0]
+        close = np.flatnonzero(np.diff(t) < 10.0 ** (2 - precision)
+                               * np.maximum(np.abs(t[:-1]), np.abs(t[1:])))
+        digits[0] = next((p for p in range(precision, 17) if all(
+            float(f"{t[k]:.{p}e}") < float(f"{t[k + 1]:.{p}e}") for k in close)),
+            precision)
+    row = ",".join(f"{{:.{p}e}}" for p in digits)
+    lines.extend(row.format(*values)
+                 for values in np.column_stack(arrays).tolist())
+    return "\n".join(lines) + "\n"
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+            1.7e-308, 9.99e299, -1e300, 1.7976931348623157e308]
+
+
+class TestWriterGolden:
+    @pytest.mark.parametrize("precision", [1, 6, 12, 16])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_bytes_match_row_by_row_rendering(self, tmp_path, precision,
+                                              offset):
+        rng = np.random.default_rng(precision * 10 + offset)
+        n = pulse_io._CHUNK_ROWS + offset
+        # a t axis with neighbours closer than the precision prints, so
+        # the t column's digits are raised
+        t = np.cumsum(rng.choice([1e-9, 1e-3, 0.5], size=n)) - 3.0
+        values = rng.standard_normal((5, n)) * 10.0 ** rng.integers(
+            -310, 300, size=(5, n))
+        values.flat[rng.choice(values.size, 200, replace=False)] = \
+            rng.choice(SPECIALS, 200)
+        meta = {"area": repr(1.5), "protocol": "pi/2 pulse"}
+        cases = [(meta, ["t", "a", "b", "c", "d", "e"], [t, *values]),
+                 ({}, ["delta", "fidelity"], list(values[:2])),
+                 ({}, ["t", "omega", "delta"], [t[:3], *values[:2, :3]])]
+        for meta, columns, arrays in cases:
+            path = tmp_path / "out.csv"
+            pulse_io._write_csv(path, meta, columns, arrays, precision)
+            assert path.read_bytes() == reference_csv(
+                meta, columns, arrays, precision).encode("utf-8")
 
 
 class TestScanAndTrajectoryFiles:
