@@ -34,6 +34,7 @@ from .pulse_io import (
 )
 from .robustness import (
     ErrorGrid,
+    _scan,
     format_summary,
     pi_half_baseline,
     robustness_summary,
@@ -192,12 +193,13 @@ def _cmd_report(args) -> int:
 
     scans = {}
     for c, (pulse, _) in designs.items():
-        target = TargetState(pulse.beta_final)
-        for grid in (config.rabi_grid, config.detuning_grid):
-            res = scan_1d(pulse, target, grid)
-            scans[(c, grid.parameter)] = res
+        # both grids in one batch: the rows do not interact
+        for res in _scan(pulse, TargetState(pulse.beta_final),
+                         (config.rabi_grid, config.detuning_grid)):
+            parameter = res.grid.parameter
+            scans[(c, parameter)] = res
             write_scan_csv(
-                res, out / f"scan_c{c:g}_{grid.parameter}.csv",
+                res, out / f"scan_c{c:g}_{parameter}.csv",
                 precision=precision,
             )
 

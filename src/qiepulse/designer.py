@@ -491,11 +491,11 @@ def design_pulse(params: DesignParams):
     closed form (cos x0 - cos x_f) / (2 c branch_sign), exact to the
     solver's x_f at any sampling.
 
-    An accepted state with beta or x outside (0, pi), a failed step (below
-    10 ulp of s: at kappa >~ 5.92, erf(-kappa) rounds to -1, theta to 0 and
-    every step from t = -kappa T divides by zero), MAX_STEPS steps short of
-    the window end, and fields that are not finite raise DesignError naming
-    c, T and the time t_fail it reached.
+    A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
+    rounds to -1, and cot(theta) would divide by zero on every step), an
+    accepted state with beta or x outside (0, pi), a failed step (below 10
+    ulp of s), MAX_STEPS steps short of the window end, and fields that are
+    not finite raise DesignError naming c, T and the time t_fail it reached.
     """
     T, c, sign = params.T, params.c, float(params.branch_sign)
     half_width = params.kappa * T
@@ -533,6 +533,10 @@ def design_pulse(params: DesignParams):
         if not (math.isfinite(start.theta_dot) and math.isfinite(rate0)):
             raise DesignError("the initial state is not finite",
                               t_fail=float(t[0]))
+        if start.theta == 0.0:
+            raise DesignError(f"theta rounds to 0 at the window start "
+                              f"(kappa = {params.kappa:g}), so cot(theta) "
+                              f"is infinite there", t_fail=float(t[0]))
         ss, ys, q = _dopri5(rhs, (t[0], 0.5 * math.pi, x0), t[-1], ODE_RTOL,
                             ODE_ATOL, check)
         seg, frac = _locate_clock(ss, ys, q, t, CLOCK_TOL * T)

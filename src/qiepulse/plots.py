@@ -67,9 +67,8 @@ def svg_line_plot(x, series, title, path, x_label="", y_label=""):
         y = np.asarray(y, dtype=float)
         good = np.isfinite(y)
         py = _map(y, y_lo, y_hi, _H - _MB, _MT)
-        pts = " ".join(
-            f"{px[k]:.2f},{py[k]:.2f}" for k in range(x.size) if good[k]
-        )
+        xy = np.column_stack((px[good], py[good])).ravel().tolist()
+        pts = ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]
         color = _COLORS[i % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

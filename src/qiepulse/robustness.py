@@ -107,33 +107,43 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
     independent; they are evaluated as one batch, which is arithmetically
     identical to independent runs and independent of evaluation order.
     """
-    deltas = grid.values()
-    ones = np.ones_like(deltas)
-    if grid.parameter == "rabi":
-        scale_om, scale_de = 1.0 + deltas, ones
-    else:
-        scale_om, scale_de = ones, 1.0 + deltas
-    finals = final_states_over_errors(pulse, ket1(), scale_om, scale_de, substeps)
-    fids = np.array([fidelity(psi, target) for psi in finals])
-    bad = ~np.isfinite(fids)
-    if np.any(bad):
-        raise ScanError(
-            f"propagation failed at delta = {deltas[np.argmax(bad)]:.6g}",
-            delta=float(deltas[np.argmax(bad)]),
-        )
+    return _scan(pulse, target, [grid], substeps, protocol_label)[0]
+
+
+def _scan(pulse: Pulse, target, grids, substeps: int = 2,
+          protocol_label: Optional[str] = None) -> List[ScanResult]:
+    """scan_1d over several grids of one pulse, run as one batch: each row
+    is computed as a batch of one would be, so every result is the one
+    scan_1d gives for its grid alone."""
+    deltas = [grid.values() for grid in grids]
+    scales = [np.ones((2, d.size)) for d in deltas]  # of Omega, of Delta
+    for grid, d, scale in zip(grids, deltas, scales):
+        scale[0 if grid.parameter == "rabi" else 1] += d
+    finals = final_states_over_errors(pulse, ket1(), *np.hstack(scales), substeps)
+    fids = np.split(np.array([fidelity(psi, target) for psi in finals]),
+                    np.cumsum([d.size for d in deltas])[:-1])
 
     if protocol_label is None:
         if pulse.params is not None:
             protocol_label = f"qie c={pulse.params.c:g}"
         else:
             protocol_label = "pulse"
-    return ScanResult(
-        protocol_label=protocol_label,
-        grid=grid,
-        fidelities=fids,
-        min_fidelity_in_band=_band_min(deltas, fids, BAND_HALF_WIDTH),
-        area=pulse.area,
-    )
+    results = []
+    for grid, d, f in zip(grids, deltas, fids):
+        bad = ~np.isfinite(f)
+        if np.any(bad):
+            raise ScanError(
+                f"propagation failed at delta = {d[np.argmax(bad)]:.6g}",
+                delta=float(d[np.argmax(bad)]),
+            )
+        results.append(ScanResult(
+            protocol_label=protocol_label,
+            grid=grid,
+            fidelities=f,
+            min_fidelity_in_band=_band_min(d, f, BAND_HALF_WIDTH),
+            area=pulse.area,
+        ))
+    return results
 
 
 @dataclass

@@ -14,6 +14,7 @@ from qiepulse import (
     pi_half_baseline,
     scan_1d,
 )
+from qiepulse.robustness import _scan
 
 C_VALUES = (0.073, 0.060, 0.050, 0.040)
 
@@ -37,15 +38,15 @@ def design_zero():
 
 @pytest.fixture(scope="session")
 def band_scans(designs4):
-    """Band scans (both error kinds, all four c) at default resolution."""
+    """Band scans (both error kinds, all four c) at default resolution,
+    one batch per design (TestBatchedScan: the same results as scan_1d)."""
+    grids = [ErrorGrid(parameter=parameter, lo=-0.2, hi=0.2,
+                       n_points=BAND_GRID_POINTS)
+             for parameter in ("rabi", "detuning")]
     out = {}
-    for parameter in ("rabi", "detuning"):
-        grid = ErrorGrid(parameter=parameter, lo=-0.2, hi=0.2,
-                         n_points=BAND_GRID_POINTS)
-        for c, (pulse, _) in designs4.items():
-            out[(c, parameter)] = scan_1d(
-                pulse, TargetState(pulse.beta_final), grid
-            )
+    for c, (pulse, _) in designs4.items():
+        for res in _scan(pulse, TargetState(pulse.beta_final), grids):
+            out[(c, res.grid.parameter)] = res
     return out
 
 

@@ -108,6 +108,25 @@ class TestDesignCommand:
         assert rc == 3
         assert "the mixing angle x left (0, pi)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kappa", ["6", "7"])
+    def test_theta_zero_at_the_start_is_numerical_error(self, kappa, tmp_path,
+                                                        capsys):
+        out = tmp_path / "p.csv"
+        rc = main(["design", "--c", "0.073", "--kappa", kappa, "--n", "401",
+                   "--out", str(out)])
+        assert rc == 3
+        assert (f"constrained integration failed at t = -{kappa}: theta "
+                f"rounds to 0 at the window start (kappa = {kappa})"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_kappa_5_9_designs(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["design", "--c", "0.073", "--kappa", "5.9", "--n", "401",
+                     "--out", str(out)]) == 0
+        assert "area = 1.959491 pi" in capsys.readouterr().out
+        assert out.exists()
+
     def test_vanishing_sin_beta_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         rc = main(["design", "--c", "0.0489", "--kappa", "5.5", "--branch",

@@ -779,24 +779,38 @@ class TestDormandPrince:
                                       branch_sign=1, n_samples=101))
         assert -4.0 < info.value.t_fail < 4.0
 
-    @pytest.mark.parametrize("c, kappa", [(0.073, 10.0), (100.0, 20.0)])
+    @pytest.mark.parametrize("c, kappa", [(0.073, 6.0), (0.073, 7.0),
+                                          (0.073, 10.0), (100.0, 20.0)])
     def test_wide_window_is_design_error(self, c, kappa):
-        # erf(-kappa) rounds to -1, so theta = 0 and the math right-hand
-        # side divides by zero (and later takes sin(inf)); that must reject
-        # steps, as numpy's inf and nan did, never escape the designer
-        with pytest.raises(DesignError, match="Required step size"):
+        # erf(-kappa) rounds to -1 from kappa = 5.925 at any T, so theta = 0
+        # and cot(theta) would divide by zero on every step; that is named
+        # before integrating
+        assert theta_profile(-kappa, 1.0).theta == 0.0
+        with pytest.raises(DesignError) as info:
             design_pulse(DesignParams(c=c, kappa=kappa, n_samples=101))
+        assert str(info.value) == (
+            f"c = {c:g} (T = 1): constrained integration failed at "
+            f"t = {-kappa:g}: theta rounds to 0 at the window start "
+            f"(kappa = {kappa:g}), so cot(theta) is infinite there")
+        assert info.value.t_fail == -kappa
 
     def test_non_finite_field_is_design_error(self):
-        # erf(-6) rounds to -1: theta(-6) = 0 and cot(theta) is inf, so every
-        # step from t = -6 is rejected
+        # erf(-6) rounds to -1: theta(-6) = 0 and cot(theta) is inf there
         params = DesignParams(c=0.01, kappa=6, beta_rate_init="zero",
                               n_samples=101)
-        with pytest.raises(DesignError, match="Required step size") as info:
+        with pytest.raises(DesignError, match="theta rounds to 0") as info:
             design_pulse(params)
         assert str(info.value).startswith("c = 0.01 (T = 1): constrained "
                                           "integration failed at t = -6: ")
         assert info.value.t_fail == -6.0
+
+    def test_kappa_5_9_designs(self):
+        # the widest window where theta(-kappa T) is still above 0
+        assert theta_profile(-5.9, 1.0).theta > 0.0
+        pulse, _ = design_pulse(DesignParams(c=0.073, kappa=5.9,
+                                             n_samples=401))
+        narrow, _ = design_pulse(DesignParams(c=0.073, n_samples=401))
+        assert pulse.area == pytest.approx(narrow.area, rel=1e-6)
 
     def test_non_finite_diagnostic_field_is_design_error(self, monkeypatch):
         # a field sample that is not finite is named at its time: theta_dot

@@ -13,6 +13,8 @@ from qiepulse import (
     scan_1d,
 )
 from qiepulse.designer import MAX_SAMPLES
+from qiepulse.dynamics import _WIDTH
+from qiepulse.robustness import _scan
 
 from conftest import C_VALUES
 
@@ -135,6 +137,35 @@ class TestScan1d:
         for result in band_scans.values():
             assert np.all(result.fidelities >= 0.0)
             assert np.all(result.fidelities <= 1.0)
+
+
+
+class TestBatchedScan:
+    """_scan runs several grids of one pulse as one batch; each result must
+    be the one scan_1d gives for its grid alone, bit for bit."""
+
+    RABI = ErrorGrid(parameter="rabi", lo=-0.5, hi=0.5, n_points=101)
+    DETUNING = ErrorGrid(parameter="detuning", lo=-0.3, hi=0.4, n_points=37)
+    WIDE_RABI = ErrorGrid(parameter="rabi", lo=-0.6, hi=0.6, n_points=200)
+
+    @pytest.mark.parametrize("grids, half_trees", [
+        ((RABI, DETUNING), False),
+        ((DETUNING, RABI), False),
+        # 301 rows run as half-block trees, each grid alone as full ones
+        ((WIDE_RABI, RABI), True),
+    ], ids=["rabi-detuning", "detuning-rabi", "half-block-trees"])
+    def test_matches_scan_1d_per_grid(self, design_zero, grids, half_trees):
+        pulse, _ = design_zero
+        target = TargetState(pulse.beta_final)
+        assert 2 * max(g.n_points for g in grids) <= _WIDTH
+        assert (2 * sum(g.n_points for g in grids) > _WIDTH) == half_trees
+        results = _scan(pulse, target, grids)
+        assert len(results) == len(grids)
+        for grid, batched in zip(grids, results):
+            alone = scan_1d(pulse, target, grid)
+            assert batched == alone
+            assert np.array_equal(batched.fidelities, alone.fidelities)
+            assert batched.fidelities.size == grid.n_points
 
 
 class TestSummary:
