@@ -63,7 +63,7 @@ import numpy as np
 from .errors import (
     DegeneracyError, DesignError, GridError, ParameterError, SingularityError,
 )
-from .profiles import ThetaSample, _value_eq, theta_profile
+from .profiles import _SQRT_PI, ThetaSample, _value_eq, theta_profile
 
 __all__ = [
     "DesignParams",
@@ -304,6 +304,36 @@ def _rms(a, b, c):
     return math.sqrt((a * a + b * b + c * c) / 3)
 
 
+def _s_form(T, x_rate):
+    """The s-form's right-hand side f(s, (t, beta, x)) for the ramp time T
+    and dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
+
+    theta and theta_dot are theta_profile's scalar formulas written out, the
+    same float operations in the same order with the constants of T made
+    once, so the design has theta_profile's bits without a call and a
+    ThetaSample per evaluation.  A step whose stage is not finite (1/0 at
+    theta = 0, sin(inf)) gets nan, which rejects it.
+    """
+    theta_dot_scale, quarter_pi = _SQRT_PI / (2.0 * T), 0.25 * math.pi
+    erf, exp, sin, cos, nan = math.erf, math.exp, math.sin, math.cos, math.nan
+
+    def rhs(s, y):
+        t_now, beta, x = y
+        r = t_now / T
+        theta = quarter_pi * (erf(r) + 1.0)
+        theta_dot = theta_dot_scale * exp(-r * r)
+        try:
+            sin_x = sin(x)
+            cot_theta = cos(theta) / sin(theta)
+            return (sin(beta) * sin_x,
+                    theta_dot * (cot_theta * cos(beta) * sin_x + cos(x)),
+                    x_rate * theta_dot)
+        except (ArithmeticError, ValueError):
+            return nan, nan, nan
+
+    return rhs
+
+
 def _dopri5(f, y0, t_end, rtol, atol, check):
     """Integrate y' = f(s, y) from s = 0 with Dormand-Prince 5(4) until the
     first state, a clock, reaches t_end.
@@ -502,20 +532,6 @@ def design_pulse(params: DesignParams):
     t = np.linspace(-half_width, half_width, params.n_samples)
     x_rate = 2.0 * c * sign  # dx/ds per unit theta_dot
 
-    def rhs(s, y):
-        t_now, beta, x = y
-        theta = theta_profile(t_now, T)
-        theta_dot = theta.theta_dot
-        try:
-            sin_x = math.sin(x)
-            cot_theta = math.cos(theta.theta) / math.sin(theta.theta)
-            return (math.sin(beta) * sin_x,
-                    theta_dot * (cot_theta * math.cos(beta) * sin_x
-                                 + math.cos(x)),
-                    x_rate * theta_dot)
-        except (ArithmeticError, ValueError):  # 1/0 at theta = 0, sin(inf)
-            return math.nan, math.nan, math.nan  # rejects the step
-
     def check(t_now, beta, x):
         for name, angle in (("beta", beta), ("the mixing angle x", x)):
             if not 0.0 < angle < math.pi:
@@ -537,8 +553,8 @@ def design_pulse(params: DesignParams):
             raise DesignError(f"theta rounds to 0 at the window start "
                               f"(kappa = {params.kappa:g}), so cot(theta) "
                               f"is infinite there", t_fail=float(t[0]))
-        ss, ys, q = _dopri5(rhs, (t[0], 0.5 * math.pi, x0), t[-1], ODE_RTOL,
-                            ODE_ATOL, check)
+        ss, ys, q = _dopri5(_s_form(T, x_rate), (t[0], 0.5 * math.pi, x0),
+                            t[-1], ODE_RTOL, ODE_ATOL, check)
         seg, frac = _locate_clock(ss, ys, q, t, CLOCK_TOL * T)
     except DesignError as e:
         raise DesignError(

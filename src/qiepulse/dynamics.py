@@ -84,8 +84,9 @@ def target_state(beta_final) -> np.ndarray:
 
 
 def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
-    """Midpoint fields and widths of the sub-steps that are not exactly the
-    identity, front-padded with zero-width steps to whole blocks and shaped
+    """-Omega and Delta at the midpoints of the sub-steps that are not
+    exactly the identity and a quarter of their widths, as _factors takes
+    them, front-padded with zero-width steps to whole blocks and shaped
     (blocks, _BLOCK), and the count of such steps up to each sample of t."""
     if not (substeps >= 2 and (pulse.t.size - 1) * substeps <= MAX_SAMPLES):
         raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
@@ -107,7 +108,7 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
     done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
     pad = (-done[-1] % _BLOCK, 0)
     om, de, dt = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de, dt))
-    return om, de, dt, done
+    return np.negative(om, out=om), de, np.multiply(dt, 0.25, out=dt), done
 
 
 def _factors(o, so, d, sd, h, a, b, x):
@@ -115,15 +116,25 @@ def _factors(o, so, d, sd, h, a, b, x):
     into a and b (b.real must be 0): a = cos(phi) + i f Delta, b = -i f Omega,
     g = sqrt(Omega^2 + Delta^2), phi = g dt / 2, cos and sin from u = tan(phi / 2),
     f = sin(phi) / max(g, 1e-300): sin(phi) is 0 where g is, and g > 0 means
-    g > 1e-162.  Omega = o so, Delta = d sd, h is dt; x is real scratch (3, ...)."""
-    o, d, (g, u, s) = np.multiply(o, so, out=b.imag), np.multiply(d, sd, out=a.imag), x
-    np.sqrt(np.add(np.multiply(o, o, out=g), np.multiply(d, d, out=s), out=g), out=g)
-    np.tan(np.multiply(g, 0.25 * h, out=s), out=u)
-    np.divide(2.0, np.add(np.multiply(u, u, out=a.real), 1.0, out=s), out=s)
-    np.subtract(1.0, np.multiply(a.real, s, out=a.real), out=a.real)
+    g > 1e-162.  -Omega = o so, Delta = d sd, h is dt / 4 (as _steps gives
+    them); x is six contiguous real arrays of a's shape, the scratch that every
+    pass but the last three, which write a.real, a.imag and b.imag, works in."""
+    w, e, g, s, u, c = x  # -Omega, Delta, g, scratch, u, u^2 then 1 - cos(phi)
+    np.multiply(o, so, out=w)
+    np.multiply(d, sd, out=e)
+    np.sqrt(np.add(np.multiply(w, w, out=g), np.multiply(e, e, out=s), out=g), out=g)
+    np.tan(np.multiply(g, h, out=s), out=u)
+    np.divide(2.0, np.add(np.multiply(u, u, out=c), 1.0, out=s), out=s)
+    np.subtract(1.0, np.multiply(c, s, out=c), out=a.real)
     np.divide(np.multiply(u, s, out=u), np.maximum(g, 1e-300, out=g), out=u)
-    np.multiply(u, d, out=a.imag)
-    np.negative(np.multiply(u, o, out=g), out=b.imag)
+    np.multiply(u, e, out=a.imag)
+    np.multiply(u, w, out=b.imag)
+
+
+def _reals(z):
+    """The memory of each contiguous complex array in z as two real arrays of
+    its shape: scratch for _factors."""
+    return [r for y in z for r in y.view(float).reshape((2,) + y.shape)]
 
 
 def _mul(a2, b2, a1, b1, a, b, t):
@@ -166,8 +177,9 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
     for r in range(0, scale_omega.size, _WIDTH):
         so, sd, rows = (y[r:r + _WIDTH] for y in (scale_omega, scale_delta, psi))
         ab, roots = (np.zeros((2, 2 * m, so.size), dtype=complex) for m in (leaves, parts))
-        x = np.empty((3, leaves, so.size))
-        t = x[:2].reshape(2, leaves // 2, -1).view(complex)
+        x = np.empty((2, leaves, so.size))
+        t = x.reshape(2, leaves // 2, -1).view(complex)
+        x = [*x, *_reals(ab[:, :leaves])]  # inner nodes: free until _tree
         for blk in zip(om, de, dt):
             for k, (o, d, h) in enumerate(zip(*blk)):
                 _factors(o, so, d, sd, h, *ab[:, leaves:], x)
@@ -183,7 +195,7 @@ def _prefixes(so, sd, *steps):
     """(a, b) of the prefix products along each row of steps (Hillis-Steele)."""
     o, d, h = (np.ascontiguousarray(x.T) for x in steps)
     cur, nxt, t = (np.zeros((2,) + o.shape, dtype=complex) for _ in range(3))
-    _factors(o, so, d, sd, h, *cur, t.view(float).reshape((4,) + o.shape)[:3])
+    _factors(o, so, d, sd, h, *cur, _reals(nxt) + _reals(t)[:2])
     for k in 2 ** np.arange(_BLOCK.bit_length() - 1):
         nxt[:, :k] = cur[:, :k]
         _mul(*cur[:, k:], *cur[:, :-k], *nxt[:, k:], t[:, k:])
@@ -240,13 +252,23 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
                            adiab_pop_minus=p_minus, adiab_pop_plus=p_plus)
 
 
-def fidelity(final, target) -> float:
-    """Squared overlap |<target|final>|^2, clipped to [0, 1]; target is a
-    state vector, a TargetState or a bare beta_final."""
+def fidelity(final, target):
+    """Squared overlap |<target|final>|^2, clipped to [0, 1]: a float for one
+    state, an array for an (n, 2) array of states, one per row.  target is a
+    state vector, a TargetState or a bare beta_final.  <target|final> is
+    summed in real arithmetic, one elementwise operation at a time, so a
+    state has the same fidelity alone as in a batch."""
     tgt = target_state(target) if np.ndim(target) == 0 else np.asarray(target, dtype=complex)
     psi = np.asarray(final, dtype=complex)
-    val = abs(np.vdot(tgt, psi)) ** 2
-    return float(min(max(val, 0.0), 1.0))
+    if tgt.shape != (2,) or psi.shape[-1:] != (2,) or psi.ndim > 2:
+        raise ParameterError(f"need a 2-component target and one state or rows "
+                             f"of states, got shapes {tgt.shape} and {psi.shape}")
+    (ar, ai), (br, bi) = ((z.real, z.imag) for z in tgt)
+    p, q = psi[..., 0], psi[..., 1]
+    re = ar * p.real + ai * p.imag + br * q.real + bi * q.imag
+    im = ar * p.imag - ai * p.real + br * q.imag - bi * q.real
+    val = np.clip(re * re + im * im, 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def bloch_from_angles(theta, beta):

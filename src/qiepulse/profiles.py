@@ -25,7 +25,6 @@ from .errors import ParameterError
 __all__ = ["theta_profile"]
 
 _SQRT_PI = math.sqrt(math.pi)
-_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _value_eq(self, other):
@@ -49,8 +48,7 @@ def _same(x, y):
 @dataclass(slots=True)
 class ThetaSample:
     """theta and its first two time derivatives, scalars or arrays sampled at
-    common times; equal by value.  Slotted, not frozen: the design ODE builds
-    one per right-hand side, and a frozen one costs three times as much."""
+    common times; equal by value."""
 
     theta: np.ndarray
     theta_dot: np.ndarray
@@ -76,14 +74,15 @@ def theta_profile(t, T: float) -> ThetaSample:
     """
     if not T > 0:
         raise ParameterError(f"T must be positive, got {T}")
-    # one time, as the design ODE asks: math on floats (isinstance first, as
-    # np.ndim of a float costs more than the evaluation)
+    # one time: math on floats (isinstance first, as np.ndim of a float
+    # costs more than the evaluation)
     if isinstance(t, float) or np.ndim(t) == 0:
         x = float(t) / T
         theta_dot = (_SQRT_PI / (2.0 * T)) * math.exp(-x * x)
         return ThetaSample(0.25 * math.pi * (math.erf(x) + 1.0), theta_dot,
                            theta_dot * (-2.0 * x / T))
     x = np.asarray(t, dtype=float) / T
-    theta = 0.25 * np.pi * (_erf(x).astype(float) + 1.0)
+    erf = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size)
+    theta = 0.25 * np.pi * (erf.reshape(x.shape) + 1.0)
     theta_dot = (_SQRT_PI / (2.0 * T)) * np.exp(-x * x)
     return ThetaSample(theta, theta_dot, theta_dot * (-2.0 * x / T))

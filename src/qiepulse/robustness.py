@@ -120,7 +120,7 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 2,
     for grid, d, scale in zip(grids, deltas, scales):
         scale[0 if grid.parameter == "rabi" else 1] += d
     finals = final_states_over_errors(pulse, ket1(), *np.hstack(scales), substeps)
-    fids = np.split(np.array([fidelity(psi, target) for psi in finals]),
+    fids = np.split(fidelity(finals, target),
                     np.cumsum([d.size for d in deltas])[:-1])
 
     if protocol_label is None:

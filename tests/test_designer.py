@@ -517,6 +517,25 @@ DP_P = np.array([
 ])
 
 
+def s_form_of(profile, T, x_rate):
+    """The s-form's right-hand side with theta and theta_dot from
+    profile(t, T), which designer._s_form writes out: its oracle.  A stage
+    that is not finite (1/0 at theta = 0, sin(inf)) gives nan."""
+    def rhs(s, y):
+        t, beta, x = y
+        theta = profile(t, T)
+        try:
+            sin_x = math.sin(x)
+            cot_theta = math.cos(theta.theta) / math.sin(theta.theta)
+            return (math.sin(beta) * sin_x,
+                    theta.theta_dot * (cot_theta * math.cos(beta) * sin_x
+                                       + math.cos(x)),
+                    x_rate * theta.theta_dot)
+        except (ArithmeticError, ValueError):
+            return math.nan, math.nan, math.nan
+    return rhs
+
+
 def dopri5_lists(f, y0, t_end, rtol, atol, check):
     """The stepper with its state and stages as lists, one comprehension
     per stage: the oracle that _dopri5, which holds them as float locals,
@@ -714,11 +733,11 @@ class TestDormandPrince:
             assert abs(calls[0] - nfev) <= 6, c
 
     def test_rhs_spans_count_nfev(self, monkeypatch):
-        # the benchmark's spans wrap designer.beta_acceleration (as
-        # designer.rhs) and designer.theta_profile: the s-form calls
-        # theta_profile once per evaluation, plus the scalar call at the
-        # start, and beta_acceleration not at all
-        counts = {"f": 0, "acceleration": 0, "theta": 0}
+        # the s-form's right-hand side is the function designer._s_form
+        # returns, called once per evaluation; the benchmark's spans wrap
+        # designer.beta_acceleration (as designer.rhs), which the s-form does
+        # not call, and designer.theta_profile, which gives the start alone
+        counts = {"f": 0, "rhs": 0, "acceleration": 0, "theta": 0}
 
         def counted(key, fn, scalar_only=False):
             def wrapper(*args):
@@ -726,20 +745,39 @@ class TestDormandPrince:
                 return fn(*args)
             return wrapper
 
-        dopri5 = designer._dopri5
+        dopri5, s_form = designer._dopri5, designer._s_form
         monkeypatch.setattr(designer, "_dopri5",
                             lambda f, *args: dopri5(counted("f", f), *args))
+        monkeypatch.setattr(designer, "_s_form",
+                            lambda *args: counted("rhs", s_form(*args)))
         monkeypatch.setattr(designer, "beta_acceleration", counted(
             "acceleration", designer.beta_acceleration))
         monkeypatch.setattr(designer, "theta_profile", counted(
             "theta", designer.theta_profile, scalar_only=True))
         for init in ("consistency", "zero"):
-            counts.update(f=0, acceleration=0, theta=0)
+            counts.update(f=0, rhs=0, acceleration=0, theta=0)
             design_pulse(DesignParams(c=0.073, n_samples=401,
                                       beta_rate_init=init))
             assert counts["f"] > 0
+            assert counts["rhs"] == counts["f"]
             assert counts["acceleration"] == 0
-            assert counts["theta"] == counts["f"] + 1
+            assert counts["theta"] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(-8.0, 8.0) | st.sampled_from([math.inf, math.nan]),
+           beta=st.floats(-10.0, 10.0) | st.sampled_from([0.0, math.inf]),
+           x=st.floats(-10.0, 10.0) | st.sampled_from([math.pi, math.nan]),
+           T=st.floats(1e-3, 1e3), c=st.floats(1e-4, 10.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_s_form_is_the_profile_formula(self, t, beta, x, T, c, sign):
+        # theta and theta_dot written out in the right-hand side give the
+        # floats of theta_profile's formula, nan where a stage is not finite
+        y = (t * T, beta, x)  # t in units of T: the ramp and its tails
+        got = designer._s_form(T, 2.0 * c * sign)(0.0, y)
+        ref = s_form_of(theta_profile, T, 2.0 * c * sign)(0.0, y)
+        got, ref = (np.array(v) for v in (got, ref))  # every bit, one nan
+        assert (np.where(np.isnan(got), np.nan, got).tobytes()
+                == np.where(np.isnan(ref), np.nan, ref).tobytes())
 
     def test_failure_names_c_and_time(self):
         # at c = 1 the mixing angle runs through 0
@@ -771,7 +809,9 @@ class TestDormandPrince:
         def held(t, T):
             return ThetaSample(np.pi / 2 + 0 * t, 10.0 + 0 * t, 0 * t)
 
-        monkeypatch.setattr(designer, "theta_profile", held)
+        monkeypatch.setattr(designer, "theta_profile", held)  # the start
+        monkeypatch.setattr(designer, "_s_form",
+                            lambda T, x_rate: s_form_of(held, T, x_rate))
         with pytest.raises(DesignError, match=r"^c = 0\.01 \(T = 1\): "
                            r"constrained integration failed at t = .*: beta "
                            r"left \(0, pi\), at -") as info:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 
 from qiepulse import (
     DesignParams,
+    ErrorGrid,
     ParameterError,
     Pulse,
     TargetState,
@@ -19,9 +21,12 @@ from qiepulse import (
     ket1,
     pi_half_baseline,
     propagate,
+    scan_1d,
     target_state,
 )
-from qiepulse.dynamics import _BLOCK, _ROWS, _WIDTH, final_states_over_errors
+from qiepulse.dynamics import (
+    _BLOCK, _ROWS, _WIDTH, _factors, _steps, final_states_over_errors,
+)
 
 
 def angle_state(theta, beta):
@@ -295,6 +300,39 @@ class TestFidelity:
         assert fidelity(psi, 0.25) == fidelity(psi, TargetState(0.25))
         assert fidelity(psi, np.float64(0.25)) == fidelity(psi, 0.25)
 
+    def test_batch_matches_single_states(self):
+        # one formula for one state and for rows: the same bits either way,
+        # within 1e-15 of |vdot|^2, clipped to [0, 1], nan kept
+        rng = np.random.default_rng(3)
+        states = rng.normal(size=(500, 2)) + 1j * rng.normal(size=(500, 2))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        states[:3] = [ket1(), 1.5 * target_state(0.3), [np.nan, 0.0]]
+        for target in (0.3, TargetState(-1.2), angle_state(0.8, 2.0)):
+            batch = fidelity(states, target)
+            single = [fidelity(psi, target) for psi in states]
+            assert all(type(f) is float for f in single)
+            np.testing.assert_array_equal(batch, single)
+            tgt = target if np.ndim(target) else target_state(target)
+            vdot = [abs(np.vdot(tgt, psi)) ** 2 for psi in states[3:]]
+            np.testing.assert_allclose(batch[3:], vdot, rtol=0, atol=1e-15)
+        assert fidelity(states[1], 0.3) == 1.0
+        assert np.isnan(fidelity(states[2], 0.3))
+
+    @pytest.mark.parametrize("final, target", [
+        (np.ones(3), 0.3), (np.ones((2, 2, 2)), 0.3), (np.ones(2), np.ones(3)),
+        (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_shapes_checked(self, final, target):
+        with pytest.raises(ParameterError, match="2-component target"):
+            fidelity(final, target)
+
+    def test_scan_nominal_is_propagate_fidelity(self, designs4):
+        pulse = designs4[0.073][0]
+        grid = ErrorGrid("rabi", -0.5, 0.5, 101)
+        scan = scan_1d(pulse, pulse.beta_final, grid)
+        final = propagate(pulse).states[-1]
+        assert scan.fidelities[grid.values() == 0.0][0] == fidelity(
+            final, pulse.beta_final)
+
 
 class TestEigenbasis:
     """Branch labels of StateTrajectory.adiab_pop_minus/plus: a state on one
@@ -445,6 +483,41 @@ def stepwise_states(pulse, initial, error, substeps=2):
     return np.array(states)
 
 
+def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
+    """(a, b) of every sub-step that is not exactly the identity, for each
+    (scale_omega, scale_delta) row, one float at a time: the oracle that
+    _steps and _factors must match to the bit.  Midpoint fields by linear
+    interpolation, g = sqrt(Omega^2 + Delta^2), u = tan(g dt / 4),
+    cos(phi) = 1 - u^2 (2 / (1 + u^2)), f = u (2 / (1 + u^2)) / max(g, 1e-300),
+    a = cos(phi) + i f Delta, b = -i f Omega; tan is numpy's, on an array of
+    the arguments, as the kernel's is."""
+    w = [(k + 0.5) / substeps for k in range(substeps)]
+    steps = []  # (Omega, Delta, dt) of the kept sub-steps
+    for i in range(pulse.t.size - 1):
+        o0, o1, d0, d1 = (float(v) for v in (*pulse.omega[i:i + 2],
+                                              *pulse.delta[i:i + 2]))
+        h = (float(pulse.t[i + 1]) - float(pulse.t[i])) / substeps
+        for wk in w:
+            om, de = o0 * (1.0 - wk) + o1 * wk, d0 * (1.0 - wk) + d1 * wk
+            if om != 0.0 or de != 0.0:
+                steps.append((om, de, h))
+    a, b = [], []
+    for so, sd in zip(scale_omega, scale_delta):
+        fields = [(om * so, de * sd, h) for om, de, h in steps]
+        g = [math.sqrt(om * om + de * de) for om, de, _ in fields]
+        u = np.tan([gk * (0.25 * h) for gk, (_, _, h) in zip(g, fields)])
+        row_a, row_b = [], []
+        for (om, de, _), gk, uk in zip(fields, g, u.tolist()):
+            s = 2.0 / (uk * uk + 1.0)
+            f = uk * s / max(gk, 1e-300)
+            row_a.append(complex(1.0 - uk * uk * s, f * de))
+            row_b.append(complex(0.0, -(f * om)))
+        a.append(row_a)
+        b.append(row_b)
+    return (np.array(x, dtype=complex).reshape(len(x), len(steps)).T.copy()
+            for x in (a, b))
+
+
 class TestBlockProductKernel:
     """The block-product propagator against plain step-by-step products and
     closed forms, on random pulses; `propagate` and the batch share it."""
@@ -570,6 +643,30 @@ class TestBlockProductKernel:
         np.testing.assert_array_equal(flat[0], ket1())
         np.testing.assert_array_equal(rows[1], psi0)
         np.testing.assert_array_equal(held, np.tile(rows[1], (pulse.t.size, 1)))
+
+    # fields from 1e-170 (g^2 underflows to 0), through 1e-160 (subnormal
+    # g^2) to O(1), exact zeros, and rows scaled by 0
+    @pytest.mark.parametrize("substeps", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_factors_match_list_form(self, substeps, data):
+        tiny = st.sampled_from([1e-170, -1e-165, 1e-160, 3e-155, 1e-150])
+        fields = st.one_of(st.just(0.0), tiny, st.floats(-4.0, 4.0))
+        pulse = random_axis_pulse(data.draw, data.draw(st.integers(3, 40)),
+                                  fields=fields)
+        scales = st.lists(st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+                          min_size=3, max_size=3)
+        so = np.array([0.0, 1.0, 0.0] + data.draw(scales))
+        sd = np.array([0.0, 0.0, 1.0] + data.draw(scales))
+        ref_a, ref_b = factors_lists(pulse, so, sd, substeps)
+        o, d, h, done = _steps(pulse, so, sd, substeps)
+        kept = slice(o.size - done[-1], None)  # after the front padding
+        o, d, h = (x.ravel()[kept, None] for x in (o, d, h))
+        a, b = np.zeros((2, done[-1], so.size), dtype=complex)
+        _factors(o, so, d, sd, h, a, b, list(np.empty((6,) + a.shape)))
+        for got, ref in ((a, ref_a), (b, ref_b)):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_bounded_working_set(self):
         # the former per-block batch peaked at 1.97 MB on 501 rows of a

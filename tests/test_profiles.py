@@ -117,3 +117,23 @@ class TestTimeGrid:
         for omega in (np.zeros(4), np.zeros(2), np.zeros((1, 3))):
             with pytest.raises(GridError, match="one sample per time"):
                 pulse_on([0.0, 0.5, 1.0], omega=omega)
+
+
+def test_array_theta_is_the_scalar_formula():
+    # the array path takes erf from math.erf one value at a time, in the
+    # input's shape, so theta has the scalar path's bits; inf, nan, -0.0
+    # and empty inputs included
+    rng = np.random.default_rng(4)
+    edges = [-np.inf, -7.0, -0.0, 0.0, 1e-300, np.nan, np.inf]
+    for x in (np.concatenate((rng.normal(0.0, 3.0, 4100), edges)),
+              rng.normal(0.0, 2.0, (7, 5)), np.array(edges[:6]).reshape(2, 3)):
+        with np.errstate(all="ignore"):  # theta_ddot = 0 x inf at inf
+            s = theta_profile(x, 1.5)
+        assert s.theta.shape == x.shape and s.theta.dtype == np.float64
+        ref = [theta_profile(float(v), 1.5).theta for v in x.ravel()]
+        np.testing.assert_array_equal(s.theta.ravel(), ref)
+    for empty in (np.zeros(0), np.zeros((3, 0))):
+        assert theta_profile(empty, 1.0).theta.shape == empty.shape
+    zero_d = theta_profile(np.array(0.3), 1.0)
+    assert type(zero_d.theta) is float
+    assert zero_d == theta_profile(0.3, 1.0)
