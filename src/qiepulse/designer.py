@@ -424,16 +424,21 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
 def _dense(ss, ys, q, seg, frac):
     """The (3, len(seg)) states at fraction frac of accepted steps seg: each
     step's quartic, y = y[seg] + h sum_p q[seg, :, p] frac^(p+1)."""
-    powers = np.cumprod(np.broadcast_to(frac, (4, frac.size)), axis=0)
-    return ((ss[seg + 1] - ss[seg]) * np.einsum("snp,ps->ns", q[seg], powers)
-            + ys[:, seg])
+    powers = np.empty((4, frac.size))
+    powers[0] = frac
+    for p in range(1, 4):
+        np.multiply(powers[p - 1], frac, out=powers[p])
+    return (np.diff(ss)[seg]
+            * np.einsum("snp,ps->ns", q.take(seg, axis=0), powers)
+            + ys.take(seg, axis=1))
 
 
 def _locate(ss, s):
     """(seg, frac) of the values s in the accepted steps ss (a step
     boundary takes the earlier step)."""
-    seg = np.clip(np.searchsorted(ss, s, side="left") - 1, 0, ss.size - 2)
-    return seg, (s - ss[seg]) / (ss[seg + 1] - ss[seg])
+    seg = np.searchsorted(ss[1:-1], s, side="left")
+    start = ss[seg]
+    return seg, (s - start) / (ss[seg + 1] - start)
 
 
 def _locate_clock(ss, ys, q, times, tol):
@@ -443,31 +448,36 @@ def _locate_clock(ss, ys, q, times, tol):
     |clock - time| <= tol.  Each point keeps a bracket [lo, hi] of fractions
     whose clock lies below and above its time, and a Newton step that leaves
     the bracket, or does not halve the miss, is replaced by the bracket's
-    midpoint.  Raises DesignError, with t_fail, where _CLOCK_STEPS steps do
+    midpoint.  The points not yet within tol are iterated in compacted
+    arrays.  Raises DesignError, with t_fail, where _CLOCK_STEPS steps do
     not get there."""
     seg, frac = _locate(ys[0], times)
-    coef = (ss[seg + 1] - ss[seg]) * q[seg, 0].T
-    goal = times - ys[0, seg]
-    lo, hi = np.zeros(frac.size), np.ones(frac.size)
+    a0, a1, a2, a3 = (np.diff(ss) * q[:, 0].T).take(seg, axis=1)
+    goal = times - ys[0][seg]
+    x, lo, hi = frac, np.zeros(frac.size), np.ones(frac.size)
     last = np.full(frac.size, np.inf)  # |miss| of the step before
     off = np.arange(frac.size)
     for _ in range(_CLOCK_STEPS):
-        x, a = frac[off], coef[:, off]
-        miss = x * (a[0] + x * (a[1] + x * (a[2] + x * a[3]))) - goal[off]
-        keep = ~(np.abs(miss) <= tol)  # nan is not there
-        if not keep.any():
-            return seg, frac
-        off, x, miss, a = off[keep], x[keep], miss[keep], a[:, keep]
+        miss = x * (a0 + x * (a1 + x * (a2 + x * a3))) - goal
+        abs_miss = np.abs(miss)
+        keep = ~(abs_miss <= tol)  # nan is not there
+        if not keep.all():
+            done = ~keep
+            frac[off[done]] = x[done]
+            if not keep.any():
+                return seg, frac
+            off, x, miss, abs_miss, goal, lo, hi, last, a0, a1, a2, a3 = (
+                v[keep] for v in (off, x, miss, abs_miss, goal, lo, hi, last,
+                                  a0, a1, a2, a3))
         below = miss < 0
-        lo[off] = np.where(below, x, lo[off])
-        hi[off] = np.where(below, hi[off], x)
-        slope = a[0] + x * (2 * a[1] + x * (3 * a[2] + x * 4 * a[3]))
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        slope = a0 + x * (2 * a1 + x * (3 * a2 + x * 4 * a3))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - miss / slope
-        newton = ((lo[off] < step) & (step < hi[off])
-                  & (np.abs(miss) <= 0.5 * last[off]))
-        frac[off] = np.where(newton, step, 0.5 * (lo[off] + hi[off]))
-        last[off] = np.abs(miss)
+        newton = (lo < step) & (step < hi) & (abs_miss <= 0.5 * last)
+        x = np.where(newton, step, 0.5 * (lo + hi))
+        last = abs_miss
     t_bad = float(times[off[0]])
     raise DesignError(f"the clock t(s) was not inverted to {tol:.3g} in "
                       f"{_CLOCK_STEPS} steps", t_fail=t_bad)
@@ -484,24 +494,26 @@ def _refine(s, y, omega, x_rate, sample_at):
     sample_at(s) returns (y, omega) there.  A midpoint whose time is not
     strictly inside its interval is not added.  Returns the added states.
     """
-    a, b = s[:-1], s[1:]
-    ya, yb, oa, ob = y[:, :-1], y[:, 1:], omega[:-1], omega[1:]
+    ends = np.stack((s, y[0], omega, np.cos(y[2])))  # s, t, Omega, cos x
+    lo, hi = ends[:, :-1], ends[:, 1:]  # of each interval
     states = [np.zeros((3, 0))]
     while True:
-        trap = 0.5 * (np.abs(oa) + np.abs(ob)) * (yb[0] - ya[0])
-        exact = (np.cos(ya[2]) - np.cos(yb[2])) / x_rate
-        k = np.flatnonzero(np.abs(trap - exact) > REFINE_TOL)
+        trap = 0.5 * (np.abs(lo[2]) + np.abs(hi[2])) * (hi[1] - lo[1])
+        k = np.flatnonzero(np.abs(trap - (lo[3] - hi[3]) / x_rate)
+                           > REFINE_TOL)
         if not k.size:
             return np.concatenate(states, axis=1)
-        m = 0.5 * (a[k] + b[k])
+        lo, hi = lo.take(k, axis=1), hi.take(k, axis=1)
+        m = 0.5 * (lo[0] + hi[0])
         ym, om = sample_at(m)
-        inside = (ya[0, k] < ym[0]) & (ym[0] < yb[0, k])
-        k, m, ym, om = k[inside], m[inside], ym[:, inside], om[inside]
+        inside = (lo[1] < ym[0]) & (ym[0] < hi[1])
+        if not inside.all():
+            lo, hi, m = lo[:, inside], hi[:, inside], m[inside]
+            ym, om = ym[:, inside], om[inside]
         states.append(ym)
-        a, b = np.concatenate((a[k], m)), np.concatenate((m, b[k]))
-        ya = np.concatenate((ya[:, k], ym), axis=1)
-        yb = np.concatenate((ym, yb[:, k]), axis=1)
-        oa, ob = np.concatenate((oa[k], om)), np.concatenate((om, ob[k]))
+        mid = np.stack((m, ym[0], om, np.cos(ym[2])))
+        lo = np.concatenate((lo, mid), axis=1)
+        hi = np.concatenate((mid, hi), axis=1)
 
 
 def design_pulse(params: DesignParams):
@@ -531,12 +543,15 @@ def design_pulse(params: DesignParams):
     half_width = params.kappa * T
     t = np.linspace(-half_width, half_width, params.n_samples)
     x_rate = 2.0 * c * sign  # dx/ds per unit theta_dot
+    theta_dot_scale = _SQRT_PI / (2.0 * T)
 
     def check(t_now, beta, x):
-        for name, angle in (("beta", beta), ("the mixing angle x", x)):
-            if not 0.0 < angle < math.pi:
-                raise DesignError(f"{name} left (0, pi), at "
-                                  f"{angle / math.pi:.6g} pi", t_fail=t_now)
+        if 0.0 < beta < math.pi and 0.0 < x < math.pi:
+            return
+        name, angle = (("beta", beta) if not 0.0 < beta < math.pi
+                       else ("the mixing angle x", x))
+        raise DesignError(f"{name} left (0, pi), at {angle / math.pi:.6g} pi",
+                          t_fail=t_now)
 
     start = theta_profile(t[0], T)
     rate0 = 0.0  # "zero": at rest
@@ -563,14 +578,15 @@ def design_pulse(params: DesignParams):
             t_fail=e.t_fail,
         ) from None
 
-    def sample_at(s):
+    def sample_at(s):  # theta_dot as theta_profile's array formula
         y = _dense(ss, ys, q, *_locate(ss, s))
-        return y, theta_profile(y[0], T).theta_dot / np.sin(y[1])
+        r = y[0] / T
+        return y, theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
 
     y = _dense(ss, ys, q, seg, frac)
     y[0] = t  # the clock there is within CLOCK_TOL T of t
     y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
-    s = ss[seg] + frac * (ss[seg + 1] - ss[seg])
+    s = ss[seg] + frac * np.diff(ss)[seg]
     theta = theta_profile(t, T)
     with np.errstate(invalid="ignore", divide="ignore"):  # named below
         y_add = _refine(s, y, theta.theta_dot / np.sin(y[1]), x_rate,
@@ -584,14 +600,15 @@ def design_pulse(params: DesignParams):
             (theta.theta_ddot, added.theta_ddot))))
     t, beta, x = y
 
-    vanishes = np.abs(np.sin(beta)) < _SIN_BETA_FLOOR
+    sin_beta = np.sin(beta)
+    vanishes = np.abs(sin_beta) < _SIN_BETA_FLOOR
     if vanishes.any():
         t_bad = float(t[np.argmax(vanishes)])
         raise SingularityError(
             f"c = {c:g} (T = {T:g}): sin(beta) vanishes at t = {t_bad:.6g}; "
             f"Omega undefined", t_fail=t_bad)
     with np.errstate(all="ignore"):
-        omega = theta.theta_dot / np.sin(beta)
+        omega = theta.theta_dot / sin_beta
         delta = omega * np.cos(x) / np.sin(x)
         cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
         beta_dot = delta + omega * cot_theta * np.cos(beta)

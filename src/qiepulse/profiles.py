@@ -7,6 +7,9 @@ error-function ramp from 0 to pi/2,
     theta_dot(t) = (sqrt(pi) / (2 T)) * exp(-(t/T)^2)
     theta_ddot(t)= theta_dot(t) * (-2 t / T^2)
 
+Where theta_dot is 0 (the far tails, and t = +-inf, where the product is
+0 * inf) theta_ddot is its limit, 0 with the sign of -t.
+
 The derivative formulas are exact (differentiate the erf definition); tests
 verify them against central finite differences.  theta is monotone, and the
 window [-kappa*T, kappa*T] with kappa >= 3 truncates tails where theta is
@@ -80,9 +83,15 @@ def theta_profile(t, T: float) -> ThetaSample:
         x = float(t) / T
         theta_dot = (_SQRT_PI / (2.0 * T)) * math.exp(-x * x)
         return ThetaSample(0.25 * math.pi * (math.erf(x) + 1.0), theta_dot,
-                           theta_dot * (-2.0 * x / T))
-    x = np.asarray(t, dtype=float) / T
-    erf = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size)
-    theta = 0.25 * np.pi * (erf.reshape(x.shape) + 1.0)
-    theta_dot = (_SQRT_PI / (2.0 * T)) * np.exp(-x * x)
-    return ThetaSample(theta, theta_dot, theta_dot * (-2.0 * x / T))
+                           theta_dot * (-2.0 * x / T) if theta_dot
+                           else math.copysign(0.0, -x))
+    # x * x overflows past |t/T| ~ 1.3e154 (exp(-inf) = 0 is the limit),
+    # and theta_ddot is 0 * inf at t = +-inf (replaced by its limit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(t, dtype=float) / T
+        erf = np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size)
+        theta = 0.25 * np.pi * (erf.reshape(x.shape) + 1.0)
+        theta_dot = (_SQRT_PI / (2.0 * T)) * np.exp(-x * x)
+        theta_ddot = theta_dot * (-2.0 * x / T)
+    return ThetaSample(theta, theta_dot, np.where(
+        theta_dot == 0.0, np.copysign(0.0, -x), theta_ddot))

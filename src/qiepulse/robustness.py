@@ -171,7 +171,7 @@ def robustness_summary(results: List[ScanResult]) -> List[SummaryRow]:
     for res in results:
         deltas = res.grid.values()
         fids = res.fidelities
-        at_zero = np.isclose(deltas, 0.0)
+        at_zero = deltas == 0.0  # values() snaps the point nearest 0 to it
         f0 = float(fids[at_zero][0]) if np.any(at_zero) else float("nan")
         left = deltas <= 0.0
         right = deltas >= 0.0

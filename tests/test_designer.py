@@ -622,6 +622,159 @@ def dense_lists(ss, ys, q, s):
     return np.array(out).T
 
 
+def dense_fancy(ss, ys, q, seg, frac):
+    """The dense output by fancy indexing and a cumulative product."""
+    powers = np.cumprod(np.broadcast_to(frac, (4, frac.size)), axis=0)
+    return ((ss[seg + 1] - ss[seg]) * np.einsum("snp,ps->ns", q[seg], powers)
+            + ys[:, seg])
+
+
+def locate_fancy(ss, s):
+    seg = np.clip(np.searchsorted(ss, s, side="left") - 1, 0, ss.size - 2)
+    return seg, (s - ss[seg]) / (ss[seg + 1] - ss[seg])
+
+
+def locate_clock_fancy(ss, ys, q, times, tol):
+    """The clock's inversion on full-length arrays, every point gathered by
+    its offset on each Newton step."""
+    seg, frac = locate_fancy(ys[0], times)
+    coef = (ss[seg + 1] - ss[seg]) * q[seg, 0].T
+    goal = times - ys[0, seg]
+    lo, hi = np.zeros(frac.size), np.ones(frac.size)
+    last = np.full(frac.size, np.inf)
+    off = np.arange(frac.size)
+    for _ in range(designer._CLOCK_STEPS):
+        x, a = frac[off], coef[:, off]
+        miss = x * (a[0] + x * (a[1] + x * (a[2] + x * a[3]))) - goal[off]
+        keep = ~(np.abs(miss) <= tol)
+        if not keep.any():
+            return seg, frac
+        off, x, miss, a = off[keep], x[keep], miss[keep], a[:, keep]
+        below = miss < 0
+        lo[off] = np.where(below, x, lo[off])
+        hi[off] = np.where(below, hi[off], x)
+        slope = a[0] + x * (2 * a[1] + x * (3 * a[2] + x * 4 * a[3]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - miss / slope
+        newton = ((lo[off] < step) & (step < hi[off])
+                  & (np.abs(miss) <= 0.5 * last[off]))
+        frac[off] = np.where(newton, step, 0.5 * (lo[off] + hi[off]))
+        last[off] = np.abs(miss)
+    raise AssertionError("the clock was not inverted")
+
+
+def refine_fancy(s, y, omega, x_rate, sample_at):
+    """The refinement with whole states per interval end and cos x taken at
+    both ends of every interval."""
+    a, b = s[:-1], s[1:]
+    ya, yb, oa, ob = y[:, :-1], y[:, 1:], omega[:-1], omega[1:]
+    states = [np.zeros((3, 0))]
+    while True:
+        trap = 0.5 * (np.abs(oa) + np.abs(ob)) * (yb[0] - ya[0])
+        exact = (np.cos(ya[2]) - np.cos(yb[2])) / x_rate
+        k = np.flatnonzero(np.abs(trap - exact) > REFINE_TOL)
+        if not k.size:
+            return np.concatenate(states, axis=1)
+        m = 0.5 * (a[k] + b[k])
+        ym, om = sample_at(m)
+        inside = (ya[0, k] < ym[0]) & (ym[0] < yb[0, k])
+        k, m, ym, om = k[inside], m[inside], ym[:, inside], om[inside]
+        states.append(ym)
+        a, b = np.concatenate((a[k], m)), np.concatenate((m, b[k]))
+        ya = np.concatenate((ya[:, k], ym), axis=1)
+        yb = np.concatenate((ym, yb[:, k]), axis=1)
+        oa, ob = np.concatenate((oa[k], om)), np.concatenate((om, ob[k]))
+
+
+def design_fancy(params, ss, ys, q):
+    """design_pulse after its stepper, on the stepper's (ss, ys, q): the
+    oracle that the gathers by take, the compacted clock inversion, the
+    theta_dot-only refinement samples and the carried cos x must match to
+    the bit.  Every refinement sample takes the full theta_profile.
+    Returns (t, omega, delta, beta, beta_dot, theta, theta_dot,
+    theta_ddot, area, beta_final, residual)."""
+    T, c, sign = params.T, params.c, float(params.branch_sign)
+    t = np.linspace(-params.kappa * T, params.kappa * T, params.n_samples)
+    x_rate = 2.0 * c * sign
+    start = theta_profile(t[0], T)
+    rate0 = 0.0
+    if params.beta_rate_init == "consistency":
+        rate0 = sign * math.sqrt(abs(start.theta_ddot) / (2.0 * c))
+    x0 = math.atan2(start.theta_dot, rate0)
+    seg, frac = locate_clock_fancy(ss, ys, q, t, designer.CLOCK_TOL * T)
+
+    def sample_at(s):
+        y = dense_fancy(ss, ys, q, *locate_fancy(ss, s))
+        return y, theta_profile(y[0], T).theta_dot / np.sin(y[1])
+
+    y = dense_fancy(ss, ys, q, seg, frac)
+    y[0] = t
+    y[1:, 0] = 0.5 * np.pi, x0
+    s = ss[seg] + frac * (ss[seg + 1] - ss[seg])
+    theta = theta_profile(t, T)
+    y_add = refine_fancy(s, y, theta.theta_dot / np.sin(y[1]), x_rate,
+                         sample_at)
+    if y_add.size:
+        order = np.argsort(np.concatenate((t, y_add[0])))
+        y = np.concatenate((y, y_add), axis=1)[:, order]
+        added = theta_profile(y_add[0], T)
+        theta = ThetaSample(*(np.concatenate(pair)[order] for pair in (
+            (theta.theta, added.theta), (theta.theta_dot, added.theta_dot),
+            (theta.theta_ddot, added.theta_ddot))))
+    t, beta, x = y
+    omega = theta.theta_dot / np.sin(beta)
+    delta = omega * np.cos(x) / np.sin(x)
+    cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
+    beta_dot = delta + omega * cot_theta * np.cos(beta)
+    beta_dot[0] = rate0
+    mu = analytic_diagnostics(theta, beta, beta_dot, c, params.branch_sign)[2]
+    interior = np.abs(t) <= 0.95 * params.kappa * T
+    return (t, omega, delta, beta, beta_dot, theta.theta, theta.theta_dot,
+            theta.theta_ddot, (math.cos(x0) - math.cos(x[-1])) / x_rate,
+            float(-beta[-1]), float(np.max(np.abs(mu[interior] - c))))
+
+
+class TestPostStepper:
+    """design_pulse from the stepper's output on: samples, clock,
+    refinement and fields, against the fancy-indexing oracle."""
+
+    @pytest.mark.parametrize("c", [0.04, 0.073])
+    @pytest.mark.parametrize("init", ["consistency", "zero"])
+    def test_bit_identical_to_fancy_oracle(self, monkeypatch, c, init):
+        runs = []
+        dopri5 = designer._dopri5
+        monkeypatch.setattr(designer, "_dopri5", lambda *args: runs.append(
+            dopri5(*args)) or runs[-1])
+        params = DesignParams(c=c, beta_rate_init=init)
+        pulse, traj = design_pulse(params)
+        ref = design_fancy(params, *runs[0])
+        got = (pulse.t, pulse.omega, pulse.delta, traj.beta, traj.beta_dot,
+               traj.theta.theta, traj.theta.theta_dot, traj.theta.theta_ddot,
+               pulse.area, pulse.beta_final, pulse.adiabaticity_residual)
+        # the refinement adds points where the consistency start's field
+        # spikes; from rest it adds none
+        assert (pulse.t.size > params.n_samples) == (init == "consistency")
+        for value, oracle in zip(got, ref):
+            value, oracle = np.asarray(value), np.asarray(oracle)
+            assert value.shape == oracle.shape
+            assert value.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("c", [0.04, 0.073])
+    def test_refinement_calls_no_theta_profile(self, monkeypatch, c):
+        # theta_profile gives the start, the grid and the added points; the
+        # refinement's samples take theta_dot alone
+        calls = []
+
+        def spy(t, T):
+            calls.append(np.ndim(t))
+            return theta_profile(t, T)
+
+        monkeypatch.setattr(designer, "theta_profile", spy)
+        pulse, _ = design_pulse(DesignParams(c=c))
+        assert pulse.t.size > 4001
+        assert calls == [0, 1, 1]
+
+
 class TestDormandPrince:
     """The in-repo Dormand-Prince 5(4) stepper behind design_pulse, with
     scipy's RK45 and a list-form transcription of the tableau as oracles."""

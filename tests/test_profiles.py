@@ -122,16 +122,36 @@ class TestTimeGrid:
 def test_array_theta_is_the_scalar_formula():
     # the array path takes erf from math.erf one value at a time, in the
     # input's shape, so theta has the scalar path's bits; inf, nan, -0.0
-    # and empty inputs included
+    # and empty inputs included, with no RuntimeWarning (an error here)
     rng = np.random.default_rng(4)
     edges = [-np.inf, -7.0, -0.0, 0.0, 1e-300, np.nan, np.inf]
     for x in (np.concatenate((rng.normal(0.0, 3.0, 4100), edges)),
               rng.normal(0.0, 2.0, (7, 5)), np.array(edges[:6]).reshape(2, 3)):
-        with np.errstate(all="ignore"):  # theta_ddot = 0 x inf at inf
-            s = theta_profile(x, 1.5)
+        s = theta_profile(x, 1.5)
         assert s.theta.shape == x.shape and s.theta.dtype == np.float64
         ref = [theta_profile(float(v), 1.5).theta for v in x.ravel()]
         np.testing.assert_array_equal(s.theta.ravel(), ref)
+
+
+def test_theta_ddot_limit_in_the_tails():
+    # where theta_dot is 0, past |t/T| ~ 27.3 and at t = +-inf, theta_ddot
+    # is its limit 0 with the sign of -t on both paths, not 0 * inf = nan;
+    # the array path gives it without a RuntimeWarning (an error here) where
+    # x * x overflows; finite times keep the product's bits
+    t = np.array([-np.inf, -1e300, -1e155, -60.0, 60.0, 1e155, 1e300, np.inf])
+    for T in (1.5, 1e-3):
+        s = theta_profile(t, T)
+        assert np.array_equal(s.theta_dot, np.zeros(t.size))
+        assert np.array_equal(s.theta_ddot, np.zeros(t.size))
+        assert np.array_equal(np.signbit(s.theta_ddot), t > 0)
+        for v, ddot in zip(t, s.theta_ddot):
+            alone = theta_profile(float(v), T).theta_ddot
+            assert alone == 0.0 and np.signbit(alone) == np.signbit(ddot)
+    t = np.linspace(-30.0, 30.0, 6001)
+    s = theta_profile(t, 1.0)
+    np.testing.assert_array_equal(s.theta_ddot,
+                                  s.theta_dot * (-2.0 * t / 1.0))
+    assert np.isnan(theta_profile(np.array([np.nan]), 1.0).theta_ddot[0])
     for empty in (np.zeros(0), np.zeros((3, 0))):
         assert theta_profile(empty, 1.0).theta.shape == empty.shape
     zero_d = theta_profile(np.array(0.3), 1.0)

@@ -14,7 +14,7 @@ from qiepulse import (
 )
 from qiepulse.designer import MAX_SAMPLES
 from qiepulse.dynamics import _WIDTH
-from qiepulse.robustness import _scan
+from qiepulse.robustness import ScanResult, _scan
 
 from conftest import C_VALUES
 
@@ -184,6 +184,19 @@ class TestSummary:
         assert row.min_band_02 == baseline_band_scan.min_fidelity_in_band
         # the flat pulse's profile is a single cosine lobe: fringe-free
         assert row.monotone_left and row.monotone_right
+
+    @pytest.mark.parametrize("lo, hi, f0", [(-2e-9, 2e-9, 0.3),
+                                            (1e-9, 0.5, None)])
+    def test_nominal_is_the_exact_zero(self, lo, hi, f0):
+        # F(0) is the fidelity at the grid's 0, which values() snaps to; a
+        # point within 1e-8 of 0 is not it, and a grid without 0 has none
+        grid = ErrorGrid("rabi", lo, hi, 5)
+        fids = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        row, = robustness_summary([ScanResult("p", grid, fids, 0.1, 1.0)])
+        if f0 is None:
+            assert np.isnan(row.f_nominal)
+        else:
+            assert grid.values()[2] == 0.0 and row.f_nominal == f0
 
     def test_band_minima_nested(self, band_scans):
         rows = robustness_summary(list(band_scans.values()))
