@@ -578,27 +578,25 @@ def design_pulse(params: DesignParams):
             t_fail=e.t_fail,
         ) from None
 
-    def sample_at(s):  # theta_dot as theta_profile's array formula
-        y = _dense(ss, ys, q, *_locate(ss, s))
+    def omega_at(y):  # theta_dot as theta_profile's array formula
         r = y[0] / T
-        return y, theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
+        return theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
+
+    def sample_at(s):
+        y = _dense(ss, ys, q, *_locate(ss, s))
+        return y, omega_at(y)
 
     y = _dense(ss, ys, q, seg, frac)
     y[0] = t  # the clock there is within CLOCK_TOL T of t
     y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
     s = ss[seg] + frac * np.diff(ss)[seg]
-    theta = theta_profile(t, T)
     with np.errstate(invalid="ignore", divide="ignore"):  # named below
-        y_add = _refine(s, y, theta.theta_dot / np.sin(y[1]), x_rate,
-                        sample_at)
-    if y_add.size:  # theta is evaluated once per time
-        order = np.argsort(np.concatenate((t, y_add[0])))
-        y = np.concatenate((y, y_add), axis=1)[:, order]
-        added = theta_profile(y_add[0], T)
-        theta = ThetaSample(*(np.concatenate(pair)[order] for pair in (
-            (theta.theta, added.theta), (theta.theta_dot, added.theta_dot),
-            (theta.theta_ddot, added.theta_ddot))))
+        y_add = _refine(s, y, omega_at(y), x_rate, sample_at)
+    if y_add.size:
+        y = np.concatenate((y, y_add), axis=1)
+        y = y[:, np.argsort(y[0])]
     t, beta, x = y
+    theta = theta_profile(t, T)  # once per time
 
     sin_beta = np.sin(beta)
     vanishes = np.abs(sin_beta) < _SIN_BETA_FLOOR

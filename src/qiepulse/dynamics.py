@@ -28,8 +28,7 @@ from .designer import MAX_SAMPLES, Pulse, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
-_ROWS = 128  # blocks per pass of propagate: a bounded working set
-_WIDTH = 512  # error rows per pass of final_states_over_errors
+_WIDTH = 256  # columns per pass: error rows of the scan, blocks of propagate
 _REV = np.arange(_BLOCK).reshape((2,) * (_BLOCK.bit_length() - 1)).T.ravel()
 
 __all__ = [
@@ -151,10 +150,21 @@ def _apply(a, b, psi):
     return np.stack((a * p + b * q, a.conj() * q - b.conj() * p), axis=1)
 
 
-def _tree(ab, t):
-    """Reduce a heap of products in place (see final_states_over_errors)."""
-    for m in 2 ** np.arange(ab.shape[1].bit_length() - 3, -1, -1):
-        _mul(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], t[:, :m])
+def _pass(om, de, dt, so, sd, rows):
+    """Apply each block of steps to rows, in buffers made for this pass (see
+    final_states_over_errors); each level's _mul operands are views made
+    once, not sliced anew for every block."""
+    ab = np.zeros((2, 2 * _BLOCK, so.size), dtype=complex)
+    x = np.empty((2, _BLOCK, so.size))
+    t = x.reshape(2, _BLOCK // 2, -1).view(complex)
+    x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
+    levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], t[:, :m])
+              for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
+    for o, d, h in zip(om, de, dt):
+        _factors(o, so, d, sd, h, *ab[:, _BLOCK:], x)
+        for level in levels:
+            _mul(*level)
+        rows[:] = _apply(*ab[:, 1], rows)
 
 
 def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
@@ -163,31 +173,18 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
 
     scale_omega/scale_delta are aligned 1-D arrays of (1 + delta) factors.
     Each row is computed exactly as a batch of one would be.  Blocks are laid
-    out as (steps, rows), _WIDTH rows a pass, as `parts` pairwise trees of
-    `leaves` steps (leaves x rows <= _BLOCK x _WIDTH / 2), each a heap on axis 1
-    of buffers made once a pass, leaves at [leaves, 2 leaves) in bit-reversed
-    order (_REV) and level m at [m, 2m): each level is two contiguous halves.
+    out as (steps, rows), _WIDTH rows a pass, each block one pairwise tree:
+    a heap on axis 1 of buffers made once a pass, leaves at [_BLOCK, 2 _BLOCK)
+    in bit-reversed order (_REV) and level m at [m, 2m): each level is two
+    contiguous halves.
     """
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
     psi = np.tile(np.asarray(initial, dtype=complex), (scale_omega.size, 1))
-    parts, leaves = (1, _BLOCK) if 2 * scale_omega.size <= _WIDTH else (2, _BLOCK // 2)
-    om, de, dt = (x.reshape(-1, parts, leaves)[:, :, _REV[::parts], None] for x in
+    om, de, dt = (x[:, _REV, None] for x in
                   _steps(pulse, scale_omega, scale_delta, substeps)[:3])
     for r in range(0, scale_omega.size, _WIDTH):
-        so, sd, rows = (y[r:r + _WIDTH] for y in (scale_omega, scale_delta, psi))
-        ab, roots = (np.zeros((2, 2 * m, so.size), dtype=complex) for m in (leaves, parts))
-        x = np.empty((2, leaves, so.size))
-        t = x.reshape(2, leaves // 2, -1).view(complex)
-        x = [*x, *_reals(ab[:, :leaves])]  # inner nodes: free until _tree
-        for blk in zip(om, de, dt):
-            for k, (o, d, h) in enumerate(zip(*blk)):
-                _factors(o, so, d, sd, h, *ab[:, leaves:], x)
-                _tree(ab, t)
-                roots[:, parts + k] = ab[:, 1]
-            _tree(roots, t)
-            rows[:] = _apply(*roots[:, 1], rows)
-        del ab, x, t  # before the next pass allocates its own
+        _pass(om, de, dt, *(y[r:r + _WIDTH] for y in (scale_omega, scale_delta, psi)))
     return psi
 
 
@@ -223,14 +220,14 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     rows = np.flatnonzero(done > 0)
     blk, pos = np.divmod(done[rows] + dt.size - done[-1] - 1, _BLOCK)  # sorted
     states, entry = np.tile(psi, (done.size, 1)), psi[None]
-    for g in range(0, om.shape[0], _ROWS):
+    for g in range(0, om.shape[0], _WIDTH):
         a, b = _prefixes(scale_omega, scale_delta,
-                         *(x[g:g + _ROWS] for x in (om, de, dt)))
+                         *(x[g:g + _WIDTH] for x in (om, de, dt)))
         starts = [entry]
         for j in range(a.shape[0]):
             starts.append(_apply(a[j:j + 1, -1], b[j:j + 1, -1], starts[-1]))
         entry = starts.pop()
-        at = slice(*np.searchsorted(blk, (g, g + _ROWS)))
+        at = slice(*np.searchsorted(blk, (g, g + _WIDTH)))
         j, p = blk[at] - g, pos[at]
         states[rows[at]] = _apply(a[j, p], b[j, p], np.concatenate(starts)[j])
 

@@ -57,9 +57,10 @@ class RunConfig:
     csv_precision: int = 12
 
     def __post_init__(self):
-        if self.csv_precision < 1:
+        # %.16e round-trips every double; more digits only grow the files
+        if not 1 <= self.csv_precision <= 16:
             raise ConfigError(
-                f"csv_precision must be >= 1, got {self.csv_precision}"
+                f"csv_precision must be in [1, 16], got {self.csv_precision}"
             )
 
 
@@ -212,6 +213,9 @@ def _float_metadata(meta: dict, key: str) -> float:
 
 
 def _check_columns(header) -> None:
+    for k, column in enumerate(header):
+        if column in header[:k]:
+            raise PulseFormatError(f"repeated column {column!r}")
     for required in PULSE_COLUMNS_MINIMAL:
         if required not in header:
             raise PulseFormatError(f"missing required column {required!r}")

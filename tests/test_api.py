@@ -21,6 +21,7 @@ PUBLIC_NAMES = [
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "bench" / "layers.py"
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def test_public_names_pinned():
@@ -54,3 +55,24 @@ def test_benchmark_layer_names_exist():
     runpy.run_path(str(LAYERS))["install"](probe)
     assert "qiepulse.cli.propagate" in probe.wrapped
     assert "qiepulse.robustness.final_states_over_errors" in probe.wrapped
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # the traced run's own tracer wraps the layers, records a call, and
+    # puts every function back
+    import qiepulse.cli as cli
+    import qiepulse.designer as designer
+    import qiepulse.pulse_io as pulse_io
+    import qiepulse.robustness as robustness
+
+    modules = (cli, designer, pulse_io, robustness)
+    before = [dict(vars(module)) for module in modules]
+    tracer = runpy.run_path(str(SPANS))["Tracer"]()
+    try:
+        runpy.run_path(str(LAYERS))["install"](tracer)
+        designer.theta_profile(0.0, 1.0)
+        assert len(tracer) == 1
+    finally:
+        tracer.restore()
+    for module, names in zip(modules, before):
+        assert all(getattr(module, name) is value for name, value in names.items())

@@ -761,8 +761,9 @@ class TestPostStepper:
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
     def test_refinement_calls_no_theta_profile(self, monkeypatch, c):
-        # theta_profile gives the start, the grid and the added points; the
-        # refinement's samples take theta_dot alone
+        # theta_profile gives the start and then the final times, uniform
+        # and added at once; the grid's and the refinement's Omega take
+        # theta_dot alone
         calls = []
 
         def spy(t, T):
@@ -772,7 +773,7 @@ class TestPostStepper:
         monkeypatch.setattr(designer, "theta_profile", spy)
         pulse, _ = design_pulse(DesignParams(c=c))
         assert pulse.t.size > 4001
-        assert calls == [0, 1, 1]
+        assert calls == [0, 1]
 
 
 class TestDormandPrince:

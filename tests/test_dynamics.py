@@ -25,7 +25,7 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import (
-    _BLOCK, _ROWS, _WIDTH, _factors, _steps, final_states_over_errors,
+    _BLOCK, _WIDTH, _factors, _steps, final_states_over_errors,
 )
 
 
@@ -594,11 +594,11 @@ class TestBlockProductKernel:
             np.testing.assert_array_equal(final, states[first])
 
     def test_several_passes(self):
-        # propagate takes _ROWS blocks per pass; on a pulse of three passes
+        # propagate takes _WIDTH blocks per pass; on a pulse of three passes
         # that starts with zero fields and has a zero-field gap, it matches
         # the plain product, holds the state bit-for-bit where the fields
         # vanish, and ends on the batch's bits at any length
-        n = _ROWS * _BLOCK + 800  # about 2.2 passes of sub-steps
+        n = _WIDTH * _BLOCK + 800  # 2 (n - 1) sub-steps: about 2.1 passes
         rng = np.random.default_rng(7)
         pulse = axis_pulse(np.cumsum(rng.uniform(5e-4, 1.5e-3, n)),
                            rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n))
@@ -616,8 +616,8 @@ class TestBlockProductKernel:
         np.testing.assert_array_equal(final, states[-1])
 
     def test_rows_independent_of_width_and_passes(self):
-        # 2 _WIDTH + 37 rows run as three passes of two half-block trees; a
-        # batch of one is one pass of whole-block trees: the same products
+        # 2 _WIDTH + 37 rows run as three passes of _WIDTH rows or fewer;
+        # a batch of one is one pass of one row: the same products
         pulse, _ = design_pulse(DesignParams(c=0.073, n_samples=101))
         errors = np.random.default_rng(11).uniform(-0.5, 0.5, (2 * _WIDTH + 37, 2))
         finals = final_states_over_errors(pulse, ket1(), 1 + errors[:, 0],

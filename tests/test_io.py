@@ -207,6 +207,18 @@ class TestReadExternal:
         with pytest.raises(PulseFormatError, match="omega"):
             read_pulse_csv(path)
 
+    @pytest.mark.parametrize("body", ["0,1,0,5\n0.5,1,0,5\n1,1,0,5\n",
+                                      "0,1,0,5\n0.5,1_0,0,5\n1,1,0,5\n"],
+                             ids=["columnar", "line-parser"])
+    def test_repeated_column_rejected(self, tmp_path, body):
+        # whichever reader takes the file (1_0 sends it to the line parser)
+        path = tmp_path / "bad.csv"
+        path.write_text("t,omega,delta,omega\n" + body)
+        columnar, lines = read_both(path)
+        assert_same_outcome(columnar, lines)
+        with pytest.raises(PulseFormatError, match="repeated column 'omega'"):
+            read_pulse_csv(path)
+
     def test_unparseable_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,omega,delta\n0,1,0\n0.5,oops,0\n1,1,0\n")
@@ -492,6 +504,16 @@ class TestConfig:
     def test_precision_floor(self):
         with pytest.raises(ConfigError):
             parse_config('{"design": {"c": 0.073}, "csv_precision": 0}')
+
+    def test_precision_ceiling(self):
+        # %.16e round-trips every double; past it a file only grows (at
+        # 100,000 digits a report would write about 10 GB)
+        text = '{"design": {"c": 0.073}, "csv_precision": %d}'
+        assert parse_config(text % 16).csv_precision == 16
+        for precision in (17, 100000):
+            with pytest.raises(ConfigError, match=r"csv_precision must be "
+                               r"in \[1, 16\], got %d" % precision):
+                parse_config(text % precision)
 
     @settings(max_examples=300, deadline=None)
     @given(text=config_texts())

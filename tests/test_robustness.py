@@ -148,17 +148,17 @@ class TestBatchedScan:
     DETUNING = ErrorGrid(parameter="detuning", lo=-0.3, hi=0.4, n_points=37)
     WIDE_RABI = ErrorGrid(parameter="rabi", lo=-0.6, hi=0.6, n_points=200)
 
-    @pytest.mark.parametrize("grids, half_trees", [
+    @pytest.mark.parametrize("grids, two_passes", [
         ((RABI, DETUNING), False),
         ((DETUNING, RABI), False),
-        # 301 rows run as half-block trees, each grid alone as full ones
+        # 301 rows run as two passes, each grid alone as one
         ((WIDE_RABI, RABI), True),
-    ], ids=["rabi-detuning", "detuning-rabi", "half-block-trees"])
-    def test_matches_scan_1d_per_grid(self, design_zero, grids, half_trees):
+    ], ids=["rabi-detuning", "detuning-rabi", "two-passes"])
+    def test_matches_scan_1d_per_grid(self, design_zero, grids, two_passes):
         pulse, _ = design_zero
         target = TargetState(pulse.beta_final)
-        assert 2 * max(g.n_points for g in grids) <= _WIDTH
-        assert (2 * sum(g.n_points for g in grids) > _WIDTH) == half_trees
+        assert max(g.n_points for g in grids) <= _WIDTH
+        assert (sum(g.n_points for g in grids) > _WIDTH) == two_passes
         results = _scan(pulse, target, grids)
         assert len(results) == len(grids)
         for grid, batched in zip(grids, results):
