@@ -42,7 +42,7 @@ and Omega_dot does not contain beta_ddot, so
     A         = Omega_dot * Delta - Omega * G,
 
 where G collects the beta_ddot-free part of Delta_dot (Delta_dot =
-beta_ddot + G).  analytic_diagnostics evaluates mu with it along a design.
+beta_ddot + G).  design_pulse records mu with it along a design.
 
 Sign conventions are fixed by the algebra above and by the propagator's
 Hamiltonian (see dynamics): under that Hamiltonian the Bloch azimuth of the
@@ -171,12 +171,15 @@ class DesignParams:
 
 @dataclass
 class AngleTrajectory:
-    """Designed angles at the pulse's times t; beta starts at pi/2 exactly."""
+    """Designed angles at the pulse's times t; beta starts at pi/2 exactly.
+    mu is the adiabaticity parameter there, as analytic_diagnostics gives it
+    from these angles."""
 
     t: np.ndarray
     theta: ThetaSample
     beta: np.ndarray
     beta_dot: np.ndarray
+    mu: np.ndarray
 
     __eq__ = _value_eq  # by value, NaN equal to NaN
 
@@ -191,7 +194,7 @@ class Pulse:
     Bloch azimuth the propagated state reaches at t[-1] (equal to -beta[-1]
     of the design trajectory; the Hamiltonian precession sense mirrors the
     azimuth).  adiabaticity_residual is the max interior deviation of the
-    analytically evaluated parameter from c; params is the design provenance
+    design trajectory's mu from c; params is the design provenance
     when the pulse came from design_pulse, else None.  Pulses are equal when
     their samples and metadata are (NaN equals NaN); params is not compared.
     """
@@ -617,7 +620,6 @@ def design_pulse(params: DesignParams):
         raise DesignError(
             f"c = {c:g} (T = {T:g}): the fields are not finite "
             f"at t = {t_bad:.6g}", t_fail=t_bad)
-    trajectory = AngleTrajectory(t, theta, beta, beta_dot)
     mu = analytic_diagnostics(theta, beta, beta_dot, c, params.branch_sign)[2]
     interior = np.abs(t) <= 0.95 * half_width
     residual = float(np.max(np.abs(mu[interior] - c)))
@@ -631,4 +633,4 @@ def design_pulse(params: DesignParams):
         adiabaticity_residual=residual,
         params=params,
     )
-    return pulse, trajectory
+    return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu)

@@ -136,12 +136,13 @@ def _reals(z):
     return [r for y in z for r in y.view(float).reshape((2,) + y.shape)]
 
 
-def _mul(a2, b2, a1, b1, a, b, t):
-    """(a, b) of U2 @ U1 into a and b; t is complex scratch (2,) + a.shape."""
+def _mul(a2, b2, a1, b1, a, b, t0, t1):
+    """(a, b) of U2 @ U1 into a and b; t0 and t1 are complex scratch of a's
+    shape."""
     np.subtract(np.multiply(a2, a1, out=a),
-                np.multiply(b2, np.conjugate(b1, out=t[0]), out=t[1]), out=a)
+                np.multiply(b2, np.conjugate(b1, out=t0), out=t1), out=a)
     np.add(np.multiply(a2, b1, out=b),
-           np.multiply(b2, np.conjugate(a1, out=t[0]), out=t[1]), out=b)
+           np.multiply(b2, np.conjugate(a1, out=t0), out=t1), out=b)
 
 
 def _apply(a, b, psi):
@@ -158,7 +159,7 @@ def _pass(om, de, dt, so, sd, rows):
     x = np.empty((2, _BLOCK, so.size))
     t = x.reshape(2, _BLOCK // 2, -1).view(complex)
     x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
-    levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], t[:, :m])
+    levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
               for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
     for o, d, h in zip(om, de, dt):
         _factors(o, so, d, sd, h, *ab[:, _BLOCK:], x)
@@ -195,7 +196,7 @@ def _prefixes(so, sd, *steps):
     _factors(o, so, d, sd, h, *cur, _reals(nxt) + _reals(t)[:2])
     for k in 2 ** np.arange(_BLOCK.bit_length() - 1):
         nxt[:, :k] = cur[:, :k]
-        _mul(*cur[:, k:], *cur[:, :-k], *nxt[:, k:], t[:, k:])
+        _mul(*cur[:, k:], *cur[:, :-k], *nxt[:, k:], *t[:, k:])
         cur, nxt = nxt, cur
     return cur.transpose(0, 2, 1)
 
@@ -204,13 +205,20 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
               substeps: int = 2) -> StateTrajectory:
     """Propagate through the sampled pulse and record diagnostics.
 
-    error = (delta_omega, delta_delta) applies the multiplicative systematic
-    errors Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.
-    At least 2 sub-steps per interval of t are required.
+    initial is a normalized 2-vector (|1> by default).  error =
+    (delta_omega, delta_delta) applies the multiplicative systematic errors
+    Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.  At least
+    2 sub-steps per interval of t are required.  Other shapes and values
+    raise ParameterError.
     """
+    if np.shape(error) != (2,):
+        raise ParameterError(f"error must be a pair (delta_omega, delta_delta), "
+                             f"got shape {np.shape(error)}")
     if not np.all(np.isfinite(error)):
         raise ParameterError(f"error must be finite, got {tuple(error)}")
     psi = ket1() if initial is None else np.array(initial, dtype=complex)
+    if psi.shape != (2,):
+        raise ParameterError(f"initial state must be a 2-vector, got shape {psi.shape}")
     if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-6:
         raise ParameterError("initial state must be finite and normalized")
 

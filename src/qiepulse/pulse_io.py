@@ -21,13 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .designer import (
-    AngleTrajectory,
-    DesignParams,
-    Pulse,
-    _area,
-    analytic_diagnostics,
-)
+from .designer import AngleTrajectory, DesignParams, Pulse, _area
+# not called here; bench/layers.py wraps this module's name for its spans
+from .designer import analytic_diagnostics  # noqa: F401
 from .errors import ConfigError, ParameterError, PulseFormatError
 from .robustness import ErrorGrid, ScanResult
 
@@ -159,11 +155,11 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
                     path, precision: int = 12) -> None:
     """Write a pulse (and, when available, its angle trajectory) to CSV.
 
-    With a trajectory the full 6-column layout is written, including the
-    analytically evaluated adiabaticity parameter; without one (baseline or
-    external pulses) the minimal 't,omega,delta' layout is used.
+    With a trajectory the full 6-column layout is written, its adiabaticity
+    column the mu the trajectory records; without one (baseline or external
+    pulses) the minimal 't,omega,delta' layout is used.  The design
+    parameters go into the metadata when the pulse has them.
     """
-    t = pulse.t
     meta = {
         "version": __version__,
         "area": repr(pulse.area),
@@ -177,22 +173,10 @@ def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
             n_samples=p.n_samples, branch_sign=p.branch_sign,
             beta_rate_init=p.beta_rate_init,
         )
-    if trajectory is None:
-        _write_csv(path, meta, PULSE_COLUMNS_MINIMAL,
-                   [t, pulse.omega, pulse.delta], precision)
-        return
-    if pulse.params is None:
-        raise ParameterError(
-            "writing the 6-column layout needs design params for the "
-            "adiabaticity column"
-        )
-    _, _, mu = analytic_diagnostics(
-        trajectory.theta, trajectory.beta, trajectory.beta_dot,
-        pulse.params.c, pulse.params.branch_sign,
-    )
-    _write_csv(path, meta, PULSE_COLUMNS,
-               [t, pulse.omega, pulse.delta, trajectory.theta.theta,
-                trajectory.beta, np.broadcast_to(mu, t.shape)], precision)
+    arrays = [pulse.t, pulse.omega, pulse.delta]
+    if trajectory is not None:
+        arrays += [trajectory.theta.theta, trajectory.beta, trajectory.mu]
+    _write_csv(path, meta, PULSE_COLUMNS[:len(arrays)], arrays, precision)
 
 
 def _parse_metadata_line(line: str, meta: dict) -> None:

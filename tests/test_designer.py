@@ -265,8 +265,20 @@ class TestDesignPulse:
         pulse, trajectory = designs4[0.073]
         n = pulse.t.size
         for arr in (trajectory.t, pulse.omega, pulse.delta, trajectory.beta,
-                    trajectory.beta_dot, trajectory.theta.theta):
+                    trajectory.beta_dot, trajectory.theta.theta, trajectory.mu):
             assert arr.shape == (n,)
+
+    def test_trajectory_records_mu(self, designs4, design_zero):
+        # mu is evaluated once per design, and the residual is read from it
+        for pulse, trajectory in (*designs4.values(), design_zero):
+            p = pulse.params
+            mu = analytic_diagnostics(trajectory.theta, trajectory.beta,
+                                      trajectory.beta_dot, p.c,
+                                      p.branch_sign)[2]
+            assert np.array_equal(trajectory.mu, mu)
+            interior = np.abs(trajectory.t) <= 0.95 * p.kappa * p.T
+            assert pulse.adiabaticity_residual == np.max(
+                np.abs(trajectory.mu[interior] - p.c))
 
     def test_constraint_residual_small(self, designs4):
         # the defining property: the analytic adiabaticity parameter stays
@@ -469,6 +481,9 @@ class TestRecordEquality:
         theta = replace(trajectory.theta,
                         theta_dot=trajectory.theta.theta_dot * 2)
         assert trajectory != replace(trajectory, theta=theta)
+        mu = trajectory.mu.copy()
+        mu[5] += 1e-12
+        assert trajectory != replace(trajectory, mu=mu)
         assert trajectory != "trajectory"
         beta[3] = np.nan  # NaN equals NaN
         assert replace(trajectory, beta=beta) == replace(trajectory,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -205,6 +206,28 @@ class TestPropagate:
         for error in ((np.nan, 0.0), (0.0, np.inf)):
             with pytest.raises(ParameterError, match="error must be finite"):
                 propagate(flat_pulse(1.0, 0.0), error=error)
+
+    @pytest.mark.parametrize("initial, shape", [
+        ([1.0, 0.0, 0.0], "(3,)"),  # normalized, one component too many
+        ([[1.0, 0.0]], "(1, 2)"),
+        (1.0, "()"),
+    ])
+    def test_initial_state_shape_rejected(self, initial, shape):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"initial state must be a 2-vector, got shape {shape}")):
+            propagate(flat_pulse(1.0, 0.0), initial=initial)
+
+    @pytest.mark.parametrize("error, shape", [
+        ((0.1,), "(1,)"),
+        (0.1, "()"),
+        ((0.1, 0.2, 0.3), "(3,)"),  # the third value is not dropped
+        ([[0.1, 0.2]], "(1, 2)"),
+    ])
+    def test_error_shape_rejected(self, error, shape):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"error must be a pair (delta_omega, delta_delta), "
+                f"got shape {shape}")):
+            propagate(flat_pulse(1.0, 0.0), error=error)
 
     def test_non_finite_field_rejected(self):
         omega = np.ones(11)

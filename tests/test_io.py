@@ -1,7 +1,7 @@
 import json
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qiepulse.designer as designer
 import qiepulse.pulse_io as pulse_io
 from qiepulse import (
     ConfigError,
     DesignParams,
     ErrorGrid,
     GridError,
-    ParameterError,
     Pulse,
     PulseFormatError,
     RunConfig,
@@ -176,12 +176,34 @@ class TestPulseRoundTrip:
         assert back.area == pulse.area
         assert back.beta_final == pulse.beta_final
 
-    def test_full_layout_requires_params(self, design_zero, tmp_path):
-        from dataclasses import replace
+    def test_full_layout_without_params(self, design_zero, tmp_path):
+        # the adiabaticity column is the trajectory's mu, so a pulse without
+        # design params still writes six columns, just no design metadata
         pulse, trajectory = design_zero
-        stripped = replace(pulse, params=None)
-        with pytest.raises(ParameterError):
-            write_pulse_csv(stripped, trajectory, tmp_path / "x.csv")
+        path = tmp_path / "x.csv"
+        write_pulse_csv(replace(pulse, params=None), trajectory, path)
+        lines = path.read_text().splitlines()
+        keys = {l[2:].partition(" =")[0] for l in lines if l.startswith("#")}
+        assert keys == {"version", "area", "beta_final",
+                        "adiabaticity_residual"}
+        assert next(l for l in lines if not l.startswith("#")) == (
+            "t,omega,delta,theta,beta,adiabaticity")
+
+    def test_adiabaticity_column_is_the_recorded_mu(self, monkeypatch,
+                                                    design_zero, tmp_path):
+        # writing evaluates no constraint algebra
+        def refuse(*args):
+            raise AssertionError("the constraint algebra was evaluated")
+
+        pulse, trajectory = design_zero
+        monkeypatch.setattr(designer, "_constraint", refuse)
+        path = tmp_path / "pulse.csv"
+        write_pulse_csv(pulse, trajectory, path)
+        rows = [l.split(",") for l in path.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert {len(row) for row in rows} == {6}
+        assert [float(row[5]) for row in rows] == [float(f"{x:.12e}")
+                                                   for x in trajectory.mu]
 
 
 class TestReadExternal:
