@@ -9,9 +9,8 @@ equal sub-steps, each the exact unitary [[a, b], [-b*, a*]] of the frozen
 Hamiltonian at the sub-step's midpoint fields (linear interpolation, scaled
 by the (1 + delta) error factors).  Sub-steps with Omega = Delta = 0 there are
 the identity and are dropped, so a zero-field gap holds the state bit for bit;
-the rest are multiplied in blocks of _BLOCK, into buffers made once a pass, by
-the scan batch and propagate in the same pairs and operand order (numpy's SIMD
-complex x * y fuses multiply-adds, and y * x can round apart), so they agree.
+the rest are multiplied in blocks of _BLOCK by pairwise trees (_trees), and
+the scan batch and propagate both take their block products from them.
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -151,12 +150,16 @@ def _apply(a, b, psi):
     return np.stack((a * p + b * q, a.conj() * q - b.conj() * p), axis=1)
 
 
-def _pass(om, de, dt, so, sd, rows):
-    """Apply each block of steps to rows, in buffers made for this pass (see
-    final_states_over_errors); each level's _mul operands are views made
-    once, not sliced anew for every block."""
-    ab = np.zeros((2, 2 * _BLOCK, so.size), dtype=complex)
-    x = np.empty((2, _BLOCK, so.size))
+def _trees(om, de, dt, so, sd):
+    """Yield each block's pairwise tree, a heap on axis 1 of one buffer:
+    step k's factor at _BLOCK + _REV[k], level m at [m, 2m) (two contiguous
+    halves of the level below) and the block's product at 1.  om, de and dt
+    hold the blocks on axis 0, their steps in _REV order on axis 1 and the
+    columns on axis 2, broadcast with so and sd; each level's _mul operands
+    are views made once, not sliced anew for every block."""
+    cols = np.broadcast_shapes(om.shape[2:], np.shape(so))
+    ab = np.zeros((2, 2 * _BLOCK) + cols, dtype=complex)
+    x = np.empty((2, _BLOCK) + cols)
     t = x.reshape(2, _BLOCK // 2, -1).view(complex)
     x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
     levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
@@ -165,7 +168,7 @@ def _pass(om, de, dt, so, sd, rows):
         _factors(o, so, d, sd, h, *ab[:, _BLOCK:], x)
         for level in levels:
             _mul(*level)
-        rows[:] = _apply(*ab[:, 1], rows)
+        yield ab
 
 
 def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
@@ -173,11 +176,8 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
     """Final states for a batch of multiplicative field scalings.
 
     scale_omega/scale_delta are aligned 1-D arrays of (1 + delta) factors.
-    Each row is computed exactly as a batch of one would be.  Blocks are laid
-    out as (steps, rows), _WIDTH rows a pass, each block one pairwise tree:
-    a heap on axis 1 of buffers made once a pass, leaves at [_BLOCK, 2 _BLOCK)
-    in bit-reversed order (_REV) and level m at [m, 2m): each level is two
-    contiguous halves.
+    Each row is computed exactly as a batch of one would be: a column of
+    the trees per row, _WIDTH rows a pass.
     """
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
@@ -185,20 +185,11 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
     om, de, dt = (x[:, _REV, None] for x in
                   _steps(pulse, scale_omega, scale_delta, substeps)[:3])
     for r in range(0, scale_omega.size, _WIDTH):
-        _pass(om, de, dt, *(y[r:r + _WIDTH] for y in (scale_omega, scale_delta, psi)))
+        rows, so, sd = (y[r:r + _WIDTH] for y in (psi, scale_omega, scale_delta))
+        for ab in _trees(om, de, dt, so, sd):
+            rows[:] = _apply(*ab[:, 1], rows)
+        ab = None  # free this pass's heap before the next builds its own
     return psi
-
-
-def _prefixes(so, sd, *steps):
-    """(a, b) of the prefix products along each row of steps (Hillis-Steele)."""
-    o, d, h = (np.ascontiguousarray(x.T) for x in steps)
-    cur, nxt, t = (np.zeros((2,) + o.shape, dtype=complex) for _ in range(3))
-    _factors(o, so, d, sd, h, *cur, _reals(nxt) + _reals(t)[:2])
-    for k in 2 ** np.arange(_BLOCK.bit_length() - 1):
-        nxt[:, :k] = cur[:, :k]
-        _mul(*cur[:, k:], *cur[:, :-k], *nxt[:, k:], *t[:, k:])
-        cur, nxt = nxt, cur
-    return cur.transpose(0, 2, 1)
 
 
 def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
@@ -224,20 +215,23 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 
     scale_omega, scale_delta = 1.0 + float(error[0]), 1.0 + float(error[1])
     om, de, dt, done = _steps(pulse, scale_omega, scale_delta, substeps)
-    # samples past a non-identity step read its prefix; the others hold psi
-    rows = np.flatnonzero(done > 0)
-    blk, pos = np.divmod(done[rows] + dt.size - done[-1] - 1, _BLOCK)  # sorted
-    states, entry = np.tile(psi, (done.size, 1)), psi[None]
-    for g in range(0, om.shape[0], _WIDTH):
-        a, b = _prefixes(scale_omega, scale_delta,
-                         *(x[g:g + _WIDTH] for x in (om, de, dt)))
-        starts = [entry]
-        for j in range(a.shape[0]):
-            starts.append(_apply(a[j:j + 1, -1], b[j:j + 1, -1], starts[-1]))
-        entry = starts.pop()
-        at = slice(*np.searchsorted(blk, (g, g + _WIDTH)))
-        j, p = blk[at] - g, pos[at]
-        states[rows[at]] = _apply(a[j, p], b[j, p], np.concatenate(starts)[j])
+    om, de, dt = (x.T[None, _REV] for x in (om, de, dt))  # a column per block
+    # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
+    states = np.empty((dt.shape[2] + 1, _BLOCK, 2), dtype=complex)
+    states[0, -1] = psi
+    for g in range(0, dt.shape[2], _WIDTH):
+        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in (om, de, dt)),
+                         scale_omega, scale_delta))
+        ends = [states[g, -1:]]  # the block products chained as the batch's
+        for j in range(ab.shape[2]):
+            ends.append(_apply(ab[0, 1, j:j + 1], ab[1, 1, j:j + 1], ends[-1]))
+        ends, blocks = np.concatenate(ends), slice(g + 1, g + 1 + _WIDTH)
+        states[blocks, -1], s = ends[1:], ends[:-1]
+        for k in range(_BLOCK - 1):  # the steps inside all blocks at once
+            s = states[blocks, k] = _apply(*ab[:, _BLOCK + _REV[k]], s)
+        ab = None  # free this pass's heap before the next builds its own
+    at = np.where(done > 0, done + dt.size - done[-1], 0)  # padding included
+    states = states.reshape(-1, 2)[at + _BLOCK - 1]
 
     pop1, pop2 = np.abs(states.T) ** 2
     u, v, w = bloch_from_state(states)
