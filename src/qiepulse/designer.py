@@ -55,7 +55,9 @@ misses the exact area.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -127,6 +129,15 @@ _DENSE_P = np.array([
 ])
 
 
+def _is_count(n, lo, hi=MAX_SAMPLES):
+    """Whether n is an integer, of Python or numpy (operator.index takes
+    it), in [lo, hi]."""
+    try:
+        return lo <= operator.index(n) <= hi
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Complete specification of one design run.
@@ -149,15 +160,17 @@ class DesignParams:
     beta_rate_init: str = "consistency"
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ParameterError(f"c must be positive and finite, got {self.c}")
-        if not 0 < self.T < math.inf:
-            raise ParameterError(f"T must be positive and finite, got {self.T}")
-        if not 3 <= self.kappa < math.inf:
-            raise ParameterError(f"kappa must be finite and >= 3, got {self.kappa}")
-        if not 3 <= self.n_samples <= MAX_SAMPLES:
-            raise ParameterError(f"n_samples must be >= 3 and <= "
-                                 f"{MAX_SAMPLES}, got {self.n_samples}")
+        c, T, kappa = (x if isinstance(x, Real) else math.nan
+                       for x in (self.c, self.T, self.kappa))
+        if not 0 < c < math.inf:
+            raise ParameterError(f"c must be positive and finite, got {self.c!r}")
+        if not 0 < T < math.inf:
+            raise ParameterError(f"T must be positive and finite, got {self.T!r}")
+        if not 3 <= kappa < math.inf:
+            raise ParameterError(f"kappa must be finite and >= 3, got {self.kappa!r}")
+        if not _is_count(self.n_samples, 3):
+            raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
+                                 f"got {self.n_samples!r}")
         if self.branch_sign not in (-1, 1):
             raise ParameterError(
                 f"branch_sign must be +1 or -1, got {self.branch_sign}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designer import MAX_SAMPLES, Pulse, _value_eq
+from .designer import MAX_SAMPLES, Pulse, _is_count, _value_eq
 from .errors import ParameterError
 
 _BLOCK = 64  # sub-steps per block product; a power of two
@@ -81,14 +81,26 @@ def target_state(beta_final) -> np.ndarray:
     return np.array([np.exp(-0.5j * bf), np.exp(0.5j * bf)]) / np.sqrt(2.0)
 
 
+def _numbers(value, dtype):
+    """value as an array of dtype and its shape, or None and, for an error
+    message, what it is when numpy makes no such array of it."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None, "ragged"
+    if not np.can_cast(array.dtype, dtype, "same_kind"):
+        return None, f"{array.shape} of {array.dtype.type.__name__.rstrip('_')}"
+    return array.astype(dtype, copy=False), array.shape
+
+
 def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
     """-Omega and Delta at the midpoints of the sub-steps that are not
     exactly the identity and a quarter of their widths, as _factors takes
     them, front-padded with zero-width steps to whole blocks and shaped
     (blocks, _BLOCK), and the count of such steps up to each sample of t."""
-    if not (substeps >= 2 and (pulse.t.size - 1) * substeps <= MAX_SAMPLES):
+    if not _is_count(substeps, 2, MAX_SAMPLES // (pulse.t.size - 1)):
         raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
-                             f"substeps <= {MAX_SAMPLES}, got {substeps}")
+                             f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
     for name, values in (("omega", pulse.omega), ("delta", pulse.delta),
                          ("scale_omega", scale_omega), ("scale_delta", scale_delta)):
         bad = np.flatnonzero(~np.isfinite(values))
@@ -202,18 +214,19 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     2 sub-steps per interval of t are required.  Other shapes and values
     raise ParameterError.
     """
-    if np.shape(error) != (2,):
+    err, es = _numbers(error, float)
+    psi, ps = _numbers(ket1() if initial is None else initial, complex)
+    if es != (2,):
         raise ParameterError(f"error must be a pair (delta_omega, delta_delta), "
-                             f"got shape {np.shape(error)}")
-    if not np.all(np.isfinite(error)):
+                             f"got shape {es}")
+    if not np.all(np.isfinite(err)):
         raise ParameterError(f"error must be finite, got {tuple(error)}")
-    psi = ket1() if initial is None else np.array(initial, dtype=complex)
-    if psi.shape != (2,):
-        raise ParameterError(f"initial state must be a 2-vector, got shape {psi.shape}")
+    if ps != (2,):
+        raise ParameterError(f"initial state must be a 2-vector, got shape {ps}")
     if not abs(np.vdot(psi, psi).real - 1.0) <= 1e-6:
         raise ParameterError("initial state must be finite and normalized")
 
-    scale_omega, scale_delta = 1.0 + float(error[0]), 1.0 + float(error[1])
+    scale_omega, scale_delta = 1.0 + err
     om, de, dt, done = _steps(pulse, scale_omega, scale_delta, substeps)
     om, de, dt = (x.T[None, _REV] for x in (om, de, dt))  # a column per block
     # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
@@ -257,11 +270,12 @@ def fidelity(final, target):
     state vector, a TargetState or a bare beta_final.  <target|final> is
     summed in real arithmetic, one elementwise operation at a time, so a
     state has the same fidelity alone as in a batch."""
-    tgt = target_state(target) if np.ndim(target) == 0 else np.asarray(target, dtype=complex)
-    psi = np.asarray(final, dtype=complex)
-    if tgt.shape != (2,) or psi.shape[-1:] != (2,) or psi.ndim > 2:
+    bare = target.beta_final if isinstance(target, TargetState) else target
+    (tgt, ts), (psi, ps) = _numbers(bare, complex), _numbers(final, complex)
+    if ts not in ((), (2,)) or psi is None or psi.ndim > 2 or ps[-1:] != (2,):
         raise ParameterError(f"need a 2-component target and one state or rows "
-                             f"of states, got shapes {tgt.shape} and {psi.shape}")
+                             f"of states, got shapes {ts} and {ps}")
+    tgt = target_state(bare) if ts == () else tgt
     (ar, ai), (br, bi) = ((z.real, z.imag) for z in tgt)
     p, q = psi[..., 0], psi[..., 1]
     re = ar * p.real + ai * p.imag + br * q.real + bi * q.imag

@@ -8,11 +8,12 @@ Omega -> (1 + delta) Omega for "rabi", Delta -> (1 + delta) Delta for
 """
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Optional
 
 import numpy as np
 
-from .designer import MAX_SAMPLES, Pulse, _value_eq
+from .designer import MAX_SAMPLES, Pulse, _is_count, _value_eq
 from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
 
@@ -42,11 +43,12 @@ class ErrorGrid:
             raise ParameterError(
                 f"parameter must be 'rabi' or 'detuning', got {self.parameter!r}"
             )
-        if not -np.inf < self.lo < self.hi < np.inf:
-            raise ParameterError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if not 2 <= self.n_points <= MAX_SAMPLES:
+        lo, hi = (x if isinstance(x, Real) else np.nan for x in (self.lo, self.hi))
+        if not -np.inf < lo < hi < np.inf:
+            raise ParameterError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if not _is_count(self.n_points, 2):
             raise ParameterError(f"n_points must be >= 2 and <= {MAX_SAMPLES}, "
-                                 f"got {self.n_points}")
+                                 f"got {self.n_points!r}")
 
     def values(self) -> np.ndarray:
         """Grid values; when the range spans 0 the closest point is snapped
@@ -76,12 +78,13 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     to global phase, which is target_state(-pi/2), giving fidelity 1 at
     delta = 0.
     """
-    if not (0 < duration < np.inf and 0.5 * np.pi / duration < np.inf):
+    if not (isinstance(duration, Real) and 0 < duration < np.inf
+            and 0.5 * np.pi / duration < np.inf):
         raise ParameterError(f"duration must be positive and finite, with "
-                             f"(pi/2)/duration finite, got {duration}")
-    if not 3 <= n_samples <= MAX_SAMPLES:
+                             f"(pi/2)/duration finite, got {duration!r}")
+    if not _is_count(n_samples, 3):
         raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
-                             f"got {n_samples}")
+                             f"got {n_samples!r}")
     return Pulse(
         t=np.linspace(0.0, duration, n_samples),
         omega=np.full(n_samples, 0.5 * np.pi / duration),

@@ -250,6 +250,11 @@ class TestDesignParams:
         dict(c=0.073, T=np.inf),
         dict(c=0.073, kappa=np.inf),
         dict(c=np.nan),
+        dict(c=0.073, n_samples=401.5),  # counts are integers
+        dict(c=0.073, n_samples=np.float64(401.0)),
+        dict(c="0.07"),  # and the float fields real numbers
+        dict(c=0.073, kappa=None),
+        dict(c=0.073, T=1j),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):

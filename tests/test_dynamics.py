@@ -192,6 +192,18 @@ class TestPropagate:
     def test_substeps_floor(self):
         with pytest.raises(ParameterError):
             propagate(flat_pulse(0.0, 0.0), substeps=1)
+        # counts are integers, of Python or numpy, in every entry point
+        pulse = flat_pulse(1.0, 0.0)
+        for substeps in (2.5, 2.0, "2", None):
+            for run in (lambda: propagate(pulse, substeps=substeps),
+                        lambda: final_states_over_errors(pulse, ket1(), [1.0], [1.0],
+                                                         substeps),
+                        lambda: scan_1d(pulse, 0.3, ErrorGrid("rabi", -0.1, 0.1, 3),
+                                        substeps)):
+                with pytest.raises(ParameterError, match="substeps must be >= 2"):
+                    run()
+        np.testing.assert_array_equal(propagate(pulse, substeps=np.int64(3)).states,
+                                      propagate(pulse, substeps=3).states)
 
     def test_initial_state_must_be_normalized(self):
         with pytest.raises(ParameterError):
@@ -211,6 +223,8 @@ class TestPropagate:
         ([1.0, 0.0, 0.0], "(3,)"),  # normalized, one component too many
         ([[1.0, 0.0]], "(1, 2)"),
         (1.0, "()"),
+        ([[1], 0], "ragged"),
+        (["a", 0], "(2,) of str"),
     ])
     def test_initial_state_shape_rejected(self, initial, shape):
         with pytest.raises(ParameterError, match=re.escape(
@@ -222,6 +236,10 @@ class TestPropagate:
         (0.1, "()"),
         ((0.1, 0.2, 0.3), "(3,)"),  # the third value is not dropped
         ([[0.1, 0.2]], "(1, 2)"),
+        (((0.1,), 0.2), "ragged"),
+        (("a", "b"), "(2,) of str"),
+        ((None, 0.1), "(2,) of object"),
+        ((0.1j, 0.2), "(2,) of complex128"),
     ])
     def test_error_shape_rejected(self, error, shape):
         with pytest.raises(ParameterError, match=re.escape(
@@ -346,6 +364,18 @@ class TestFidelity:
         (np.ones((2, 2)), np.ones((2, 2)))])
     def test_shapes_checked(self, final, target):
         with pytest.raises(ParameterError, match="2-component target"):
+            fidelity(final, target)
+
+    @pytest.mark.parametrize("final, target, shapes", [
+        ([1, 0], "a", "() of str and (2,)"),
+        ([1, 0], None, "() of object and (2,)"),
+        ([1, 0], ((1,), 0), "ragged and (2,)"),
+        ([1, 0], TargetState("a"), "() of str and (2,)"),
+        (["a", 0], 0.3, "() and (2,) of str"),
+        ([[1, 0], [1]], 0.3, "() and ragged"),
+    ])
+    def test_malformed_arguments_named(self, final, target, shapes):
+        with pytest.raises(ParameterError, match=re.escape(f"got shapes {shapes}")):
             fidelity(final, target)
 
     def test_scan_nominal_is_propagate_fidelity(self, designs4):
@@ -708,3 +738,12 @@ class TestBlockProductKernel:
         # more passes reuse the room of the first: no second set of buffers
         small, _ = design_pulse(DesignParams(c=0.073, n_samples=101))
         assert peak(small, 2 * _WIDTH + 37) <= peak(small, _WIDTH) + 0.1e6
+        # propagate holds one pass's tree at a time: building a pass's tree
+        # while the last pass's was still held peaked at 6.86 MB
+        pulse, _ = design_pulse(DesignParams(c=0.073, n_samples=16001))
+        tracemalloc.start()
+        try:
+            propagate(pulse)
+            assert tracemalloc.get_traced_memory()[1] <= 4.9e6
+        finally:
+            tracemalloc.stop()

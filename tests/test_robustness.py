@@ -47,6 +47,16 @@ class TestErrorGrid:
         for lo, hi in ((-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)):
             with pytest.raises(ParameterError, match="finite"):
                 ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=11)
+        # counts are integers of Python or numpy, bounds real numbers
+        for n_points in (5.5, 5.0, "5", None):
+            with pytest.raises(ParameterError, match="n_points"):
+                ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=n_points)
+        for lo, hi in (("0", 1), (0, None), (0j, 1)):
+            with pytest.raises(ParameterError, match="finite lo < hi"):
+                ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=5)
+        np.testing.assert_array_equal(
+            ErrorGrid("rabi", np.float32(-0.5), 1, np.int64(5)).values(),
+            ErrorGrid("rabi", -0.5, 1.0, 5).values())
 
 
 class TestPiHalfBaseline:
@@ -62,6 +72,14 @@ class TestPiHalfBaseline:
     def test_too_many_samples(self):
         with pytest.raises(ParameterError, match=f"<= {MAX_SAMPLES}"):
             pi_half_baseline(1.0, n_samples=MAX_SAMPLES + 1)
+
+    def test_argument_types(self):
+        for n_samples in (11.5, 11.0, "11"):
+            with pytest.raises(ParameterError, match="n_samples must be >= 3"):
+                pi_half_baseline(1.0, n_samples=n_samples)
+        with pytest.raises(ParameterError, match="duration"):
+            pi_half_baseline("1")
+        assert pi_half_baseline(np.float64(1.0), np.int64(11)) == pi_half_baseline(1.0, 11)
 
     def test_rabi_scan_matches_closed_form(self):
         # rotation angle (1+delta) pi/2 about u: F = (1 + cos(delta pi/2))/2
