@@ -22,7 +22,6 @@ from .errors import (
     ParameterError,
     PulseFormatError,
     ScanError,
-    SingularityError,
 )
 from .plots import svg_line_plot
 from .pulse_io import (
@@ -55,7 +54,7 @@ AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
 _ARGUMENT_ERRORS = (ConfigError, ParameterError, GridError)
-_NUMERICAL_ERRORS = (DesignError, ScanError, SingularityError, DegeneracyError)
+_NUMERICAL_ERRORS = (DesignError, ScanError, DegeneracyError)
 _IO_ERRORS = (PulseFormatError, OSError)
 
 

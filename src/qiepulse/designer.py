@@ -62,9 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError, DesignError, GridError, ParameterError, SingularityError,
-)
+from .errors import DegeneracyError, DesignError, GridError, ParameterError
 from .profiles import _SQRT_PI, ThetaSample, _value_eq, theta_profile
 
 __all__ = [
@@ -74,8 +72,6 @@ __all__ = [
     "design_pulse",
     "analytic_diagnostics",
 ]
-
-_SIN_BETA_FLOOR = 1e-14
 
 # Most samples a pulse or error grid may have; a float array of them is 80 MB
 MAX_SAMPLES = 10**7
@@ -129,6 +125,12 @@ _DENSE_P = np.array([
 ])
 
 
+def _real(x):
+    """x if it is a real number, else nan: a bool is not one, though
+    numbers.Real takes it."""
+    return x if isinstance(x, Real) and not isinstance(x, bool) else math.nan
+
+
 def _is_count(n, lo, hi=MAX_SAMPLES):
     """Whether n is an integer, of Python or numpy (operator.index takes
     it), in [lo, hi]."""
@@ -160,8 +162,7 @@ class DesignParams:
     beta_rate_init: str = "consistency"
 
     def __post_init__(self):
-        c, T, kappa = (x if isinstance(x, Real) else math.nan
-                       for x in (self.c, self.T, self.kappa))
+        c, T, kappa = map(_real, (self.c, self.T, self.kappa))
         if not 0 < c < math.inf:
             raise ParameterError(f"c must be positive and finite, got {self.c!r}")
         if not 0 < T < math.inf:
@@ -551,9 +552,10 @@ def design_pulse(params: DesignParams):
 
     A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
     rounds to -1, and cot(theta) would divide by zero on every step), an
-    accepted state with beta or x outside (0, pi), a failed step (below 10
-    ulp of s), MAX_STEPS steps short of the window end, and fields that are
-    not finite raise DesignError naming c, T and the time t_fail it reached.
+    accepted state or a sample with beta or x outside (0, pi), a failed
+    step (below 10 ulp of s), MAX_STEPS steps short of the window end, and
+    fields that are not finite raise DesignError naming c, T and the time
+    t_fail it reached.
     """
     T, c, sign = params.T, params.c, float(params.branch_sign)
     half_width = params.kappa * T
@@ -566,7 +568,7 @@ def design_pulse(params: DesignParams):
             return
         name, angle = (("beta", beta) if not 0.0 < beta < math.pi
                        else ("the mixing angle x", x))
-        raise DesignError(f"{name} left (0, pi), at {angle / math.pi:.6g} pi",
+        raise DesignError(f"{name} left (0, pi), at {angle / math.pi:.17g} pi",
                           t_fail=t_now)
 
     start = theta_profile(t[0], T)
@@ -576,6 +578,15 @@ def design_pulse(params: DesignParams):
         # where mu reduces to |Omega_dot| / (2 beta_dot^2)
         rate0 = sign * math.sqrt(abs(start.theta_ddot) / (2.0 * c))
     x0 = math.atan2(start.theta_dot, rate0)  # at beta = pi/2, Delta = beta_dot
+
+    def omega_at(y):  # theta_dot as theta_profile's array formula
+        r = y[0] / T
+        return theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
+
+    def sample_at(s):
+        y = _dense(ss, ys, q, *_locate(ss, s))
+        return y, omega_at(y)
+
     try:
         if not (math.isfinite(start.theta_dot) and math.isfinite(rate0)):
             raise DesignError("the initial state is not finite",
@@ -587,42 +598,30 @@ def design_pulse(params: DesignParams):
         ss, ys, q = _dopri5(_s_form(T, x_rate), (t[0], 0.5 * math.pi, x0),
                             t[-1], ODE_RTOL, ODE_ATOL, check)
         seg, frac = _locate_clock(ss, ys, q, t, CLOCK_TOL * T)
+        y = _dense(ss, ys, q, seg, frac)
+        y[0] = t  # the clock there is within CLOCK_TOL T of t
+        y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
+        s = ss[seg] + frac * np.diff(ss)[seg]
+        with np.errstate(invalid="ignore", divide="ignore"):  # named below
+            y_add = _refine(s, y, omega_at(y), x_rate, sample_at)
+        if y_add.size:
+            y = np.concatenate((y, y_add), axis=1)
+            y = y[:, np.argsort(y[0])]
+        # the samples obey check's rule, as the accepted states do
+        out = ~((0.0 < y[1:]) & (y[1:] < np.pi)).all(axis=0)
+        if out.any():
+            check(*map(float, y[:, np.argmax(out)]))
     except DesignError as e:
         raise DesignError(
             f"c = {c:g} (T = {T:g}): constrained integration "
             f"failed at t = {e.t_fail:.6g}: {e}",
             t_fail=e.t_fail,
         ) from None
-
-    def omega_at(y):  # theta_dot as theta_profile's array formula
-        r = y[0] / T
-        return theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
-
-    def sample_at(s):
-        y = _dense(ss, ys, q, *_locate(ss, s))
-        return y, omega_at(y)
-
-    y = _dense(ss, ys, q, seg, frac)
-    y[0] = t  # the clock there is within CLOCK_TOL T of t
-    y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
-    s = ss[seg] + frac * np.diff(ss)[seg]
-    with np.errstate(invalid="ignore", divide="ignore"):  # named below
-        y_add = _refine(s, y, omega_at(y), x_rate, sample_at)
-    if y_add.size:
-        y = np.concatenate((y, y_add), axis=1)
-        y = y[:, np.argsort(y[0])]
     t, beta, x = y
     theta = theta_profile(t, T)  # once per time
 
-    sin_beta = np.sin(beta)
-    vanishes = np.abs(sin_beta) < _SIN_BETA_FLOOR
-    if vanishes.any():
-        t_bad = float(t[np.argmax(vanishes)])
-        raise SingularityError(
-            f"c = {c:g} (T = {T:g}): sin(beta) vanishes at t = {t_bad:.6g}; "
-            f"Omega undefined", t_fail=t_bad)
     with np.errstate(all="ignore"):
-        omega = theta.theta_dot / sin_beta
+        omega = theta.theta_dot / np.sin(beta)
         delta = omega * np.cos(x) / np.sin(x)
         cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
         beta_dot = delta + omega * cot_theta * np.cos(beta)

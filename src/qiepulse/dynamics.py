@@ -76,19 +76,23 @@ def ket1() -> np.ndarray:
 
 
 def target_state(beta_final) -> np.ndarray:
-    """Target superposition for a given final azimuth (accepts TargetState)."""
+    """Target superposition for a given final azimuth, one real number
+    (accepts TargetState)."""
     bf = beta_final.beta_final if isinstance(beta_final, TargetState) else beta_final
+    if _numbers(bf, float)[1] != ():
+        raise ParameterError(f"beta_final must be one real number, got {bf!r}")
     return np.array([np.exp(-0.5j * bf), np.exp(0.5j * bf)]) / np.sqrt(2.0)
 
 
 def _numbers(value, dtype):
     """value as an array of dtype and its shape, or None and, for an error
-    message, what it is when numpy makes no such array of it."""
+    message, what it is when numpy makes no such array of it (of bools
+    neither: they are no numbers here)."""
     try:
         array = np.asarray(value)
     except ValueError:  # a ragged nesting
         return None, "ragged"
-    if not np.can_cast(array.dtype, dtype, "same_kind"):
+    if array.dtype == bool or not np.can_cast(array.dtype, dtype, "same_kind"):
         return None, f"{array.shape} of {array.dtype.type.__name__.rstrip('_')}"
     return array.astype(dtype, copy=False), array.shape
 

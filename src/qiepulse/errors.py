@@ -6,9 +6,8 @@ subclasses onto its exit codes (see qiepulse.cli).
 """
 
 __all__ = [
-    "QiePulseError", "ParameterError", "GridError", "SingularityError",
-    "DegeneracyError", "DesignError", "ScanError", "PulseFormatError",
-    "ConfigError",
+    "QiePulseError", "ParameterError", "GridError", "DegeneracyError",
+    "DesignError", "ScanError", "PulseFormatError", "ConfigError",
 ]
 
 
@@ -22,15 +21,6 @@ class ParameterError(QiePulseError, ValueError):
 
 class GridError(QiePulseError, ValueError):
     """A time or error grid violates its invariants (ordering, uniformity)."""
-
-
-class SingularityError(QiePulseError):
-    """A designed beta reached sin(beta) = 0, where Omega is undefined;
-    carries the first such time."""
-
-    def __init__(self, message, t_fail=None):
-        super().__init__(message)
-        self.t_fail = t_fail
 
 
 class DegeneracyError(QiePulseError):

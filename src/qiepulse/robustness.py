@@ -8,12 +8,11 @@ Omega -> (1 + delta) Omega for "rabi", Delta -> (1 + delta) Delta for
 """
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import List, Optional
 
 import numpy as np
 
-from .designer import MAX_SAMPLES, Pulse, _is_count, _value_eq
+from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _value_eq
 from .dynamics import fidelity, final_states_over_errors, ket1
 from .errors import ParameterError, ScanError
 
@@ -43,7 +42,7 @@ class ErrorGrid:
             raise ParameterError(
                 f"parameter must be 'rabi' or 'detuning', got {self.parameter!r}"
             )
-        lo, hi = (x if isinstance(x, Real) else np.nan for x in (self.lo, self.hi))
+        lo, hi = _real(self.lo), _real(self.hi)
         if not -np.inf < lo < hi < np.inf:
             raise ParameterError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
         if not _is_count(self.n_points, 2):
@@ -78,8 +77,7 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     to global phase, which is target_state(-pi/2), giving fidelity 1 at
     delta = 0.
     """
-    if not (isinstance(duration, Real) and 0 < duration < np.inf
-            and 0.5 * np.pi / duration < np.inf):
+    if not 0 < _real(duration) < np.inf or not 0.5 * np.pi / duration < np.inf:
         raise ParameterError(f"duration must be positive and finite, with "
                              f"(pi/2)/duration finite, got {duration!r}")
     if not _is_count(n_samples, 3):

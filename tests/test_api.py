@@ -2,6 +2,7 @@
 lists, and the functions the traced benchmark run wraps (bench/layers.py),
 which must keep existing under the names it looks them up by."""
 
+import re
 import runpy
 from pathlib import Path
 
@@ -11,7 +12,7 @@ PUBLIC_NAMES = [
     "AngleTrajectory", "ConfigError", "DegeneracyError", "DesignError",
     "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
     "PulseFormatError", "QiePulseError", "RunConfig", "ScanError",
-    "ScanResult", "SingularityError", "StateTrajectory", "TargetState",
+    "ScanResult", "StateTrajectory", "TargetState",
     "__version__", "analytic_diagnostics", "bloch_from_angles",
     "bloch_from_state", "design_pulse", "fidelity", "format_summary", "ket1",
     "parse_config", "pi_half_baseline", "propagate", "read_pulse_csv",
@@ -35,6 +36,14 @@ def test_readme_names_every_public_name():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [name for name in qiepulse.__all__ if f"`{name}`" not in readme]
     assert not missing, f"README.md does not name {missing}"
+
+
+def test_readme_names_only_existing_errors():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`(\w*Error)`", readme))
+    assert named, "README.md names no error class"
+    stale = sorted(named - set(qiepulse.errors.__all__))
+    assert not stale, f"README.md names {stale}, which qiepulse.errors lacks"
 
 
 class ProbeTracer:

@@ -121,18 +121,29 @@ class TestDesignCommand:
         assert not out.exists()
 
     def test_kappa_5_9_designs(self, tmp_path, capsys):
+        # c = 0.10 designs its kappa = 4 area; at c = 0.073 a sample in the
+        # bounce has beta below 0, which is not the window's failure
         out = tmp_path / "p.csv"
-        assert main(["design", "--c", "0.073", "--kappa", "5.9", "--n", "401",
+        assert main(["design", "--c", "0.1", "--kappa", "5.9", "--n", "401",
                      "--out", str(out)]) == 0
-        assert "area = 1.959491 pi" in capsys.readouterr().out
+        assert "area = 1.809157 pi" in capsys.readouterr().out
         assert out.exists()
+        out = tmp_path / "q.csv"
+        assert main(["design", "--c", "0.073", "--kappa", "5.9", "--n", "401",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("c = 0.073 (T = 1): constrained integration failed at "
+                "t = 0.138916: beta left (0, pi), at -" in err)
+        assert "theta rounds to 0" not in err
+        assert not out.exists()
 
     def test_vanishing_sin_beta_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         rc = main(["design", "--c", "0.0489", "--kappa", "5.5", "--branch",
                    "1", "--n", "401", "--out", str(out)])
         assert rc == 3
-        assert ("c = 0.0489 (T = 1): sin(beta) vanishes at t = -0.198721"
+        assert ("c = 0.0489 (T = 1): constrained integration failed at "
+                "t = -0.198721: beta left (0, pi), at 1.0000000000000"
                 in capsys.readouterr().err)
         assert not out.exists()
 

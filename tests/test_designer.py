@@ -18,7 +18,6 @@ from qiepulse import (
     DesignParams,
     ParameterError,
     Pulse,
-    SingularityError,
     analytic_diagnostics,
     design_pulse,
     pi_half_baseline,
@@ -255,6 +254,9 @@ class TestDesignParams:
         dict(c="0.07"),  # and the float fields real numbers
         dict(c=0.073, kappa=None),
         dict(c=0.073, T=1j),
+        dict(c=True),  # a bool is not a real number here
+        dict(c=0.073, T=True),
+        dict(c=0.073, kappa=np.bool_(True)),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):
@@ -966,14 +968,61 @@ class TestDormandPrince:
     @pytest.mark.parametrize("c, t_fail", [(0.1164, 0.934931),
                                            (0.0489, -0.198721)])
     def test_vanishing_sin_beta_names_c_and_time(self, c, t_fail):
-        # on branch +1 at kappa = 5.5 these designs bounce through |sin beta|
-        # below the 1e-14 floor at a sample, where Omega is undefined
-        with pytest.raises(SingularityError) as info:
+        # on branch +1 at kappa = 5.5 these designs bounce through sin(beta)
+        # = 0 between accepted states, and a sample there has beta above pi
+        with pytest.raises(DesignError) as info:
             design_pulse(DesignParams(c=c, kappa=5.5, branch_sign=1,
                                       n_samples=401))
-        assert str(info.value) == (f"c = {c:g} (T = 1): sin(beta) vanishes "
-                                   f"at t = {t_fail:.6g}; Omega undefined")
+        assert str(info.value).startswith(
+            f"c = {c:g} (T = 1): constrained integration failed at "
+            f"t = {t_fail:.6g}: beta left (0, pi), at 1.0000000000000")
         assert info.value.t_fail == pytest.approx(t_fail, abs=1e-6)
+
+    @pytest.mark.parametrize("c, kappa, n, branch, t_fail", [
+        (0.073, 5.9, 401, -1, 0.138916), (0.04, 5.0, 401, 1, -0.332729),
+        (0.05, 4.8, 4001, 1, -0.182779), (0.04, 4.5, 16001, -1, -0.332729)])
+    def test_sample_outside_the_range_is_design_error(self, c, kappa, n,
+                                                      branch, t_fail):
+        # the bounce sinks below what the accepted states resolve, and a
+        # sample between them has beta past 0 (branch -1) or pi (branch +1);
+        # the message shows which side
+        with pytest.raises(DesignError) as info:
+            design_pulse(DesignParams(c=c, kappa=kappa, n_samples=n,
+                                      branch_sign=branch))
+        message = str(info.value)
+        prefix = (f"c = {c:g} (T = 1): constrained integration failed at "
+                  f"t = {t_fail:.6g}: beta left (0, pi), at ")
+        assert message.startswith(prefix) and message.endswith(" pi")
+        side = float(message[len(prefix):-3])
+        assert side < 0 if branch == -1 else side > 1
+        assert info.value.t_fail == pytest.approx(t_fail, abs=1e-6)
+
+    def test_returned_samples_inside_the_range(self, monkeypatch):
+        # every sample of a design that returns has beta and x in (0, pi);
+        # x is read from the dense states the samples are taken from
+        dense, states = designer._dense, []
+
+        def recorded(*args):
+            states.append(dense(*args))
+            return states[-1]
+
+        monkeypatch.setattr(designer, "_dense", recorded)
+        returned = 0
+        for c in np.arange(3, 11) / 100:
+            for kappa in (4.0, 5.0):
+                states.clear()
+                try:
+                    _, trajectory = design_pulse(DesignParams(
+                        c=c, kappa=kappa, n_samples=401))
+                except DesignError:
+                    assert kappa != 4.0
+                    continue
+                returned += 1
+                x_of = dict(zip(*np.concatenate(states, axis=1)[1:]))
+                x = np.array([x_of[b] for b in trajectory.beta[1:]])
+                for angle in (trajectory.beta, x):
+                    assert np.all((0.0 < angle) & (angle < np.pi))
+        assert returned >= 12
 
     def test_beta_leaving_is_named(self, monkeypatch):
         # theta held at pi/2 with theta_dot = 10: from x0 = pi/2 the mixing
@@ -1019,12 +1068,18 @@ class TestDormandPrince:
         assert info.value.t_fail == -6.0
 
     def test_kappa_5_9_designs(self):
-        # the widest window where theta(-kappa T) is still above 0
+        # the widest window where theta(-kappa T) is still above 0: c = 0.10
+        # designs the kappa = 4 pulse there, and c = 0.073 integrates but a
+        # sample in its bounce (t = 0.1389) has beta below 0
         assert theta_profile(-5.9, 1.0).theta > 0.0
-        pulse, _ = design_pulse(DesignParams(c=0.073, kappa=5.9,
+        pulse, _ = design_pulse(DesignParams(c=0.10, kappa=5.9,
                                              n_samples=401))
-        narrow, _ = design_pulse(DesignParams(c=0.073, n_samples=401))
+        narrow, _ = design_pulse(DesignParams(c=0.10, n_samples=401))
         assert pulse.area == pytest.approx(narrow.area, rel=1e-6)
+        with pytest.raises(DesignError, match=r"failed at t = 0\.138916: "
+                           r"beta left \(0, pi\), at -") as info:
+            design_pulse(DesignParams(c=0.073, kappa=5.9, n_samples=401))
+        assert info.value.t_fail == pytest.approx(0.138916, abs=1e-6)
 
     def test_non_finite_diagnostic_field_is_design_error(self, monkeypatch):
         # a field sample that is not finite is named at its time: theta_dot
@@ -1047,8 +1102,16 @@ class TestDormandPrince:
     @pytest.mark.parametrize("c", [0.03, 0.04, 0.073, 0.10])
     def test_kappa_5_designs(self, c):
         # kappa = 5 designs the kappa = 4 pulse, whose area does not depend
-        # on the window, also at c = 0.03 with its four bounces
-        wide, _ = design_pulse(DesignParams(c=c, kappa=5.0, n_samples=401))
+        # on the window, also at c = 0.03 with its four bounces; at c = 0.04
+        # a sample in the bounce at t = -0.3327 has beta below 0
+        params = DesignParams(c=c, kappa=5.0, n_samples=401)
+        if c == 0.04:
+            with pytest.raises(DesignError, match=r"failed at t = -0\.332729: "
+                               r"beta left \(0, pi\), at -") as info:
+                design_pulse(params)
+            assert info.value.t_fail == pytest.approx(-0.332729, abs=1e-6)
+            return
+        wide, _ = design_pulse(params)
         narrow, _ = design_pulse(DesignParams(c=c, n_samples=401))
         assert wide.area == pytest.approx(narrow.area, rel=1e-7)
         assert wide.adiabaticity_residual <= 1e-3 * c

@@ -67,6 +67,12 @@ class TestStates:
         np.testing.assert_array_equal(target_state(TargetState(0.3)),
                                       target_state(0.3))
 
+    @pytest.mark.parametrize("beta_final", [
+        "a", None, [1, 2], True, 0.3j, TargetState(None)])
+    def test_target_state_needs_one_real_number(self, beta_final):
+        with pytest.raises(ParameterError, match="beta_final must be one real"):
+            target_state(beta_final)
+
     def test_normalization(self):
         rng = np.random.default_rng(7)
         for beta in rng.uniform(-2 * np.pi, 2 * np.pi, 50):
@@ -361,7 +367,7 @@ class TestFidelity:
 
     @pytest.mark.parametrize("final, target", [
         (np.ones(3), 0.3), (np.ones((2, 2, 2)), 0.3), (np.ones(2), np.ones(3)),
-        (np.ones((2, 2)), np.ones((2, 2)))])
+        (np.ones((2, 2)), np.ones((2, 2))), ([1, 0], True)])
     def test_shapes_checked(self, final, target):
         with pytest.raises(ParameterError, match="2-component target"):
             fidelity(final, target)

@@ -51,7 +51,7 @@ class TestErrorGrid:
         for n_points in (5.5, 5.0, "5", None):
             with pytest.raises(ParameterError, match="n_points"):
                 ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=n_points)
-        for lo, hi in (("0", 1), (0, None), (0j, 1)):
+        for lo, hi in (("0", 1), (0, None), (0j, 1), (False, True), (0, True)):
             with pytest.raises(ParameterError, match="finite lo < hi"):
                 ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=5)
         np.testing.assert_array_equal(
@@ -77,8 +77,9 @@ class TestPiHalfBaseline:
         for n_samples in (11.5, 11.0, "11"):
             with pytest.raises(ParameterError, match="n_samples must be >= 3"):
                 pi_half_baseline(1.0, n_samples=n_samples)
-        with pytest.raises(ParameterError, match="duration"):
-            pi_half_baseline("1")
+        for duration in ("1", True, np.bool_(True)):
+            with pytest.raises(ParameterError, match="duration"):
+                pi_half_baseline(duration)
         assert pi_half_baseline(np.float64(1.0), np.int64(11)) == pi_half_baseline(1.0, 11)
 
     def test_rabi_scan_matches_closed_form(self):
