@@ -12,11 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .designer import DesignParams, design_pulse
+from .designer import DesignParams, _grid, design_pulse
 from .dynamics import TargetState, propagate
 from .errors import (
     ConfigError,
-    DegeneracyError,
     DesignError,
     GridError,
     ParameterError,
@@ -32,6 +31,7 @@ from .pulse_io import (
     write_trajectory_csv,
 )
 from .robustness import (
+    BAND_HALF_WIDTH,
     ErrorGrid,
     _scan,
     format_summary,
@@ -54,7 +54,7 @@ AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
 _ARGUMENT_ERRORS = (ConfigError, ParameterError, GridError)
-_NUMERICAL_ERRORS = (DesignError, ScanError, DegeneracyError)
+_NUMERICAL_ERRORS = (DesignError, ScanError)
 _IO_ERRORS = (PulseFormatError, OSError)
 
 
@@ -163,7 +163,7 @@ def _cmd_scan(args) -> int:
     result = scan_1d(pulse, TargetState(beta_final), grid,
                      substeps=args.substeps)
     write_scan_csv(result, args.out)
-    print(f"min fidelity over |delta| <= 0.2: "
+    print(f"min fidelity over |delta| <= {BAND_HALF_WIDTH:g}: "
           f"{result.min_fidelity_in_band:.6f}")
     return 0
 
@@ -247,11 +247,9 @@ def _cmd_report(args) -> int:
         # the uniform design samples only: the points refined around the
         # Omega spike would set the y axis and flatten the rest of the pulse
         for c, (pulse, _) in designs.items():
-            t = pulse.t
-            uniform = np.isin(
-                t, np.linspace(t[0], t[-1], pulse.params.n_samples))
+            uniform = np.isin(pulse.t, pulse.params.T * _grid(pulse.params))
             svg_line_plot(
-                t[uniform],
+                pulse.t[uniform],
                 [("omega", pulse.omega[uniform]),
                  ("delta", pulse.delta[uniform])],
                 f"pulse c={c:g}",

@@ -34,6 +34,11 @@ The boundary condition is beta(t_start) = pi/2, where Delta = beta_dot, so
 x0 = atan2(theta_dot, beta_dot) at t_start; beta_dot(t_start) is a
 configuration choice (DesignParams.beta_rate_init).
 
+T is only the unit of time: theta depends on t / T, and beta, x and the
+area on c alone.  design_pulse works in units of T (T = 1) and scales its
+output once, t by T, the rates by 1/T and theta_ddot by 1/T^2: a design at
+T is the T = 1 design, bit for bit, and fails where it fails or overflows.
+
 The t-form of the same constraint, second order in beta, is kept as the
 kernel _constraint: Delta_dot is affine in beta_ddot with unit coefficient
 and Omega_dot does not contain beta_ddot, so
@@ -62,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegeneracyError, DesignError, GridError, ParameterError
+from .errors import DesignError, GridError, ParameterError
 from .profiles import _SQRT_PI, ThetaSample, _value_eq, theta_profile
 
 __all__ = [
@@ -84,7 +89,7 @@ MAX_STEPS = 10**5
 # Relative and absolute tolerances of the design ODE's step control
 ODE_RTOL, ODE_ATOL = 1e-9, 1e-11
 
-# Largest |t(s) - t_k| in units of T at which the clock's inversion stops,
+# Largest |t(s) - t_k|, in units of T, at which the clock's inversion stops,
 # and the most steps it may take (see _locate_clock): the 24,000 designs of
 # ten 30 s design_sweep runs took at most 8, and 53 bisections alone narrow
 # a step's fraction to its float resolution
@@ -151,7 +156,8 @@ class DesignParams:
     pi/2 and starts x just below pi, the shipped default; the other sign
     designs the mirrored branch).  The window [-kappa T, kappa T] needs no
     floor on Omega: |Omega| = theta_dot / |sin(beta)| >= theta_dot(kappa T)
-    = (sqrt(pi) / 2T) exp(-kappa^2).
+    = (sqrt(pi) / 2T) exp(-kappa^2) > 0 for every kappa < 5.925 that
+    design_pulse integrates, so no design reaches Omega = Delta = 0.
     """
 
     c: float
@@ -292,21 +298,16 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
     mu = |Omega_dot Delta - Omega Delta_dot| / (2 (Omega^2 + Delta^2)^{3/2}),
     with Omega_dot and Delta_dot from the angle derivatives (beta_ddot taken
     from the constraint), never from differencing sampled fields; a
-    non-finite field gives a non-finite mu.  Returns (omega, delta, mu).
-    Raises DegeneracyError where Omega = Delta = 0.
+    non-finite field gives a non-finite mu, and Omega = Delta = 0, where
+    beta_ddot is 0/0, a nan mu.  Returns (omega, delta, mu).
     """
     with np.errstate(all="ignore"):
         omega, delta, omega_dot, G, beta_ddot = _constraint(
             theta, np.asarray(beta, dtype=float),
             np.asarray(beta_dot, dtype=float), c, branch_sign
         )
-        gap_sq = omega * omega + delta * delta
-        if np.any(gap_sq == 0.0):
-            raise DegeneracyError(
-                "adiabaticity parameter undefined at Omega = Delta = 0"
-            )
         mu = (np.abs(omega_dot * delta - omega * (beta_ddot + G))
-              / (2.0 * gap_sq**1.5))
+              / (2.0 * (omega * omega + delta * delta)**1.5))
     return omega, delta, mu
 
 
@@ -321,22 +322,21 @@ def _rms(a, b, c):
     return math.sqrt((a * a + b * b + c * c) / 3)
 
 
-def _s_form(T, x_rate):
-    """The s-form's right-hand side f(s, (t, beta, x)) for the ramp time T
-    and dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
+def _s_form(x_rate):
+    """The s-form's right-hand side f(s, (t, beta, x)), t in units of T, for
+    dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
 
-    theta and theta_dot are theta_profile's scalar formulas written out, the
-    same float operations in the same order with the constants of T made
-    once, so the design has theta_profile's bits without a call and a
-    ThetaSample per evaluation.  A step whose stage is not finite (1/0 at
-    theta = 0, sin(inf)) gets nan, which rejects it.
+    theta and theta_dot are theta_profile's scalar formulas at T = 1 written
+    out, the same float operations in the same order, so the design has
+    theta_profile's bits without a call and a ThetaSample per evaluation.
+    A step whose stage is not finite (1/0 at theta = 0, sin(inf)) gets nan,
+    which rejects it.
     """
-    theta_dot_scale, quarter_pi = _SQRT_PI / (2.0 * T), 0.25 * math.pi
+    theta_dot_scale, quarter_pi = _SQRT_PI / 2.0, 0.25 * math.pi
     erf, exp, sin, cos, nan = math.erf, math.exp, math.sin, math.cos, math.nan
 
     def rhs(s, y):
-        t_now, beta, x = y
-        r = t_now / T
+        r, beta, x = y
         theta = quarter_pi * (erf(r) + 1.0)
         theta_dot = theta_dot_scale * exp(-r * r)
         try:
@@ -533,45 +533,49 @@ def _refine(s, y, omega, x_rate, sample_at):
         hi = np.concatenate((mid, hi), axis=1)
 
 
+def _grid(params: DesignParams):
+    """The uniform design grid in units of T, n_samples times over
+    [-kappa, kappa]: a designed pulse's t holds T times each of them."""
+    return np.linspace(-params.kappa, params.kappa, params.n_samples)
+
+
 def design_pulse(params: DesignParams):
     """Integrate the constrained angles and reconstruct the drive.
 
-    Returns (Pulse, AngleTrajectory).  The s-form (see the module notes) is
-    integrated in the Sundman time s by the adaptive Dormand-Prince 5(4)
-    stepper _dopri5 at tolerances ODE_RTOL and ODE_ATOL, from
-    (t, beta, x) = (-kappa T, pi/2, x0) to the accepted step where t reaches
-    kappa T.  The uniform n_samples grid is found on its dense output by
-    inverting the increasing clock t(s) (_locate_clock), and the grid
-    intervals get the points that resolve the field there: an interval is
-    bisected in s while the trapezoid of |Omega| over it misses its exact
-    area by more than REFINE_TOL (see _refine).  The pulse's t holds every
-    uniform point and the added ones, in order.  The fields are
-    Omega = theta_dot / sin(beta) and Delta = Omega cot(x); the area is the
-    closed form (cos x0 - cos x_f) / (2 c branch_sign), exact to the
-    solver's x_f at any sampling.
+    Returns (Pulse, AngleTrajectory).  Up to the output, t is in units of T
+    (see the module notes).  The s-form is integrated in the Sundman time s
+    by the adaptive Dormand-Prince 5(4) stepper _dopri5 at tolerances
+    ODE_RTOL and ODE_ATOL, from (t, beta, x) = (-kappa, pi/2, x0) to the
+    accepted step where t reaches kappa.  The uniform grid (_grid) is
+    found on its dense output by inverting the increasing clock t(s)
+    (_locate_clock), and the grid intervals get the points that resolve the
+    field there: an interval is bisected in s while the trapezoid of |Omega|
+    over it misses its exact area by more than REFINE_TOL (see _refine).
+    The pulse's t holds every uniform point and the added ones, in order.
+    The fields are Omega = theta_dot / sin(beta) and Delta = Omega cot(x);
+    the area is the closed form (cos x0 - cos x_f) / (2 c branch_sign),
+    exact to the solver's x_f at any sampling.
 
     A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
     rounds to -1, and cot(theta) would divide by zero on every step), an
     accepted state or a sample with beta or x outside (0, pi), a failed
     step (below 10 ulp of s), MAX_STEPS steps short of the window end, and
-    fields that are not finite raise DesignError naming c, T and the time
-    t_fail it reached.
+    returned arrays that are not finite raise DesignError naming c, T and
+    the time t_fail it reached.
     """
     T, c, sign = params.T, params.c, float(params.branch_sign)
-    half_width = params.kappa * T
-    t = np.linspace(-half_width, half_width, params.n_samples)
+    tau = _grid(params)
     x_rate = 2.0 * c * sign  # dx/ds per unit theta_dot
-    theta_dot_scale = _SQRT_PI / (2.0 * T)
 
-    def check(t_now, beta, x):
+    def check(tau_now, beta, x):
         if 0.0 < beta < math.pi and 0.0 < x < math.pi:
             return
         name, angle = (("beta", beta) if not 0.0 < beta < math.pi
                        else ("the mixing angle x", x))
         raise DesignError(f"{name} left (0, pi), at {angle / math.pi:.17g} pi",
-                          t_fail=t_now)
+                          t_fail=tau_now)
 
-    start = theta_profile(t[0], T)
+    start = theta_profile(tau[0], 1.0)
     rate0 = 0.0  # "zero": at rest
     if params.beta_rate_init == "consistency":
         # the rate for which the constraint holds in the Omega -> 0 limit,
@@ -580,8 +584,7 @@ def design_pulse(params: DesignParams):
     x0 = math.atan2(start.theta_dot, rate0)  # at beta = pi/2, Delta = beta_dot
 
     def omega_at(y):  # theta_dot as theta_profile's array formula
-        r = y[0] / T
-        return theta_dot_scale * np.exp(-r * r) / np.sin(y[1])
+        return _SQRT_PI / 2.0 * np.exp(-y[0] * y[0]) / np.sin(y[1])
 
     def sample_at(s):
         y = _dense(ss, ys, q, *_locate(ss, s))
@@ -590,16 +593,16 @@ def design_pulse(params: DesignParams):
     try:
         if not (math.isfinite(start.theta_dot) and math.isfinite(rate0)):
             raise DesignError("the initial state is not finite",
-                              t_fail=float(t[0]))
+                              t_fail=float(tau[0]))
         if start.theta == 0.0:
             raise DesignError(f"theta rounds to 0 at the window start "
                               f"(kappa = {params.kappa:g}), so cot(theta) "
-                              f"is infinite there", t_fail=float(t[0]))
-        ss, ys, q = _dopri5(_s_form(T, x_rate), (t[0], 0.5 * math.pi, x0),
-                            t[-1], ODE_RTOL, ODE_ATOL, check)
-        seg, frac = _locate_clock(ss, ys, q, t, CLOCK_TOL * T)
+                              f"is infinite there", t_fail=float(tau[0]))
+        ss, ys, q = _dopri5(_s_form(x_rate), (tau[0], 0.5 * math.pi, x0),
+                            tau[-1], ODE_RTOL, ODE_ATOL, check)
+        seg, frac = _locate_clock(ss, ys, q, tau, CLOCK_TOL)
         y = _dense(ss, ys, q, seg, frac)
-        y[0] = t  # the clock there is within CLOCK_TOL T of t
+        y[0] = tau  # the clock there is within CLOCK_TOL of tau
         y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
         s = ss[seg] + frac * np.diff(ss)[seg]
         with np.errstate(invalid="ignore", divide="ignore"):  # named below
@@ -612,13 +615,14 @@ def design_pulse(params: DesignParams):
         if out.any():
             check(*map(float, y[:, np.argmax(out)]))
     except DesignError as e:
+        t_fail = T * e.t_fail
         raise DesignError(
             f"c = {c:g} (T = {T:g}): constrained integration "
-            f"failed at t = {e.t_fail:.6g}: {e}",
-            t_fail=e.t_fail,
+            f"failed at t = {t_fail:.6g}: {e}",
+            t_fail=t_fail,
         ) from None
-    t, beta, x = y
-    theta = theta_profile(t, T)  # once per time
+    tau, beta, x = y
+    theta = theta_profile(tau, 1.0)  # once per time
 
     with np.errstate(all="ignore"):
         omega = theta.theta_dot / np.sin(beta)
@@ -626,23 +630,24 @@ def design_pulse(params: DesignParams):
         cot_theta = np.cos(theta.theta) / np.sin(theta.theta)
         beta_dot = delta + omega * cot_theta * np.cos(beta)
     beta_dot[0] = rate0  # exact, as the start
-    bad = ~(np.isfinite(omega) & np.isfinite(delta))
+    mu = analytic_diagnostics(theta, beta, beta_dot, c, params.branch_sign)[2]
+    interior = np.abs(tau) <= 0.95 * params.kappa
+    residual = float(np.max(np.abs(mu[interior] - c)))
+
+    # out of units of T, in place: the time scales by T, each rate by 1/T
+    t, rates = tau, (omega, delta, beta_dot, theta.theta_dot)
+    with np.errstate(all="ignore"):  # named below
+        t *= T
+        for rate in rates:
+            rate /= T
+        theta.theta_ddot /= T * T
+    bad = ~np.all([np.isfinite(a) for a in (t, *rates, theta.theta_ddot)],
+                  axis=0)
     if bad.any():
         t_bad = float(t[np.argmax(bad)])
         raise DesignError(
             f"c = {c:g} (T = {T:g}): the fields are not finite "
             f"at t = {t_bad:.6g}", t_fail=t_bad)
-    mu = analytic_diagnostics(theta, beta, beta_dot, c, params.branch_sign)[2]
-    interior = np.abs(t) <= 0.95 * half_width
-    residual = float(np.max(np.abs(mu[interior] - c)))
-
-    pulse = Pulse(
-        t=t,
-        omega=omega,
-        delta=delta,
-        area=(math.cos(x0) - math.cos(x[-1])) / x_rate,
-        beta_final=float(-beta[-1]),
-        adiabaticity_residual=residual,
-        params=params,
-    )
+    pulse = Pulse(t, omega, delta, (math.cos(x0) - math.cos(x[-1])) / x_rate,
+                  float(-beta[-1]), residual, params)
     return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu)

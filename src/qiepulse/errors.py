@@ -6,8 +6,8 @@ subclasses onto its exit codes (see qiepulse.cli).
 """
 
 __all__ = [
-    "QiePulseError", "ParameterError", "GridError", "DegeneracyError",
-    "DesignError", "ScanError", "PulseFormatError", "ConfigError",
+    "QiePulseError", "ParameterError", "GridError", "DesignError",
+    "ScanError", "PulseFormatError", "ConfigError",
 ]
 
 
@@ -21,11 +21,6 @@ class ParameterError(QiePulseError, ValueError):
 
 class GridError(QiePulseError, ValueError):
     """A time or error grid violates its invariants (ordering, uniformity)."""
-
-
-class DegeneracyError(QiePulseError):
-    """Omega = Delta = 0: instantaneous eigenbasis / adiabaticity parameter
-    undefined."""
 
 
 class DesignError(QiePulseError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import qiepulse
 
 PUBLIC_NAMES = [
-    "AngleTrajectory", "ConfigError", "DegeneracyError", "DesignError",
+    "AngleTrajectory", "ConfigError", "DesignError",
     "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
     "PulseFormatError", "QiePulseError", "RunConfig", "ScanError",
     "ScanResult", "StateTrajectory", "TargetState",

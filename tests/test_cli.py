@@ -88,6 +88,15 @@ class TestDesignCommand:
         assert "beta_final = -0.079746 pi" in printed
         assert out.exists()
 
+    def test_large_T_designs(self, tmp_path, capsys):
+        # T is the unit of time: at T = 1e9 the endpoints are those at T = 1
+        out = tmp_path / "p.csv"
+        assert main(["design", "--c", "0.073", "--T", "1e9",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "area = 1.959491 pi" in printed
+        assert "beta_final = -0.079746 pi" in printed
+
     def test_invalid_c_is_argument_error(self, tmp_path, capsys):
         rc = main(["design", "--c", "-1", "--out", str(tmp_path / "p.csv")])
         assert rc == 2
@@ -376,6 +385,28 @@ class TestReportCommand:
             assert y_lo == pytest.approx(fields.min() - pad, rel=5e-3)
             assert y_hi == pytest.approx(fields.max() + pad, rel=5e-3)
             assert max(abs(y_lo), abs(y_hi)) < 1e3
+
+    def test_pulse_plots_draw_the_uniform_samples_at_any_T(self, tmp_path,
+                                                           capsys):
+        # the uniform samples of a design at T are T times those at T = 1,
+        # not a grid rebuilt over the pulse's ends; each field's polyline
+        # draws every one of them
+        out_dir = tmp_path / "out"
+        config = {
+            "design": {"c": 0.073, "T": 3.0, "n_samples": 401},
+            "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "output_dir": str(out_dir),
+            "emit_plots": True,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["report", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        for c in ("0.073", "0.06", "0.05", "0.04"):
+            svg = (out_dir / f"pulse_c{c}.svg").read_text()
+            lines = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert [len(pts.split()) for pts in lines] == [401, 401]
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
