@@ -245,13 +245,15 @@ def _cmd_report(args) -> int:
 
     if config.emit_plots:
         # the uniform design samples only: the points refined around the
-        # Omega spike would set the y axis and flatten the rest of the pulse
+        # Omega spike would set the y axis and flatten the rest of the pulse;
+        # time and fields in units of T, as the axes are labelled
         for c, (pulse, _) in designs.items():
-            uniform = np.isin(pulse.t, pulse.params.T * _grid(pulse.params))
+            T = pulse.params.T
+            uniform = np.isin(pulse.t, T * _grid(pulse.params))
             svg_line_plot(
-                pulse.t[uniform],
-                [("omega", pulse.omega[uniform]),
-                 ("delta", pulse.delta[uniform])],
+                pulse.t[uniform] / T,
+                [("omega", T * pulse.omega[uniform]),
+                 ("delta", T * pulse.delta[uniform])],
                 f"pulse c={c:g}",
                 out / f"pulse_c{c:g}.svg",
                 x_label="t/T", y_label="field (1/T)",

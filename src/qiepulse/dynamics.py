@@ -98,10 +98,10 @@ def _numbers(value, dtype):
 
 
 def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
-    """-Omega and Delta at the midpoints of the sub-steps that are not
-    exactly the identity and a quarter of their widths, as _factors takes
-    them, front-padded with zero-width steps to whole blocks and shaped
-    (blocks, _BLOCK), and the count of such steps up to each sample of t."""
+    """-Omega dt/4 and Delta dt/4 at the midpoints of the sub-steps that are
+    not exactly the identity (dt their width), as _factors takes them,
+    front-padded with zero fields to whole blocks and shaped (blocks,
+    _BLOCK), and the count of such steps up to each sample of t."""
     if not _is_count(substeps, 2, MAX_SAMPLES // (pulse.t.size - 1)):
         raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
                              f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
@@ -115,32 +115,36 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
         if np.abs(field).max() * np.abs(scale).max(initial=0.0) > 1e150:
             raise ParameterError(f"scaled {name} exceeds 1e150 (its square must be finite)")
     w = (np.arange(substeps) + 0.5) / substeps
-    om = (pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w).ravel()
-    de = (pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w).ravel()
-    dt = np.repeat(np.diff(pulse.t) / substeps, substeps)
-    keep = (om != 0.0) | (de != 0.0)
+    om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
+    de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
+    keep = ((om != 0.0) | (de != 0.0)).ravel()
+    h = np.diff(pulse.t)[:, None] / (4 * substeps)  # a quarter of each width
+    np.multiply(de, h, out=de)
+    np.multiply(om, np.negative(h, out=h), out=om)
     done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
     pad = (-done[-1] % _BLOCK, 0)
-    om, de, dt = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de, dt))
-    return np.negative(om, out=om), de, np.multiply(dt, 0.25, out=dt), done
+    om, de = (np.pad(x.ravel()[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+    return om, de, done
 
 
-def _factors(o, so, d, sd, h, a, b, x):
+def _factors(o, so, d, sd, a, b, x):
     """Cayley-Klein (a, b) of the frozen steps exp(-i H dt) = [[a, b], [-b*, a*]]
-    into a and b (b.real must be 0): a = cos(phi) + i f Delta, b = -i f Omega,
-    g = sqrt(Omega^2 + Delta^2), phi = g dt / 2, cos and sin from u = tan(phi / 2),
-    f = sin(phi) / max(g, 1e-300): sin(phi) is 0 where g is, and g > 0 means
-    g > 1e-162.  -Omega = o so, Delta = d sd, h is dt / 4 (as _steps gives
-    them); x is six contiguous real arrays of a's shape, the scratch that every
-    pass but the last three, which write a.real, a.imag and b.imag, works in."""
-    w, e, g, s, u, c = x  # -Omega, Delta, g, scratch, u, u^2 then 1 - cos(phi)
+    into a and b (b.real must be 0): a = cos(phi) + i f Delta dt/4,
+    b = -i f Omega dt/4, phi / 2 = sqrt(Omega^2 + Delta^2) dt/4 floored at
+    1e-300, cos and sin from u = tan(phi / 2), f = sin(phi) / (phi / 2):
+    sin(phi) is 0 where the fields are, and where (field dt/4)^2 underflows
+    the step is its first-order rotation (f = 2).  -Omega dt/4 = o so and
+    Delta dt/4 = d sd (as _steps gives them); x is six contiguous real arrays
+    of a's shape, the scratch that every pass but the last three, which write
+    a.real, a.imag and b.imag, works in."""
+    w, e, p, s, u, c = x  # -Omega dt/4, Delta dt/4, phi/2, scratch, u, u^2
     np.multiply(o, so, out=w)
     np.multiply(d, sd, out=e)
-    np.sqrt(np.add(np.multiply(w, w, out=g), np.multiply(e, e, out=s), out=g), out=g)
-    np.tan(np.multiply(g, h, out=s), out=u)
+    np.sqrt(np.add(np.multiply(w, w, out=p), np.multiply(e, e, out=s), out=p), out=p)
+    np.tan(np.maximum(p, 1e-300, out=p), out=u)
     np.divide(2.0, np.add(np.multiply(u, u, out=c), 1.0, out=s), out=s)
     np.subtract(1.0, np.multiply(c, s, out=c), out=a.real)
-    np.divide(np.multiply(u, s, out=u), np.maximum(g, 1e-300, out=g), out=u)
+    np.divide(np.multiply(u, s, out=u), p, out=u)
     np.multiply(u, e, out=a.imag)
     np.multiply(u, w, out=b.imag)
 
@@ -166,22 +170,34 @@ def _apply(a, b, psi):
     return np.stack((a * p + b * q, a.conj() * q - b.conj() * p), axis=1)
 
 
-def _trees(om, de, dt, so, sd):
+def _zeros(shape, dtype=float):
+    """np.zeros(shape, dtype) whose data starts on a 64-byte cache line, so a
+    pass's speed does not follow where the heap happened to place it."""
+    size = np.dtype(dtype).itemsize * int(np.prod(shape))
+    raw = np.zeros(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(shape)
+
+
+def _trees(om, de, so, sd):
     """Yield each block's pairwise tree, a heap on axis 1 of one buffer:
     step k's factor at _BLOCK + _REV[k], level m at [m, 2m) (two contiguous
-    halves of the level below) and the block's product at 1.  om, de and dt
+    halves of the level below) and the block's product at 1.  om and de
     hold the blocks on axis 0, their steps in _REV order on axis 1 and the
     columns on axis 2, broadcast with so and sd; each level's _mul operands
-    are views made once, not sliced anew for every block."""
+    are views made once, not sliced anew for every block.  The heap and the
+    scratch start on cache lines (_zeros), and so do the leaves, each half
+    of the heap and each scratch array, all whole multiples of 64 bytes
+    from the start."""
     cols = np.broadcast_shapes(om.shape[2:], np.shape(so))
-    ab = np.zeros((2, 2 * _BLOCK) + cols, dtype=complex)
-    x = np.empty((2, _BLOCK) + cols)
+    ab = _zeros((2, 2 * _BLOCK) + cols, dtype=complex)
+    x = _zeros((2, _BLOCK) + cols)
     t = x.reshape(2, _BLOCK // 2, -1).view(complex)
     x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
     levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
               for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
-    for o, d, h in zip(om, de, dt):
-        _factors(o, so, d, sd, h, *ab[:, _BLOCK:], x)
+    for o, d in zip(om, de):
+        _factors(o, so, d, sd, *ab[:, _BLOCK:], x)
         for level in levels:
             _mul(*level)
         yield ab
@@ -198,11 +214,11 @@ def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
     psi = np.tile(np.asarray(initial, dtype=complex), (scale_omega.size, 1))
-    om, de, dt = (x[:, _REV, None] for x in
-                  _steps(pulse, scale_omega, scale_delta, substeps)[:3])
+    om, de = (x[:, _REV, None] for x in
+              _steps(pulse, scale_omega, scale_delta, substeps)[:2])
     for r in range(0, scale_omega.size, _WIDTH):
         rows, so, sd = (y[r:r + _WIDTH] for y in (psi, scale_omega, scale_delta))
-        for ab in _trees(om, de, dt, so, sd):
+        for ab in _trees(om, de, so, sd):
             rows[:] = _apply(*ab[:, 1], rows)
         ab = None  # free this pass's heap before the next builds its own
     return psi
@@ -231,13 +247,13 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         raise ParameterError("initial state must be finite and normalized")
 
     scale_omega, scale_delta = 1.0 + err
-    om, de, dt, done = _steps(pulse, scale_omega, scale_delta, substeps)
-    om, de, dt = (x.T[None, _REV] for x in (om, de, dt))  # a column per block
+    om, de, done = _steps(pulse, scale_omega, scale_delta, substeps)
+    om, de = (x.T[None, _REV] for x in (om, de))  # a column per block
     # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
-    states = np.empty((dt.shape[2] + 1, _BLOCK, 2), dtype=complex)
+    states = np.empty((om.shape[2] + 1, _BLOCK, 2), dtype=complex)
     states[0, -1] = psi
-    for g in range(0, dt.shape[2], _WIDTH):
-        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in (om, de, dt)),
+    for g in range(0, om.shape[2], _WIDTH):
+        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in (om, de)),
                          scale_omega, scale_delta))
         ends = [states[g, -1:]]  # the block products chained as the batch's
         for j in range(ab.shape[2]):
@@ -247,7 +263,7 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         for k in range(_BLOCK - 1):  # the steps inside all blocks at once
             s = states[blocks, k] = _apply(*ab[:, _BLOCK + _REV[k]], s)
         ab = None  # free this pass's heap before the next builds its own
-    at = np.where(done > 0, done + dt.size - done[-1], 0)  # padding included
+    at = np.where(done > 0, done + om.size - done[-1], 0)  # padding included
     states = states.reshape(-1, 2)[at + _BLOCK - 1]
 
     pop1, pop2 = np.abs(states.T) ** 2

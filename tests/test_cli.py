@@ -390,23 +390,29 @@ class TestReportCommand:
                                                            capsys):
         # the uniform samples of a design at T are T times those at T = 1,
         # not a grid rebuilt over the pulse's ends; each field's polyline
-        # draws every one of them
-        out_dir = tmp_path / "out"
-        config = {
-            "design": {"c": 0.073, "T": 3.0, "n_samples": 401},
-            "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
-            "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
-            "output_dir": str(out_dir),
-            "emit_plots": True,
-        }
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(config))
-        assert main(["report", "--config", str(config_path)]) == 0
-        capsys.readouterr()
-        for c in ("0.073", "0.06", "0.05", "0.04"):
-            svg = (out_dir / f"pulse_c{c}.svg").read_text()
-            lines = re.findall(r'<polyline points="([^"]*)"', svg)
-            assert [len(pts.split()) for pts in lines] == [401, 401]
+        # draws every one of them, in units of T as the axes are labelled:
+        # the x axis spans [-kappa, kappa] and the ticks are those at T = 1
+        texts = {}
+        for T in (1.0, 3.0):
+            out_dir = tmp_path / f"out{T:g}"
+            config = {
+                "design": {"c": 0.073, "T": T, "n_samples": 401},
+                "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "output_dir": str(out_dir),
+                "emit_plots": True,
+            }
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(config))
+            assert main(["report", "--config", str(config_path)]) == 0
+            capsys.readouterr()
+            for c in ("0.073", "0.06", "0.05", "0.04"):
+                svg = (out_dir / f"pulse_c{c}.svg").read_text()
+                lines = re.findall(r'<polyline points="([^"]*)"', svg)
+                assert [len(pts.split()) for pts in lines] == [401, 401]
+                texts[T, c] = re.findall(r">([^<>]+)</text>", svg)
+                assert texts[T, c][1:3] == ["-4", "4"]  # x_lo, x_hi
+                assert texts[T, c] == texts[1.0, c]
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

@@ -26,7 +26,7 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import (
-    _BLOCK, _WIDTH, _factors, _steps, final_states_over_errors,
+    _BLOCK, _WIDTH, _factors, _steps, _zeros, final_states_over_errors,
 )
 
 
@@ -546,31 +546,32 @@ def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
     """(a, b) of every sub-step that is not exactly the identity, for each
     (scale_omega, scale_delta) row, one float at a time: the oracle that
     _steps and _factors must match to the bit.  Midpoint fields by linear
-    interpolation, g = sqrt(Omega^2 + Delta^2), u = tan(g dt / 4),
-    cos(phi) = 1 - u^2 (2 / (1 + u^2)), f = u (2 / (1 + u^2)) / max(g, 1e-300),
-    a = cos(phi) + i f Delta, b = -i f Omega; tan is numpy's, on an array of
-    the arguments, as the kernel's is."""
+    interpolation, each times a quarter of the sub-step's width dt (-Omega
+    dt/4 and Delta dt/4, then scaled), p = max(sqrt(w^2 + e^2), 1e-300) the
+    half angle, u = tan(p), cos(phi) = 1 - u^2 (2 / (1 + u^2)),
+    f = u (2 / (1 + u^2)) / p, a = cos(phi) + i f e, b = i f w; tan is
+    numpy's, on an array of the arguments, as the kernel's is."""
     w = [(k + 0.5) / substeps for k in range(substeps)]
-    steps = []  # (Omega, Delta, dt) of the kept sub-steps
+    steps = []  # (-Omega dt/4, Delta dt/4) of the kept sub-steps
     for i in range(pulse.t.size - 1):
         o0, o1, d0, d1 = (float(v) for v in (*pulse.omega[i:i + 2],
                                               *pulse.delta[i:i + 2]))
-        h = (float(pulse.t[i + 1]) - float(pulse.t[i])) / substeps
+        q = (float(pulse.t[i + 1]) - float(pulse.t[i])) / (4 * substeps)
         for wk in w:
             om, de = o0 * (1.0 - wk) + o1 * wk, d0 * (1.0 - wk) + d1 * wk
             if om != 0.0 or de != 0.0:
-                steps.append((om, de, h))
+                steps.append((om * -q, de * q))
     a, b = [], []
     for so, sd in zip(scale_omega, scale_delta):
-        fields = [(om * so, de * sd, h) for om, de, h in steps]
-        g = [math.sqrt(om * om + de * de) for om, de, _ in fields]
-        u = np.tan([gk * (0.25 * h) for gk, (_, _, h) in zip(g, fields)])
+        fields = [(om * so, de * sd) for om, de in steps]
+        p = [max(math.sqrt(om * om + de * de), 1e-300) for om, de in fields]
+        u = np.tan(p)
         row_a, row_b = [], []
-        for (om, de, _), gk, uk in zip(fields, g, u.tolist()):
+        for (om, de), pk, uk in zip(fields, p, u.tolist()):
             s = 2.0 / (uk * uk + 1.0)
-            f = uk * s / max(gk, 1e-300)
+            f = uk * s / pk
             row_a.append(complex(1.0 - uk * uk * s, f * de))
-            row_b.append(complex(0.0, -(f * om)))
+            row_b.append(complex(0.0, f * om))
         a.append(row_a)
         b.append(row_b)
     return (np.array(x, dtype=complex).reshape(len(x), len(steps)).T.copy()
@@ -703,8 +704,9 @@ class TestBlockProductKernel:
         np.testing.assert_array_equal(rows[1], psi0)
         np.testing.assert_array_equal(held, np.tile(rows[1], (pulse.t.size, 1)))
 
-    # fields from 1e-170 (g^2 underflows to 0), through 1e-160 (subnormal
-    # g^2) to O(1), exact zeros, and rows scaled by 0
+    # fields from 1e-170 ((field dt/4)^2 underflows to 0: the step is its
+    # first-order rotation), through 1e-160 and 3e-155 (a subnormal square)
+    # to O(1), exact zeros, and rows scaled by 0
     @pytest.mark.parametrize("substeps", [2, 3])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -718,14 +720,42 @@ class TestBlockProductKernel:
         so = np.array([0.0, 1.0, 0.0] + data.draw(scales))
         sd = np.array([0.0, 0.0, 1.0] + data.draw(scales))
         ref_a, ref_b = factors_lists(pulse, so, sd, substeps)
-        o, d, h, done = _steps(pulse, so, sd, substeps)
+        o, d, done = _steps(pulse, so, sd, substeps)
         kept = slice(o.size - done[-1], None)  # after the front padding
-        o, d, h = (x.ravel()[kept, None] for x in (o, d, h))
+        o, d = (x.ravel()[kept, None] for x in (o, d))
         a, b = np.zeros((2, done[-1], so.size), dtype=complex)
-        _factors(o, so, d, sd, h, a, b, list(np.empty((6,) + a.shape)))
+        _factors(o, so, d, sd, a, b, list(np.empty((6,) + a.shape)))
         for got, ref in ((a, ref_a), (b, ref_b)):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("width", [1, 37, 245, 256])
+    def test_pass_buffers_start_on_cache_lines(self, width, monkeypatch):
+        # where a fresh buffer lands depends on what the process allocated
+        # before; the heap, its halves and leaves and the scratch of every
+        # pass must start on a 64-byte line whatever the heap's history, for
+        # the scan's columns (error rows) and propagate's (blocks)
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(_zeros(*args, **kwargs))
+            assert not made[-1].any()
+            return made[-1]
+
+        monkeypatch.setattr("qiepulse.dynamics._zeros", recorded)
+        clutter = [np.empty(k) for k in (3, 17, 1001, 40001, 5)]  # noqa: F841
+        rng = np.random.default_rng(width)
+        n = 32 * width + 1  # 2 (n - 1) sub-steps: width blocks
+        pulse = axis_pulse(np.linspace(0.0, 1.0, n), rng.uniform(0.1, 4.0, n),
+                           rng.uniform(-4.0, 4.0, n))
+        scale = 1.0 + np.linspace(-0.5, 0.5, width)
+        final_states_over_errors(pulse, ket1(), scale, np.ones(width))
+        propagate(pulse)
+        assert [b.shape for b in made] == [(2, 2 * _BLOCK, width),
+                                           (2, _BLOCK, width)] * 2
+        for ab, x in zip(made[::2], made[1::2]):
+            views = [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], x, *x]
+            assert [v.ctypes.data % 64 for v in views] == [0] * len(views)
 
     def test_bounded_working_set(self):
         # the former per-block batch peaked at 1.97 MB on 501 rows of a
