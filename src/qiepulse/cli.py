@@ -1,7 +1,7 @@
 """Command line surface: design -> simulate -> scan -> report.
 
-Exit codes: 0 success, 2 argument/config error, 3 numerical failure,
-4 I/O or file-format error.
+Exit codes: 0 success, 2 argument/config error, 3 design failure
+(DesignError), 4 I/O or file-format error.
 """
 
 import argparse
@@ -20,7 +20,6 @@ from .errors import (
     GridError,
     ParameterError,
     PulseFormatError,
-    ScanError,
 )
 from .plots import svg_line_plot
 from .pulse_io import (
@@ -54,7 +53,7 @@ AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
 _ARGUMENT_ERRORS = (ConfigError, ParameterError, GridError)
-_NUMERICAL_ERRORS = (DesignError, ScanError)
+_NUMERICAL_ERRORS = (DesignError,)
 _IO_ERRORS = (PulseFormatError, OSError)
 
 

@@ -149,7 +149,8 @@ def _is_count(n, lo, hi=MAX_SAMPLES):
 class DesignParams:
     """Complete specification of one design run.
 
-    branch_sign is the sign of x_dot, the turn of the field's mixing angle;
+    branch_sign, the integer +1 or -1 (of Python or numpy, not a bool), is
+    the sign of x_dot, the turn of the field's mixing angle;
     beta_rate_init picks beta_dot(t_start): "zero" (x0 = pi/2), or
     "consistency" for the rate that satisfies the constraint in the
     Omega -> 0 limit, with the sign of branch_sign (negative descends from
@@ -178,7 +179,8 @@ class DesignParams:
         if not _is_count(self.n_samples, 3):
             raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
                                  f"got {self.n_samples!r}")
-        if self.branch_sign not in (-1, 1):
+        if (isinstance(self.branch_sign, bool)
+                or not _is_count(self.branch_sign, -1, 1) or self.branch_sign == 0):
             raise ParameterError(
                 f"branch_sign must be +1 or -1, got {self.branch_sign}"
             )
@@ -235,7 +237,7 @@ class Pulse:
         t = self.t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise GridError(f"t must be 1-D with >= 3 samples, got shape {t.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        if not (np.all(np.isfinite(t)) and np.all(t[1:] > t[:-1])):
             raise GridError("t must be finite and strictly increasing")
         if self.omega.shape != t.shape or self.delta.shape != t.shape:
             raise GridError(f"omega and delta need one sample per time, "
@@ -313,8 +315,10 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
 
 def _area(omega, t) -> float:
     """Integral of |Omega| over the samples t: the trapezoid rule, which is
-    what the propagator's linear interpolation of the samples sees."""
-    return float(np.trapezoid(np.abs(omega), x=t))
+    what the propagator's linear interpolation of the samples sees; not
+    finite where its arithmetic overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trapezoid(np.abs(omega), x=t))
 
 
 def _rms(a, b, c):

@@ -81,6 +81,8 @@ def target_state(beta_final) -> np.ndarray:
     bf = beta_final.beta_final if isinstance(beta_final, TargetState) else beta_final
     if _numbers(bf, float)[1] != ():
         raise ParameterError(f"beta_final must be one real number, got {bf!r}")
+    if not np.isfinite(bf):
+        raise ParameterError(f"beta_final must be finite, got {bf!r}")
     return np.array([np.exp(-0.5j * bf), np.exp(0.5j * bf)]) / np.sqrt(2.0)
 
 
@@ -101,7 +103,9 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
     """-Omega dt/4 and Delta dt/4 at the midpoints of the sub-steps that are
     not exactly the identity (dt their width), as _factors takes them,
     front-padded with zero fields to whole blocks and shaped (blocks,
-    _BLOCK), and the count of such steps up to each sample of t."""
+    _BLOCK), and the count of such steps up to each sample of t.  Each of
+    them times the largest |scale| must be at most 1e150: then phi/2 is at
+    most 1.5e150, its tan is finite, and so is every state."""
     if not _is_count(substeps, 2, MAX_SAMPLES // (pulse.t.size - 1)):
         raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
                              f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
@@ -110,20 +114,22 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ParameterError(f"{name} is not finite at index {bad[0]}")
-    for name, field, scale in (("omega", pulse.omega, scale_omega),
-                               ("delta", pulse.delta, scale_delta)):
-        if np.abs(field).max() * np.abs(scale).max(initial=0.0) > 1e150:
-            raise ParameterError(f"scaled {name} exceeds 1e150 (its square must be finite)")
-    w = (np.arange(substeps) + 0.5) / substeps
-    om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
-    de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
-    keep = ((om != 0.0) | (de != 0.0)).ravel()
-    h = np.diff(pulse.t)[:, None] / (4 * substeps)  # a quarter of each width
-    np.multiply(de, h, out=de)
-    np.multiply(om, np.negative(h, out=h), out=om)
-    done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
-    pad = (-done[-1] % _BLOCK, 0)
-    om, de = (np.pad(x.ravel()[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+    # what overflows here is inf or nan, which the bound's "not <=" rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (np.arange(substeps) + 0.5) / substeps
+        om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
+        de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
+        keep = ((om != 0.0) | (de != 0.0)).ravel()
+        h = np.diff(pulse.t)[:, None] / (4 * substeps)  # a quarter of each width
+        np.multiply(de, h, out=de)
+        np.multiply(om, np.negative(h, out=h), out=om)
+        done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
+        pad = (-done[-1] % _BLOCK, 0)
+        om, de = (np.pad(x.ravel()[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+        for name, x, scale in (("omega", om, scale_omega), ("delta", de, scale_delta)):
+            if not np.abs(x).max(initial=0.0) * np.abs(scale).max(initial=0.0) <= 1e150:
+                raise ParameterError(f"scaled {name} exceeds 1e150 per sub-step: "
+                                     f"|{name} x scale x dt/4| is squared")
     return om, de, done
 
 
@@ -287,7 +293,7 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
 def fidelity(final, target):
     """Squared overlap |<target|final>|^2, clipped to [0, 1]: a float for one
     state, an array for an (n, 2) array of states, one per row.  target is a
-    state vector, a TargetState or a bare beta_final.  <target|final> is
+    finite state vector, a TargetState or a bare beta_final.  <target|final> is
     summed in real arithmetic, one elementwise operation at a time, so a
     state has the same fidelity alone as in a batch."""
     bare = target.beta_final if isinstance(target, TargetState) else target
@@ -296,6 +302,8 @@ def fidelity(final, target):
         raise ParameterError(f"need a 2-component target and one state or rows "
                              f"of states, got shapes {ts} and {ps}")
     tgt = target_state(bare) if ts == () else tgt
+    if not np.all(np.isfinite(tgt)):
+        raise ParameterError(f"target state must be finite, got {tgt}")
     (ar, ai), (br, bi) = ((z.real, z.imag) for z in tgt)
     p, q = psi[..., 0], psi[..., 1]
     re = ar * p.real + ai * p.imag + br * q.real + bi * q.imag

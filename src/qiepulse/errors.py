@@ -7,7 +7,7 @@ subclasses onto its exit codes (see qiepulse.cli).
 
 __all__ = [
     "QiePulseError", "ParameterError", "GridError", "DesignError",
-    "ScanError", "PulseFormatError", "ConfigError",
+    "PulseFormatError", "ConfigError",
 ]
 
 
@@ -20,7 +20,8 @@ class ParameterError(QiePulseError, ValueError):
 
 
 class GridError(QiePulseError, ValueError):
-    """A time or error grid violates its invariants (ordering, uniformity)."""
+    """A pulse's time axis is not 1-D, finite, strictly increasing and at
+    least 3 samples long, or its field samples do not match it."""
 
 
 class DesignError(QiePulseError):
@@ -29,15 +30,6 @@ class DesignError(QiePulseError):
     def __init__(self, message, t_fail=None):
         super().__init__(message)
         self.t_fail = t_fail
-
-
-class ScanError(QiePulseError):
-    """Propagation failed at one grid point of an error scan; names the
-    offending delta value."""
-
-    def __init__(self, message, delta=None):
-        super().__init__(message)
-        self.delta = delta
 
 
 class PulseFormatError(QiePulseError, ValueError):

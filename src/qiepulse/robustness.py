@@ -14,7 +14,7 @@ import numpy as np
 
 from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _value_eq
 from .dynamics import fidelity, final_states_over_errors, ket1
-from .errors import ParameterError, ScanError
+from .errors import ParameterError
 
 __all__ = [
     "ErrorGrid",
@@ -129,22 +129,10 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 2,
             protocol_label = f"qie c={pulse.params.c:g}"
         else:
             protocol_label = "pulse"
-    results = []
-    for grid, d, f in zip(grids, deltas, fids):
-        bad = ~np.isfinite(f)
-        if np.any(bad):
-            raise ScanError(
-                f"propagation failed at delta = {d[np.argmax(bad)]:.6g}",
-                delta=float(d[np.argmax(bad)]),
-            )
-        results.append(ScanResult(
-            protocol_label=protocol_label,
-            grid=grid,
-            fidelities=f,
-            min_fidelity_in_band=_band_min(d, f, BAND_HALF_WIDTH),
-            area=pulse.area,
-        ))
-    return results
+    return [ScanResult(protocol_label=protocol_label, grid=grid, fidelities=f,
+                       min_fidelity_in_band=_band_min(d, f, BAND_HALF_WIDTH),
+                       area=pulse.area)
+            for grid, d, f in zip(grids, deltas, fids)]
 
 
 @dataclass

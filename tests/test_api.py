@@ -11,8 +11,8 @@ import qiepulse
 PUBLIC_NAMES = [
     "AngleTrajectory", "ConfigError", "DesignError",
     "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
-    "PulseFormatError", "QiePulseError", "RunConfig", "ScanError",
-    "ScanResult", "StateTrajectory", "TargetState",
+    "PulseFormatError", "QiePulseError", "RunConfig", "ScanResult",
+    "StateTrajectory", "TargetState",
     "__version__", "analytic_diagnostics", "bloch_from_angles",
     "bloch_from_state", "design_pulse", "fidelity", "format_summary", "ket1",
     "parse_config", "pi_half_baseline", "propagate", "read_pulse_csv",

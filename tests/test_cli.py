@@ -37,6 +37,11 @@ NON_FINITE_CSV = """t,omega,delta
 1.0,1.0,0.0
 """
 
+# small fields over spacings that make -Omega dt/4 of a sub-step 2.1e307
+# and 1.25e339 (inf): past the kernel's 1e150 bound
+OVERFLOWING_CSVS = ["t,omega,delta\n-1.7e308,1,0\n0,1,0\n1.7e308,1,0\n",
+                    "t,omega,delta\n0,1e140,0\n1e200,1e140,0\n2e200,1e140,0\n"]
+
 REPEATED_TIME_CSV = """t,omega,delta
 0.0,1.0,0.0
 0.5,1.0,0.0
@@ -215,6 +220,16 @@ class TestSimulateCommand:
                 capsys.readouterr().err)
             assert not out.exists()
 
+    @pytest.mark.parametrize("text", OVERFLOWING_CSVS)
+    def test_overflowing_step_is_argument_error(self, text, tmp_path, capsys):
+        pulse = tmp_path / "wide.csv"
+        out = tmp_path / "traj.csv"
+        pulse.write_text(text)
+        rc = main(["simulate", "--pulse", str(pulse), "--out", str(out)])
+        assert rc == 2
+        assert "scaled omega exceeds 1e150" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_error_is_argument_error(self, pulse_file, tmp_path,
                                                 capsys):
         out = tmp_path / "traj.csv"
@@ -266,6 +281,17 @@ class TestScanCommand:
         assert "beta-final" in capsys.readouterr().err
         assert main(args + ["--beta-final", "-1.5707963267948966"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", OVERFLOWING_CSVS)
+    def test_overflowing_step_is_argument_error(self, text, tmp_path, capsys):
+        pulse = tmp_path / "wide.csv"
+        out = tmp_path / "s.csv"
+        pulse.write_text(text)
+        rc = main(["scan", "--pulse", str(pulse), "--param", "rabi",
+                   "--beta-final", "0", "--out", str(out)])
+        assert rc == 2
+        assert "scaled omega exceeds 1e150" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_pulse_is_format_error(self, tmp_path, capsys):
         pulse = tmp_path / "bad.csv"

@@ -263,6 +263,14 @@ class TestDesignParams:
         with pytest.raises(ParameterError):
             DesignParams(**kwargs)
 
+    def test_branch_sign_is_an_integer(self):
+        # of Python or numpy, as the counts are; a bool or a float is not
+        # one, and -1.0 would reach the pulse file's metadata as it is
+        for sign in (True, 1.0, -1.0, np.bool_(False)):
+            with pytest.raises(ParameterError, match="branch_sign must be"):
+                DesignParams(c=0.073, branch_sign=sign)
+        assert DesignParams(c=0.073, branch_sign=np.int64(-1)).branch_sign == -1
+
 
 class TestDesignPulse:
     def test_boundary_condition_exact(self, designs4):

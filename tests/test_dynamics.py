@@ -153,15 +153,63 @@ class TestStepEvolve:
 
 
     def test_overflowing_field_rejected(self):
-        # the kernel squares the scaled fields, so they are bounded by 1e150
+        # the kernel squares each sub-step's scaled field, -Omega dt/4 and
+        # Delta dt/4, so they are bounded by 1e150; here dt/4 = 0.0125 and
+        # the sub-steps next to omega[4] take 0.75 of it: 9.4e149
         omega = np.ones(11)
-        omega[4] = 1e149
+        omega[4] = 1e152
         assert np.all(np.isfinite(propagate(field_pulse(omega, np.zeros(11))).states))
-        with pytest.raises(ParameterError, match="scaled omega exceeds 1e150"):
+        bound = "exceeds 1e150 per sub-step"
+        with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
             final_states_over_errors(field_pulse(omega, np.zeros(11)), ket1(),
-                                     [1.0, 20.0], [1.0, 1.0])
-        with pytest.raises(ParameterError, match="scaled delta exceeds 1e150"):
-            propagate(field_pulse(np.ones(11), np.full(11, 1e151)))
+                                     [1.0, 1.1], [1.0, 1.0])
+        with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
+            propagate(field_pulse(np.ones(11), np.full(11, 1e153)))
+        # small fields over spacings whose step fields, or whose widths,
+        # overflow; 0 x an infinite width is nan, which is rejected too
+        for t, omega in (([0.0, 1e200, 2e200], 1e140),
+                         ([-1.7e308, 0.0, 1.7e308], 1.0),
+                         ([-1e308, 1e308, 1.5e308], 1.0),
+                         ([-1e308, 1e308, 1.5e308], 0.0)):
+            with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
+                propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
+
+    # fields from 0 to 1e150 (within 30 decades of a top drawn per pulse)
+    # over spacings from 1e-300 to 1e300, rows scaled by [-3, 3] and by 0:
+    # what the bound accepts propagates to finite unit states, so nothing
+    # downstream needs to look for nan
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_accepted_input_gives_finite_states(self, data):
+        n = data.draw(st.integers(3, 8))
+        spacing = 10.0 ** data.draw(st.floats(-300.0, 300.0))
+        top = data.draw(st.one_of(st.just(150.0), st.floats(-300.0, 150.0)))
+        fields = st.lists(st.one_of(
+            st.just(0.0), st.sampled_from([-1.0, 1.0]).map(lambda s: s * 10.0 ** top),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.0, 30.0)).map(
+                lambda x: x[0] * 10.0 ** (top - x[1]))), min_size=n, max_size=n)
+        widths = data.draw(st.lists(st.floats(1.0, 10.0), min_size=n - 1,
+                                    max_size=n - 1))
+        t = np.concatenate(([0.0], np.cumsum(np.multiply(widths, spacing))))
+        pulse = axis_pulse(t, data.draw(fields), data.draw(fields))
+        scale = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+        so, sd = np.array(data.draw(st.lists(st.tuples(scale, scale),
+                                             min_size=1, max_size=3))).T
+        substeps = data.draw(st.integers(2, 4))
+        target = data.draw(st.floats(-10.0, 10.0))
+        runs = [lambda: final_states_over_errors(pulse, ket1(), so, sd, substeps)]
+        runs += [lambda e=e: propagate(pulse, error=e, substeps=substeps).states
+                 for e in zip(so - 1.0, sd - 1.0)]
+        for run in runs:
+            try:
+                states = run()
+            except ParameterError as exc:
+                assert "exceeds 1e150" in str(exc)
+                continue
+            assert np.all(np.isfinite(states))
+            np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0,
+                                       rtol=0, atol=1e-12)
+            assert np.all(np.isfinite(fidelity(states, target)))
 
 
 class TestPropagate:
@@ -371,6 +419,18 @@ class TestFidelity:
     def test_shapes_checked(self, final, target):
         with pytest.raises(ParameterError, match="2-component target"):
             fidelity(final, target)
+
+    @pytest.mark.parametrize("target", [np.nan, -np.inf, TargetState(np.nan)])
+    def test_non_finite_beta_final_rejected(self, target):
+        with pytest.raises(ParameterError, match="beta_final must be finite"):
+            fidelity(ket1(), target)
+        with pytest.raises(ParameterError, match="beta_final must be finite"):
+            target_state(target)
+
+    def test_non_finite_target_state_rejected(self):
+        for target in ([np.nan, 1.0], [1.0, np.inf * 1j]):
+            with pytest.raises(ParameterError, match="target state must be finite"):
+                fidelity(ket1(), target)
 
     @pytest.mark.parametrize("final, target, shapes", [
         ([1, 0], "a", "() of str and (2,)"),

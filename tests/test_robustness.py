@@ -152,6 +152,12 @@ class TestScan1d:
         assert a != scan_1d(pulse, TargetState(0.3), grid)
         assert a != "scan"
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, TargetState(-np.inf)])
+    def test_non_finite_target_rejected(self, target):
+        grid = ErrorGrid(parameter="rabi", lo=-0.1, hi=0.1, n_points=3)
+        with pytest.raises(ParameterError, match="beta_final must be finite"):
+            scan_1d(pi_half_baseline(1.0), target, grid)
+
     def test_fidelities_bounded(self, band_scans):
         for result in band_scans.values():
             assert np.all(result.fidelities >= 0.0)
