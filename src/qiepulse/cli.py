@@ -1,7 +1,8 @@
 """Command line surface: design -> simulate -> scan -> report.
 
-Exit codes: 0 success, 2 argument/config error, 3 design failure
-(DesignError), 4 I/O or file-format error.
+Exit codes: 0 success, 2 a bad argument, pulse time axis or run config
+(ParameterError), 3 a failed design (DesignError), 4 a malformed file
+(PulseFormatError) or an I/O failure (OSError).
 """
 
 import argparse
@@ -14,13 +15,7 @@ import numpy as np
 from . import __version__
 from .designer import DesignParams, _grid, design_pulse
 from .dynamics import TargetState, propagate
-from .errors import (
-    ConfigError,
-    DesignError,
-    GridError,
-    ParameterError,
-    PulseFormatError,
-)
+from .errors import DesignError, ParameterError, PulseFormatError
 from .plots import svg_line_plot
 from .pulse_io import (
     parse_config,
@@ -52,18 +47,14 @@ REFERENCE_TABLE = {
 AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
-_ARGUMENT_ERRORS = (ConfigError, ParameterError, GridError)
-_NUMERICAL_ERRORS = (DesignError,)
-_IO_ERRORS = (PulseFormatError, OSError)
-
 
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception onto the documented exit codes."""
-    if isinstance(exc, _ARGUMENT_ERRORS):
+    if isinstance(exc, ParameterError):
         return 2
-    if isinstance(exc, _NUMERICAL_ERRORS):
+    if isinstance(exc, DesignError):
         return 3
-    if isinstance(exc, _IO_ERRORS):
+    if isinstance(exc, (PulseFormatError, OSError)):
         return 4
     raise exc
 
@@ -71,11 +62,11 @@ def exit_code_for(exc: BaseException) -> int:
 def _parse_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"range must be lo:hi:n, got {text!r}")
+        raise ParameterError(f"range must be lo:hi:n, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"range must be lo:hi:n, got {text!r}") from exc
+        raise ParameterError(f"range must be lo:hi:n, got {text!r}") from exc
     return lo, hi, n
 
 
@@ -153,10 +144,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_scan(args) -> int:
     pulse = read_pulse_csv(args.pulse)
     if args.beta_final is not None and not np.isfinite(args.beta_final):
-        raise ConfigError(f"--beta-final must be finite, got {args.beta_final}")
+        raise ParameterError(f"--beta-final must be finite, got {args.beta_final}")
     beta_final = pulse.beta_final if args.beta_final is None else args.beta_final
     if not np.isfinite(beta_final):
-        raise ConfigError("pulse file carries no beta_final; pass --beta-final")
+        raise ParameterError("pulse file carries no beta_final; pass --beta-final")
     lo, hi, n = _parse_range(args.range)
     grid = ErrorGrid(parameter=args.param, lo=lo, hi=hi, n_points=n)
     result = scan_1d(pulse, TargetState(beta_final), grid,

@@ -67,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DesignError, GridError, ParameterError
+from .errors import DesignError, ParameterError
 from .profiles import _SQRT_PI, ThetaSample, _value_eq, theta_profile
 
 __all__ = [
@@ -212,10 +212,10 @@ class Pulse:
 
     t is the time axis, any spacing: 1-D, finite, strictly increasing, at
     least 3 samples, one omega and one delta sample per time (else
-    GridError); omega and delta are held as float arrays.  beta_final is the
-    Bloch azimuth the propagated state reaches at t[-1] (equal to -beta[-1]
-    of the design trajectory; the Hamiltonian precession sense mirrors the
-    azimuth).  adiabaticity_residual is the max interior deviation of the
+    ParameterError); omega and delta are held as float arrays.  beta_final
+    is the Bloch azimuth the propagated state reaches at t[-1] (equal to
+    -beta[-1] of the design trajectory; the Hamiltonian precession sense
+    mirrors the azimuth).  adiabaticity_residual is the max interior deviation of the
     design trajectory's mu from c; params is the design provenance
     when the pulse came from design_pulse, else None.  Pulses are equal when
     their samples and metadata are (NaN equals NaN); params is not compared.
@@ -236,12 +236,13 @@ class Pulse:
         self.delta = np.asarray(self.delta, dtype=float)
         t = self.t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 3:
-            raise GridError(f"t must be 1-D with >= 3 samples, got shape {t.shape}")
+            raise ParameterError(f"t must be 1-D with >= 3 samples, "
+                                 f"got shape {t.shape}")
         if not (np.all(np.isfinite(t)) and np.all(t[1:] > t[:-1])):
-            raise GridError("t must be finite and strictly increasing")
+            raise ParameterError("t must be finite and strictly increasing")
         if self.omega.shape != t.shape or self.delta.shape != t.shape:
-            raise GridError(f"omega and delta need one sample per time, "
-                            f"t has {t.size}")
+            raise ParameterError(f"omega and delta need one sample per time, "
+                                 f"t has {t.size}")
 
 
 def _constraint(theta: ThetaSample, beta, beta_dot, c: float,
@@ -315,10 +316,16 @@ def analytic_diagnostics(theta: ThetaSample, beta, beta_dot, c: float,
 
 def _area(omega, t) -> float:
     """Integral of |Omega| over the samples t: the trapezoid rule, which is
-    what the propagator's linear interpolation of the samples sees; not
-    finite where its arithmetic overflows."""
+    what the propagator's linear interpolation of the samples sees, with
+    np.trapezoid's products and sum.  An interval with no field has no area
+    however wide it is; the area is not finite where other arithmetic
+    overflows."""
+    f = np.abs(omega)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.trapezoid(np.abs(omega), x=t))
+        heights = f[1:] + f[:-1]
+        parts = np.diff(t) * heights / 2.0
+    parts[heights == 0.0] = 0.0
+    return float(np.add.reduce(parts))
 
 
 def _rms(a, b, c):

@@ -32,7 +32,7 @@ _REV = np.arange(_BLOCK).reshape((2,) * (_BLOCK.bit_length() - 1)).T.ravel()
 
 __all__ = [
     "TargetState", "StateTrajectory", "ket1", "target_state",
-    "propagate", "fidelity", "bloch_from_angles", "bloch_from_state",
+    "propagate", "fidelity", "bloch_from_state",
 ]
 
 
@@ -276,14 +276,24 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     u, v, w = bloch_from_state(states)
 
     # Branch populations of the applied Hamiltonian, with the branch labels
-    # carried continuously through the unwrapped mixing angle.
-    om, de = scale_omega * pulse.omega, scale_delta * pulse.delta
-    gap = np.hypot(om, de)
+    # carried continuously through the unwrapped mixing angle.  At a sample
+    # where a scaled field overflows, both fields are taken 2^k times smaller
+    # (k just large enough): the same angle, and the others keep their bits.
+    with np.errstate(over="ignore"):
+        om, de = scale_omega * pulse.omega, scale_delta * pulse.delta
+    gap = (om != 0.0) | (de != 0.0)
+    big = np.flatnonzero(np.isinf(om) | np.isinf(de))
+    if big.size:
+        pairs = ((pulse.omega, scale_omega), (pulse.delta, scale_delta))
+        # |f s| < 2^(e_f + e_s) for frexp's exponents e
+        k = np.maximum(*(np.frexp(f[big])[1] + np.frexp(s)[1]
+                         for f, s in pairs)) - 1023
+        om[big], de[big] = (np.ldexp(f[big], -k) * s for f, s in pairs)
     x = np.unwrap(np.arctan2(om, de))
     cos_h, sin_h = np.cos(0.5 * x), np.sin(0.5 * x)
     amp_minus = cos_h * states[:, 0] - sin_h * states[:, 1]
     amp_plus = sin_h * states[:, 0] + cos_h * states[:, 1]
-    p_minus, p_plus = np.where(gap > 0.0, np.abs([amp_minus, amp_plus]) ** 2, np.nan)
+    p_minus, p_plus = np.where(gap, np.abs([amp_minus, amp_plus]) ** 2, np.nan)
 
     return StateTrajectory(t=pulse.t, states=states, pop1=pop1, pop2=pop2,
                            bloch_u=u, bloch_v=v, bloch_w=w,
@@ -310,12 +320,6 @@ def fidelity(final, target):
     im = ar * p.imag - ai * p.real + br * q.imag - bi * q.real
     val = np.clip(re * re + im * im, 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
-
-
-def bloch_from_angles(theta, beta):
-    """(u, v, w) = (sin theta cos beta, sin theta sin beta, cos theta)."""
-    th, b = np.asarray(theta, dtype=float), np.asarray(beta, dtype=float)
-    return np.sin(th) * np.cos(b), np.sin(th) * np.sin(b), np.cos(th)
 
 
 def bloch_from_state(state):

@@ -1,14 +1,12 @@
 """Exception hierarchy for qiepulse.
 
 Every error raised by the library derives from QiePulseError so callers can
-catch library failures without masking programming errors.  The CLI maps the
-subclasses onto its exit codes (see qiepulse.cli).
+catch library failures without masking programming errors.  The CLI maps
+each subclass onto its own exit code (see qiepulse.cli): ParameterError 2,
+DesignError 3, PulseFormatError 4.
 """
 
-__all__ = [
-    "QiePulseError", "ParameterError", "GridError", "DesignError",
-    "PulseFormatError", "ConfigError",
-]
+__all__ = ["QiePulseError", "ParameterError", "DesignError", "PulseFormatError"]
 
 
 class QiePulseError(Exception):
@@ -16,12 +14,8 @@ class QiePulseError(Exception):
 
 
 class ParameterError(QiePulseError, ValueError):
-    """An argument is outside its documented domain."""
-
-
-class GridError(QiePulseError, ValueError):
-    """A pulse's time axis is not 1-D, finite, strictly increasing and at
-    least 3 samples long, or its field samples do not match it."""
+    """An argument, a pulse's time axis or a run configuration is outside
+    its documented domain."""
 
 
 class DesignError(QiePulseError):
@@ -39,7 +33,3 @@ class PulseFormatError(QiePulseError, ValueError):
     def __init__(self, message, line_number=None):
         super().__init__(message)
         self.line_number = line_number
-
-
-class ConfigError(QiePulseError, ValueError):
-    """A run configuration has unknown keys or out-of-range values."""

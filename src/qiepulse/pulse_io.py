@@ -24,7 +24,7 @@ from . import __version__
 from .designer import AngleTrajectory, DesignParams, Pulse, _area
 # not called here; bench/layers.py wraps this module's name for its spans
 from .designer import analytic_diagnostics  # noqa: F401
-from .errors import ConfigError, ParameterError, PulseFormatError
+from .errors import ParameterError, PulseFormatError
 from .robustness import ErrorGrid, ScanResult
 
 __all__ = [
@@ -55,7 +55,7 @@ class RunConfig:
     def __post_init__(self):
         # %.16e round-trips every double; more digits only grow the files
         if not 1 <= self.csv_precision <= 16:
-            raise ConfigError(
+            raise ParameterError(
                 f"csv_precision must be in [1, 16], got {self.csv_precision}"
             )
 
@@ -77,38 +77,39 @@ def _check_fields(given: dict, cls, where: str, skip=()) -> None:
     types = {f.name: f.type for f in fields(cls) if f.name not in skip}
     unknown = sorted(set(given) - set(types))
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise ParameterError(f"unknown {where} keys: {', '.join(unknown)}")
     for key, value in given.items():
         kind, allowed = _JSON_TYPES.get(types[key], ("an object", (dict,)))
         if (not isinstance(value, allowed)
                 or (isinstance(value, bool) and bool not in allowed)):
-            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+            raise ParameterError(f"{where}.{key} must be {kind}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a JSON run configuration, filling documented defaults.
 
-    Unknown keys and values of the wrong JSON type are rejected by name;
-    out-of-range values surface as ConfigError naming the field and its
+    Any bad input raises ParameterError.  Unknown keys and values of the
+    wrong JSON type are rejected by name; an out-of-range design or grid
+    value is named with its 'design: ' or '<grid name>: ' prefix and its
     bound.
     """
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # a syntax error, an integer past Python's digit limit, deep nesting
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ParameterError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ParameterError("config must be a JSON object")
     _check_fields(raw, RunConfig, "config")
 
     design_raw = raw.pop("design", {})
     _check_fields(design_raw, DesignParams, "design")
     if "c" not in design_raw:
-        raise ConfigError("design.c is required")
+        raise ParameterError("design.c is required")
     try:
         design = DesignParams(**design_raw)
     except ParameterError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+        raise ParameterError(f"design: {exc}") from exc
 
     grids = {}
     for name, parameter in (("rabi_grid", "rabi"),
@@ -118,7 +119,7 @@ def parse_config(text: str) -> RunConfig:
         try:
             grids[name] = ErrorGrid(parameter, **{**_DEFAULT_GRID, **grid_raw})
         except ParameterError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+            raise ParameterError(f"{name}: {exc}") from exc
 
     return RunConfig(design=design, **grids, **raw)
 
@@ -282,7 +283,7 @@ def _read_columns(fh):
 def read_pulse_csv(path) -> Pulse:
     """Read a pulse CSV (either layout).
 
-    The t column is read as is; Pulse checks it (GridError).  Design
+    The t column is read as is; Pulse checks it (ParameterError).  Design
     metadata absent from the file stays absent: beta_final defaults to NaN
     and the area is recomputed from the samples when not recorded.
     """

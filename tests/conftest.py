@@ -24,6 +24,14 @@ BAND_GRID_POINTS = 41
 _criterion_lines = []
 
 
+def bloch_from_angles(theta, beta):
+    """The design-angle oracle: the Bloch vector (u, v, w) = (sin theta cos
+    beta, sin theta sin beta, cos theta) of the state with angles (theta,
+    beta)."""
+    th, b = np.asarray(theta, dtype=float), np.asarray(beta, dtype=float)
+    return np.sin(th) * np.cos(b), np.sin(th) * np.sin(b), np.cos(th)
+
+
 @pytest.fixture(scope="session")
 def designs4():
     """Shipped-default designs for the four reference c values."""

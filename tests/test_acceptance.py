@@ -13,7 +13,6 @@ from qiepulse import (
     DesignParams,
     ErrorGrid,
     TargetState,
-    bloch_from_angles,
     design_pulse,
     pi_half_baseline,
     propagate,
@@ -22,7 +21,7 @@ from qiepulse import (
 )
 from qiepulse.cli import main
 
-from conftest import C_VALUES
+from conftest import C_VALUES, bloch_from_angles
 
 # reference endpoint values (area/pi, |beta_final|/pi) for the four
 # standard adiabaticity settings, duplicated here on purpose so the

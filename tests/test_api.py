@@ -9,12 +9,11 @@ from pathlib import Path
 import qiepulse
 
 PUBLIC_NAMES = [
-    "AngleTrajectory", "ConfigError", "DesignError",
-    "DesignParams", "ErrorGrid", "GridError", "ParameterError", "Pulse",
-    "PulseFormatError", "QiePulseError", "RunConfig", "ScanResult",
-    "StateTrajectory", "TargetState",
-    "__version__", "analytic_diagnostics", "bloch_from_angles",
-    "bloch_from_state", "design_pulse", "fidelity", "format_summary", "ket1",
+    "AngleTrajectory", "DesignError", "DesignParams", "ErrorGrid",
+    "ParameterError", "Pulse", "PulseFormatError", "QiePulseError",
+    "RunConfig", "ScanResult", "StateTrajectory", "TargetState",
+    "__version__", "analytic_diagnostics", "bloch_from_state",
+    "design_pulse", "fidelity", "format_summary", "ket1",
     "parse_config", "pi_half_baseline", "propagate", "read_pulse_csv",
     "robustness_summary", "scan_1d", "target_state", "theta_profile",
     "write_pulse_csv", "write_scan_csv", "write_trajectory_csv",

@@ -7,9 +7,8 @@ import pytest
 
 import qiepulse.designer as designer
 from qiepulse import (
-    ConfigError,
     DesignError,
-    GridError,
+    ParameterError,
     PulseFormatError,
     QiePulseError,
     errors,
@@ -42,6 +41,9 @@ NON_FINITE_CSV = """t,omega,delta
 OVERFLOWING_CSVS = ["t,omega,delta\n-1.7e308,1,0\n0,1,0\n1.7e308,1,0\n",
                     "t,omega,delta\n0,1e140,0\n1e200,1e140,0\n2e200,1e140,0\n"]
 
+# a zero-field interval 2e308 wide (inf in floats), then a weak field
+ZERO_FIELD_WIDE_CSV = "t,omega,delta\n-1e308,0,0\n1e308,0,0\n1.5e308,1e-300,0\n"
+
 REPEATED_TIME_CSV = """t,omega,delta
 0.0,1.0,0.0
 0.5,1.0,0.0
@@ -60,16 +62,17 @@ def pulse_file(tmp_path_factory, designs4):
 
 class TestExitCodes:
     def test_mapping(self):
-        assert exit_code_for(ConfigError("x")) == 2
-        assert exit_code_for(GridError("x")) == 2
+        # one class per exit code: the non-base classes map one-to-one
+        # onto {2, 3, 4}
+        codes = {name: exit_code_for(getattr(errors, name)("x"))
+                 for name in errors.__all__ if name != "QiePulseError"}
+        assert sorted(codes.values()) == [2, 3, 4], codes
+        assert exit_code_for(ParameterError("x")) == 2
         assert exit_code_for(DesignError("x")) == 3
         assert exit_code_for(PulseFormatError("x")) == 4
         assert exit_code_for(OSError("x")) == 4
-        for name in errors.__all__:
-            cls = getattr(errors, name)
-            if cls is not QiePulseError:
-                assert issubclass(cls, QiePulseError)
-                assert exit_code_for(cls("x")) in (2, 3, 4), name
+        for name in codes:
+            assert issubclass(getattr(errors, name), QiePulseError), name
 
     def test_unexpected_exception_reraised(self):
         with pytest.raises(KeyError):
@@ -281,6 +284,20 @@ class TestScanCommand:
         assert "beta-final" in capsys.readouterr().err
         assert main(args + ["--beta-final", "-1.5707963267948966"]) == 0
         capsys.readouterr()
+
+    def test_zero_field_over_overflowing_width_has_finite_area(self, tmp_path,
+                                                               capsys):
+        # the first interval's width overflows to inf but holds no field:
+        # its area is 0, not 0 x inf = nan
+        pulse = tmp_path / "wide.csv"
+        out = tmp_path / "s.csv"
+        pulse.write_text(ZERO_FIELD_WIDE_CSV)
+        rc = main(["scan", "--pulse", str(pulse), "--param", "rabi",
+                   "--range=-0.1:0.1:3", "--beta-final", "0", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        area = (1.5e308 - 1e308) * 1e-300 / 2.0
+        assert f"# area = {area!r}" in out.read_text().splitlines()
 
     @pytest.mark.parametrize("text", OVERFLOWING_CSVS)
     def test_overflowing_step_is_argument_error(self, text, tmp_path, capsys):

@@ -490,6 +490,24 @@ class TestPulseArea:
         assert _area(np.exp(-t * t), t) == pytest.approx(np.sqrt(np.pi),
                                                          abs=1e-6)
 
+    def test_zero_field_over_overflowing_width(self):
+        # the first width, 2e308, is inf: an interval with no field has no
+        # area however wide it is, where the trapezoid gives 0 x inf = nan
+        t = np.array([-1e308, 1e308, 1.5e308])
+        omega = np.array([0.0, 0.0, 1e-300])
+        assert _area(omega, t) == (t[2] - t[1]) * 1e-300 / 2.0
+
+    def test_trapezoid_bits(self):
+        # every other pulse keeps np.trapezoid's products and sum, bit for bit
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            n = rng.integers(2, 400)
+            t = np.cumsum(rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 8))
+            omega = rng.normal(size=n) * 10.0 ** rng.uniform(-100, 100)
+            omega[rng.random(n) < 0.3] = 0.0
+            expected = float(np.trapezoid(np.abs(omega), x=t))
+            assert _area(omega, t) == expected
+
 
 class TestPulseEquality:
     def test_compares_samples_and_metadata(self):

@@ -15,7 +15,6 @@ from qiepulse import (
     ParameterError,
     Pulse,
     TargetState,
-    bloch_from_angles,
     bloch_from_state,
     design_pulse,
     fidelity,
@@ -28,6 +27,8 @@ from qiepulse import (
 from qiepulse.dynamics import (
     _BLOCK, _WIDTH, _factors, _steps, _zeros, final_states_over_errors,
 )
+
+from conftest import bloch_from_angles
 
 
 def angle_state(theta, beta):
@@ -173,6 +174,25 @@ class TestStepEvolve:
                          ([-1e308, 1e308, 1.5e308], 0.0)):
             with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
                 propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
+
+    def test_branch_populations_of_overflowing_scaled_fields(self):
+        # sub-steps of 5e-301 keep the kernel's fields within its bound,
+        # but 3 x 1.7e308 and 2 x 1.7e308 overflow: the first sample's mixing
+        # angle is still atan2(3, 2), the others' as computed directly, and
+        # nothing overflows (RuntimeWarnings are errors here)
+        omega = np.array([1.7e308, 2.0, 1e-300])
+        delta = np.array([1.7e308, -1.0, 1e-300])
+        traj = propagate(axis_pulse([0.0, 1e-300, 2e-300], omega, delta),
+                         error=(2.0, 1.0))
+        x = np.unwrap([np.arctan2(3.0, 2.0), *np.arctan2(3.0 * omega[1:],
+                                                          2.0 * delta[1:])])
+        p, q = traj.states.T
+        np.testing.assert_allclose(
+            traj.adiab_pop_minus, np.abs(np.cos(x / 2) * p - np.sin(x / 2) * q) ** 2,
+            rtol=1e-14)
+        np.testing.assert_allclose(
+            traj.adiab_pop_plus, np.abs(np.sin(x / 2) * p + np.cos(x / 2) * q) ** 2,
+            rtol=1e-14)
 
     # fields from 0 to 1e150 (within 30 decades of a top drawn per pulse)
     # over spacings from 1e-300 to 1e300, rows scaled by [-3, 3] and by 0:

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -12,10 +13,9 @@ from hypothesis import strategies as st
 import qiepulse.designer as designer
 import qiepulse.pulse_io as pulse_io
 from qiepulse import (
-    ConfigError,
     DesignParams,
     ErrorGrid,
-    GridError,
+    ParameterError,
     Pulse,
     PulseFormatError,
     RunConfig,
@@ -270,13 +270,14 @@ class TestReadExternal:
         for column in ((0, 0.5, 0.5, 1), (0, 0.7, 0.3, 1), (1, 0.5, 0)):
             rows = "".join(f"{t},1,0\n" for t in column)
             path.write_text("t,omega,delta\n" + rows)
-            with pytest.raises(GridError, match="strictly increasing"):
+            with pytest.raises(ParameterError, match="strictly increasing"):
                 read_pulse_csv(path)
 
     def test_too_few_samples_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,omega,delta\n0,1,0\n1,1,0\n")
-        with pytest.raises(GridError):
+        with pytest.raises(ParameterError, match=r"t must be 1-D with >= 3 "
+                           r"samples, got shape \(2,\)"):
             read_pulse_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -500,31 +501,56 @@ class TestConfig:
         assert config.csv_precision == 12
 
     def test_unknown_keys_named(self):
-        with pytest.raises(ConfigError, match="colour"):
+        with pytest.raises(ParameterError, match="colour"):
             parse_config('{"design": {"c": 0.073}, "colour": "red"}')
-        with pytest.raises(ConfigError, match="cc"):
+        with pytest.raises(ParameterError, match="cc"):
             parse_config('{"design": {"c": 0.073, "cc": 1}}')
-        with pytest.raises(ConfigError, match="step"):
+        with pytest.raises(ParameterError, match="step"):
             parse_config(
                 '{"design": {"c": 0.073}, "rabi_grid": {"step": 0.1}}'
             )
 
     def test_missing_c_rejected(self):
-        with pytest.raises(ConfigError, match="design.c"):
+        with pytest.raises(ParameterError, match="design.c"):
             parse_config('{"design": {}}')
 
     def test_invalid_value_names_field(self):
-        with pytest.raises(ConfigError, match="c must be positive"):
+        with pytest.raises(ParameterError, match="c must be positive"):
             parse_config('{"design": {"c": -1.0}}')
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("design", {"c": -1.0}, "c must be positive and finite"),
+        ("design", {"c": 0.073, "T": 0}, "T must be positive and finite"),
+        ("design", {"c": 0.073, "kappa": 2.5}, "kappa must be finite and >= 3"),
+        ("design", {"c": 0.073, "n_samples": 2}, "n_samples must be >= 3"),
+        ("design", {"c": 0.073, "branch_sign": 0}, "branch_sign must be +1 or -1"),
+        ("design", {"c": 0.073, "beta_rate_init": "fast"},
+         "beta_rate_init must be 'zero' or 'consistency'"),
+        ("rabi_grid", {"n_points": 1}, "n_points must be >= 2"),
+        ("rabi_grid", {"lo": 0.5, "hi": -0.5}, "need finite lo < hi"),
+        ("detuning_grid", {"n_points": 1}, "n_points must be >= 2"),
+        ("detuning_grid", {"lo": 0.1, "hi": 0.1}, "need finite lo < hi"),
+    ])
+    def test_out_of_range_value_named_with_its_section(self, section, value,
+                                                       message):
+        # a DesignParams or ErrorGrid error is re-raised with its section's
+        # prefix, from the original error, not leaked bare
+        config = {"design": {"c": 0.073}, section: value}
+        with pytest.raises(ParameterError,
+                           match=f"^{section}: {re.escape(message)}") as info:
+            parse_config(json.dumps(config))
+        assert isinstance(info.value.__cause__, ParameterError)
+        assert str(info.value) == f"{section}: {info.value.__cause__}"
+
     def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="config is not valid JSON"):
             parse_config("not json at all")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="config must be a JSON object"):
             parse_config("[1, 2, 3]")
 
     def test_precision_floor(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match=r"csv_precision must be "
+                           r"in \[1, 16\], got 0"):
             parse_config('{"design": {"c": 0.073}, "csv_precision": 0}')
 
     def test_precision_ceiling(self):
@@ -533,7 +559,7 @@ class TestConfig:
         text = '{"design": {"c": 0.073}, "csv_precision": %d}'
         assert parse_config(text % 16).csv_precision == 16
         for precision in (17, 100000):
-            with pytest.raises(ConfigError, match=r"csv_precision must be "
+            with pytest.raises(ParameterError, match=r"csv_precision must be "
                                r"in \[1, 16\], got %d" % precision):
                 parse_config(text % precision)
 
@@ -542,6 +568,12 @@ class TestConfig:
     def test_fuzzed_config_is_run_config_or_config_error(self, text):
         try:
             config = parse_config(text)
-        except ConfigError:
+        except ParameterError as exc:
+            # raised in pulse_io, so a DesignParams or ErrorGrid error did
+            # not leak past parse_config's prefix
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            assert tb.tb_frame.f_code.co_filename == pulse_io.__file__, exc
             return
         assert isinstance(config, RunConfig)
