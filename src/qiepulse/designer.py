@@ -56,7 +56,8 @@ azimuth actually reached.  That is the value to hand to target_state.
 
 A Pulse is its samples: the fields at the times t it carries, which
 design_pulse refines where the trapezoid of |Omega| between uniform samples
-misses the exact area.
+misses the exact area.  The trajectory keeps the stepper's run (Solution),
+from which _sundman samples the drive in s, where it has no spike.
 """
 
 import math
@@ -192,16 +193,37 @@ class DesignParams:
 
 
 @dataclass
+class Solution:
+    """The design's Dormand-Prince run in units of T, as _dopri5 returns it:
+    the accepted Sundman times ss, the (3, len(ss)) states (t, beta, x)
+    there, the (steps, 3, 4) coefficients q of each step's quartic
+    interpolant (see _dense), the clock's end t_end the run integrated to,
+    and its work: nfev right-hand-side evaluations and rejected step
+    attempts."""
+
+    ss: np.ndarray
+    ys: np.ndarray
+    q: np.ndarray
+    t_end: float
+    nfev: int
+    rejected: int
+
+    __eq__ = _value_eq  # by value, NaN equal to NaN
+
+
+@dataclass
 class AngleTrajectory:
     """Designed angles at the pulse's times t; beta starts at pi/2 exactly.
     mu is the adiabaticity parameter there, as analytic_diagnostics gives it
-    from these angles."""
+    from these angles.  solution is the Solution record the design sampled
+    (None on a trajectory built by hand); it is not compared."""
 
     t: np.ndarray
     theta: ThetaSample
     beta: np.ndarray
     beta_dot: np.ndarray
     mu: np.ndarray
+    solution: Optional[Solution] = field(default=None, compare=False)
 
     __eq__ = _value_eq  # by value, NaN equal to NaN
 
@@ -333,6 +355,17 @@ def _rms(a, b, c):
     return math.sqrt((a * a + b * b + c * c) / 3)
 
 
+def _theta_dot(tau):
+    """theta_dot at the times tau in units of T: theta_profile's array
+    formula at T = 1."""
+    return _SQRT_PI / 2.0 * np.exp(-tau * tau)
+
+
+def _omega(y):
+    """Omega = theta_dot / sin(beta) at the states y = (t, beta, x)."""
+    return _theta_dot(y[0]) / np.sin(y[1])
+
+
 def _s_form(x_rate):
     """The s-form's right-hand side f(s, (t, beta, x)), t in units of T, for
     dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
@@ -372,11 +405,12 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
     atol + max(|y|, |y_new|) rtol, step factor 0.9 err^(-1/5) in [0.2, 10],
     no growth right after a rejection.  No step is clamped: the run ends on
     the accepted step where u >= t_end.  check(u, v, w) sees every accepted
-    state first and may raise.  Returns (ss, ys, q): the accepted s, the
-    (3, len(ss)) states there, and the (steps, 3, 4) coefficients of each
-    step's quartic interpolant (see _dense).  Raises DesignError, with
-    t_fail the clock, when the step falls below 10 ulp of s or MAX_STEPS
-    steps have been accepted short of t_end.
+    state first and may raise.  Returns the Solution: the accepted s, the
+    (3, len(ss)) states there, the (steps, 3, 4) coefficients of each
+    step's quartic interpolant (see _dense), t_end, and the count of f
+    evaluations (two to start, six an attempt) and of rejected attempts.
+    Raises DesignError, with t_fail the clock, when the step falls below
+    10 ulp of s or MAX_STEPS steps have been accepted short of t_end.
     """
     s, (u, v, w) = 0.0, map(float, y0)
     u1, v1, w1 = f(s, (u, v, w))
@@ -391,7 +425,7 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1)
-    ss, ys, ks = [s], [(u, v, w)], []
+    ss, ys, ks, rejections = [s], [(u, v, w)], [], 0
     while u < t_end:
         if len(ks) == MAX_STEPS:
             raise DesignError(f"no end after {MAX_STEPS} accepted steps",
@@ -439,6 +473,7 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
                 break
             h_abs *= max(0.2, 0.9 * err ** -0.2)
             rejected = True
+            rejections += 1
         check(un, vn, wn)
         ks.append((u1, v1, w1, u2, v2, w2, u3, v3, w3, u4, v4, w4,
                    u5, v5, w5, u6, v6, w6, u7, v7, w7))
@@ -446,19 +481,20 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
         ss.append(s)
         ys.append((u, v, w))
     q = np.einsum("skn,kp->snp", np.array(ks).reshape(-1, 7, 3), _DENSE_P)
-    return np.array(ss), np.array(ys).T, q
+    return Solution(np.array(ss), np.array(ys).T, q, t_end,
+                    2 + 6 * (len(ks) + rejections), rejections)
 
 
-def _dense(ss, ys, q, seg, frac):
+def _dense(solution, seg, frac):
     """The (3, len(seg)) states at fraction frac of accepted steps seg: each
     step's quartic, y = y[seg] + h sum_p q[seg, :, p] frac^(p+1)."""
     powers = np.empty((4, frac.size))
     powers[0] = frac
     for p in range(1, 4):
         np.multiply(powers[p - 1], frac, out=powers[p])
-    return (np.diff(ss)[seg]
-            * np.einsum("snp,ps->ns", q.take(seg, axis=0), powers)
-            + ys.take(seg, axis=1))
+    return (np.diff(solution.ss)[seg]
+            * np.einsum("snp,ps->ns", solution.q.take(seg, axis=0), powers)
+            + solution.ys.take(seg, axis=1))
 
 
 def _locate(ss, s):
@@ -469,7 +505,7 @@ def _locate(ss, s):
     return seg, (s - start) / (ss[seg + 1] - start)
 
 
-def _locate_clock(ss, ys, q, times, tol):
+def _locate_clock(solution, times, tol):
     """(seg, frac) where the dense first state, an increasing clock, equals
     the times: Newton's method on each step's quartic, from the linear
     interpolation between the step's ends (_locate on the clock), to
@@ -479,9 +515,10 @@ def _locate_clock(ss, ys, q, times, tol):
     midpoint.  The points not yet within tol are iterated in compacted
     arrays.  Raises DesignError, with t_fail, where _CLOCK_STEPS steps do
     not get there."""
-    seg, frac = _locate(ys[0], times)
-    a0, a1, a2, a3 = (np.diff(ss) * q[:, 0].T).take(seg, axis=1)
-    goal = times - ys[0][seg]
+    ss, clock = solution.ss, solution.ys[0]
+    seg, frac = _locate(clock, times)
+    a0, a1, a2, a3 = (np.diff(ss) * solution.q[:, 0].T).take(seg, axis=1)
+    goal = times - clock[seg]
     x, lo, hi = frac, np.zeros(frac.size), np.ones(frac.size)
     last = np.full(frac.size, np.inf)  # |miss| of the step before
     off = np.arange(frac.size)
@@ -511,15 +548,15 @@ def _locate_clock(ss, ys, q, times, tol):
                       f"{_CLOCK_STEPS} steps", t_fail=t_bad)
 
 
-def _refine(s, y, omega, x_rate, sample_at):
+def _refine(solution, s, y, omega, x_rate):
     """States that resolve the field between the states y at the values s.
 
-    y is the (3, len(s)) state (t, beta, x) and omega the field Omega there.
-    Between two states the exact area is (cos x_a - cos x_b) / x_rate (see
-    the module notes), and the samples carry the trapezoid of |Omega|.  An
-    interval whose trapezoid misses its exact area by more than REFINE_TOL
-    is split at its midpoint in s, and each half is tested the same way;
-    sample_at(s) returns (y, omega) there.  A midpoint whose time is not
+    y is the (3, len(s)) state (t, beta, x) of the solution's dense output
+    and omega the field Omega there.  Between two states the exact area is
+    (cos x_a - cos x_b) / x_rate (see the module notes), and the samples
+    carry the trapezoid of |Omega|.  An interval whose trapezoid misses its
+    exact area by more than REFINE_TOL is split at its midpoint in s, and
+    each half is tested the same way.  A midpoint whose time is not
     strictly inside its interval is not added.  Returns the added states.
     """
     ends = np.stack((s, y[0], omega, np.cos(y[2])))  # s, t, Omega, cos x
@@ -533,7 +570,8 @@ def _refine(s, y, omega, x_rate, sample_at):
             return np.concatenate(states, axis=1)
         lo, hi = lo.take(k, axis=1), hi.take(k, axis=1)
         m = 0.5 * (lo[0] + hi[0])
-        ym, om = sample_at(m)
+        ym = _dense(solution, *_locate(solution.ss, m))
+        om = _omega(ym)
         inside = (lo[1] < ym[0]) & (ym[0] < hi[1])
         if not inside.all():
             lo, hi, m = lo[:, inside], hi[:, inside], m[inside]
@@ -548,6 +586,35 @@ def _grid(params: DesignParams):
     """The uniform design grid in units of T, n_samples times over
     [-kappa, kappa]: a designed pulse's t holds T times each of them."""
     return np.linspace(-params.kappa, params.kappa, params.n_samples)
+
+
+def _sundman(solution, m):
+    """A design's drive in its Sundman time s, in units of T:
+    (s, Omega dt/ds, Delta dt/ds) at m equal parts in s of each accepted
+    step, from s = 0, where t = -kappa, to s*, where the dense clock is
+    within CLOCK_TOL of the run's end (_locate_clock).
+
+    With dt/ds = sin(beta) sin(x) the fields are theta_dot sin(x) and
+    theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
+    bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds psi,
+    is the propagator's with these fields, and an error scale (1 + delta)
+    commutes with dt/ds, so a scan of them is a scan of the design, to a
+    sampling error that falls as m^-2.
+    """
+    ss = solution.ss
+    h = np.diff(ss)
+    seg_end, frac_end = _locate_clock(solution, np.array([solution.t_end]),
+                                      CLOCK_TOL)
+    s_end = ss[seg_end] + frac_end * h[seg_end]
+    seg = np.repeat(np.arange(h.size), m)
+    frac = np.tile(np.arange(m) / m, h.size)
+    s = ss[seg] + frac * h[seg]
+    inside = s < s_end  # a prefix: s increases
+    seg, frac, s = (np.append(a[inside], end) for a, end in
+                    ((seg, seg_end), (frac, frac_end), (s, s_end)))
+    tau, _, x = _dense(solution, seg, frac)
+    theta_dot = _theta_dot(tau)
+    return s, theta_dot * np.sin(x), theta_dot * np.cos(x)
 
 
 def design_pulse(params: DesignParams):
@@ -565,7 +632,8 @@ def design_pulse(params: DesignParams):
     The pulse's t holds every uniform point and the added ones, in order.
     The fields are Omega = theta_dot / sin(beta) and Delta = Omega cot(x);
     the area is the closed form (cos x0 - cos x_f) / (2 c branch_sign),
-    exact to the solver's x_f at any sampling.
+    exact to the solver's x_f at any sampling.  The trajectory keeps the
+    stepper's Solution, in units of T, as its solution.
 
     A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
     rounds to -1, and cot(theta) would divide by zero on every step), an
@@ -594,13 +662,6 @@ def design_pulse(params: DesignParams):
         rate0 = sign * math.sqrt(abs(start.theta_ddot) / (2.0 * c))
     x0 = math.atan2(start.theta_dot, rate0)  # at beta = pi/2, Delta = beta_dot
 
-    def omega_at(y):  # theta_dot as theta_profile's array formula
-        return _SQRT_PI / 2.0 * np.exp(-y[0] * y[0]) / np.sin(y[1])
-
-    def sample_at(s):
-        y = _dense(ss, ys, q, *_locate(ss, s))
-        return y, omega_at(y)
-
     try:
         if not (math.isfinite(start.theta_dot) and math.isfinite(rate0)):
             raise DesignError("the initial state is not finite",
@@ -609,15 +670,16 @@ def design_pulse(params: DesignParams):
             raise DesignError(f"theta rounds to 0 at the window start "
                               f"(kappa = {params.kappa:g}), so cot(theta) "
                               f"is infinite there", t_fail=float(tau[0]))
-        ss, ys, q = _dopri5(_s_form(x_rate), (tau[0], 0.5 * math.pi, x0),
-                            tau[-1], ODE_RTOL, ODE_ATOL, check)
-        seg, frac = _locate_clock(ss, ys, q, tau, CLOCK_TOL)
-        y = _dense(ss, ys, q, seg, frac)
+        solution = _dopri5(_s_form(x_rate), (tau[0], 0.5 * math.pi, x0),
+                           tau[-1], ODE_RTOL, ODE_ATOL, check)
+        seg, frac = _locate_clock(solution, tau, CLOCK_TOL)
+        y = _dense(solution, seg, frac)
         y[0] = tau  # the clock there is within CLOCK_TOL of tau
         y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
+        ss = solution.ss
         s = ss[seg] + frac * np.diff(ss)[seg]
         with np.errstate(invalid="ignore", divide="ignore"):  # named below
-            y_add = _refine(s, y, omega_at(y), x_rate, sample_at)
+            y_add = _refine(solution, s, y, _omega(y), x_rate)
         if y_add.size:
             y = np.concatenate((y, y_add), axis=1)
             y = y[:, np.argsort(y[0])]
@@ -661,4 +723,4 @@ def design_pulse(params: DesignParams):
             f"at t = {t_bad:.6g}", t_fail=t_bad)
     pulse = Pulse(t, omega, delta, (math.cos(x0) - math.cos(x[-1])) / x_rate,
                   float(-beta[-1]), residual, params)
-    return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu)
+    return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu, solution)

@@ -303,13 +303,18 @@ def read_pulse_csv(path) -> Pulse:
     )
 
 
-def write_scan_csv(result: ScanResult, path, precision: int = 12) -> None:
-    """Serialize one scan: '#' metadata plus 'delta,fidelity' rows."""
+def write_scan_csv(result: ScanResult, path, precision: int = 12,
+                   meta: Optional[dict] = None) -> None:
+    """Serialize one scan: '#' metadata plus 'delta,fidelity' rows.  The
+    band minimum is written as the fidelity column is, at precision; meta
+    adds its items (a report's sampling of the scanned drive) after the
+    scan's own."""
     meta = {
         "protocol": result.protocol_label,
         "parameter": result.grid.parameter,
         "area": repr(result.area),
-        "min_fidelity_in_band": repr(result.min_fidelity_in_band),
+        "min_fidelity_in_band": f"{result.min_fidelity_in_band:.{precision}e}",
+        **(meta or {}),
     }
     _write_csv(path, meta, ["delta", "fidelity"],
                [result.grid.values(), result.fidelities], precision)

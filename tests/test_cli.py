@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 import qiepulse.designer as designer
 from qiepulse import (
     DesignError,
+    ErrorGrid,
     ParameterError,
     PulseFormatError,
     QiePulseError,
+    TargetState,
     errors,
     read_pulse_csv,
+    scan_1d,
     write_pulse_csv,
 )
 from qiepulse.cli import exit_code_for, main
@@ -456,6 +460,84 @@ class TestReportCommand:
                 texts[T, c] = re.findall(r">([^<>]+)</text>", svg)
                 assert texts[T, c][1:3] == ["-4", "4"]  # x_lo, x_hi
                 assert texts[T, c] == texts[1.0, c]
+
+    def test_report_scans_the_design_in_sundman_time(self, tmp_path, capsys):
+        # the report's scans are of the design's Sundman-time drive, which
+        # neither n_samples nor T moves: the scan files keep every byte; each
+        # keeps the design's label and area, and names its sampling
+        files = {}
+        for T, n in ((1.0, 401), (1.0, 4001), (3.0, 401)):
+            out_dir = tmp_path / f"out{T:g}_{n}"
+            config = {
+                "design": {"c": 0.073, "T": T, "n_samples": n},
+                "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 21},
+                "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 21},
+                "output_dir": str(out_dir),
+            }
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(config))
+            assert main(["report", "--config", str(config_path)]) == 0
+            capsys.readouterr()
+            files[T, n] = {path.name: path.read_bytes()
+                           for path in out_dir.glob("scan_c*.csv")}
+            summary = (out_dir / "summary.txt").read_text().splitlines()
+            labels = [line[:16].rstrip() for line in summary
+                      if line.rsplit(" ", 1)[-1] in ("LR", "L-", "-R", "--")]
+            assert labels == [f"qie c={c}" for c in ("0.073", "0.06", "0.05",
+                                                     "0.04")
+                              for _ in range(2)] + ["pi/2 pulse"]
+        assert len(files[1.0, 401]) == 8
+        assert files[1.0, 401] == files[1.0, 4001] == files[3.0, 401]
+        for c in ("0.073", "0.06", "0.05", "0.04"):
+            pulse = read_pulse_csv(tmp_path / f"out1_401/pulse_c{c}.csv")
+            for parameter in ("rabi", "detuning"):
+                lines = files[1.0, 401][f"scan_c{c}_{parameter}.csv"].decode()
+                meta = lines.splitlines()[:6]
+                assert meta[0] == f"# protocol = qie c={c}"
+                assert meta[2] == f"# area = {pulse.area!r}"
+                assert meta[4] == ("# sampling = sundman, 4 nodes per "
+                                   "accepted step")
+                assert 0 < float(meta[5].split(" = ")[1]) < 2e-5
+
+    def test_report_scan_error_estimate(self, tmp_path, capsys):
+        # c = 0.073, rabi: the scan is within 2e-5 of the design's scan at
+        # 32 nodes a step, nearer than the t-sampled pulse's scan; the
+        # printed estimate is within 1.5x of the gap to 16 nodes a step
+        out_dir = tmp_path / "out"
+        config = {
+            "design": {"c": 0.073, "n_samples": 401},
+            "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 21},
+            "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "output_dir": str(out_dir),
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["report", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        text = (out_dir / "scan_c0.073_rabi.csv").read_text()
+        estimate = float(re.search(r"# sampling_error = (\S+)", text)[1])
+        fids = np.array([float(line.split(",")[1])
+                         for line in text.splitlines()[7:]])
+
+        pulse, trajectory = designer.design_pulse(
+            designer.DesignParams(c=0.073))
+        grid = ErrorGrid("rabi", -0.5, 0.5, 21)
+        target = TargetState(pulse.beta_final)
+
+        def scan(m):
+            s, omega, delta = designer._sundman(trajectory.solution, m)
+            sundman = replace(pulse, t=s, omega=omega, delta=delta)
+            return scan_1d(sundman, target, grid).fidelities
+
+        reference = scan(32)
+        sampled = scan_1d(pulse, target, grid).fidelities
+        np.testing.assert_allclose(fids, scan(4), rtol=0, atol=1e-12)
+        gap = np.max(np.abs(fids - reference))
+        assert gap <= 2e-5 < np.max(np.abs(sampled - reference))
+        to_16 = np.max(np.abs(fids - scan(16)))
+        assert to_16 / 1.5 <= estimate <= 1.5 * to_16
+        summary = (out_dir / "summary.txt").read_text()
+        assert f" 0.073  {estimate:.2e}" in summary
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

@@ -822,7 +822,7 @@ class TestPostStepper:
             dopri5(*args)) or runs[-1])
         params = DesignParams(c=c, beta_rate_init=init)
         pulse, traj = design_pulse(params)
-        ref = design_fancy(params, *runs[0])
+        ref = design_fancy(params, runs[0].ss, runs[0].ys, runs[0].q)
         got = (pulse.t, pulse.omega, pulse.delta, traj.beta, traj.beta_dot,
                traj.theta.theta, traj.theta.theta_dot, traj.theta.theta_ddot,
                pulse.area, pulse.beta_final, pulse.adiabaticity_residual)
@@ -870,7 +870,8 @@ class TestDormandPrince:
             runs.append((stepper(f, (0.0, 1.0, 0.5), 10.0, rtol, atol,
                                  lambda *y: seen.append(y)),
                          np.array(calls), np.array(seen)))
-        ((ss, ys, q), calls, seen), ((ss_ref, ys_ref, q_ref), ref, _) = runs
+        (sol, calls, seen), ((ss_ref, ys_ref, q_ref), ref, _) = runs
+        ss, ys, q = sol.ss, sol.ys, sol.q
         np.testing.assert_array_equal(calls, ref)  # every (s, y) f was given
         np.testing.assert_array_equal(ss, ss_ref)
         np.testing.assert_array_equal(ys, ys_ref)
@@ -881,7 +882,7 @@ class TestDormandPrince:
         assert ys[0, -2] < 10.0 <= ys[0, -1]
         x = np.concatenate((np.linspace(0.0, ss[-1], 1001), ss,
                             0.5 * (ss[1:] + ss[:-1])))
-        np.testing.assert_allclose(_dense(ss, ys, q, *_locate(ss, x)),
+        np.testing.assert_allclose(_dense(sol, *_locate(ss, x)),
                                    dense_lists(ss, ys, q, x), rtol=1e-14,
                                    atol=1e-14)
         if rhs is stiff:  # the rejection branch of the controller ran
@@ -899,33 +900,33 @@ class TestDormandPrince:
             return y[0] - 10.0
 
         clock_at_end.terminal = True
-        ss, ys, q = _dopri5(f, (0.0, 1.0, 0.5), 10.0, rtol, atol,
-                            lambda *y: None)
+        sol = _dopri5(f, (0.0, 1.0, 0.5), 10.0, rtol, atol, lambda *y: None)
+        ss, ys = sol.ss, sol.ys
         # scipy's RK45 with a far end clamps no step and, stopped by a
         # terminal event, has taken the same steps
-        sol = solve_ivp(smooth, (0.0, 1e3), (0.0, 1.0, 0.5), method="RK45",
+        ref = solve_ivp(smooth, (0.0, 1e3), (0.0, 1.0, 0.5), method="RK45",
                         rtol=rtol, atol=atol, dense_output=True,
                         events=clock_at_end)
         # the same controller takes the same steps; the error estimate's
         # cancellation lets the summation order move them by round-off
-        assert sol.status == 1 and len(calls) == sol.nfev
-        assert ss.shape == sol.t.shape
-        np.testing.assert_allclose(ss[:-1], sol.t[:-1], rtol=0, atol=1e-9)
-        assert ss[-2] < sol.t_events[0][0] <= ss[-1]
-        assert ys.shape == sol.y.shape
-        x = np.concatenate((np.linspace(0.0, ss[-2], 1001), sol.t[:-1]))
-        np.testing.assert_allclose(_dense(ss, ys, q, *_locate(ss, x)),
-                                   sol.sol(x), rtol=0, atol=1e-12)
+        assert ref.status == 1 and len(calls) == ref.nfev == sol.nfev
+        assert ss.shape == ref.t.shape
+        np.testing.assert_allclose(ss[:-1], ref.t[:-1], rtol=0, atol=1e-9)
+        assert ss[-2] < ref.t_events[0][0] <= ss[-1]
+        assert ys.shape == ref.y.shape
+        x = np.concatenate((np.linspace(0.0, ss[-2], 1001), ref.t[:-1]))
+        np.testing.assert_allclose(_dense(sol, *_locate(ss, x)),
+                                   ref.sol(x), rtol=0, atol=1e-12)
 
     def test_clock_inversion(self):
         # the dense clock at the located (step, fraction) is within the
         # tolerance of every asked time, end points included
-        ss, ys, q = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
-                            lambda *y: None)
-        times = np.concatenate((np.linspace(0.0, 10.0, 2001), ys[0, :-1]))
-        seg, frac = designer._locate_clock(ss, ys, q, np.sort(times), 1e-12)
+        sol = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
+                      lambda *y: None)
+        times = np.concatenate((np.linspace(0.0, 10.0, 2001), sol.ys[0, :-1]))
+        seg, frac = designer._locate_clock(sol, np.sort(times), 1e-12)
         assert np.all((0 <= frac) & (frac <= 1))
-        clock = _dense(ss, ys, q, seg, frac)[0]
+        clock = _dense(sol, seg, frac)[0]
         assert np.max(np.abs(clock - np.sort(times))) <= 1.5e-12
 
     def test_clock_inversion_at_a_flat_point(self):
@@ -934,12 +935,12 @@ class TestDormandPrince:
         # flat point; the guarded steps still get every time
         def flat(s, y):
             return (s - 1.0) ** 2, 0.0, 0.0
-        ss, ys, q = _dopri5(flat, (-1 / 3, 0.0, 0.0), 1.0, 1e-9, 1e-11,
-                            lambda *y: None)
+        sol = _dopri5(flat, (-1 / 3, 0.0, 0.0), 1.0, 1e-9, 1e-11,
+                      lambda *y: None)
         times = np.sort(np.concatenate((np.linspace(-1 / 3, 1.0, 2001),
                                         [0.0, 1e-9, -1e-9])))
-        seg, frac = designer._locate_clock(ss, ys, q, times, 1e-12)
-        clock = _dense(ss, ys, q, seg, frac)[0]
+        seg, frac = designer._locate_clock(sol, times, 1e-12)
+        clock = _dense(sol, seg, frac)[0]
         assert np.max(np.abs(clock - times)) <= 1e-12
 
     def test_reference_designs_take_rk45_steps(self, monkeypatch):
@@ -1188,3 +1189,106 @@ class TestDormandPrince:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
         assert out.stdout.strip() == "[]"
+
+
+class TestSolution:
+    """The stepper's run, kept on the trajectory in units of T."""
+
+    def test_nfev_counts_the_right_hand_side(self, monkeypatch):
+        # nfev is the count of a wrapper on _s_form's rhs; each attempt
+        # takes six evaluations, after two to start
+        calls = [0]
+        s_form = designer._s_form
+
+        def counted(x_rate):
+            rhs = s_form(x_rate)
+
+            def wrapper(*args):
+                calls[0] += 1
+                return rhs(*args)
+            return wrapper
+
+        monkeypatch.setattr(designer, "_s_form", counted)
+        for c in RK45_NFEV:
+            calls[0] = 0
+            solution = design_pulse(DesignParams(c=c, n_samples=401))[1].solution
+            steps = solution.ss.size - 1
+            assert solution.nfev == calls[0] == RK45_NFEV[c]
+            assert solution.nfev == 2 + 6 * (steps + solution.rejected)
+            assert 1 <= solution.rejected <= 4
+
+    def test_rejections_are_counted(self):
+        # the stiff oracle system rejects steps: every attempt past the
+        # accepted ones is one
+        calls = [0]
+
+        def f(s, y):
+            calls[0] += 1
+            return stiff(s, y)
+
+        solution = _dopri5(f, (0.0, 1.0, 0.5), 10.0, 1e-6, 1e-8,
+                           lambda *y: None)
+        assert solution.rejected > 0 and solution.t_end == 10.0
+        assert calls[0] == solution.nfev == 2 + 6 * (solution.ss.size - 1
+                                                     + solution.rejected)
+
+    @pytest.mark.parametrize("c", [0.04, 0.073])
+    def test_uniform_samples_from_the_record(self, c):
+        # the record's dense output at the inverted clock gives the
+        # trajectory's angles at the uniform grid, bit for bit past the
+        # start, which is set exactly
+        params = DesignParams(c=c, n_samples=401)
+        pulse, trajectory = design_pulse(params)
+        solution = trajectory.solution
+        tau = designer._grid(params)
+        y = _dense(solution, *designer._locate_clock(solution, tau,
+                                                     designer.CLOCK_TOL))
+        uniform = np.isin(pulse.t, tau)
+        assert np.count_nonzero(uniform) == 401
+        assert trajectory.beta[uniform][1:].tobytes() == y[1, 1:].tobytes()
+        assert np.max(np.abs(y[0] - tau)) <= designer.CLOCK_TOL
+
+    def test_the_record_is_in_units_of_T_and_not_compared(self):
+        # a design at T keeps the T = 1 run; the record is no part of the
+        # trajectory's value, nor a public name
+        _, one = design_pulse(DesignParams(c=0.073, n_samples=401))
+        _, three = design_pulse(DesignParams(c=0.073, T=3.0, n_samples=401))
+        assert three.solution == one.solution
+        assert replace(one, solution=None) == one
+        assert "Solution" not in designer.__all__
+
+
+class TestSundman:
+    """designer._sundman: the design's drive in its Sundman time."""
+
+    @pytest.mark.parametrize("c", [0.04, 0.073])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_nodes_and_fields(self, c, m):
+        _, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
+        solution = trajectory.solution
+        s, omega, delta = designer._sundman(solution, m)
+        assert s[0] == 0.0 and np.all(np.diff(s) > 0)
+        # m nodes in each accepted step up to s*, inside the last one
+        steps = solution.ss.size - 1
+        assert m * (steps - 1) < s.size <= m * steps + 1
+        inner = s[:-1]
+        np.testing.assert_array_equal(inner[::m], solution.ss[:inner[::m].size])
+        # the clock: -kappa at the start, kappa within CLOCK_TOL at s*
+        clock = _dense(solution, *_locate(solution.ss, s))[0]
+        assert clock[0] == -4.0
+        assert abs(clock[-1] - 4.0) <= designer.CLOCK_TOL
+        assert solution.ss[-2] < s[-1] <= solution.ss[-1]
+        # no spike: |theta_dot (sin x, cos x)| <= sqrt(pi)/2
+        gap = np.hypot(omega, delta)
+        assert np.all(gap <= math.sqrt(math.pi) / 2)
+        assert np.all(omega > 0)
+
+    def test_half_the_nodes_are_a_subset(self):
+        # the nodes at m/2 are every other node at m, with the same fields
+        _, trajectory = design_pulse(DesignParams(c=0.073, n_samples=401))
+        fine, coarse = (designer._sundman(trajectory.solution, m)
+                        for m in (4, 2))
+        at = np.isin(fine[0], coarse[0])
+        assert np.count_nonzero(at) == coarse[0].size
+        for a, b in zip(fine, coarse):
+            assert a[at].tobytes() == b.tobytes()

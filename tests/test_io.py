@@ -31,6 +31,7 @@ from qiepulse import (
     write_scan_csv,
     write_trajectory_csv,
 )
+from qiepulse.robustness import BAND_HALF_WIDTH
 
 # JSON value texts: any JSON value, plus literals that json.dumps never
 # writes (an overflowing 1e400, an integer past Python's digit limit, and
@@ -478,6 +479,30 @@ class TestScanAndTrajectoryFiles:
         fids = np.array([float(r.split(",")[1]) for r in rows])
         assert np.any(deltas == 0.0)
         assert np.all((fids >= 0.0) & (fids <= 1.0))
+
+    @pytest.mark.parametrize("precision", [4, 12, 16])
+    def test_band_minimum_as_the_table_prints_it(self, precision, tmp_path):
+        # the metadata's band minimum is the fidelity cell it was taken
+        # from, character for character, and meta's items follow the
+        # scan's own
+        pulse = pi_half_baseline(1.0)
+        grid = ErrorGrid(parameter="rabi", lo=-0.5, hi=0.5, n_points=51)
+        result = scan_1d(pulse, TargetState(pulse.beta_final), grid)
+        path = tmp_path / "scan.csv"
+        write_scan_csv(result, path, precision=precision,
+                       meta={"sampling": "test", "sampling_error": "0"})
+        lines = path.read_text().splitlines()
+        assert lines[:6] == [
+            "# protocol = pulse", "# parameter = rabi",
+            f"# area = {result.area!r}",
+            f"# min_fidelity_in_band = "
+            f"{result.min_fidelity_in_band:.{precision}e}",
+            "# sampling = test", "# sampling_error = 0"]
+        cells = {row.split(",")[1] for row in lines[7:]
+                 if abs(float(row.split(",")[0])) <= BAND_HALF_WIDTH + 1e-12}
+        band_min = lines[3].split(" = ")[1]
+        assert band_min in cells
+        assert float(band_min) == min(map(float, cells))
 
     def test_trajectory_file_layout(self, tmp_path):
         pulse = pi_half_baseline(1.0, n_samples=11)
