@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .designer import DesignParams, _grid, _sundman, design_pulse
+from .designer import DesignParams, _grid, design_pulse
 from .dynamics import TargetState, propagate
 from .errors import DesignError, ParameterError, PulseFormatError
 from .plots import svg_line_plot
@@ -27,7 +27,9 @@ from .pulse_io import (
 from .robustness import (
     BAND_HALF_WIDTH,
     ErrorGrid,
-    _scan,
+    _INTERVALS,
+    _SAMPLING,
+    _design_scans,
     format_summary,
     pi_half_baseline,
     robustness_summary,
@@ -46,10 +48,6 @@ REFERENCE_TABLE = {
 }
 AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
-
-# Nodes per accepted design step of the report's Sundman-time scans; each
-# scan's error is estimated against the scan at half as many
-SUNDMAN_NODES = 4
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -170,24 +168,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-def _sundman_scans(pulse, trajectory, grids):
-    """The report's scans of one design: the design's drive in Sundman time
-    (designer._sundman) at SUNDMAN_NODES nodes per accepted step, its grids
-    in one batch, each with its sampling-error estimate.  The drive keeps
-    the design pulse's metadata, so its scans keep the design's label and
-    area.  The sampling error falls as m^-2, so the scan at half the nodes
-    is off by four times as much, and max |F_M - F_M/2| / 3 estimates the
-    scan's."""
-    target = TargetState(pulse.beta_final)
-    scans = []
-    for m in (SUNDMAN_NODES, SUNDMAN_NODES // 2):
-        s, omega, delta = _sundman(trajectory.solution, m)
-        scans.append(_scan(replace(pulse, t=s, omega=omega, delta=delta),
-                           target, grids))
-    return [(res, float(np.max(np.abs(res.fidelities - half.fidelities))) / 3)
-            for res, half in zip(*scans)]
-
-
 def _cmd_report(args) -> int:
     config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     out = Path(config.output_dir)
@@ -203,9 +183,8 @@ def _cmd_report(args) -> int:
                         precision=precision)
 
     scans, sampling_errors = {}, {}
-    sampling = f"sundman, {SUNDMAN_NODES} nodes per accepted step"
     for c, (pulse, trajectory) in designs.items():
-        for res, error in _sundman_scans(
+        for res, error in _design_scans(
                 pulse, trajectory, (config.rabi_grid, config.detuning_grid)):
             parameter = res.grid.parameter
             scans[(c, parameter)] = res
@@ -213,7 +192,7 @@ def _cmd_report(args) -> int:
             write_scan_csv(
                 res, out / f"scan_c{c:g}_{parameter}.csv",
                 precision=precision,
-                meta={"sampling": sampling, "sampling_error": f"{error:.2e}"},
+                meta={"sampling": _SAMPLING, "sampling_error": f"{error:.2e}"},
             )
 
     baseline = pi_half_baseline(1.0)
@@ -246,8 +225,8 @@ def _cmd_report(args) -> int:
     rows = robustness_summary(list(scans.values()) + [baseline_scan])
     lines.append(format_summary(rows))
     lines.append("")
-    lines.append(f"qie scan sampling: {sampling}; estimated error "
-                 f"max|F{SUNDMAN_NODES} - F{SUNDMAN_NODES // 2}|/3")
+    lines.append(f"qie scan sampling: {_SAMPLING}; estimated error "
+                 f"max|F{_INTERVALS} - F{_INTERVALS // 2}|/15")
     lines.append(f"{'c':>6} {'rabi':>9} {'detuning':>9}")
     for c in designs:
         lines.append(f"{c:>6g} {sampling_errors[(c, 'rabi')]:>9.2e} "

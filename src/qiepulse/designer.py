@@ -57,7 +57,7 @@ azimuth actually reached.  That is the value to hand to target_state.
 A Pulse is its samples: the fields at the times t it carries, which
 design_pulse refines where the trapezoid of |Omega| between uniform samples
 misses the exact area.  The trajectory keeps the stepper's run (Solution),
-from which _sundman samples the drive in s, where it has no spike.
+from which _sundman builds the drive in s, where it has no spike.
 """
 
 import math
@@ -99,6 +99,13 @@ CLOCK_TOL, _CLOCK_STEPS = 1e-12, 64
 # Largest gap, in radians, between the trapezoid of |Omega| over an interval
 # of a designed pulse's samples and the interval's exact area; see _refine.
 REFINE_TOL = 1e-4
+
+# The Gauss nodes 1/2 -+ sqrt(3)/6 of an interval, as fractions of it, and
+# the weights of the fourth-order commutator-free Magnus step on them (see
+# _sundman): row k weighs the two nodes in the k-th exponential applied,
+# (a2, a1) and then (a1, a2), with a1,2 = 1/4 -+ sqrt(3)/6
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3) / 6)
+_CF4 = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (math.sqrt(3) / 6)
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
 # its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
@@ -589,17 +596,24 @@ def _grid(params: DesignParams):
 
 
 def _sundman(solution, m):
-    """A design's drive in its Sundman time s, in units of T:
-    (s, Omega dt/ds, Delta dt/ds) at m equal parts in s of each accepted
-    step, from s = 0, where t = -kappa, to s*, where the dense clock is
-    within CLOCK_TOL of the run's end (_locate_clock).
+    """A design's drive in its Sundman time s, in units of T, as the fourth-
+    order commutator-free Magnus step (CF4) takes it: the ends s of m equal
+    intervals in s of each accepted step, from s = 0, where t = -kappa, to
+    s*, where the dense clock is within CLOCK_TOL of the run's end
+    (_locate_clock), and -Omega dt/4 and Delta dt/4 of the frozen
+    exponentials, two per interval, in the order they are applied.
 
-    With dt/ds = sin(beta) sin(x) the fields are theta_dot sin(x) and
-    theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
-    bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds psi,
-    is the propagator's with these fields, and an error scale (1 + delta)
-    commutes with dt/ds, so a scan of them is a scan of the design, to a
-    sampling error that falls as m^-2.
+    With dt/ds = sin(beta) sin(x) the drive's fields are theta_dot sin(x)
+    and theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
+    bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds
+    psi, is the propagator's with these fields, and an error scale
+    (1 + delta) commutes with dt/ds.  Over an interval of width h, with H_1
+    and H_2 the fields at its Gauss nodes 1/2 -+ sqrt(3)/6, CF4 (Blanes &
+    Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J.
+    Comput. Phys. 230, 5930 (2011)) applies exp(-i h (a2 H_1 + a1 H_2)),
+    then exp(-i h (a1 H_1 + a2 H_2)), with a1,2 = 1/4 -+ sqrt(3)/6: each a
+    frozen exponential of averaged fields, linear in them, so a scan of
+    these steps is a scan of the design, to an error that falls as m^-4.
     """
     ss = solution.ss
     h = np.diff(ss)
@@ -607,14 +621,16 @@ def _sundman(solution, m):
                                       CLOCK_TOL)
     s_end = ss[seg_end] + frac_end * h[seg_end]
     seg = np.repeat(np.arange(h.size), m)
-    frac = np.tile(np.arange(m) / m, h.size)
-    s = ss[seg] + frac * h[seg]
-    inside = s < s_end  # a prefix: s increases
-    seg, frac, s = (np.append(a[inside], end) for a, end in
-                    ((seg, seg_end), (frac, frac_end), (s, s_end)))
-    tau, _, x = _dense(solution, seg, frac)
+    s = ss[seg] + np.tile(np.arange(m) / m, h.size) * h[seg]
+    s = np.append(s[s < s_end], s_end)  # a prefix: s increases
+    width = np.diff(s)
+    nodes = (s[:-1, None] + _GAUSS * width[:, None]).ravel()
+    tau, _, x = _dense(solution, *_locate(ss, nodes))
     theta_dot = _theta_dot(tau)
-    return s, theta_dot * np.sin(x), theta_dot * np.cos(x)
+    quarter = width[:, None] / 4
+    omega, delta = (np.sum((theta_dot * f(x)).reshape(-1, 1, 2) * _CF4, axis=2)
+                    * quarter for f in (np.sin, np.cos))
+    return s, -omega.ravel(), delta.ravel()
 
 
 def design_pulse(params: DesignParams):

@@ -10,7 +10,9 @@ Hamiltonian at the sub-step's midpoint fields (linear interpolation, scaled
 by the (1 + delta) error factors).  Sub-steps with Omega = Delta = 0 there are
 the identity and are dropped, so a zero-field gap holds the state bit for bit;
 the rest are multiplied in blocks of _BLOCK by pairwise trees (_trees), and
-the scan batch and propagate both take their block products from them.
+the scan batch and propagate both take their block products from them.  The
+batch also takes ready step fields (_Steps) in place of a pulse: they skip
+the interpolation (_fields) and share the rest (_blocks, _trees).
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -20,6 +22,7 @@ measures the intended transfer.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,22 +102,16 @@ def _numbers(value, dtype):
     return array.astype(dtype, copy=False), array.shape
 
 
-def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
-    """-Omega dt/4 and Delta dt/4 at the midpoints of the sub-steps that are
-    not exactly the identity (dt their width), as _factors takes them,
-    front-padded with zero fields to whole blocks and shaped (blocks,
-    _BLOCK), and the count of such steps up to each sample of t.  Each of
-    them times the largest |scale| must be at most 1e150: then phi/2 is at
-    most 1.5e150, its tan is finite, and so is every state."""
+def _fields(pulse: Pulse, substeps):
+    """A pulse's step fields: -Omega dt/4 and Delta dt/4 at the midpoints
+    of its sub-steps (linear interpolation, dt their width), flat; which
+    of them are kept (a field is not 0 there: the others are exactly the
+    identity), and the count of kept steps up to each sample of t."""
     if not _is_count(substeps, 2, MAX_SAMPLES // (pulse.t.size - 1)):
         raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
                              f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
-    for name, values in (("omega", pulse.omega), ("delta", pulse.delta),
-                         ("scale_omega", scale_omega), ("scale_delta", scale_delta)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ParameterError(f"{name} is not finite at index {bad[0]}")
-    # what overflows here is inf or nan, which the bound's "not <=" rejects
+    _finite(("omega", pulse.omega), ("delta", pulse.delta))
+    # what overflows here is inf or nan, which _blocks' bound rejects
     with np.errstate(over="ignore", invalid="ignore"):
         w = (np.arange(substeps) + 0.5) / substeps
         om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
@@ -123,14 +120,34 @@ def _steps(pulse: Pulse, scale_omega, scale_delta, substeps):
         h = np.diff(pulse.t)[:, None] / (4 * substeps)  # a quarter of each width
         np.multiply(de, h, out=de)
         np.multiply(om, np.negative(h, out=h), out=om)
-        done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
-        pad = (-done[-1] % _BLOCK, 0)
-        om, de = (np.pad(x.ravel()[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+    done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
+    return om.ravel(), de.ravel(), keep, done
+
+
+def _finite(*named):
+    """Raise ParameterError at the first (name, values) pair that is not
+    finite everywhere."""
+    for name, values in named:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParameterError(f"{name} is not finite at index {bad[0]}")
+
+
+def _blocks(om, de, keep, scale_omega, scale_delta):
+    """The kept steps of the flat step fields om and de, as _factors takes
+    them, front-padded with zero fields to whole blocks and shaped (blocks,
+    _BLOCK).  Each of them times the largest |scale| must be at most 1e150
+    (nan is not): then phi/2 is at most 1.5e150, its tan is finite, and so
+    is every state."""
+    _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
+    pad = (-np.count_nonzero(keep) % _BLOCK, 0)
+    om, de = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+    with np.errstate(over="ignore", invalid="ignore"):
         for name, x, scale in (("omega", om, scale_omega), ("delta", de, scale_delta)):
             if not np.abs(x).max(initial=0.0) * np.abs(scale).max(initial=0.0) <= 1e150:
                 raise ParameterError(f"scaled {name} exceeds 1e150 per sub-step: "
                                      f"|{name} x scale x dt/4| is squared")
-    return om, de, done
+    return om, de
 
 
 def _factors(o, so, d, sd, a, b, x):
@@ -209,19 +226,38 @@ def _trees(om, de, so, sd):
         yield ab
 
 
-def final_states_over_errors(pulse: Pulse, initial, scale_omega, scale_delta,
+class _Steps(NamedTuple):
+    """Ready step fields for final_states_over_errors: -Omega dt/4 and
+    Delta dt/4 of frozen exponentials, in the order they are applied,
+    after one step with zero fields (the identity, which _blocks drops).
+    As for a pulse's samples at one sub-step per interval, omega.size - 1
+    is the count of exponentials."""
+
+    omega: np.ndarray
+    delta: np.ndarray
+
+
+def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
                              substeps: int = 2) -> np.ndarray:
     """Final states for a batch of multiplicative field scalings.
 
-    scale_omega/scale_delta are aligned 1-D arrays of (1 + delta) factors.
-    Each row is computed exactly as a batch of one would be: a column of
-    the trees per row, _WIDTH rows a pass.
+    pulse is a Pulse, propagated at substeps sub-steps per interval, or
+    ready _Steps, at substeps = 1.  scale_omega/scale_delta are aligned 1-D
+    arrays of (1 + delta) factors.  Each row is computed exactly as a batch
+    of one would be: a column of the trees per row, _WIDTH rows a pass.
     """
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
     psi = np.tile(np.asarray(initial, dtype=complex), (scale_omega.size, 1))
+    if isinstance(pulse, _Steps):
+        if substeps != 1:
+            raise ParameterError(f"ready steps take substeps = 1, got {substeps!r}")
+        om, de = pulse
+        keep = (om != 0.0) | (de != 0.0)
+    else:
+        om, de, keep = _fields(pulse, substeps)[:3]
     om, de = (x[:, _REV, None] for x in
-              _steps(pulse, scale_omega, scale_delta, substeps)[:2])
+              _blocks(om, de, keep, scale_omega, scale_delta))
     for r in range(0, scale_omega.size, _WIDTH):
         rows, so, sd = (y[r:r + _WIDTH] for y in (psi, scale_omega, scale_delta))
         for ab in _trees(om, de, so, sd):
@@ -253,7 +289,8 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         raise ParameterError("initial state must be finite and normalized")
 
     scale_omega, scale_delta = 1.0 + err
-    om, de, done = _steps(pulse, scale_omega, scale_delta, substeps)
+    om, de, keep, done = _fields(pulse, substeps)
+    om, de = _blocks(om, de, keep, scale_omega, scale_delta)
     om, de = (x.T[None, _REV] for x in (om, de))  # a column per block
     # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
     states = np.empty((om.shape[2] + 1, _BLOCK, 2), dtype=complex)

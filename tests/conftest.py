@@ -14,7 +14,7 @@ from qiepulse import (
     pi_half_baseline,
     scan_1d,
 )
-from qiepulse.robustness import _scan
+from qiepulse.robustness import _design_scans
 
 C_VALUES = (0.073, 0.060, 0.050, 0.040)
 
@@ -46,14 +46,15 @@ def design_zero():
 
 @pytest.fixture(scope="session")
 def band_scans(designs4):
-    """Band scans (both error kinds, all four c) at default resolution,
-    one batch per design (TestBatchedScan: the same results as scan_1d)."""
+    """Band scans (both error kinds, all four c) at default resolution:
+    the report's scan of each design (robustness._design_scans), both
+    grids in one batch."""
     grids = [ErrorGrid(parameter=parameter, lo=-0.2, hi=0.2,
                        n_points=BAND_GRID_POINTS)
              for parameter in ("rabi", "detuning")]
     out = {}
-    for c, (pulse, _) in designs4.items():
-        for res in _scan(pulse, TargetState(pulse.beta_final), grids):
+    for c, (pulse, trajectory) in designs4.items():
+        for res, _ in _design_scans(pulse, trajectory, grids):
             out[(c, res.grid.parameter)] = res
     return out
 

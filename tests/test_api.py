@@ -2,9 +2,12 @@
 lists, and the functions the traced benchmark run wraps (bench/layers.py),
 which must keep existing under the names it looks them up by."""
 
+import json
 import re
 import runpy
 from pathlib import Path
+
+import numpy as np
 
 import qiepulse
 
@@ -84,3 +87,36 @@ def test_benchmark_tracer_installs_and_restores():
         tracer.restore()
     for module, names in zip(modules, before):
         assert all(getattr(module, name) is value for name, value in names.items())
+
+
+def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
+    # a small report with every benchmark layer wrapped exits 0, calls
+    # final_states_over_errors 9 times (two scans of each of the 4 designs,
+    # and the baseline's), and each call's work figure is its rows times
+    # the exponentials the kernel applied to each: the steps _blocks keeps
+    import qiepulse.cli as cli
+    import qiepulse.dynamics as dynamics
+
+    applied, blocks = [], dynamics._blocks
+
+    def counted(om, de, keep, scale_omega, scale_delta):
+        applied.append(np.size(scale_omega) * np.count_nonzero(keep))
+        return blocks(om, de, keep, scale_omega, scale_delta)
+
+    monkeypatch.setattr(dynamics, "_blocks", counted)
+    grid = {"lo": -0.5, "hi": 0.5, "n_points": 21}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "design": {"c": 0.073, "n_samples": 401}, "rabi_grid": grid,
+        "detuning_grid": grid, "output_dir": str(tmp_path / "out")}))
+    tracer = runpy.run_path(str(SPANS))["Tracer"]()
+    try:
+        runpy.run_path(str(LAYERS))["install"](tracer)
+        assert cli.main(["report", "--config", str(config)]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    span = tracer.names.index("dynamics.final_states")
+    work = [w for w, n in zip(tracer.work, tracer.name_id) if n == span]
+    assert len(work) == 9
+    assert work == applied

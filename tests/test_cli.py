@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from qiepulse import (
 )
 from qiepulse.cli import exit_code_for, main
 from qiepulse.designer import MAX_SAMPLES
+from qiepulse.robustness import _drive, _scan
 
 # 728 TiB of float samples: past MAX_SAMPLES, and far past anything numpy
 # could allocate, so a size that reached an allocation would not exit 2
@@ -495,14 +495,15 @@ class TestReportCommand:
                 meta = lines.splitlines()[:6]
                 assert meta[0] == f"# protocol = qie c={c}"
                 assert meta[2] == f"# area = {pulse.area!r}"
-                assert meta[4] == ("# sampling = sundman, 4 nodes per "
-                                   "accepted step")
-                assert 0 < float(meta[5].split(" = ")[1]) < 2e-5
+                assert meta[4] == ("# sampling = sundman cf4, 2 intervals "
+                                   "per accepted step")
+                assert 0 < float(meta[5].split(" = ")[1]) < 1e-8
 
     def test_report_scan_error_estimate(self, tmp_path, capsys):
-        # c = 0.073, rabi: the scan is within 2e-5 of the design's scan at
-        # 32 nodes a step, nearer than the t-sampled pulse's scan; the
-        # printed estimate is within 1.5x of the gap to 16 nodes a step
+        # c = 0.073, rabi: the scan is the design's CF4 drive at 2 intervals
+        # a step, within 1e-8 of it at 16 (and of the t-sampled pulse's
+        # scan, 9e-5 away, much nearer); the printed estimate
+        # max |F2 - F1| / 15 is within 1.5x of that true gap
         out_dir = tmp_path / "out"
         config = {
             "design": {"c": 0.073, "n_samples": 401},
@@ -525,17 +526,15 @@ class TestReportCommand:
         target = TargetState(pulse.beta_final)
 
         def scan(m):
-            s, omega, delta = designer._sundman(trajectory.solution, m)
-            sundman = replace(pulse, t=s, omega=omega, delta=delta)
-            return scan_1d(sundman, target, grid).fidelities
+            drive = _drive(trajectory.solution, m)
+            return _scan(pulse, target, [grid], 1, drive=drive)[0].fidelities
 
-        reference = scan(32)
+        reference = scan(16)
         sampled = scan_1d(pulse, target, grid).fidelities
-        np.testing.assert_allclose(fids, scan(4), rtol=0, atol=1e-12)
-        gap = np.max(np.abs(fids - reference))
-        assert gap <= 2e-5 < np.max(np.abs(sampled - reference))
-        to_16 = np.max(np.abs(fids - scan(16)))
-        assert to_16 / 1.5 <= estimate <= 1.5 * to_16
+        np.testing.assert_allclose(fids, scan(2), rtol=0, atol=1e-12)
+        gap = np.max(np.abs(scan(2) - reference))
+        assert gap <= 1e-8 and 1e4 * gap < np.max(np.abs(sampled - reference))
+        assert gap / 1.5 <= estimate <= 1.5 * gap
         summary = (out_dir / "summary.txt").read_text()
         assert f" 0.073  {estimate:.2e}" in summary
 

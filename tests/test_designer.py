@@ -20,13 +20,18 @@ from qiepulse import (
     Pulse,
     analytic_diagnostics,
     design_pulse,
+    TargetState,
+    fidelity,
+    ket1,
     pi_half_baseline,
 )
 from qiepulse.designer import (
     ODE_RTOL, REFINE_TOL, _area, _constraint, _dense, _dopri5, _locate,
     beta_acceleration,
 )
+from qiepulse.dynamics import final_states_over_errors
 from qiepulse.profiles import ThetaSample, theta_profile
+from qiepulse.robustness import _drive
 
 # regression pins for the shipped default configuration (branch_sign=-1,
 # consistency init): the area and beta_final of the t-form design, which
@@ -1259,7 +1264,16 @@ class TestSolution:
 
 
 class TestSundman:
-    """designer._sundman: the design's drive in its Sundman time."""
+    """designer._sundman: the design's drive in its Sundman time, as the
+    fourth-order commutator-free Magnus step (CF4) takes it."""
+
+    @staticmethod
+    def scan(trajectory, m, target, scales):
+        """Final fidelities of the CF4 drive at m intervals per accepted
+        step, over the (scale_omega, scale_delta) rows."""
+        drive = _drive(trajectory.solution, m)
+        return fidelity(final_states_over_errors(drive, ket1(), *scales, 1),
+                        target)
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -1268,27 +1282,38 @@ class TestSundman:
         solution = trajectory.solution
         s, omega, delta = designer._sundman(solution, m)
         assert s[0] == 0.0 and np.all(np.diff(s) > 0)
-        # m nodes in each accepted step up to s*, inside the last one
+        # m intervals in each accepted step up to s*, inside the last one
         steps = solution.ss.size - 1
-        assert m * (steps - 1) < s.size <= m * steps + 1
+        assert m * (steps - 1) < s.size - 1 <= m * steps
         inner = s[:-1]
         np.testing.assert_array_equal(inner[::m], solution.ss[:inner[::m].size])
         # the clock: -kappa at the start, kappa within CLOCK_TOL at s*
-        clock = _dense(solution, *_locate(solution.ss, s))[0]
+        clock = _dense(solution, *_locate(solution.ss, s[[0, -1]]))[0]
         assert clock[0] == -4.0
-        assert abs(clock[-1] - 4.0) <= designer.CLOCK_TOL
+        assert abs(clock[1] - 4.0) <= designer.CLOCK_TOL
         assert solution.ss[-2] < s[-1] <= solution.ss[-1]
-        # no spike: |theta_dot (sin x, cos x)| <= sqrt(pi)/2
+        # no spike: theta_dot (sin x, cos x) is at most sqrt(pi)/2; two
+        # exponentials per interval, each of averages of two such with
+        # weights a2 and a1 (|a1| + |a2| = sqrt(3)/3), times a quarter of
+        # the width h
+        assert omega.shape == delta.shape == (2 * (s.size - 1),)
+        h = np.repeat(np.diff(s), 2)
         gap = np.hypot(omega, delta)
-        assert np.all(gap <= math.sqrt(math.pi) / 2)
-        assert np.all(omega > 0)
+        assert np.all(gap <= math.sqrt(math.pi) / 2 * h)
+        assert np.all(gap <= math.sqrt(math.pi) / 2 * math.sqrt(3) / 3 * h / 4
+                      * (1 + 1e-15))
+        assert np.all(omega < 0)  # -Omega dt/4, and Omega dt/ds > 0
 
-    def test_half_the_nodes_are_a_subset(self):
-        # the nodes at m/2 are every other node at m, with the same fields
-        _, trajectory = design_pulse(DesignParams(c=0.073, n_samples=401))
-        fine, coarse = (designer._sundman(trajectory.solution, m)
-                        for m in (4, 2))
-        at = np.isin(fine[0], coarse[0])
-        assert np.count_nonzero(at) == coarse[0].size
-        for a, b in zip(fine, coarse):
-            assert a[at].tobytes() == b.tobytes()
+    @pytest.mark.parametrize("c", [0.04, 0.073])
+    def test_fourth_order(self, c):
+        # each halving of the interval divides the gap to the m = 32 scan by
+        # about 2^4 = 16 (15.7 to 16.0 measured)
+        pulse, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
+        d = np.linspace(-0.5, 0.5, 21)
+        scales = (np.r_[1 + d, np.ones(21)], np.r_[np.ones(21), 1 + d])
+        target = TargetState(pulse.beta_final)
+        reference = self.scan(trajectory, 32, target, scales)
+        gap = [np.max(np.abs(self.scan(trajectory, m, target, scales)
+                             - reference)) for m in (1, 2, 4)]
+        assert 12 <= gap[0] / gap[1] <= 20
+        assert 12 <= gap[1] / gap[2] <= 20

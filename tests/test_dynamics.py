@@ -25,7 +25,8 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import (
-    _BLOCK, _WIDTH, _factors, _steps, _zeros, final_states_over_errors,
+    _BLOCK, _WIDTH, _Steps, _blocks, _factors, _fields, _zeros,
+    final_states_over_errors,
 )
 
 from conftest import bloch_from_angles
@@ -174,6 +175,21 @@ class TestStepEvolve:
                          ([-1e308, 1e308, 1.5e308], 0.0)):
             with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
                 propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
+        # ready steps take the same tail: the bound, nan and the scales'
+        # finiteness alike; 1e150 itself passes
+        ready = _Steps(np.array([0.0, 1e150, -1.0]), np.array([0.0, 1.0, 0.0]))
+        assert np.all(np.isfinite(
+            final_states_over_errors(ready, ket1(), [1.0], [1.0], 1)))
+        with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
+            final_states_over_errors(ready, ket1(), [1.0, 1.1], [1.0, 1.0], 1)
+        with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
+            final_states_over_errors(_Steps(np.zeros(3), np.array([0.0, 1.0, np.nan])),
+                                     ket1(), [1.0], [1.0], 1)
+        with pytest.raises(ParameterError,
+                           match="scale_delta is not finite at index 0"):
+            final_states_over_errors(ready, ket1(), [1.0], [np.inf], 1)
+        with pytest.raises(ParameterError, match="ready steps take substeps = 1"):
+            final_states_over_errors(ready, ket1(), [1.0], [1.0])
 
     def test_branch_populations_of_overflowing_scaled_fields(self):
         # sub-steps of 5e-301 keep the kernel's fields within its bound,
@@ -622,17 +638,12 @@ def stepwise_states(pulse, initial, error, substeps=2):
     return np.array(states)
 
 
-def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
-    """(a, b) of every sub-step that is not exactly the identity, for each
-    (scale_omega, scale_delta) row, one float at a time: the oracle that
-    _steps and _factors must match to the bit.  Midpoint fields by linear
-    interpolation, each times a quarter of the sub-step's width dt (-Omega
-    dt/4 and Delta dt/4, then scaled), p = max(sqrt(w^2 + e^2), 1e-300) the
-    half angle, u = tan(p), cos(phi) = 1 - u^2 (2 / (1 + u^2)),
-    f = u (2 / (1 + u^2)) / p, a = cos(phi) + i f e, b = i f w; tan is
-    numpy's, on an array of the arguments, as the kernel's is."""
+def step_lists(pulse, substeps=2):
+    """(-Omega dt/4, Delta dt/4) of every sub-step that is not exactly the
+    identity, one float at a time: midpoint fields by linear interpolation,
+    each times a quarter of the sub-step's width dt."""
     w = [(k + 0.5) / substeps for k in range(substeps)]
-    steps = []  # (-Omega dt/4, Delta dt/4) of the kept sub-steps
+    steps = []
     for i in range(pulse.t.size - 1):
         o0, o1, d0, d1 = (float(v) for v in (*pulse.omega[i:i + 2],
                                               *pulse.delta[i:i + 2]))
@@ -641,6 +652,18 @@ def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
             om, de = o0 * (1.0 - wk) + o1 * wk, d0 * (1.0 - wk) + d1 * wk
             if om != 0.0 or de != 0.0:
                 steps.append((om * -q, de * q))
+    return steps
+
+
+def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
+    """(a, b) of every sub-step that is not exactly the identity, for each
+    (scale_omega, scale_delta) row, one float at a time: the oracle that
+    _fields, _blocks and _factors must match to the bit.  The step fields
+    of step_lists, then scaled, p = max(sqrt(w^2 + e^2), 1e-300) the half
+    angle, u = tan(p), cos(phi) = 1 - u^2 (2 / (1 + u^2)),
+    f = u (2 / (1 + u^2)) / p, a = cos(phi) + i f e, b = i f w; tan is
+    numpy's, on an array of the arguments, as the kernel's is."""
+    steps = step_lists(pulse, substeps)
     a, b = [], []
     for so, sd in zip(scale_omega, scale_delta):
         fields = [(om * so, de * sd) for om, de in steps]
@@ -800,7 +823,8 @@ class TestBlockProductKernel:
         so = np.array([0.0, 1.0, 0.0] + data.draw(scales))
         sd = np.array([0.0, 0.0, 1.0] + data.draw(scales))
         ref_a, ref_b = factors_lists(pulse, so, sd, substeps)
-        o, d, done = _steps(pulse, so, sd, substeps)
+        o, d, keep, done = _fields(pulse, substeps)
+        o, d = _blocks(o, d, keep, so, sd)
         kept = slice(o.size - done[-1], None)  # after the front padding
         o, d = (x.ravel()[kept, None] for x in (o, d))
         a, b = np.zeros((2, done[-1], so.size), dtype=complex)
@@ -808,6 +832,37 @@ class TestBlockProductKernel:
         for got, ref in ((a, ref_a), (b, ref_b)):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    # fields without subnormals: a step whose field is not 0 but whose
+    # field x dt/4 underflows to 0 is kept on a pulse and dropped as a
+    # ready step, the only place the two paths part
+    @pytest.mark.parametrize("substeps", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_pulse_path_is_the_ready_path(self, substeps, data):
+        # the pulse's own step fields, given as ready steps with exact
+        # zeros among them, run through the same tail and kernel: the
+        # batch and propagate's final states are theirs to the bit
+        fields = st.one_of(st.just(0.0),
+                           st.floats(-4.0, 4.0, allow_subnormal=False))
+        pulse = random_axis_pulse(data.draw, data.draw(st.integers(3, 3 * _BLOCK)),
+                                  fields=fields)
+        steps = step_lists(pulse, substeps)
+        for k in data.draw(st.lists(st.integers(0, len(steps)), max_size=5)):
+            steps.insert(k, (0.0, -0.0))
+        om, de = np.array([(0.0, 0.0)] + steps).T
+        errors = np.array(data.draw(st.lists(st.tuples(st.floats(-0.5, 0.5),
+                                                       st.floats(-0.5, 0.5)),
+                                             min_size=1, max_size=3)))
+        so, sd = 1.0 + errors.T  # as propagate forms its scales
+        psi0 = angle_state(1.1, -0.4)
+        ready = final_states_over_errors(_Steps(om, de), psi0, so, sd, 1)
+        batch = final_states_over_errors(pulse, psi0, so, sd, substeps)
+        assert batch.tobytes() == ready.tobytes()
+        for e, row in zip(errors, ready):
+            final = propagate(pulse, initial=psi0, error=e,
+                              substeps=substeps).states[-1]
+            assert final.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("width", [1, 37, 245, 256])
     def test_pass_buffers_start_on_cache_lines(self, width, monkeypatch):
@@ -831,8 +886,11 @@ class TestBlockProductKernel:
         scale = 1.0 + np.linspace(-0.5, 0.5, width)
         final_states_over_errors(pulse, ket1(), scale, np.ones(width))
         propagate(pulse)
+        # ready steps, short of whole blocks, padded as a pulse's are
+        steps = _Steps(*rng.uniform(-0.1, 0.1, (2, _BLOCK * width - 5)))
+        final_states_over_errors(steps, ket1(), scale, np.ones(width), 1)
         assert [b.shape for b in made] == [(2, 2 * _BLOCK, width),
-                                           (2, _BLOCK, width)] * 2
+                                           (2, _BLOCK, width)] * 3
         for ab, x in zip(made[::2], made[1::2]):
             views = [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], x, *x]
             assert [v.ctypes.data % 64 for v in views] == [0] * len(views)
