@@ -154,7 +154,8 @@ def _cmd_scan(args) -> int:
     grid = ErrorGrid(parameter=args.param, lo=lo, hi=hi, n_points=n)
     result = scan_1d(pulse, TargetState(beta_final), grid,
                      substeps=args.substeps)
-    write_scan_csv(result, args.out)
+    write_scan_csv(result, args.out, meta={
+        "sampling": f"pulse samples, linear, {args.substeps} sub-steps"})
     print(f"min fidelity over |delta| <= {BAND_HALF_WIDTH:g}: "
           f"{result.min_fidelity_in_band:.6f}")
     return 0

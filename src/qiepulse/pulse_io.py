@@ -124,14 +124,138 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(design=design, **grids, **raw)
 
 
-_CHUNK_ROWS = 1024  # rows formatted per write
+# rows formatted per write: the buffers of an 8-column chunk stay below
+# glibc's 128 KiB mmap threshold; larger ones, once freed, raise it and grow
+# the heap (about 1 MB of peak RSS at 1024 rows)
+_CHUNK_ROWS = 512
+
+# Each chunk's '%.{p}e' text is built from numpy arrays.  For finite
+# |x| >= _FAST_MIN at p <= _FAST_DIGITS, m = |x| 10^(p-e) is formed with one
+# exact or correctly rounded power of ten in at most two roundings, so
+# |m - exact| < 2.3e-3 below 10^13: rint(m) is the correctly rounded p+1
+# significant digits unless m lies within _GUARD of a half.  Those values,
+# zero, subnormals, non-finite values and columns of more digits are
+# printed by '%' itself (_printf).
+_FAST_DIGITS = 12
+_FAST_MIN = 1e-290
+_GUARD = 0.005
+_FILL = 0  # a byte no field prints; dropped before the chunk is written
+# 10^k, k = 0..308, correctly rounded (as every int to float conversion)
+_POW10 = np.array([float(10 ** k) for k in range(309)])
+# 10^k for k in -308..308 as a factor and a divisor, the other one 1
+_TIMES = np.concatenate([np.ones(308), _POW10])
+_OVER = np.concatenate([_POW10[:0:-1], np.ones(309)])
+# the 4 ASCII digits of 0..9999, one uint32 each
+_DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+_D = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4[..., 0] = _D[:, None, None, None]
+_DIGITS4[..., 1] = _D[:, None, None]
+_DIGITS4[..., 2] = _D[:, None]
+_DIGITS4[..., 3] = _D
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+# the exponent's sign and at least 2 digits (the hundreds digit or fill),
+# one uint32 each, for e in _EXP_MIN..-_EXP_MIN
+_EXP_MIN = -330
+_E = np.arange(_EXP_MIN, 1 - _EXP_MIN)
+_EXP4 = np.column_stack([
+    np.where(_E < 0, ord("-"), ord("+")),
+    np.where(abs(_E) >= 100, abs(_E) // 100 + ord("0"), _FILL),
+    abs(_E) // 10 % 10 + ord("0"),
+    abs(_E) % 10 + ord("0"),
+]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _width(p: int) -> int:
+    """The widest '%.{p}e' field: sign, digits, point, 'e', sign, 3 digits."""
+    return p + 7 + (p > 0)
+
+
+def _printf(values, formats) -> np.ndarray:
+    """Each value by '%' with its format, all of one width: one row of
+    bytes per value, right-aligned on fill."""
+    text = "".join(formats) % tuple(values)
+    out = np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.where(out == ord(" "), _FILL, out).reshape(len(values), -1)
+
+
+def _decimal(x, digits):
+    """(fast, mantissa, exponent) of each value of x (rows by columns) at
+    its column's precision: whether the fast path decides its digits, the
+    p+1 digits as the last of 16 ASCII bytes, and the exponent's 4 bytes."""
+    p = np.minimum(digits, _FAST_DIGITS)
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < np.inf) & (p == digits)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * _TIMES[p - e + 308] / _OVER[p - e + 308]
+    # log10 may miss by one next to a power of ten
+    miss = (m >= _POW10[p + 1]).astype(np.intp) - (m < _POW10[p])
+    if miss.any():
+        e += miss
+        m = a * _TIMES[p - e + 308] / _OVER[p - e + 308]
+    r = np.rint(m)
+    fast &= np.abs(m - r) <= 0.5 - _GUARD
+    carry = r == _POW10[p + 1]
+    e += carry
+    # r < 10^13 as four groups of 4 digits
+    q = np.where(carry, _POW10[p], r).astype(np.int64)
+    group = np.empty_like(q)
+    mantissa = np.empty((*x.shape, 4), np.uint32)
+    for k in (3, 2, 1):
+        np.divmod(q, 10000, out=(q, group))
+        mantissa[..., k] = _DIGITS4[group]
+    mantissa[..., 0] = _DIGITS4[q]
+    exponent = _EXP4[e - _EXP_MIN]
+    return (fast, mantissa.view(np.uint8),
+            exponent.view(np.uint8).reshape(*x.shape, 4))
+
+
+def _format_chunk(x, digits) -> bytes:
+    """The rows of x (rows by columns) as '%.{p}e' fields at each column's
+    precision, joined by ',' and ended by '\n'.  Each value is built
+    right-aligned in a slot of the widest field and its separator."""
+    rows, ncols = x.shape
+    fast, mantissa, exponent = _decimal(x, digits)
+    sign = (x < 0) * np.uint8(ord("-"))
+
+    slot = max(map(_width, digits)) + 1
+    template = np.full((ncols, slot), _FILL, np.uint8)
+    template[:, -1] = ord(",")
+    template[-1, -1] = ord("\n")
+    buf = np.empty((rows, ncols, slot), np.uint8)
+    start = 0
+    for j in range(1, ncols + 1):
+        # each run of columns of one precision
+        if j < ncols and digits[j] == digits[start]:
+            continue
+        pj, cols = digits[start], slice(start, j)
+        start = j
+        field = buf[:, cols, slot - 1 - _width(pj):]
+        if pj:
+            template[cols, slot + 1 - _width(pj)] = ord(".")
+        template[cols, -6] = ord("e")
+        buf[:, cols] = template[cols]
+        if pj > _FAST_DIGITS:
+            continue
+        field[..., 0] = sign[:, cols]
+        field[..., 1] = mantissa[:, cols, 15 - pj]
+        field[..., 2 + (pj > 0):-6] = mantissa[:, cols, 16 - pj:]
+        field[..., -5:-1] = exponent[:, cols]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        formats = [f"%{slot - 1}.{pj}e" for pj in digits]
+        buf.reshape(-1, slot)[slow, :-1] = _printf(
+            x.ravel()[slow].tolist(),
+            [formats[j] for j in (slow % ncols).tolist()])
+    return buf.tobytes().replace(b"\0", b"")
 
 
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     """'# key = value' metadata lines, a header row, then one row per sample
-    of the aligned arrays in scientific notation.  A 't' column gets the
-    smallest precision >= precision at which it still reads back strictly
-    increasing (16 round-trips every double)."""
+    of the aligned arrays in scientific notation: each value's bytes are
+    those of '%.{p}e'.  A 't' column gets the smallest precision >=
+    precision at which it still reads back strictly increasing (16
+    round-trips every double)."""
     digits = [precision] * len(columns)
     if columns[0] == "t":
         t = arrays[0]
@@ -142,14 +266,14 @@ def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
         digits[0] = next((p for p in range(precision, 17) if all(
             float(f"{t[k]:.{p}e}") < float(f"{t[k + 1]:.{p}e}") for k in close)),
             precision)
-    row = ",".join(f"%.{p}e" for p in digits) + "\n"
-    data = np.column_stack(arrays)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"# {key} = {value}\n" for key, value in meta.items())
-        fh.write(",".join(columns) + "\n")
-        for start in range(0, len(data), _CHUNK_ROWS):
-            chunk = data[start:start + _CHUNK_ROWS]
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {key} = {value}\n" for key, value in meta.items())
+                 .encode("utf-8"))
+        fh.write((",".join(columns) + "\n").encode("utf-8"))
+        for start in range(0, len(arrays[0]), _CHUNK_ROWS):
+            fh.write(_format_chunk(np.stack(
+                [a[start:start + _CHUNK_ROWS] for a in arrays], axis=1,
+                dtype=np.float64), digits))
 
 
 def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],

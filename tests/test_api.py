@@ -120,3 +120,12 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
     work = [w for w, n in zip(tracer.work, tracer.name_id) if n == span]
     assert len(work) == 9
     assert work == applied
+    # the writers' layers see the writers: the four pulse files' bytes and
+    # the eight scan files
+    names = [tracer.names[n] for n in tracer.name_id]
+    pulse_work = [w for w, name in zip(tracer.work, names)
+                  if name == "pulse_io.write_pulse"]
+    assert len(pulse_work) == 4
+    files = (tmp_path / "out").glob("pulse_c*.csv")
+    assert sum(pulse_work) == sum(path.stat().st_size for path in files)
+    assert names.count("pulse_io.write_scan") == 8

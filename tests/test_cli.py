@@ -260,6 +260,30 @@ class TestScanCommand:
         rows = lines[lines.index("delta,fidelity") + 1:]
         assert len(rows) == 5
 
+    def test_every_scan_csv_names_its_sampling(self, tmp_path, capsys):
+        # a report scans each design's Sundman-time drive; `scan` scans a
+        # pulse file's samples, linearly interpolated, at its sub-steps
+        config = tmp_path / "run.json"
+        grid = {"lo": -0.1, "hi": 0.1, "n_points": 3}
+        config.write_text(json.dumps({
+            "design": {"c": 0.073, "n_samples": 401}, "rabi_grid": grid,
+            "detuning_grid": grid, "output_dir": str(tmp_path)}))
+        assert main(["report", "--config", str(config)]) == 0
+        scans = sorted(tmp_path.glob("scan_c*.csv"))
+        assert len(scans) == 8
+        for path in scans:
+            assert path.read_text().splitlines()[4] == (
+                "# sampling = sundman cf4, 2 intervals per accepted step")
+        for substeps in (2, 3):
+            out = tmp_path / f"file_scan_{substeps}.csv"
+            assert main(["scan", "--pulse", str(tmp_path / "pulse_c0.073.csv"),
+                         "--param", "rabi", "--range=-0.1:0.1:3",
+                         "--substeps", str(substeps), "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[4:6] == [
+                f"# sampling = pulse samples, linear, {substeps} sub-steps",
+                "delta,fidelity"]
+        capsys.readouterr()
+
     def test_malformed_range(self, pulse_file, tmp_path, capsys):
         rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
                    "--range=-0.2:0.2", "--out", str(tmp_path / "s.csv")])

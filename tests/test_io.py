@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -31,6 +32,7 @@ from qiepulse import (
     write_scan_csv,
     write_trajectory_csv,
 )
+from qiepulse.pulse_io import PULSE_COLUMNS
 from qiepulse.robustness import BAND_HALF_WIDTH
 
 # JSON value texts: any JSON value, plus literals that json.dumps never
@@ -458,6 +460,94 @@ class TestWriterGolden:
             pulse_io._write_csv(path, meta, columns, arrays, precision)
             assert path.read_bytes() == reference_csv(
                 meta, columns, arrays, precision).encode("utf-8")
+
+
+def assert_writes_reference(columns, arrays, precision):
+    """The writer's text is reference_csv's; a mismatch names its first
+    differing line (a diff of the whole texts would take minutes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        pulse_io._write_csv(path, {}, columns, arrays, precision)
+        got = path.read_text()
+    want = reference_csv({}, columns, arrays, precision)
+    same = got == want
+    assert same, next((line for line in zip(got.splitlines(),
+                                            want.splitlines())
+                       if line[0] != line[1]), "line counts differ")
+
+
+# any 64-bit pattern: every exponent, subnormals, both zeros, nans, infs
+RAW_DOUBLES = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+def tie_cases(precision):
+    """Values on or next to the roundings the fast path must not decide at
+    this precision: half-integer ties at precision + 1 digits (leading
+    digits 1 to 9) times powers of ten, carries into the next decade,
+    powers of ten, and both sides of the fast path's 1e-290 floor; each
+    with its neighbours 1 ulp away, and negated."""
+    lo = 10 ** precision
+    ties = [(n + 0.5) * 10.0 ** j
+            for n in sorted({lo, lo + 1, 2 * lo - 1, 5 * lo + 3, 10 * lo - 2})
+            for j in range(-300, 290, 7)]
+    ties += [999999999999.5, 0.125, 1e22 + 2 ** 30]
+    # the doubles nearest 13-digit ties whose m the float64 product puts
+    # 1 ulp of m (2^-10, 2^-9) on the wrong side of the half
+    ties += [7.7234855093425e+286, 8.3112578581475e+266,
+             9.8189273160305e+242]
+    carries = [9.9999999999995 * 10.0 ** j for j in (-290, -3, 0, 3, 290)]
+    carries += [9.5, 0.95, 99999.99999999995, 9.99999999999995]
+    powers = 10.0 ** np.arange(-307, 309)
+    floor = [1e-291, 1e-290, 1e-289]
+    values = np.concatenate([ties, carries, powers, floor])
+    values = np.concatenate([values, np.nextafter(values, 0),
+                             np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+class TestWriterExactness:
+    # every value's bytes are those '%.{p}e' (and str.format, which
+    # reference_csv uses: the same conversion) gives: the fast path's
+    # rounding and the values it hands to '%' alike
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(RAW_DOUBLES, st.floats(),
+                                     st.sampled_from(SPECIALS)),
+                           min_size=1, max_size=80),
+           precision=st.integers(1, 16))
+    def test_any_double_prints_as_percent_does(self, values, precision):
+        columns = ["a", "b"]
+        arrays = [np.array(values), np.array(values[::-1])]
+        assert_writes_reference(columns, arrays, precision)
+
+    @pytest.mark.parametrize("precision", range(17))
+    def test_ties_carries_and_powers_of_ten(self, precision):
+        values = tie_cases(precision)
+        columns, arrays = ["a", "b", "c"], [values, values[::-1], values / 3]
+        assert_writes_reference(columns, arrays, precision)
+
+    def test_few_values_leave_the_fast_path(self, designs4, monkeypatch,
+                                            tmp_path):
+        # a bug that sent every value to '%' would keep every byte: count
+        # the values '%' prints, at most 2% of a design's pulse file and of
+        # a 501-point scan
+        printed = []
+        printf = pulse_io._printf
+
+        def counted(values, formats):
+            printed.append(len(values))
+            return printf(values, formats)
+
+        monkeypatch.setattr(pulse_io, "_printf", counted)
+        pulse, trajectory = designs4[0.073]
+        write_pulse_csv(pulse, trajectory, tmp_path / "pulse.csv")
+        assert sum(printed) <= 0.02 * pulse.t.size * len(PULSE_COLUMNS)
+        printed.clear()
+        grid = ErrorGrid(parameter="rabi", lo=-0.5, hi=0.5, n_points=501)
+        result = scan_1d(pulse, TargetState(pulse.beta_final), grid)
+        write_scan_csv(result, tmp_path / "scan.csv")
+        assert sum(printed) <= 0.02 * 501 * 2
 
 
 class TestScanAndTrajectoryFiles:
