@@ -16,6 +16,7 @@ as is: any finite, strictly increasing column of at least 3 samples is read
 import json
 import warnings
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -178,27 +179,35 @@ def _printf(values, formats) -> np.ndarray:
     return np.where(out == ord(" "), _FILL, out).reshape(len(values), -1)
 
 
-def _decimal(x, digits):
+def _decimal(x, scale, fits):
     """(fast, mantissa, exponent) of each value of x (rows by columns) at
-    its column's precision: whether the fast path decides its digits, the
-    p+1 digits as the last of 16 ASCII bytes, and the exponent's 4 bytes."""
-    p = np.minimum(digits, _FAST_DIGITS)
+    its column's digits p, scale = (p + 308, 10^p, 10^(p+1)) per column,
+    where the column fits the fast path (None: every column does): whether
+    the fast path decides its digits, the p+1 digits as the last of 16 ASCII
+    bytes, and the exponent's 4 bytes."""
+    shift, low, top = scale
     a = np.abs(x)
-    fast = (a >= _FAST_MIN) & (a < np.inf) & (p == digits)
+    fast = a >= _FAST_MIN
+    fast &= a < np.inf
+    if fits is not None:
+        fast &= fits
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    m = a * _TIMES[p - e + 308] / _OVER[p - e + 308]
+    k = shift - e
+    m = a * _TIMES[k] / _OVER[k]
     # log10 may miss by one next to a power of ten
-    miss = (m >= _POW10[p + 1]).astype(np.intp) - (m < _POW10[p])
-    if miss.any():
-        e += miss
-        m = a * _TIMES[p - e + 308] / _OVER[p - e + 308]
+    over, under = m >= top, m < low
+    if over.any() or under.any():
+        e += over
+        e -= under
+        k = shift - e
+        m = a * _TIMES[k] / _OVER[k]
     r = np.rint(m)
     fast &= np.abs(m - r) <= 0.5 - _GUARD
-    carry = r == _POW10[p + 1]
+    carry = r == top
     e += carry
     # r < 10^13 as four groups of 4 digits
-    q = np.where(carry, _POW10[p], r).astype(np.int64)
+    q = np.where(carry, low, r).astype(np.int64)
     group = np.empty_like(q)
     mantissa = np.empty((*x.shape, 4), np.uint32)
     for k in (3, 2, 1):
@@ -210,19 +219,19 @@ def _decimal(x, digits):
             exponent.view(np.uint8).reshape(*x.shape, 4))
 
 
-def _format_chunk(x, digits) -> bytes:
-    """The rows of x (rows by columns) as '%.{p}e' fields at each column's
-    precision, joined by ',' and ended by '\n'.  Each value is built
-    right-aligned in a slot of the widest field and its separator."""
-    rows, ncols = x.shape
-    fast, mantissa, exponent = _decimal(x, digits)
-    sign = (x < 0) * np.uint8(ord("-"))
-
+@lru_cache(maxsize=64)
+def _chunk_formatter(digits):
+    """A function of x (rows by len(digits) columns) giving its rows as
+    '%.{p}e' fields at each column's precision (a tuple), joined by ',' and
+    ended by '\n'.  Each value is built right-aligned in a slot of the
+    widest field and its separator; the slot's template, the runs of columns
+    of one precision and the '%' formats are made here, once per digits."""
+    ncols = len(digits)
     slot = max(map(_width, digits)) + 1
     template = np.full((ncols, slot), _FILL, np.uint8)
     template[:, -1] = ord(",")
     template[-1, -1] = ord("\n")
-    buf = np.empty((rows, ncols, slot), np.uint8)
+    runs = []
     start = 0
     for j in range(1, ncols + 1):
         # each run of columns of one precision
@@ -230,24 +239,35 @@ def _format_chunk(x, digits) -> bytes:
             continue
         pj, cols = digits[start], slice(start, j)
         start = j
-        field = buf[:, cols, slot - 1 - _width(pj):]
         if pj:
             template[cols, slot + 1 - _width(pj)] = ord(".")
         template[cols, -6] = ord("e")
-        buf[:, cols] = template[cols]
-        if pj > _FAST_DIGITS:
-            continue
-        field[..., 0] = sign[:, cols]
-        field[..., 1] = mantissa[:, cols, 15 - pj]
-        field[..., 2 + (pj > 0):-6] = mantissa[:, cols, 16 - pj:]
-        field[..., -5:-1] = exponent[:, cols]
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        formats = [f"%{slot - 1}.{pj}e" for pj in digits]
-        buf.reshape(-1, slot)[slow, :-1] = _printf(
-            x.ravel()[slow].tolist(),
-            [formats[j] for j in (slow % ncols).tolist()])
-    return buf.tobytes().replace(b"\0", b"")
+        if pj <= _FAST_DIGITS:
+            runs.append((pj, cols, slot - 1 - _width(pj)))
+    p = np.minimum(digits, _FAST_DIGITS)
+    scale = p + 308, _POW10[p], _POW10[p + 1]
+    fits = None if max(digits) <= _FAST_DIGITS else p == digits
+    formats = [f"%{slot - 1}.{pj}e" for pj in digits]
+
+    def format_chunk(x) -> bytes:
+        fast, mantissa, exponent = _decimal(x, scale, fits)
+        sign = (x < 0) * np.uint8(ord("-"))
+        buf = np.empty((len(x), ncols, slot), np.uint8)
+        buf[:] = template
+        for pj, cols, lead in runs:
+            field = buf[:, cols, lead:]
+            field[..., 0] = sign[:, cols]
+            field[..., 1] = mantissa[:, cols, 15 - pj]
+            field[..., 2 + (pj > 0):-6] = mantissa[:, cols, 16 - pj:]
+            field[..., -5:-1] = exponent[:, cols]
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            buf.reshape(-1, slot)[slow, :-1] = _printf(
+                x.ravel()[slow].tolist(),
+                [formats[j] for j in (slow % ncols).tolist()])
+        return buf.tobytes().translate(None, b"\0")
+
+    return format_chunk
 
 
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
@@ -266,14 +286,16 @@ def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
         digits[0] = next((p for p in range(precision, 17) if all(
             float(f"{t[k]:.{p}e}") < float(f"{t[k + 1]:.{p}e}") for k in close)),
             precision)
+    format_chunk = _chunk_formatter(tuple(digits))
+    chunk = np.empty((min(len(arrays[0]), _CHUNK_ROWS), len(arrays)))
     with open(path, "wb") as fh:
-        fh.write("".join(f"# {key} = {value}\n" for key, value in meta.items())
-                 .encode("utf-8"))
-        fh.write((",".join(columns) + "\n").encode("utf-8"))
+        head = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+        fh.write((head + ",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-            fh.write(_format_chunk(np.stack(
-                [a[start:start + _CHUNK_ROWS] for a in arrays], axis=1,
-                dtype=np.float64), digits))
+            rows = chunk[:len(arrays[0]) - start]
+            for j, a in enumerate(arrays):
+                rows[:, j] = a[start:start + _CHUNK_ROWS]
+            fh.write(format_chunk(rows))
 
 
 def write_pulse_csv(pulse: Pulse, trajectory: Optional[AngleTrajectory],
