@@ -50,14 +50,15 @@ AREA_RTOL = 0.02
 BETA_ATOL_PI = 0.01
 
 
+_EXIT_CODES = {ParameterError: 2, DesignError: 3, PulseFormatError: 4,
+              OSError: 4}
+
+
 def exit_code_for(exc: BaseException) -> int:
-    """Map an exception onto the documented exit codes."""
-    if isinstance(exc, ParameterError):
-        return 2
-    if isinstance(exc, DesignError):
-        return 3
-    if isinstance(exc, (PulseFormatError, OSError)):
-        return 4
+    """Map an exception onto the documented exit codes; raise any other."""
+    for cls, code in _EXIT_CODES.items():
+        if isinstance(exc, cls):
+            return code
     raise exc
 
 
@@ -288,13 +289,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except Exception as exc:  # noqa: BLE001 - mapped onto exit codes
-        try:
-            code = exit_code_for(exc)
-        except BaseException:
-            raise exc
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exit_code_for(exc)
 
 
 if __name__ == "__main__":

@@ -157,9 +157,9 @@ def _factors(o, so, d, sd, a, b, x):
     1e-300, cos and sin from u = tan(phi / 2), f = sin(phi) / (phi / 2):
     sin(phi) is 0 where the fields are, and where (field dt/4)^2 underflows
     the step is its first-order rotation (f = 2).  -Omega dt/4 = o so and
-    Delta dt/4 = d sd (as _steps gives them); x is six contiguous real arrays
-    of a's shape, the scratch that every pass but the last three, which write
-    a.real, a.imag and b.imag, works in."""
+    Delta dt/4 = d sd (o and d as _fields and _blocks give them); x is six
+    contiguous real arrays of a's shape, the scratch that every pass but the
+    last three, which write a.real, a.imag and b.imag, works in."""
     w, e, p, s, u, c = x  # -Omega dt/4, Delta dt/4, phi/2, scratch, u, u^2
     np.multiply(o, so, out=w)
     np.multiply(d, sd, out=e)

@@ -18,11 +18,10 @@ _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 70, 20, 40, 50  # margins
 
 # A polyline's points are '%.2f,%.2f' per point, joined by ' ', built from
-# numpy arrays: a coordinate v with 0 <= v < 999.995 (every point on the
-# canvas) is rounded to n = 100 v exactly (_hundredths) and written as the
-# 4 bytes of n // 100 and its point, then the 4 bytes of n % 100 and the
-# separator after it, one uint32 each.  A polyline with any other
-# coordinate is formatted by '%' itself.
+# numpy arrays: every coordinate v lies on the canvas (svg_line_plot refuses
+# an axis it cannot map there), so it is rounded to n = 100 v exactly
+# (_hundredths) and written as the 4 bytes of n // 100 and its point, then
+# the 4 bytes of n % 100 and the separator after it, one uint32 each.
 _FILL = 0  # a byte no coordinate prints; dropped before the points are joined
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
 _N = np.arange(1000)
@@ -59,8 +58,7 @@ def _map(vals, lo, hi, out_lo, out_hi):
 
 
 def _hundredths(v):
-    """100 v rounded half to even, as '%.2f' rounds it, for 0 <= v < 1000;
-    a larger or non-finite v gives at least 100000 or NaN."""
+    """100 v rounded half to even, as '%.2f' rounds it, for 0 <= v < 1000."""
     t = np.floor(v * 100.0)
     t += 0.5
     # the sign of 100 v - t, exactly: v = hi + lo with hi and lo of 26 bits,
@@ -80,26 +78,10 @@ def _hundredths(v):
 
 
 def _coordinates(v, sep):
-    """Each v's '%.2f' text and sep as 8 bytes (one uint64), or None when
-    the tables do not hold every v."""
-    n = _hundredths(v)
-    if not (n.min(initial=0.0) >= 0 and n.max(initial=0.0) < 100000
-            and not np.signbit(v).any()):
-        return None
-    q, r = np.divmod(n.astype(np.intp), 100)
+    """Each canvas coordinate v's '%.2f' text and sep as 8 bytes (one
+    uint64)."""
+    q, r = np.divmod(_hundredths(v).astype(np.intp), 100)
     return np.column_stack((_INT4[q], _FRAC4[sep][r])).view(np.uint64).ravel()
-
-
-def _points(px, py, x_codes, y_codes) -> str:
-    """The points text of the coordinates px, py; x_codes and y_codes are
-    their _coordinates."""
-    if x_codes is None or y_codes is None:
-        xy = np.column_stack((px, py)).ravel().tolist()
-        return ("%.2f,%.2f " * (len(xy) // 2) % tuple(xy))[:-1]
-    buf = np.empty((len(py), 2), np.uint64)
-    buf[:, 0] = x_codes
-    buf[:, 1] = y_codes
-    return buf.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def svg_line_plot(x, series, title, path, x_label="", y_label=""):
@@ -108,7 +90,9 @@ def svg_line_plot(x, series, title, path, x_label="", y_label=""):
     series: list of (label, y_array) drawn over the common x grid; a
     non-finite y leaves a gap.  An empty series list, an empty, non-1-D or
     non-finite x, a y of another shape than x, or no finite y at all raises
-    ParameterError.
+    ParameterError, and so does an axis that cannot be drawn: one whose
+    ends (for y, after 5% padding), span, or span times its canvas length
+    (630 px for x, 350 px for y) is not finite.
     """
     x = np.asarray(x, dtype=float)
     if not series:
@@ -133,9 +117,15 @@ def svg_line_plot(x, series, title, path, x_label="", y_label=""):
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    # a finite span x length bounds every (v - lo) x length, so each point
+    # maps onto the canvas; a non-finite end or span makes it inf or nan
+    for name, lo, hi, length in (("x", x_lo, x_hi, _W - _MR - _ML),
+                                 ("y", y_lo, y_hi, _H - _MB - _MT)):
+        if not np.isfinite((hi - lo) * length):
+            raise ParameterError(f"the {name} axis from {lo:g} to {hi:g} is "
+                                 f"too wide to draw on {length} px")
 
-    px = _map(x, x_lo, x_hi, _ML, _W - _MR)
-    x_codes = _coordinates(px, ",")
+    x_codes = _coordinates(_map(x, x_lo, x_hi, _ML, _W - _MR), ",")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
@@ -164,9 +154,8 @@ def svg_line_plot(x, series, title, path, x_label="", y_label=""):
     for i, ((label, _), y) in enumerate(zip(series, ys)):
         good = np.isfinite(y)
         py = _map(y[good], y_lo, y_hi, _H - _MB, _MT)
-        pts = _points(px[good], py,
-                      None if x_codes is None else x_codes[good],
-                      _coordinates(py, " "))
+        xy = np.column_stack((x_codes[good], _coordinates(py, " ")))
+        pts = xy.tobytes().translate(None, b"\0")[:-1].decode("ascii")
         color = _COLORS[i % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

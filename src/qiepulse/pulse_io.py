@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .designer import AngleTrajectory, DesignParams, Pulse, _area
+from .designer import AngleTrajectory, DesignParams, Pulse, _area, _is_count
 # not called here; bench/layers.py wraps this module's name for its spans
 from .designer import analytic_diagnostics  # noqa: F401
 from .errors import ParameterError, PulseFormatError
@@ -129,6 +129,9 @@ def parse_config(text: str) -> RunConfig:
 # glibc's 128 KiB mmap threshold; larger ones, once freed, raise it and grow
 # the heap (about 1 MB of peak RSS at 1024 rows)
 _CHUNK_ROWS = 512
+# '%.766e' prints all 767 significant digits a double can have (2^-1022 -
+# 2^-1074); more are zeros, each a byte more per chunk row and column
+_MAX_PRECISION = 766
 
 # Each chunk's '%.{p}e' text is built from numpy arrays.  For finite
 # |x| >= _FAST_MIN at p <= _FAST_DIGITS, m = |x| 10^(p-e) is formed with one
@@ -273,9 +276,14 @@ def _chunk_formatter(digits):
 def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     """'# key = value' metadata lines, a header row, then one row per sample
     of the aligned arrays in scientific notation: each value's bytes are
-    those of '%.{p}e'.  A 't' column gets the smallest precision >=
-    precision at which it still reads back strictly increasing (16
-    round-trips every double)."""
+    those of '%.{p}e', as are a float metadata value's.  A 't' column gets
+    the smallest precision >= precision at which it still reads back
+    strictly increasing (16 round-trips every double).  A precision that is
+    not an integer in [0, _MAX_PRECISION] raises ParameterError."""
+    if isinstance(precision, bool) or not _is_count(precision, 0,
+                                                    _MAX_PRECISION):
+        raise ParameterError(f"precision must be an integer in "
+                             f"[0, {_MAX_PRECISION}], got {precision!r}")
     digits = [precision] * len(columns)
     if columns[0] == "t":
         t = arrays[0]
@@ -289,7 +297,9 @@ def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     format_chunk = _chunk_formatter(tuple(digits))
     chunk = np.empty((min(len(arrays[0]), _CHUNK_ROWS), len(arrays)))
     with open(path, "wb") as fh:
-        head = "".join(f"# {key} = {value}\n" for key, value in meta.items())
+        head = "".join(
+            f"# {key} = {value:.{precision}e}\n" if isinstance(value, float)
+            else f"# {key} = {value}\n" for key, value in meta.items())
         fh.write((head + ",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, len(arrays[0]), _CHUNK_ROWS):
             rows = chunk[:len(arrays[0]) - start]
@@ -459,7 +469,7 @@ def write_scan_csv(result: ScanResult, path, precision: int = 12,
         "protocol": result.protocol_label,
         "parameter": result.grid.parameter,
         "area": repr(result.area),
-        "min_fidelity_in_band": f"{result.min_fidelity_in_band:.{precision}e}",
+        "min_fidelity_in_band": float(result.min_fidelity_in_band),
         **(meta or {}),
     }
     _write_csv(path, meta, ["delta", "fidelity"],

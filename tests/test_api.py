@@ -2,7 +2,9 @@
 lists, and the functions the traced benchmark run wraps (bench/layers.py),
 which must keep existing under the names it looks them up by."""
 
+import importlib
 import json
+import pkgutil
 import re
 import runpy
 from pathlib import Path
@@ -46,6 +48,25 @@ def test_readme_names_only_existing_errors():
     assert named, "README.md names no error class"
     stale = sorted(named - set(qiepulse.errors.__all__))
     assert not stale, f"README.md names {stale}, which qiepulse.errors lacks"
+
+
+def test_readme_names_only_existing_private_names():
+    # `_name`, `module._name` or `module._name(...)`: a bare name may be in
+    # any module of the package
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`((?:\w+\.)*_\w+)[`(]", readme))
+    assert named, "README.md names no private name"
+    modules = {"qiepulse": qiepulse}
+    for info in pkgutil.iter_modules(qiepulse.__path__):
+        module = importlib.import_module(f"qiepulse.{info.name}")
+        modules[info.name] = modules[module.__name__] = module
+    stale = []
+    for name in sorted(named):
+        owner, _, attr = name.rpartition(".")
+        owners = [modules.get(owner)] if owner else modules.values()
+        if not any(hasattr(module, attr) for module in owners):
+            stale.append(name)
+    assert not stale, f"README.md names {stale}, which no qiepulse module has"
 
 
 class ProbeTracer:

@@ -13,6 +13,7 @@ from qiepulse import (
     PulseFormatError,
     QiePulseError,
     TargetState,
+    cli,
     errors,
     read_pulse_csv,
     scan_1d,
@@ -81,6 +82,17 @@ class TestExitCodes:
     def test_unexpected_exception_reraised(self):
         with pytest.raises(KeyError):
             exit_code_for(KeyError("boom"))
+
+    def test_unexpected_exception_escapes_main(self, monkeypatch, tmp_path,
+                                               capsys):
+        # a ValueError is the base of two mapped classes, not one of them
+        def broken(args):
+            raise ValueError("not a qiepulse error")
+
+        monkeypatch.setattr(cli, "_cmd_baseline", broken)
+        with pytest.raises(ValueError, match="not a qiepulse error"):
+            main(["baseline", "pi2", "--out", str(tmp_path / "b.csv")])
+        assert capsys.readouterr().err == ""
 
     def test_usage_error(self, capsys):
         assert main(["design"]) == 2  # missing required arguments
@@ -289,6 +301,13 @@ class TestScanCommand:
                    "--range=-0.2:0.2", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_numeric_range(self, pulse_file, tmp_path, capsys):
+        rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
+                   "--range=a:b:3", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: range must be lo:hi:n, got 'a:b:3'\n"
 
     def test_non_finite_range_is_argument_error(self, pulse_file, tmp_path,
                                                 capsys):

@@ -948,6 +948,28 @@ class TestDormandPrince:
         clock = _dense(sol, seg, frac)[0]
         assert np.max(np.abs(clock - times)) <= 1e-12
 
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_nan_rhs_is_design_error(self, start):
+        # from s = start the right-hand side is nan, which rejects every
+        # step until the step falls below 10 ulp of s; t_fail is the clock
+        # there (t = s before start)
+        def f(s, y):
+            return (1.0, 0.0, 0.0) if s < start else (math.nan,) * 3
+        with pytest.raises(DesignError, match="Required step size is less "
+                           "than spacing between numbers") as info:
+            _dopri5(f, (0.0, 1.0, 0.5), 1.0, 1e-9, 1e-11, lambda *y: None)
+        assert start - 1e-12 < info.value.t_fail <= start
+
+    def test_clock_inversion_that_cannot_converge(self):
+        # no miss is within a negative tolerance: after _CLOCK_STEPS steps
+        # the first time not reached is named
+        sol = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
+                      lambda *y: None)
+        with pytest.raises(DesignError, match=f"not inverted to -1 in "
+                           f"{designer._CLOCK_STEPS} steps") as info:
+            designer._locate_clock(sol, np.array([0.1, 0.2]), -1.0)
+        assert info.value.t_fail == 0.1
+
     def test_reference_designs_take_rk45_steps(self, monkeypatch):
         # the s-form's right-hand-side evaluations, at a third of the
         # t-form's or fewer; allow one rejected step (6 calls)

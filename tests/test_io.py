@@ -549,6 +549,32 @@ class TestWriterExactness:
         write_scan_csv(result, tmp_path / "scan.csv")
         assert sum(printed) <= 0.02 * 501 * 2
 
+    def test_precision_ends_print_as_percent_does(self):
+        # 0 digits, a numpy integer, and 766 digits, which print every
+        # significant digit of a subnormal
+        values = np.array(SPECIALS + [2.0 ** -1022 - 2.0 ** -1074, 1 / 3])
+        for precision in (0, np.int64(3), 766):
+            assert_writes_reference(["a", "b"], [values, values[::-1]],
+                                    precision)
+
+    @pytest.mark.parametrize("precision", [-1, 767, 10 ** 9, 12.0, "12",
+                                           True, np.bool_(True), None])
+    def test_bad_precision_is_parameter_error(self, precision, tmp_path):
+        pulse = pi_half_baseline(1.0, n_samples=11)
+        grid = ErrorGrid(parameter="rabi", lo=-0.2, hi=0.2, n_points=5)
+        result = scan_1d(pulse, TargetState(pulse.beta_final), grid)
+        trajectory = propagate(pulse)
+        path = tmp_path / "out.csv"
+        for write in (lambda: write_pulse_csv(pulse, None, path, precision),
+                      lambda: write_scan_csv(result, path, precision),
+                      lambda: write_trajectory_csv(trajectory, path,
+                                                   precision)):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"precision must be an integer in [0, 766], "
+                    f"got {precision!r}")):
+                write()
+            assert not path.exists()
+
 
 class TestScanAndTrajectoryFiles:
     def test_scan_file_layout(self, tmp_path):

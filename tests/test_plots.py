@@ -18,17 +18,22 @@ from qiepulse.errors import ParameterError
 from qiepulse.plots import svg_line_plot
 
 
-def _reference_points(x, ys):
-    """The polyline points of each series as formatted one point at a time,
-    on the axes svg_line_plot draws."""
-    x = np.asarray(x, dtype=float)
-    ys = [np.asarray(y, dtype=float) for y in ys]
+def _y_axis(ys):
+    """The ends of the y axis svg_line_plot draws for the series ys."""
     finite = np.concatenate([y[np.isfinite(y)] for y in ys])
     y_lo, y_hi = float(np.min(finite)), float(np.max(finite))
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    return y_lo - pad, y_hi + pad
+
+
+def _reference_points(x, ys):
+    """The polyline points of each series as formatted one point at a time,
+    on the axes svg_line_plot draws."""
+    x = np.asarray(x, dtype=float)
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    y_lo, y_hi = _y_axis(ys)
     px = plots._map(x, float(np.min(x)), float(np.max(x)),
                     plots._ML, plots._W - plots._MR)
     out = []
@@ -134,19 +139,9 @@ def test_any_plot_matches_per_point_formatting(tmp_path_factory, n, seed, kind,
     assert _written_points(x, ys, path) == _reference_points(x, ys)
 
 
-def test_pulse_plot_coordinates_all_come_from_the_tables(designs4, tmp_path,
-                                                         monkeypatch):
-    # a bug that sent coordinates to '%' would keep every byte: on the
-    # c = 0.073 pulse plot, whose x axis puts a quarter of its points next
-    # to a tie, every coordinate is built from the digit tables
-    made = []
-    coordinates = plots._coordinates
-
-    def counted(v, sep):
-        made.append(coordinates(v, sep))
-        return made[-1]
-
-    monkeypatch.setattr(plots, "_coordinates", counted)
+def test_pulse_plot_coordinates_all_come_from_the_tables(designs4, tmp_path):
+    # the c = 0.073 pulse plot, whose x axis puts a quarter of its points
+    # next to a tie, is built from the digit tables as '%.2f' prints it
     pulse, _ = designs4[0.073]
     T = pulse.params.T
     uniform = np.isin(pulse.t, T * _grid(pulse.params))
@@ -154,7 +149,6 @@ def test_pulse_plot_coordinates_all_come_from_the_tables(designs4, tmp_path,
     ys = [T * pulse.omega[uniform], T * pulse.delta[uniform]]
     assert _written_points(x, ys, tmp_path / "p.svg") == \
         _reference_points(x, ys)
-    assert len(made) == 3 and all(codes is not None for codes in made)
     px = plots._map(x, x.min(), x.max(), plots._ML, plots._W - plots._MR)
     frac = 100.0 * px - np.floor(100.0 * px)
     assert np.mean(np.abs(frac - 0.5) < 1e-9) > 0.2
@@ -213,8 +207,21 @@ def test_text_is_escaped(tmp_path):
     ([[0.0, 1.0]], [("a", [[1.0, 2.0]])], "non-empty 1-D"),
     ([0.0, 1.0], [("a", [np.nan, np.inf]), ("b", [-np.inf, np.nan])],
      "no series has a finite value"),
+    # (v - lo) x 630 px overflows for x past about 2.9e305, and (v - lo) x
+    # 350 px for padded y past about 5.1e305
+    ([0.0, 5e305, 1e306], [("a", [0.0, 1.0, 2.0])],
+     r"the x axis from 0 to 1e\+306 is too wide to draw on 630 px"),
+    ([0.0, 1.0, 2.0], [("a", [0.0, 5e305, 1e306])],
+     r"the y axis from -5e\+304 to 1.05e\+306 is too wide to draw on 350 px"),
+    # the span itself overflows
+    ([-1.7e308, 0.0, 1.7e308], [("a", [0.0, 1.0, 2.0])],
+     r"the x axis from -1.7e\+308 to 1.7e\+308"),
+    (np.linspace(0.0, 1.0, 5), [("a", [-1.7e308, 0.0, 1.7e308, np.nan, 1.0]),
+                                ("b", np.linspace(0.0, 1.0, 5))],
+     "the y axis from -inf to inf"),
 ], ids=["nan-x", "inf-x", "length", "no-series", "empty-x", "2-d-x",
-        "no-finite-y"])
+        "no-finite-y", "x-too-wide", "y-too-wide", "x-span-overflows",
+        "y-span-overflows"])
 def test_undrawable_input_raises_parameter_error(tmp_path, x, series,
                                                  message):
     path = tmp_path / "p.svg"
@@ -223,13 +230,48 @@ def test_undrawable_input_raises_parameter_error(tmp_path, x, series,
     assert not path.exists()
 
 
-def test_coordinates_off_the_tables_are_formatted_by_percent(tmp_path):
-    # a y span past the largest double maps the points to nan, which the
-    # digit tables do not hold: that polyline is formatted by '%'
-    x = np.linspace(0.0, 1.0, 5)
-    ys = [np.array([-1.7e308, 0.0, 1.7e308, np.nan, 1.0]), x]
-    with np.errstate(over="ignore", invalid="ignore"):
-        written = _written_points(x, ys, tmp_path / "p.svg")
-        reference = _reference_points(x, ys)
-    assert written == reference
-    assert written[0].split()[0] == "70.00,nan"
+_DBL_MAX = float(np.finfo(float).max)
+
+
+def _ends(limit):
+    """Two axis ends: a span of 0 to 1.5 limit, many within 1e-5 of it,
+    from anywhere in [-1e300, 1e300]; or any two doubles in [-1e308, 1e308]
+    (whose span can overflow)."""
+    near = st.tuples(st.floats(-1e300, 1e300),
+                     st.floats(0.0, 1.5) | st.floats(1 - 1e-5, 1 + 1e-5))
+    return (near.map(lambda a: (a[0], a[0] + a[1] * limit))
+            | st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)))
+
+
+def _between(ends, n, rng):
+    """The two ends and n points between them."""
+    u = rng.random(n)
+    return np.concatenate((ends, ends[0] * (1.0 - u) + ends[1] * u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_ends=_ends(_DBL_MAX / 630), y_ends=_ends(_DBL_MAX / 350 / 1.1),
+       n=st.integers(0, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_axes_up_to_the_refusal_threshold(tmp_path_factory, x_ends, y_ends,
+                                          n, seed):
+    # an axis is drawn while its span x its length in px is finite, and
+    # then every point lies on the canvas as '%.2f' prints it; past that
+    # the axis is refused and nothing is written
+    rng = np.random.default_rng(seed)
+    x, y = _between(x_ends, n, rng), _between(y_ends, n, rng)
+    path = tmp_path_factory.mktemp("plot") / "p.svg"
+    y_lo, y_hi = _y_axis([y])
+    wide = [name for name, lo, hi, length in (
+        ("x", float(x.min()), float(x.max()), 630), ("y", y_lo, y_hi, 350))
+        if not np.isfinite((hi - lo) * length)]
+    if wide:
+        with pytest.raises(ParameterError, match=f"the {wide[0]} axis from "
+                           f".* is too wide to draw"):
+            _written_points(x, [y], path)
+        assert not path.exists()
+        return
+    written = _written_points(x, [y], path)
+    assert written == _reference_points(x, [y])
+    points = np.array(written[0].replace(",", " ").split(), float)
+    assert np.all((70.0 <= points[0::2]) & (points[0::2] <= 700.0))
+    assert np.all((40.0 <= points[1::2]) & (points[1::2] <= 390.0))
