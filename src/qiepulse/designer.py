@@ -357,11 +357,6 @@ def _area(omega, t) -> float:
     return float(np.add.reduce(parts))
 
 
-def _rms(a, b, c):
-    """Root mean square of the three components of an error vector."""
-    return math.sqrt((a * a + b * b + c * c) / 3)
-
-
 def _theta_dot(tau):
     """theta_dot at the times tau in units of T: theta_profile's array
     formula at T = 1."""
@@ -374,8 +369,8 @@ def _omega(y):
 
 
 def _s_form(x_rate):
-    """The s-form's right-hand side f(s, (t, beta, x)), t in units of T, for
-    dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
+    """The s-form's right-hand side f(s, t, beta, x) on floats, t in units
+    of T, for dx/ds per unit theta_dot, x_rate = 2 c branch_sign.
 
     theta and theta_dot are theta_profile's scalar formulas at T = 1 written
     out, the same float operations in the same order, so the design has
@@ -386,8 +381,7 @@ def _s_form(x_rate):
     theta_dot_scale, quarter_pi = _SQRT_PI / 2.0, 0.25 * math.pi
     erf, exp, sin, cos, nan = math.erf, math.exp, math.sin, math.cos, math.nan
 
-    def rhs(s, y):
-        r, beta, x = y
+    def rhs(s, r, beta, x):
         theta = quarter_pi * (erf(r) + 1.0)
         theta_dot = theta_dot_scale * exp(-r * r)
         try:
@@ -406,35 +400,38 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
     """Integrate y' = f(s, y) from s = 0 with Dormand-Prince 5(4) until the
     first state, a clock, reaches t_end.
 
-    The state (u, v, w) and stages (u1..w7) are float locals; f takes the
-    state as a tuple and returns three floats.  Step control as scipy's
-    RK45: initial step from the first two derivatives, RMS error norm over
-    atol + max(|y|, |y_new|) rtol, step factor 0.9 err^(-1/5) in [0.2, 10],
-    no growth right after a rejection.  No step is clamped: the run ends on
-    the accepted step where u >= t_end.  check(u, v, w) sees every accepted
-    state first and may raise.  Returns the Solution: the accepted s, the
-    (3, len(ss)) states there, the (steps, 3, 4) coefficients of each
-    step's quartic interpolant (see _dense), t_end, and the count of f
+    The state (u, v, w) and stages (u1..w7) are float locals; f(s, u, v, w)
+    takes the state as three floats and returns three.  Step control as
+    scipy's RK45: initial step from the first two derivatives, RMS error
+    norm over atol + max(|y|, |y_new|) rtol, step factor 0.9 err^(-1/5) in
+    [0.2, 10], no growth right after a rejection.  No step is clamped: the
+    run ends on the accepted step where u >= t_end; check(u, v, w) sees
+    every accepted state first and may raise.  Returns the Solution: the
+    accepted s, the (3, len(ss)) states there, each step's quartic
+    coefficients (steps, 3, 4) (see _dense), t_end, and the count of f
     evaluations (two to start, six an attempt) and of rejected attempts.
     Raises DesignError, with t_fail the clock, when the step falls below
     10 ulp of s or MAX_STEPS steps have been accepted short of t_end.
     """
     s, (u, v, w) = 0.0, map(float, y0)
-    u1, v1, w1 = f(s, (u, v, w))
-    su, sv, sw = atol + abs(u) * rtol, atol + abs(v) * rtol, atol + abs(w) * rtol
-    d0 = _rms(u / su, v / sv, w / sw)
-    d1 = _rms(u1 / su, v1 / sv, w1 / sw)
+    u1, v1, w1 = f(s, u, v, w)
+    au, av, aw = abs(u), abs(v), abs(w)  # |y|, carried from step to step
+    su, sv, sw = atol + au * rtol, atol + av * rtol, atol + aw * rtol
+    eu, ev, ew, du, dv, dw = u / su, v / sv, w / sw, u1 / su, v1 / sv, w1 / sw
+    d0 = math.sqrt((eu * eu + ev * ev + ew * ew) / 3)  # RMS norms
+    d1 = math.sqrt((du * du + dv * dv + dw * dw) / 3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    fu, fv, fw = f(s + h0, (u + h0 * u1, v + h0 * v1, w + h0 * w1))
-    d2 = _rms((fu - u1) / su, (fv - v1) / sv, (fw - w1) / sw) / h0
+    fu, fv, fw = f(s + h0, u + h0 * u1, v + h0 * v1, w + h0 * w1)
+    eu, ev, ew = (fu - u1) / su, (fv - v1) / sv, (fw - w1) / sw
+    d2 = math.sqrt((eu * eu + ev * ev + ew * ew) / 3) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1)
-    ss, ys, ks, rejections = [s], [(u, v, w)], [], 0
+    ss, ys, ks, rejections = [s], [u, v, w], [], 0
     while u < t_end:
-        if len(ks) == MAX_STEPS:
+        if len(ss) > MAX_STEPS:
             raise DesignError(f"no end after {MAX_STEPS} accepted steps",
                               t_fail=u)
         min_step = 10 * (math.nextafter(s, math.inf) - s)
@@ -446,34 +443,37 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
                                   "between numbers.", t_fail=u)
             s_new = s + h_abs
             h = h_abs = s_new - s
-            u2, v2, w2 = f(s + _C2 * h, (u + _A21 * u1 * h, v + _A21 * v1 * h,
-                                         w + _A21 * w1 * h))
-            u3, v3, w3 = f(s + _C3 * h, (u + (_A31 * u1 + _A32 * u2) * h,
-                                         v + (_A31 * v1 + _A32 * v2) * h,
-                                         w + (_A31 * w1 + _A32 * w2) * h))
-            u4, v4, w4 = f(s + _C4 * h, (
-                u + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
-                v + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
-                w + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h))
-            u5, v5, w5 = f(s + _C5 * h, (
-                u + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
-                v + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
-                w + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h))
-            u6, v6, w6 = f(s + h, (
+            u2, v2, w2 = f(s + _C2 * h, u + _A21 * u1 * h, v + _A21 * v1 * h,
+                           w + _A21 * w1 * h)
+            u3, v3, w3 = f(s + _C3 * h, u + (_A31 * u1 + _A32 * u2) * h,
+                           v + (_A31 * v1 + _A32 * v2) * h,
+                           w + (_A31 * w1 + _A32 * w2) * h)
+            u4, v4, w4 = f(s + _C4 * h, u + (_A41 * u1 + _A42 * u2 + _A43 * u3) * h,
+                           v + (_A41 * v1 + _A42 * v2 + _A43 * v3) * h,
+                           w + (_A41 * w1 + _A42 * w2 + _A43 * w3) * h)
+            u5, v5, w5 = f(s + _C5 * h,
+                           u + (_A51 * u1 + _A52 * u2 + _A53 * u3 + _A54 * u4) * h,
+                           v + (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4) * h,
+                           w + (_A51 * w1 + _A52 * w2 + _A53 * w3 + _A54 * w4) * h)
+            u6, v6, w6 = f(
+                s + h,
                 u + (_A61 * u1 + _A62 * u2 + _A63 * u3 + _A64 * u4 + _A65 * u5) * h,
                 v + (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5) * h,
-                w + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h))
+                w + (_A61 * w1 + _A62 * w2 + _A63 * w3 + _A64 * w4 + _A65 * w5) * h)
             un = u + h * (_B1 * u1 + _B3 * u3 + _B4 * u4 + _B5 * u5 + _B6 * u6)
             vn = v + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
             wn = w + h * (_B1 * w1 + _B3 * w3 + _B4 * w4 + _B5 * w5 + _B6 * w6)
-            u7, v7, w7 = f(s + h, (un, vn, wn))
-            err = _rms(
-                (_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
-                * h / (atol + max(abs(u), abs(un)) * rtol),
-                (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
-                * h / (atol + max(abs(v), abs(vn)) * rtol),
-                (_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
-                * h / (atol + max(abs(w), abs(wn)) * rtol))
+            u7, v7, w7 = f(s + h, un, vn, wn)
+            bu = -un if un < 0 else un  # |y_new|; max(|y|, |y_new|) below
+            bv = -vn if vn < 0 else vn  # is builtin max's: |y_new| only
+            bw = -wn if wn < 0 else wn  # where larger, so a nan |y| stays
+            eu = ((_E1 * u1 + _E3 * u3 + _E4 * u4 + _E5 * u5 + _E6 * u6 + _E7 * u7)
+                  * h / (atol + (bu if bu > au else au) * rtol))
+            ev = ((_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+                  * h / (atol + (bv if bv > av else av) * rtol))
+            ew = ((_E1 * w1 + _E3 * w3 + _E4 * w4 + _E5 * w5 + _E6 * w6 + _E7 * w7)
+                  * h / (atol + (bw if bw > aw else aw) * rtol))
+            err = math.sqrt((eu * eu + ev * ev + ew * ew) / 3)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -482,14 +482,14 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
             rejected = True
             rejections += 1
         check(un, vn, wn)
-        ks.append((u1, v1, w1, u2, v2, w2, u3, v3, w3, u4, v4, w4,
-                   u5, v5, w5, u6, v6, w6, u7, v7, w7))
-        s, u, v, w, u1, v1, w1 = s_new, un, vn, wn, u7, v7, w7
+        ks += (u1, v1, w1, u2, v2, w2, u3, v3, w3, u4, v4, w4,
+               u5, v5, w5, u6, v6, w6, u7, v7, w7)
+        s, u, v, w, u1, v1, w1, au, av, aw = s_new, un, vn, wn, u7, v7, w7, bu, bv, bw
         ss.append(s)
-        ys.append((u, v, w))
-    q = np.einsum("skn,kp->snp", np.array(ks).reshape(-1, 7, 3), _DENSE_P)
-    return Solution(np.array(ss), np.array(ys).T, q, t_end,
-                    2 + 6 * (len(ks) + rejections), rejections)
+        ys += (u, v, w)
+    q = np.einsum("skn,kp->snp", np.fromiter(ks, float).reshape(-1, 7, 3), _DENSE_P)
+    return Solution(np.array(ss), np.fromiter(ys, float).reshape(-1, 3).T, q,
+                    t_end, 2 + 6 * (len(q) + rejections), rejections)
 
 
 def _dense(solution, seg, frac):

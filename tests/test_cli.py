@@ -107,10 +107,33 @@ class TestDesignCommand:
     def test_design_reports_endpoints(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         assert main(["design", "--c", "0.073", "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert "area = 1.959491 pi" in printed
-        assert "beta_final = -0.079746 pi" in printed
+        printed = capsys.readouterr()
+        assert "area = 1.959491 pi" in printed.out
+        assert "beta_final = -0.079746 pi" in printed.out
+        assert printed.err == ""  # the residual, 6.5e-10 c, warns of nothing
         assert out.exists()
+
+    def test_residual_over_the_bound_warns(self, tmp_path, capsys):
+        # at kappa = 5.9 the c = 0.10 design returns with a residual of
+        # 4.9e-3 c, over criterion 2's 1e-3 c: one warning line on stderr,
+        # and the exit code, stdout and file of any returned design
+        out = tmp_path / "p.csv"
+        assert main(["design", "--c", "0.1", "--kappa", "5.9", "--n", "401",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ("warning: c = 0.1: adiabaticity residual "
+                               "4.935e-04 exceeds the bound 0.001 c = "
+                               "1.000e-04\n")
+        pulse, trajectory = designer.design_pulse(designer.DesignParams(
+            c=0.1, kappa=5.9, n_samples=401))
+        assert pulse.adiabaticity_residual > cli.RESIDUAL_SHARE * 0.1
+        assert printed.out == (
+            f"area = {pulse.area / np.pi:.6f} pi\n"
+            f"beta_final = {pulse.beta_final / np.pi:.6f} pi\n"
+            f"adiabaticity residual = {pulse.adiabaticity_residual:.3e}\n")
+        expected = tmp_path / "expected.csv"
+        write_pulse_csv(pulse, trajectory, expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_large_T_designs(self, tmp_path, capsys):
         # T is the unit of time: at T = 1e9 the endpoints are those at T = 1
@@ -426,8 +449,9 @@ class TestReportCommand:
         config_path.write_text(json.dumps(config))
 
         assert main(["report", "--config", str(config_path)]) == 0
-        printed = capsys.readouterr().out
-        assert "reference reproduction summary" in printed
+        printed = capsys.readouterr()
+        assert "reference reproduction summary" in printed.out
+        assert printed.err == ""  # every residual within 1e-3 c
 
         for c in ("0.073", "0.06", "0.05", "0.04"):
             assert (out_dir / f"pulse_c{c}.csv").exists()
@@ -444,6 +468,33 @@ class TestReportCommand:
                 v for v in line.split() if v not in ("yes", "NO")])
             assert math.cos(math.pi * x_f_pi) == pytest.approx(
                 2 * c * math.pi * area_pi - 1, abs=1e-3)
+
+    def test_report_warns_of_each_residual_over_the_bound(
+            self, tmp_path, capsys, monkeypatch):
+        # with the bound below every design's residual (about 1e-10 c),
+        # each of the four designs gets its warning line, and stdout and
+        # every file are those of the run without
+        runs = []
+        for share in (cli.RESIDUAL_SHARE, 1e-12):
+            monkeypatch.setattr(cli, "RESIDUAL_SHARE", share)
+            out_dir = tmp_path / f"out{len(runs)}"
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({
+                "design": {"c": 0.073, "n_samples": 401},
+                "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "output_dir": str(out_dir)}))
+            assert main(["report", "--config", str(config_path)]) == 0
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            runs.append((capsys.readouterr(), files))
+        (quiet, files), (loud, loud_files) = runs
+        assert quiet.err == "" and loud.out == quiet.out
+        assert loud_files == files
+        lines = loud.err.splitlines()
+        assert [line.split(":")[1] for line in lines] == [
+            " c = 0.073", " c = 0.06", " c = 0.05", " c = 0.04"]
+        assert all(line.startswith("warning: ") and "exceeds the bound 1e-12 c"
+                   in line for line in lines)
 
     def test_pulse_plots_span_the_uniform_samples(self, tmp_path, capsys):
         # the y axis of pulse_c*.svg spans the fields at the uniform design

@@ -597,12 +597,18 @@ DP_P = np.array([
 ])
 
 
+def unpacked(rhs):
+    """rhs(s, y), as the toy systems and solve_ivp take it, called the way
+    _dopri5 and dopri5_lists call f: f(s, t, p, q), the state as floats."""
+    return lambda s, *y: rhs(s, y)
+
+
 def s_form_of(profile, T, x_rate):
-    """The s-form's right-hand side with theta and theta_dot from
-    profile(t, T), which designer._s_form writes out: its oracle.  A stage
-    that is not finite (1/0 at theta = 0, sin(inf)) gives nan."""
-    def rhs(s, y):
-        t, beta, x = y
+    """The s-form's right-hand side f(s, t, beta, x) with theta and
+    theta_dot from profile(t, T), which designer._s_form writes out: its
+    oracle.  A stage that is not finite (1/0 at theta = 0, sin(inf)) gives
+    nan."""
+    def rhs(s, t, beta, x):
         theta = profile(t, T)
         try:
             sin_x = math.sin(x)
@@ -618,9 +624,10 @@ def s_form_of(profile, T, x_rate):
 
 def dopri5_lists(f, y0, t_end, rtol, atol, check):
     """The stepper with its state and stages as lists, one comprehension
-    per stage: the oracle that _dopri5, which holds them as float locals,
-    must match to the bit.  Same controller, no clamped step, the same end
-    on the first state; every sum left to right."""
+    per stage, each handed to f(s, *y): the oracle that _dopri5, which holds
+    them as float locals, must match to the bit.  Same controller, no
+    clamped step, the same end on the first state; every sum left to
+    right."""
     n = len(y0)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = DP_A
@@ -632,12 +639,12 @@ def dopri5_lists(f, y0, t_end, rtol, atol, check):
         return math.sqrt(total / n)
 
     s, y = 0.0, [float(v) for v in y0]
-    k1 = f(s, y)
+    k1 = f(s, *y)
     scale = [atol + abs(v) * rtol for v in y]
     d0 = rms([v / w for v, w in zip(y, scale)])
     d1 = rms([v / w for v, w in zip(k1, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = f(s + h0, [v + h0 * a for v, a in zip(y, k1)])
+    f1 = f(s + h0, *[v + h0 * a for v, a in zip(y, k1)])
     d2 = rms([(a - b) / w for a, b, w in zip(f1, k1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -653,21 +660,21 @@ def dopri5_lists(f, y0, t_end, rtol, atol, check):
             assert h_abs >= min_step
             s_new = s + h_abs
             h = h_abs = s_new - s
-            k2 = f(s + DP_C2 * h, [v + (a21 * a) * h for v, a in zip(y, k1)])
-            k3 = f(s + DP_C3 * h, [v + (a31 * a + a32 * b) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = f(s + DP_C4 * h, [v + (a41 * a + a42 * b + a43 * c) * h
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = f(s + DP_C5 * h, [v + (a51 * a + a52 * b + a53 * c
-                                        + a54 * d) * h
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = f(s + h, [v + (a61 * a + a62 * b + a63 * c + a64 * d
-                                + a65 * e) * h
-                           for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            k2 = f(s + DP_C2 * h, *[v + (a21 * a) * h for v, a in zip(y, k1)])
+            k3 = f(s + DP_C3 * h, *[v + (a31 * a + a32 * b) * h
+                                    for v, a, b in zip(y, k1, k2)])
+            k4 = f(s + DP_C4 * h, *[v + (a41 * a + a42 * b + a43 * c) * h
+                                    for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = f(s + DP_C5 * h, *[v + (a51 * a + a52 * b + a53 * c
+                                         + a54 * d) * h
+                                    for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = f(s + h, *[v + (a61 * a + a62 * b + a63 * c + a64 * d
+                                 + a65 * e) * h
+                            for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
             y_new = [v + h * (DP_B1 * a + DP_B3 * c + DP_B4 * d + DP_B5 * e
                               + DP_B6 * g)
                      for v, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(s + h, y_new)
+            k7 = f(s + h, *y_new)
             err = rms([(DP_E1 * a + DP_E3 * c + DP_E4 * d + DP_E5 * e
                         + DP_E6 * g + DP_E7 * q) * h
                        / (atol + max(abs(v), abs(w)) * rtol)
@@ -860,31 +867,41 @@ class TestDormandPrince:
     """The in-repo Dormand-Prince 5(4) stepper behind design_pulse, with
     scipy's RK45 and a list-form transcription of the tableau as oracles."""
 
+    @staticmethod
+    def both_forms(rhs, oracle_rhs, y0, t_end, rtol, atol):
+        """_dopri5 on rhs and dopri5_lists on oracle_rhs, both f(s, *y), from
+        y0, asserted equal bit for bit: the (s, *y) of every f call, the
+        states check saw, and ss, ys and q.  Returns _dopri5's Solution and
+        its calls as rows (s, *y)."""
+        runs = []
+        for stepper, g in ((_dopri5, rhs), (dopri5_lists, oracle_rhs)):
+            calls, seen = [], []
+
+            def f(s, *y, g=g):
+                calls.append((s, *y))
+                return g(s, *y)
+
+            runs.append((stepper(f, y0, t_end, rtol, atol,
+                                 lambda *y: seen.append(y)),
+                         np.array(calls), np.array(seen)))
+        (sol, calls, seen), (ref, ref_calls, ref_seen) = runs
+        assert calls.shape == ref_calls.shape and len(calls) == sol.nfev
+        for got, want in zip((calls, seen, sol.ss, sol.ys, sol.q),
+                             (ref_calls, ref_seen, *ref)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # check saw every accepted state; the run ends on the first step
+        # whose clock reaches the end, unclamped
+        assert seen.T.tobytes() == sol.ys[:, 1:].tobytes()
+        assert sol.ys[0, -2] < t_end <= sol.ys[0, -1]
+        return sol, calls
+
     @pytest.mark.parametrize("rhs, rtol, atol", [(smooth, 1e-9, 1e-11),
                                                  (smooth, 1e-6, 1e-8),
                                                  (stiff, 1e-6, 1e-8)])
     def test_bit_identical_to_list_form(self, rhs, rtol, atol):
-        runs = []
-        for stepper in (_dopri5, dopri5_lists):
-            calls, seen = [], []
-
-            def f(s, y):
-                calls.append((s, *y))
-                return rhs(s, y)
-
-            runs.append((stepper(f, (0.0, 1.0, 0.5), 10.0, rtol, atol,
-                                 lambda *y: seen.append(y)),
-                         np.array(calls), np.array(seen)))
-        (sol, calls, seen), ((ss_ref, ys_ref, q_ref), ref, _) = runs
+        sol, calls = self.both_forms(unpacked(rhs), unpacked(rhs),
+                                     (0.0, 1.0, 0.5), 10.0, rtol, atol)
         ss, ys, q = sol.ss, sol.ys, sol.q
-        np.testing.assert_array_equal(calls, ref)  # every (s, y) f was given
-        np.testing.assert_array_equal(ss, ss_ref)
-        np.testing.assert_array_equal(ys, ys_ref)
-        np.testing.assert_array_equal(q, q_ref)
-        # check saw every accepted state; the run ends on the first step
-        # whose clock reaches the end, unclamped
-        np.testing.assert_array_equal(seen.T, ys[:, 1:])
-        assert ys[0, -2] < 10.0 <= ys[0, -1]
         x = np.concatenate((np.linspace(0.0, ss[-1], 1001), ss,
                             0.5 * (ss[1:] + ss[:-1])))
         np.testing.assert_allclose(_dense(sol, *_locate(ss, x)),
@@ -893,11 +910,66 @@ class TestDormandPrince:
         if rhs is stiff:  # the rejection branch of the controller ran
             assert len(calls) > 2 + 6 * (ss.size - 1)
 
+    @pytest.mark.parametrize("c", [0.03, 0.073, 0.10])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("init", ["consistency", "zero"])
+    def test_s_form_run_bit_identical_to_list_form(self, monkeypatch, c, sign,
+                                                   init):
+        # the design's own run, from the start, to the end and at the
+        # tolerances design_pulse hands _dopri5: _s_form against the list
+        # form on the profile formula
+        starts = []
+        dopri5 = designer._dopri5
+        monkeypatch.setattr(designer, "_dopri5", lambda f, *args: (
+            starts.append(args) or dopri5(f, *args)))
+        _, trajectory = design_pulse(DesignParams(
+            c=c, branch_sign=sign, beta_rate_init=init, n_samples=401))
+        (y0, t_end, rtol, atol, _), = starts
+        x_rate = 2.0 * c * sign
+        sol, _ = self.both_forms(designer._s_form(x_rate),
+                                 s_form_of(theta_profile, 1.0, x_rate),
+                                 y0, t_end, rtol, atol)
+        assert (y0[0], t_end, rtol, atol) == (-4.0, 4.0, ODE_RTOL,
+                                             designer.ODE_ATOL)
+        assert sol == trajectory.solution
+
+    def test_transient_nan_stage_is_retried(self):
+        # a nan in the fourth stage of the sixth attempt: that attempt is
+        # rejected and retried from the same state with a fifth of its step
+        # (max(0.2, 0.9 nan^-0.2) is 0.2), the same calls in both forms
+        def nan_at(n):
+            calls = [0]
+
+            def f(s, *y):
+                calls[0] += 1
+                return (math.nan,) * 3 if calls[0] == n else smooth(s, y)
+            return f
+
+        start = (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11
+        clean, clean_calls = self.both_forms(unpacked(smooth),
+                                             unpacked(smooth), *start)
+        n = 2 + 6 * 5 + 3  # two to start, five attempts, stages 2 to 4
+        sol, calls = self.both_forms(nan_at(n), nan_at(n), *start)
+        # up to the nan both runs make the same calls, and the clean run
+        # accepts the sixth attempt: its last stage is at its end, ss[6]
+        assert calls[:n].tobytes() == clean_calls[:n].tobytes()
+        assert np.isfinite(calls[n - 1]).all()
+        assert calls[n + 2, 0] == clean.ss[6]
+        assert sol.ss[:6].tobytes() == clean.ss[:6].tobytes()
+        assert sol.ss[6] != clean.ss[6]
+        # the retry takes a fifth of the step from ss[5], and is accepted:
+        # its second stage is at a fifth and its last at its end
+        assert sol.ss[6] - sol.ss[5] == pytest.approx(
+            0.2 * (clean.ss[6] - clean.ss[5]), rel=1e-9)
+        assert calls[n + 3, 0] == pytest.approx(
+            sol.ss[5] + 0.2 * (sol.ss[6] - sol.ss[5]), rel=1e-12)
+        assert calls[n + 8, 0] == sol.ss[6]
+
     @pytest.mark.parametrize("rtol, atol", [(1e-9, 1e-11), (1e-6, 1e-8)])
     def test_matches_scipy_rk45(self, rtol, atol):
         calls = []
 
-        def f(s, y):
+        def f(s, *y):
             calls.append(s)
             return smooth(s, y)
 
@@ -926,7 +998,7 @@ class TestDormandPrince:
     def test_clock_inversion(self):
         # the dense clock at the located (step, fraction) is within the
         # tolerance of every asked time, end points included
-        sol = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
+        sol = _dopri5(unpacked(smooth), (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
                       lambda *y: None)
         times = np.concatenate((np.linspace(0.0, 10.0, 2001), sol.ys[0, :-1]))
         seg, frac = designer._locate_clock(sol, np.sort(times), 1e-12)
@@ -938,7 +1010,7 @@ class TestDormandPrince:
         # dt/ds = (s - 1)^2 vanishes at s = 1, t = 0, where Newton's method
         # only creeps (by 2/3 a step) and leaves its step's bracket near the
         # flat point; the guarded steps still get every time
-        def flat(s, y):
+        def flat(s, t, p, q):
             return (s - 1.0) ** 2, 0.0, 0.0
         sol = _dopri5(flat, (-1 / 3, 0.0, 0.0), 1.0, 1e-9, 1e-11,
                       lambda *y: None)
@@ -953,7 +1025,7 @@ class TestDormandPrince:
         # from s = start the right-hand side is nan, which rejects every
         # step until the step falls below 10 ulp of s; t_fail is the clock
         # there (t = s before start)
-        def f(s, y):
+        def f(s, *y):
             return (1.0, 0.0, 0.0) if s < start else (math.nan,) * 3
         with pytest.raises(DesignError, match="Required step size is less "
                            "than spacing between numbers") as info:
@@ -963,7 +1035,7 @@ class TestDormandPrince:
     def test_clock_inversion_that_cannot_converge(self):
         # no miss is within a negative tolerance: after _CLOCK_STEPS steps
         # the first time not reached is named
-        sol = _dopri5(smooth, (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
+        sol = _dopri5(unpacked(smooth), (0.0, 1.0, 0.5), 10.0, 1e-9, 1e-11,
                       lambda *y: None)
         with pytest.raises(DesignError, match=f"not inverted to -1 in "
                            f"{designer._CLOCK_STEPS} steps") as info:
@@ -1030,8 +1102,8 @@ class TestDormandPrince:
         # floats of theta_profile's formula at T = 1, nan where a stage is
         # not finite
         y = (t, beta, x)  # t in units of T: the ramp and its tails
-        got = designer._s_form(2.0 * c * sign)(0.0, y)
-        ref = s_form_of(theta_profile, 1.0, 2.0 * c * sign)(0.0, y)
+        got = designer._s_form(2.0 * c * sign)(0.0, *y)
+        ref = s_form_of(theta_profile, 1.0, 2.0 * c * sign)(0.0, *y)
         got, ref = (np.array(v) for v in (got, ref))  # every bit, one nan
         assert (np.where(np.isnan(got), np.nan, got).tobytes()
                 == np.where(np.isnan(ref), np.nan, ref).tobytes())
@@ -1249,7 +1321,7 @@ class TestSolution:
         # accepted ones is one
         calls = [0]
 
-        def f(s, y):
+        def f(s, *y):
             calls[0] += 1
             return stiff(s, y)
 
