@@ -27,7 +27,7 @@ from .pulse_io import (
 from .robustness import (
     BAND_HALF_WIDTH,
     ErrorGrid,
-    _INTERVALS,
+    _ESTIMATOR,
     _SAMPLING,
     _design_scans,
     format_summary,
@@ -201,10 +201,11 @@ def _cmd_report(args) -> int:
         write_pulse_csv(pulse, trajectory, out / f"pulse_c{c:g}.csv",
                         precision=precision)
 
-    scans, sampling_errors = {}, {}
+    scans, sampling_errors, exponentials = {}, {}, {}
     for c, (pulse, trajectory) in designs.items():
-        for res, error in _design_scans(
-                pulse, trajectory, (config.rabi_grid, config.detuning_grid)):
+        results, exponentials[c] = _design_scans(
+            pulse, trajectory, (config.rabi_grid, config.detuning_grid))
+        for res, error in results:
             parameter = res.grid.parameter
             scans[(c, parameter)] = res
             sampling_errors[(c, parameter)] = error
@@ -245,11 +246,23 @@ def _cmd_report(args) -> int:
     lines.append(format_summary(rows))
     lines.append("")
     lines.append(f"qie scan sampling: {_SAMPLING}; estimated error "
-                 f"max|F{_INTERVALS} - F{_INTERVALS // 2}|/15")
+                 f"{_ESTIMATOR}")
     lines.append(f"{'c':>6} {'rabi':>9} {'detuning':>9}")
     for c in designs:
         lines.append(f"{c:>6g} {sampling_errors[(c, 'rabi')]:>9.2e} "
                      f"{sampling_errors[(c, 'detuning')]:>9.2e}")
+    lines.append("")
+    lines.append("design work: the stepper's right-hand-side evaluations, "
+                 "accepted steps and rejected attempts;")
+    lines.append("exponentials per error row of the scan and of the "
+                 "estimate's scan")
+    lines.append(f"{'c':>6} {'nfev':>6} {'accepted':>8} {'rejected':>8} "
+                 f"{'scan':>6} {'estimate':>8}")
+    for c, (_, trajectory) in designs.items():
+        solution = trajectory.solution
+        scan, estimate = exponentials[c]
+        lines.append(f"{c:>6g} {solution.nfev:>6} {solution.ss.size - 1:>8} "
+                     f"{solution.rejected:>8} {scan:>6} {estimate:>8}")
     lines.append("")
     qie_min = scans[(0.073, "rabi")].min_fidelity_in_band
     base_min = baseline_scan.min_fidelity_in_band

@@ -595,13 +595,24 @@ def _grid(params: DesignParams):
     return np.linspace(-params.kappa, params.kappa, params.n_samples)
 
 
-def _sundman(solution, m):
+def _clock_end(solution):
+    """s*, where the solution's dense clock is within CLOCK_TOL of the run's
+    end t_end (_locate_clock), inside the last accepted step."""
+    seg, frac = _locate_clock(solution, np.array([solution.t_end]), CLOCK_TOL)
+    ss = solution.ss
+    return ss[seg] + frac * (ss[seg + 1] - ss[seg])
+
+
+def _sundman(solution, m, s_end=None):
     """A design's drive in its Sundman time s, in units of T, as the fourth-
-    order commutator-free Magnus step (CF4) takes it: the ends s of m equal
-    intervals in s of each accepted step, from s = 0, where t = -kappa, to
-    s*, where the dense clock is within CLOCK_TOL of the run's end
-    (_locate_clock), and -Omega dt/4 and Delta dt/4 of the frozen
-    exponentials, two per interval, in the order they are applied.
+    order commutator-free Magnus step (CF4) takes it: the ends s of its
+    intervals, at m intervals per accepted step, from s = 0, where t =
+    -kappa, to s_end, s* (_clock_end) unless given, and -Omega dt/4 and
+    Delta dt/4 of the frozen exponentials, two per interval, in the order
+    they are applied.  With m = a/b in lowest terms the i-th end lies i b/a
+    steps on, at its fraction of its step linear in s: a whole m splits each
+    accepted step into m equal intervals, and m = 1/2 ends an interval at
+    every other accepted time.  The ends at or past s_end give way to it.
 
     With dt/ds = sin(beta) sin(x) the drive's fields are theta_dot sin(x)
     and theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
@@ -615,13 +626,13 @@ def _sundman(solution, m):
     frozen exponential of averaged fields, linear in them, so a scan of
     these steps is a scan of the design, to an error that falls as m^-4.
     """
+    if s_end is None:
+        s_end = _clock_end(solution)
     ss = solution.ss
     h = np.diff(ss)
-    seg_end, frac_end = _locate_clock(solution, np.array([solution.t_end]),
-                                      CLOCK_TOL)
-    s_end = ss[seg_end] + frac_end * h[seg_end]
-    seg = np.repeat(np.arange(h.size), m)
-    s = ss[seg] + np.tile(np.arange(m) / m, h.size) * h[seg]
+    a, b = m.as_integer_ratio()
+    seg, j = np.divmod(np.arange(-(-h.size * a // b)) * b, a)
+    s = ss[seg] + j / a * h[seg]
     s = np.append(s[s < s_end], s_end)  # a prefix: s increases
     width = np.diff(s)
     nodes = (s[:-1, None] + _GAUSS * width[:, None]).ravel()

@@ -12,7 +12,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _sundman, _value_eq
+from .designer import (MAX_SAMPLES, Pulse, _clock_end, _is_count, _real,
+                       _sundman, _value_eq)
 from .dynamics import TargetState, _Steps, fidelity, final_states_over_errors, ket1
 from .errors import ParameterError
 
@@ -27,9 +28,12 @@ __all__ = [
 
 BAND_HALF_WIDTH = 0.2  # |delta| band for min_fidelity_in_band
 
-# Intervals per accepted design step of a design's scan (_design_scans); its
-# error is estimated against the scan at one interval per step
-_INTERVALS = 2
+# Intervals per accepted design step of a design's scan (_design_scans), and
+# of the scan its error is estimated against, one interval per two steps:
+# the error falls as m^-4, so that scan is off by (2 / (1/2))^4 = 256 times
+# as much, and max |F2 - F1/2| / 255 estimates the scan's
+_INTERVALS, _ESTIMATE_INTERVALS, _SHRINK = 2, 0.5, 255
+_ESTIMATOR = f"max|F{_INTERVALS} - F1/2|/{_SHRINK}"
 _SAMPLING = f"sundman cf4, {_INTERVALS} intervals per accepted step"
 
 
@@ -143,27 +147,36 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 2,
             for grid, d, f in zip(grids, deltas, fids)]
 
 
-def _drive(solution, m):
+def _drive(solution, m, s_end=None):
     """A design's drive in its Sundman time (designer._sundman) at m
-    intervals per accepted step of its run, as the ready dynamics._Steps
-    it is scanned by."""
-    omega, delta = _sundman(solution, m)[1:]
+    intervals per accepted step of its run, up to s_end (s* unless given),
+    as the ready dynamics._Steps it is scanned by."""
+    omega, delta = _sundman(solution, m, s_end)[1:]
     return _Steps(np.append(0.0, omega), np.append(0.0, delta))
 
 
 def _design_scans(pulse: Pulse, trajectory, grids):
-    """A design's scans over its grids, each with its estimated error: the
-    design's drive by fourth-order commutator-free Magnus steps at
-    _INTERVALS intervals per accepted step (_drive), its grids in one
-    batch, against the design's target.  The error falls as m^-4 in the
-    intervals per step m, so the scan at half as many is off by sixteen
-    times as much, and max |F_m - F_m/2| / 15 estimates the scan's."""
+    """A design's scans over its grids, each with its estimated error, and
+    the exponentials per error row of the scan and of the estimate's scan.
+
+    A scan is the design's drive by fourth-order commutator-free Magnus
+    steps at _INTERVALS intervals per accepted step (_drive), its grids in
+    one batch, against the design's target.  The error falls as m^-4 in
+    the intervals per step m, so the scan at _ESTIMATE_INTERVALS, one
+    interval per two steps, is off by 256 times as much, and
+    max |F_2 - F_1/2| / 255 estimates the scan's.  Both drives end at the
+    same s*, found once.  The exponentials per row are the drives' counts
+    (dynamics._Steps)."""
+    solution = trajectory.solution
+    s_end = _clock_end(solution)
     target = TargetState(pulse.beta_final)
-    fine, coarse = (_scan(pulse, target, grids, 1,
-                          drive=_drive(trajectory.solution, m))
-                    for m in (_INTERVALS, _INTERVALS // 2))
-    return [(res, float(np.max(np.abs(res.fidelities - half.fidelities))) / 15)
-            for res, half in zip(fine, coarse)]
+    drives = [_drive(solution, m, s_end)
+              for m in (_INTERVALS, _ESTIMATE_INTERVALS)]
+    fine, coarse = (_scan(pulse, target, grids, 1, drive=drive)
+                    for drive in drives)
+    return ([(res, float(np.max(np.abs(res.fidelities - est.fidelities)))
+              / _SHRINK) for res, est in zip(fine, coarse)],
+            [drive.omega.size - 1 for drive in drives])
 
 
 @dataclass

@@ -54,7 +54,7 @@ def band_scans(designs4):
              for parameter in ("rabi", "detuning")]
     out = {}
     for c, (pulse, trajectory) in designs4.items():
-        for res, _ in _design_scans(pulse, trajectory, grids):
+        for res, _ in _design_scans(pulse, trajectory, grids)[0]:
             out[(c, res.grid.parameter)] = res
     return out
 

@@ -136,7 +136,7 @@ def test_criterion_5_rabi_robustness_ordering(band_scans, baseline_band_scan,
     )
     assert ordered, (
         f"band minima not monotone as c decreases: {seq} "
-        f"(interference fringes move through the band; see README)"
+        f"(the order is set at second order in the error; see README)"
     )
 
 

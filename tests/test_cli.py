@@ -58,6 +58,20 @@ REPEATED_TIME_CSV = """t,omega,delta
 
 
 @pytest.fixture(scope="module")
+def report_21(tmp_path_factory):
+    """The output directory of a report at n = 401 with 21-point grids on
+    [-0.5, 0.5] for both parameters."""
+    out_dir = tmp_path_factory.mktemp("report") / "out"
+    config_path = out_dir.parent / "run.json"
+    grid = {"lo": -0.5, "hi": 0.5, "n_points": 21}
+    config_path.write_text(json.dumps({
+        "design": {"c": 0.073, "n_samples": 401}, "rabi_grid": grid,
+        "detuning_grid": grid, "output_dir": str(out_dir)}))
+    assert main(["report", "--config", str(config_path)]) == 0
+    return out_dir
+
+
+@pytest.fixture(scope="module")
 def pulse_file(tmp_path_factory, designs4):
     pulse, trajectory = designs4[0.073]
     path = tmp_path_factory.mktemp("cli") / "pulse.csv"
@@ -631,6 +645,59 @@ class TestReportCommand:
         assert gap / 1.5 <= estimate <= 1.5 * gap
         summary = (out_dir / "summary.txt").read_text()
         assert f" 0.073  {estimate:.2e}" in summary
+
+    def test_report_scan_error_estimates(self, report_21, designs4):
+        # every report scan, 4 c by 2 parameters: the printed estimate
+        # max |F2 - F1/2| / 255 is within 1.5x of the scan's true gap, to
+        # the design's CF4 drive at 16 intervals a step
+        grids = [ErrorGrid(parameter, -0.5, 0.5, 21)
+                 for parameter in ("rabi", "detuning")]
+        summary = (report_21 / "summary.txt").read_text()
+        assert "estimated error max|F2 - F1/2|/255\n" in summary
+        for c, (pulse, trajectory) in designs4.items():
+            references = _scan(pulse, TargetState(pulse.beta_final), grids, 1,
+                               drive=_drive(trajectory.solution, 16))
+            estimates = []
+            for reference in references:
+                text = (report_21 / f"scan_c{c:g}_"
+                        f"{reference.grid.parameter}.csv").read_text()
+                estimate = float(re.search(r"# sampling_error = (\S+)",
+                                           text)[1])
+                fids = np.array([float(line.split(",")[1])
+                                 for line in text.splitlines()[7:]])
+                gap = np.max(np.abs(fids - reference.fidelities))
+                assert gap / 1.5 <= estimate <= 1.5 * gap
+                estimates.append(estimate)
+            assert f"{c:>6g} {estimates[0]:>9.2e} {estimates[1]:>9.2e}\n" \
+                in summary
+
+    def test_report_work_table(self, report_21, designs4):
+        # per design: the stepper's work from its Solution, and the
+        # exponentials per error row of the scan (2 intervals a step) and
+        # of the estimate's scan (one interval per two steps), which are
+        # the drives' counts; none of its lines reads as a summary row
+        lines = (report_21 / "summary.txt").read_text().splitlines()
+        start = lines.index("exponentials per error row of the scan and of "
+                            "the estimate's scan")
+        assert lines[start - 1].startswith("design work: ")
+        assert lines[start + 1].split() == ["c", "nfev", "accepted",
+                                           "rejected", "scan", "estimate"]
+        rows = lines[start + 2:start + 6]
+        assert lines[start + 6] == ""
+        for row, (c, (_, trajectory)) in zip(rows, designs4.items()):
+            solution = trajectory.solution
+            steps = solution.ss.size - 1
+            scan, estimate = (_drive(solution, m).omega.size - 1
+                              for m in (2, 0.5))
+            assert row.split() == [f"{c:g}", str(solution.nfev), str(steps),
+                                   str(solution.rejected), str(scan),
+                                   str(estimate)]
+            # two exponentials per interval: 2 intervals in each step but
+            # the part of the last past s*, and one per two steps
+            assert 4 * (steps - 1) < scan <= 4 * steps
+            assert estimate == 2 * -(-steps // 2)
+        for line in lines[start - 1:start + 6]:
+            assert line.rsplit(" ", 1)[-1] not in ("LR", "L-", "-R", "--")
 
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

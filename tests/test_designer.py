@@ -910,7 +910,12 @@ class TestDormandPrince:
         if rhs is stiff:  # the rejection branch of the controller ran
             assert len(calls) > 2 + 6 * (ss.size - 1)
 
-    @pytest.mark.parametrize("c", [0.03, 0.073, 0.10])
+    # the last four: runs in which the error norm's sum, taken in another
+    # order, rounds another way and accepts or rejects another step (among
+    # them c = 0.042296 on both branches, 0.032351 and 0.090423 on branch
+    # -1 and 0.073077 on branch +1)
+    @pytest.mark.parametrize("c", [0.03, 0.073, 0.10,
+                                   0.032351, 0.042296, 0.073077, 0.090423])
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("init", ["consistency", "zero"])
     def test_s_form_run_bit_identical_to_list_form(self, monkeypatch, c, sign,
@@ -1370,17 +1375,28 @@ class TestSundman:
                         target)
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
-    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("m", [0.5, 1, 2, 4])
     def test_nodes_and_fields(self, c, m):
         _, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
         solution = trajectory.solution
         s, omega, delta = designer._sundman(solution, m)
         assert s[0] == 0.0 and np.all(np.diff(s) > 0)
-        # m intervals in each accepted step up to s*, inside the last one
         steps = solution.ss.size - 1
-        assert m * (steps - 1) < s.size - 1 <= m * steps
         inner = s[:-1]
-        np.testing.assert_array_equal(inner[::m], solution.ss[:inner[::m].size])
+        if m < 1:
+            # one interval per two accepted steps: its ends are every other
+            # accepted time, then s*
+            np.testing.assert_array_equal(inner, solution.ss[:-1:2])
+        else:
+            # m intervals in each accepted step up to s*, inside the last one
+            assert m * (steps - 1) < s.size - 1 <= m * steps
+            np.testing.assert_array_equal(inner[::m],
+                                          solution.ss[:inner[::m].size])
+        # s* handed in, as _design_scans finds it once for both its drives,
+        # is the drive without it, bit for bit
+        given = designer._sundman(solution, m, designer._clock_end(solution))
+        assert [a.tobytes() for a in given] == [a.tobytes() for a in
+                                                (s, omega, delta)]
         # the clock: -kappa at the start, kappa within CLOCK_TOL at s*
         clock = _dense(solution, *_locate(solution.ss, s[[0, -1]]))[0]
         assert clock[0] == -4.0
@@ -1408,6 +1424,7 @@ class TestSundman:
         target = TargetState(pulse.beta_final)
         reference = self.scan(trajectory, 32, target, scales)
         gap = [np.max(np.abs(self.scan(trajectory, m, target, scales)
-                             - reference)) for m in (1, 2, 4)]
+                             - reference)) for m in (0.5, 1, 2, 4)]
         assert 12 <= gap[0] / gap[1] <= 20
         assert 12 <= gap[1] / gap[2] <= 20
+        assert 12 <= gap[2] / gap[3] <= 20

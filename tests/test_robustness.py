@@ -14,7 +14,7 @@ from qiepulse import (
 )
 from qiepulse.designer import MAX_SAMPLES
 from qiepulse.dynamics import _WIDTH
-from qiepulse.robustness import ScanResult, _scan
+from qiepulse.robustness import ScanResult, _drive, _scan
 
 from conftest import C_VALUES
 
@@ -227,6 +227,27 @@ class TestSummary:
         rows = robustness_summary(list(band_scans.values()))
         for row in rows:
             assert row.min_band_01 >= row.min_band_02 >= row.min_band_03
+
+    def test_rabi_band_order_is_set_at_second_order(self, designs4,
+                                                    band_scans):
+        # the cause of criterion 5's failure, on the report's drive: every
+        # rabi band minimum lies on the band edge delta = +0.2, and the
+        # second-order term q = (2 - F(+h) - F(-h)) / (2 h^2) at h = 1e-2,
+        # where no fringe acts, is already out of order in c
+        h = 1e-2
+        measured = {0.073: 0.2278, 0.060: 0.1190, 0.050: 0.1567, 0.040: 0.1200}
+        q = []
+        for c, (pulse, trajectory) in designs4.items():
+            res = band_scans[(c, "rabi")]
+            edge = res.grid.values() == 0.2
+            assert res.fidelities[edge] == res.min_fidelity_in_band
+            assert np.all(res.fidelities[~edge] > res.min_fidelity_in_band)
+            f = _scan(pulse, TargetState(pulse.beta_final),
+                      [ErrorGrid("rabi", -h, h, 3)], 1,
+                      drive=_drive(trajectory.solution, 2))[0].fidelities
+            q.append((2 - f[0] - f[2]) / (2 * h * h))
+            assert q[-1] == pytest.approx(measured[c], rel=0.01)
+        assert q[0] > q[1] < q[2] > q[3]
 
     def test_area_ordering_across_designs(self, band_scans):
         rows = robustness_summary(
