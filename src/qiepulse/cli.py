@@ -86,6 +86,15 @@ def _parse_range(text: str) -> tuple:
     return lo, hi, n
 
 
+_SUBSTEPS_HELP = ("fourth-order Magnus steps, one exponential each, per "
+                  "interval of the pulse's samples (default 1)")
+
+
+def _sampling(substeps) -> str:
+    """The `# sampling` note of a pulse file's simulate or scan CSV."""
+    return f"pulse samples, linear, magnus4, substeps {substeps}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qiepulse",
@@ -108,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulse", required=True)
     p.add_argument("--delta-omega", type=float, default=0.0)
     p.add_argument("--delta-delta", type=float, default=0.0)
-    p.add_argument("--substeps", type=int, default=2)
+    p.add_argument("--substeps", type=int, default=1, help=_SUBSTEPS_HELP)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("scan", help="systematic-error fidelity scan")
@@ -118,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:n (default -0.5:0.5:101)")
     p.add_argument("--beta-final", type=float, default=None,
                    help="target azimuth override for external pulses")
-    p.add_argument("--substeps", type=int, default=2)
+    p.add_argument("--substeps", type=int, default=1, help=_SUBSTEPS_HELP)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("baseline", help="generate a comparator pulse")
@@ -152,7 +161,8 @@ def _cmd_simulate(args) -> int:
         pulse, error=(args.delta_omega, args.delta_delta),
         substeps=args.substeps,
     )
-    write_trajectory_csv(trajectory, args.out)
+    write_trajectory_csv(trajectory, args.out,
+                         meta={"sampling": _sampling(args.substeps)})
     print(f"final populations: {trajectory.pop1[-1]:.6f}, "
           f"{trajectory.pop2[-1]:.6f}")
     return 0
@@ -169,8 +179,8 @@ def _cmd_scan(args) -> int:
     grid = ErrorGrid(parameter=args.param, lo=lo, hi=hi, n_points=n)
     result = scan_1d(pulse, TargetState(beta_final), grid,
                      substeps=args.substeps)
-    write_scan_csv(result, args.out, meta={
-        "sampling": f"pulse samples, linear, {args.substeps} sub-steps"})
+    write_scan_csv(result, args.out,
+                   meta={"sampling": _sampling(args.substeps)})
     print(f"min fidelity over |delta| <= {BAND_HALF_WIDTH:g}: "
           f"{result.min_fidelity_in_band:.6f}")
     return 0

@@ -100,12 +100,9 @@ CLOCK_TOL, _CLOCK_STEPS = 1e-12, 64
 # of a designed pulse's samples and the interval's exact area; see _refine.
 REFINE_TOL = 1e-4
 
-# The Gauss nodes 1/2 -+ sqrt(3)/6 of an interval, as fractions of it, and
-# the weights of the fourth-order commutator-free Magnus step on them (see
-# _sundman): row k weighs the two nodes in the k-th exponential applied,
-# (a2, a1) and then (a1, a2), with a1,2 = 1/4 -+ sqrt(3)/6
+# The Gauss nodes 1/2 -+ sqrt(3)/6 of an interval, as fractions of it, at
+# which the fourth-order Magnus step takes the fields (see _sundman)
 _GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3) / 6)
-_CF4 = 0.25 + np.array([[1.0, -1.0], [-1.0, 1.0]]) * (math.sqrt(3) / 6)
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
 # its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
@@ -605,10 +602,10 @@ def _clock_end(solution):
 
 def _sundman(solution, m, s_end=None):
     """A design's drive in its Sundman time s, in units of T, as the fourth-
-    order commutator-free Magnus step (CF4) takes it: the ends s of its
-    intervals, at m intervals per accepted step, from s = 0, where t =
-    -kappa, to s_end, s* (_clock_end) unless given, and -Omega dt/4 and
-    Delta dt/4 of the frozen exponentials, two per interval, in the order
+    order Magnus step (M4) takes it: the ends s of its intervals, at m
+    intervals per accepted step, from s = 0, where t = -kappa, to s_end, s*
+    (_clock_end) unless given, and the step fields of one exponential per
+    interval, -Omega dt/4, Delta dt/4 and y (dynamics._fields), in the order
     they are applied.  With m = a/b in lowest terms the i-th end lies i b/a
     steps on, at its fraction of its step linear in s: a whole m splits each
     accepted step into m equal intervals, and m = 1/2 ends an interval at
@@ -619,12 +616,15 @@ def _sundman(solution, m, s_end=None):
     bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds
     psi, is the propagator's with these fields, and an error scale
     (1 + delta) commutes with dt/ds.  Over an interval of width h, with H_1
-    and H_2 the fields at its Gauss nodes 1/2 -+ sqrt(3)/6, CF4 (Blanes &
-    Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J.
-    Comput. Phys. 230, 5930 (2011)) applies exp(-i h (a2 H_1 + a1 H_2)),
-    then exp(-i h (a1 H_1 + a2 H_2)), with a1,2 = 1/4 -+ sqrt(3)/6: each a
-    frozen exponential of averaged fields, linear in them, so a scan of
-    these steps is a scan of the design, to an error that falls as m^-4.
+    and H_2 the fields at its Gauss nodes 1/2 -+ sqrt(3)/6, M4 (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), Omega^[4]) applies
+    exp(-i h (H_1 + H_2) / 2 + (sqrt(3)/12) h^2 [H_1, H_2]).  For this H the
+    commutator is (i/2) (Omega_1 Delta_2 - Omega_2 Delta_1) sigma_y, so the
+    step is one exponential: -(Omega_1 + Omega_2) h/8, (Delta_1 + Delta_2)
+    h/8 and y = (sqrt(3)/48) h^2 (Omega_1 Delta_2 - Omega_2 Delta_1), the
+    first two linear in an error scale each and y in their product, so a
+    scan of these steps is a scan of the design, to an error that falls as
+    m^-4.
     """
     if s_end is None:
         s_end = _clock_end(solution)
@@ -638,10 +638,11 @@ def _sundman(solution, m, s_end=None):
     nodes = (s[:-1, None] + _GAUSS * width[:, None]).ravel()
     tau, _, x = _dense(solution, *_locate(ss, nodes))
     theta_dot = _theta_dot(tau)
-    quarter = width[:, None] / 4
-    omega, delta = (np.sum((theta_dot * f(x)).reshape(-1, 1, 2) * _CF4, axis=2)
-                    * quarter for f in (np.sin, np.cos))
-    return s, -omega.ravel(), delta.ravel()
+    (om1, om2), (de1, de2) = ((theta_dot * f(x)).reshape(-1, 2).T
+                              for f in (np.sin, np.cos))
+    quarter = width / 4
+    return (s, (om1 + om2) / -2 * quarter, (de1 + de2) / 2 * quarter,
+            (om1 * de2 - om2 * de1) * (quarter * quarter * (math.sqrt(3) / 3)))
 
 
 def design_pulse(params: DesignParams):

@@ -5,10 +5,14 @@ The Hamiltonian (hbar = 1, frequencies in units of 1/T) is
     H(t) = (1/2) [[-Delta(t), Omega(t)], [Omega(t), Delta(t)]]
 
 on the basis |1> = (1, 0), |2> = (0, 1).  Each interval of t is cut into
-equal sub-steps, each the exact unitary [[a, b], [-b*, a*]] of the frozen
-Hamiltonian at the sub-step's midpoint fields (linear interpolation, scaled
-by the (1 + delta) error factors).  Sub-steps with Omega = Delta = 0 there are
-the identity and are dropped, so a zero-field gap holds the state bit for bit;
+equal steps, each the exponential of the fourth-order Magnus expansion of
+the linearly interpolated fields over it (M4; Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009); Iserles & Norsett, Phil. Trans. R. Soc. A 357,
+983 (1999)).  For a 2x2 Hamiltonian the expansion's commutator is a single
+sigma_y term, so a step is one exact SU(2) matrix [[a, b], [-b*, a*]]: the
+midpoint fields, each linear in its (1 + delta) error factor, plus a sigma_y
+field, linear in their product.  Steps whose three fields are 0 are the
+identity and are dropped, so a zero-field gap holds the state bit for bit;
 the rest are multiplied in blocks of _BLOCK by pairwise trees (_trees), and
 the scan batch and propagate both take their block products from them.  The
 batch also takes ready step fields (_Steps) in place of a pulse: they skip
@@ -29,7 +33,7 @@ import numpy as np
 from .designer import MAX_SAMPLES, Pulse, _is_count, _value_eq
 from .errors import ParameterError
 
-_BLOCK = 64  # sub-steps per block product; a power of two
+_BLOCK = 64  # steps per block product; a power of two
 _WIDTH = 256  # columns per pass: error rows of the scan, blocks of propagate
 _REV = np.arange(_BLOCK).reshape((2,) * (_BLOCK.bit_length() - 1)).T.ravel()
 
@@ -103,25 +107,33 @@ def _numbers(value, dtype):
 
 
 def _fields(pulse: Pulse, substeps):
-    """A pulse's step fields: -Omega dt/4 and Delta dt/4 at the midpoints
-    of its sub-steps (linear interpolation, dt their width), flat; which
-    of them are kept (a field is not 0 there: the others are exactly the
-    identity), and the count of kept steps up to each sample of t."""
-    if not _is_count(substeps, 2, MAX_SAMPLES // (pulse.t.size - 1)):
-        raise ParameterError(f"substeps must be >= 2 and (samples - 1) x "
+    """A pulse's M4 step fields at substeps equal steps per interval of t,
+    flat: o = -Omega dt/4 and d = Delta dt/4 at each step's midpoint (linear
+    interpolation, dt its width) and y = (dt^2/48) (Omega_a Delta_b -
+    Omega_b Delta_a) of the fields at its ends a and b, which for a linear
+    interpolant is the interval's (Omega_i Delta_i+1 - Omega_i+1 Delta_i)
+    over substeps; which of them are kept (a midpoint field or that
+    interval's Omega_i Delta_i+1 - Omega_i+1 Delta_i is not 0: the others
+    are exactly the identity), and the count of kept steps up to each sample
+    of t."""
+    if not _is_count(substeps, 1, MAX_SAMPLES // (pulse.t.size - 1)):
+        raise ParameterError(f"substeps must be >= 1 and (samples - 1) x "
                              f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
     _finite(("omega", pulse.omega), ("delta", pulse.delta))
+    om0, om1 = pulse.omega[:-1, None], pulse.omega[1:, None]
+    de0, de1 = pulse.delta[:-1, None], pulse.delta[1:, None]
     # what overflows here is inf or nan, which _blocks' bound rejects
     with np.errstate(over="ignore", invalid="ignore"):
         w = (np.arange(substeps) + 0.5) / substeps
-        om = pulse.omega[:-1, None] * (1.0 - w) + pulse.omega[1:, None] * w
-        de = pulse.delta[:-1, None] * (1.0 - w) + pulse.delta[1:, None] * w
-        keep = ((om != 0.0) | (de != 0.0)).ravel()
+        om = om0 * (1.0 - w) + om1 * w
+        de = de0 * (1.0 - w) + de1 * w
         h = np.diff(pulse.t)[:, None] / (4 * substeps)  # a quarter of each width
+        y = (h * om0 * (h * de1) - h * om1 * (h * de0)) / (3 * substeps)
+        keep = ((om != 0.0) | (de != 0.0) | (om0 * de1 != om1 * de0)).ravel()
         np.multiply(de, h, out=de)
         np.multiply(om, np.negative(h, out=h), out=om)
     done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
-    return om.ravel(), de.ravel(), keep, done
+    return om.ravel(), de.ravel(), np.repeat(y, substeps), keep, done
 
 
 def _finite(*named):
@@ -133,43 +145,50 @@ def _finite(*named):
             raise ParameterError(f"{name} is not finite at index {bad[0]}")
 
 
-def _blocks(om, de, keep, scale_omega, scale_delta):
-    """The kept steps of the flat step fields om and de, as _factors takes
+def _blocks(om, de, y, keep, scale_omega, scale_delta):
+    """The kept steps of the flat step fields om, de and y, as _factors takes
     them, front-padded with zero fields to whole blocks and shaped (blocks,
-    _BLOCK).  Each of them times the largest |scale| must be at most 1e150
-    (nan is not): then phi/2 is at most 1.5e150, its tan is finite, and so
-    is every state."""
+    _BLOCK).  Each of om and de times the largest |scale| of its own, and y
+    times the largest |scale_omega x scale_delta|, must be at most 1e150 (nan
+    is not): then phi/2 is at most 1.8e150, its tan is finite, and so is
+    every state."""
     _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
     pad = (-np.count_nonzero(keep) % _BLOCK, 0)
-    om, de = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de))
+    om, de, y = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de, y))
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, x, scale in (("omega", om, scale_omega), ("delta", de, scale_delta)):
+        for name, x, scale in (("omega", om, scale_omega), ("delta", de, scale_delta),
+                               ("omega x delta", y,
+                                np.multiply(scale_omega, scale_delta))):
             if not np.abs(x).max(initial=0.0) * np.abs(scale).max(initial=0.0) <= 1e150:
-                raise ParameterError(f"scaled {name} exceeds 1e150 per sub-step: "
-                                     f"|{name} x scale x dt/4| is squared")
-    return om, de
+                raise ParameterError(f"scaled {name} exceeds 1e150 per step: "
+                                     f"its step field is squared")
+    return om, de, y
 
 
-def _factors(o, so, d, sd, a, b, x):
-    """Cayley-Klein (a, b) of the frozen steps exp(-i H dt) = [[a, b], [-b*, a*]]
-    into a and b (b.real must be 0): a = cos(phi) + i f Delta dt/4,
-    b = -i f Omega dt/4, phi / 2 = sqrt(Omega^2 + Delta^2) dt/4 floored at
-    1e-300, cos and sin from u = tan(phi / 2), f = sin(phi) / (phi / 2):
-    sin(phi) is 0 where the fields are, and where (field dt/4)^2 underflows
-    the step is its first-order rotation (f = 2).  -Omega dt/4 = o so and
-    Delta dt/4 = d sd (o and d as _fields and _blocks give them); x is six
+def _factors(o, so, d, sd, y, sy, a, b, x):
+    """Cayley-Klein (a, b) of the M4 steps exp(2i (w sigma_x + v sigma_y + e
+    sigma_z)) = [[a, b], [-b*, a*]] into a and b: with w = o so = -Omega
+    dt/4, e = d sd = Delta dt/4 and v = y sy (o, d and y as _fields and
+    _blocks give them, sy = so sd), phi / 2 = sqrt(w^2 + e^2 + v^2) floored
+    at 1e-300, a = cos(phi) + i f e and b = f v + i f w, cos and sin from u
+    = tan(phi / 2), f = sin(phi) / (phi / 2): sin(phi) is 0 where the fields
+    are, and where their squares underflow the step is its first-order
+    rotation (f = 2).  x is six
     contiguous real arrays of a's shape, the scratch that every pass but the
-    last three, which write a.real, a.imag and b.imag, works in."""
+    last four, which write a.real, a.imag, b.imag and b.real, works in."""
     w, e, p, s, u, c = x  # -Omega dt/4, Delta dt/4, phi/2, scratch, u, u^2
     np.multiply(o, so, out=w)
     np.multiply(d, sd, out=e)
-    np.sqrt(np.add(np.multiply(w, w, out=p), np.multiply(e, e, out=s), out=p), out=p)
+    np.multiply(y, sy, out=c)
+    np.add(np.multiply(w, w, out=p), np.multiply(e, e, out=s), out=p)
+    np.sqrt(np.add(p, np.multiply(c, c, out=c), out=p), out=p)
     np.tan(np.maximum(p, 1e-300, out=p), out=u)
     np.divide(2.0, np.add(np.multiply(u, u, out=c), 1.0, out=s), out=s)
     np.subtract(1.0, np.multiply(c, s, out=c), out=a.real)
     np.divide(np.multiply(u, s, out=u), p, out=u)
     np.multiply(u, e, out=a.imag)
     np.multiply(u, w, out=b.imag)
+    np.multiply(u, np.multiply(y, sy, out=s), out=b.real)
 
 
 def _reals(z):
@@ -202,10 +221,10 @@ def _zeros(shape, dtype=float):
     return raw[start:start + size].view(dtype).reshape(shape)
 
 
-def _trees(om, de, so, sd):
+def _trees(om, de, y, so, sd):
     """Yield each block's pairwise tree, a heap on axis 1 of one buffer:
     step k's factor at _BLOCK + _REV[k], level m at [m, 2m) (two contiguous
-    halves of the level below) and the block's product at 1.  om and de
+    halves of the level below) and the block's product at 1.  om, de and y
     hold the blocks on axis 0, their steps in _REV order on axis 1 and the
     columns on axis 2, broadcast with so and sd; each level's _mul operands
     are views made once, not sliced anew for every block.  The heap and the
@@ -219,30 +238,32 @@ def _trees(om, de, so, sd):
     x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
     levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
               for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
-    for o, d in zip(om, de):
-        _factors(o, so, d, sd, *ab[:, _BLOCK:], x)
+    sy = np.multiply(so, sd)
+    for o, d, v in zip(om, de, y):
+        _factors(o, so, d, sd, v, sy, *ab[:, _BLOCK:], x)
         for level in levels:
             _mul(*level)
         yield ab
 
 
 class _Steps(NamedTuple):
-    """Ready step fields for final_states_over_errors: -Omega dt/4 and
-    Delta dt/4 of frozen exponentials, in the order they are applied,
-    after one step with zero fields (the identity, which _blocks drops).
-    As for a pulse's samples at one sub-step per interval, omega.size - 1
-    is the count of exponentials."""
+    """Ready M4 step fields for final_states_over_errors: -Omega dt/4,
+    Delta dt/4 and the sigma_y field y of each exponential (as _fields
+    gives them), in the order they are applied, after one step with zero
+    fields (the identity, which _blocks drops).  As for a pulse's samples at
+    one step per interval, omega.size - 1 is the count of exponentials."""
 
     omega: np.ndarray
     delta: np.ndarray
+    y: np.ndarray
 
 
 def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
-                             substeps: int = 2) -> np.ndarray:
+                             substeps: int = 1) -> np.ndarray:
     """Final states for a batch of multiplicative field scalings.
 
-    pulse is a Pulse, propagated at substeps sub-steps per interval, or
-    ready _Steps, at substeps = 1.  scale_omega/scale_delta are aligned 1-D
+    pulse is a Pulse, propagated at substeps M4 steps per interval, or ready
+    _Steps, at substeps = 1.  scale_omega/scale_delta are aligned 1-D
     arrays of (1 + delta) factors.  Each row is computed exactly as a batch
     of one would be: a column of the trees per row, _WIDTH rows a pass.
     """
@@ -252,29 +273,29 @@ def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
     if isinstance(pulse, _Steps):
         if substeps != 1:
             raise ParameterError(f"ready steps take substeps = 1, got {substeps!r}")
-        om, de = pulse
-        keep = (om != 0.0) | (de != 0.0)
+        om, de, y = pulse
+        keep = (om != 0.0) | (de != 0.0) | (y != 0.0)
     else:
-        om, de, keep = _fields(pulse, substeps)[:3]
-    om, de = (x[:, _REV, None] for x in
-              _blocks(om, de, keep, scale_omega, scale_delta))
+        om, de, y, keep = _fields(pulse, substeps)[:4]
+    om, de, y = (x[:, _REV, None] for x in
+                 _blocks(om, de, y, keep, scale_omega, scale_delta))
     for r in range(0, scale_omega.size, _WIDTH):
-        rows, so, sd = (y[r:r + _WIDTH] for y in (psi, scale_omega, scale_delta))
-        for ab in _trees(om, de, so, sd):
+        rows, so, sd = (v[r:r + _WIDTH] for v in (psi, scale_omega, scale_delta))
+        for ab in _trees(om, de, y, so, sd):
             rows[:] = _apply(*ab[:, 1], rows)
         ab = None  # free this pass's heap before the next builds its own
     return psi
 
 
 def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
-              substeps: int = 2) -> StateTrajectory:
+              substeps: int = 1) -> StateTrajectory:
     """Propagate through the sampled pulse and record diagnostics.
 
     initial is a normalized 2-vector (|1> by default).  error =
     (delta_omega, delta_delta) applies the multiplicative systematic errors
-    Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.  At least
-    2 sub-steps per interval of t are required.  Other shapes and values
-    raise ParameterError.
+    Omega -> (1+delta_omega) Omega, Delta -> (1+delta_delta) Delta.  Each
+    interval of t is taken in substeps M4 steps (at least 1).  Other shapes
+    and values raise ParameterError.
     """
     err, es = _numbers(error, float)
     psi, ps = _numbers(ket1() if initial is None else initial, complex)
@@ -289,14 +310,15 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         raise ParameterError("initial state must be finite and normalized")
 
     scale_omega, scale_delta = 1.0 + err
-    om, de, keep, done = _fields(pulse, substeps)
-    om, de = _blocks(om, de, keep, scale_omega, scale_delta)
-    om, de = (x.T[None, _REV] for x in (om, de))  # a column per block
+    *fields, keep, done = _fields(pulse, substeps)
+    fields = [x.T[None, _REV] for x in  # a column per block
+              _blocks(*fields, keep, scale_omega, scale_delta)]
+    n_blocks = fields[0].shape[2]
     # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
-    states = np.empty((om.shape[2] + 1, _BLOCK, 2), dtype=complex)
+    states = np.empty((n_blocks + 1, _BLOCK, 2), dtype=complex)
     states[0, -1] = psi
-    for g in range(0, om.shape[2], _WIDTH):
-        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in (om, de)),
+    for g in range(0, n_blocks, _WIDTH):
+        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in fields),
                          scale_omega, scale_delta))
         ends = [states[g, -1:]]  # the block products chained as the batch's
         for j in range(ab.shape[2]):
@@ -306,7 +328,8 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         for k in range(_BLOCK - 1):  # the steps inside all blocks at once
             s = states[blocks, k] = _apply(*ab[:, _BLOCK + _REV[k]], s)
         ab = None  # free this pass's heap before the next builds its own
-    at = np.where(done > 0, done + om.size - done[-1], 0)  # padding included
+    fields = None  # and the step fields before the diagnostics' O(n) arrays
+    at = np.where(done > 0, done + n_blocks * _BLOCK - done[-1], 0)  # padding included
     states = states.reshape(-1, 2)[at + _BLOCK - 1]
 
     pop1, pop2 = np.abs(states.T) ** 2

@@ -476,9 +476,11 @@ def write_scan_csv(result: ScanResult, path, precision: int = 12,
                [result.grid.values(), result.fidelities], precision)
 
 
-def write_trajectory_csv(trajectory, path, precision: int = 12) -> None:
-    """Serialize a propagation record (populations, Bloch, branch pops)."""
-    _write_csv(path, {}, TRAJECTORY_COLUMNS,
+def write_trajectory_csv(trajectory, path, precision: int = 12,
+                         meta: Optional[dict] = None) -> None:
+    """Serialize a propagation record (populations, Bloch, branch pops),
+    after meta's items as '#' metadata (simulate's sampling)."""
+    _write_csv(path, meta or {}, TRAJECTORY_COLUMNS,
                [trajectory.t, trajectory.pop1, trajectory.pop2,
                 trajectory.bloch_u, trajectory.bloch_v, trajectory.bloch_w,
                 trajectory.adiab_pop_minus, trajectory.adiab_pop_plus],

@@ -34,7 +34,7 @@ BAND_HALF_WIDTH = 0.2  # |delta| band for min_fidelity_in_band
 # as much, and max |F2 - F1/2| / 255 estimates the scan's
 _INTERVALS, _ESTIMATE_INTERVALS, _SHRINK = 2, 0.5, 255
 _ESTIMATOR = f"max|F{_INTERVALS} - F1/2|/{_SHRINK}"
-_SAMPLING = f"sundman cf4, {_INTERVALS} intervals per accepted step"
+_SAMPLING = f"sundman magnus4, {_INTERVALS} intervals per accepted step"
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _band_min(deltas, fids, half_width):
     return float(np.min(fids[mask])) if np.any(mask) else float("nan")
 
 
-def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
+def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 1,
             protocol_label: Optional[str] = None) -> ScanResult:
     """Fidelity versus systematic error over one grid.
 
@@ -120,7 +120,7 @@ def scan_1d(pulse: Pulse, target, grid: ErrorGrid, substeps: int = 2,
     return _scan(pulse, target, [grid], substeps, protocol_label)[0]
 
 
-def _scan(pulse: Pulse, target, grids, substeps: int = 2,
+def _scan(pulse: Pulse, target, grids, substeps: int = 1,
           protocol_label: Optional[str] = None, drive=None) -> List[ScanResult]:
     """scan_1d over several grids of one pulse, run as one batch: each row
     is computed as a batch of one would be, so every result is the one
@@ -151,22 +151,21 @@ def _drive(solution, m, s_end=None):
     """A design's drive in its Sundman time (designer._sundman) at m
     intervals per accepted step of its run, up to s_end (s* unless given),
     as the ready dynamics._Steps it is scanned by."""
-    omega, delta = _sundman(solution, m, s_end)[1:]
-    return _Steps(np.append(0.0, omega), np.append(0.0, delta))
+    return _Steps(*(np.append(0.0, x) for x in _sundman(solution, m, s_end)[1:]))
 
 
 def _design_scans(pulse: Pulse, trajectory, grids):
     """A design's scans over its grids, each with its estimated error, and
     the exponentials per error row of the scan and of the estimate's scan.
 
-    A scan is the design's drive by fourth-order commutator-free Magnus
-    steps at _INTERVALS intervals per accepted step (_drive), its grids in
-    one batch, against the design's target.  The error falls as m^-4 in
-    the intervals per step m, so the scan at _ESTIMATE_INTERVALS, one
-    interval per two steps, is off by 256 times as much, and
-    max |F_2 - F_1/2| / 255 estimates the scan's.  Both drives end at the
-    same s*, found once.  The exponentials per row are the drives' counts
-    (dynamics._Steps)."""
+    A scan is the design's drive by fourth-order Magnus steps, one
+    exponential each, at _INTERVALS intervals per accepted step (_drive),
+    its grids in one batch, against the design's target.  The error falls
+    as m^-4 in the intervals per step m, so the scan at
+    _ESTIMATE_INTERVALS, one interval per two steps, is off by 256 times as
+    much, and max |F_2 - F_1/2| / 255 estimates the scan's.  Both drives
+    end at the same s*, found once.  The exponentials per row are the
+    drives' counts (dynamics._Steps)."""
     solution = trajectory.solution
     s_end = _clock_end(solution)
     target = TargetState(pulse.beta_final)

@@ -3,6 +3,7 @@ lists, and the functions the traced benchmark run wraps (bench/layers.py),
 which must keep existing under the names it looks them up by."""
 
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -110,6 +111,42 @@ def test_benchmark_tracer_installs_and_restores():
         assert all(getattr(module, name) is value for name, value in names.items())
 
 
+def test_work_figure_counts_the_kept_exponentials(monkeypatch):
+    # bench/layers.py counts (pulse.omega.size - 1) x substeps exponentials
+    # per row from the arguments named pulse and substeps: for a pulse with
+    # no zero-field interval at 1, 2 and 3 steps per interval, and for a
+    # report drive (dynamics._Steps, its leading zero step dropped), that
+    # is the count of steps _blocks keeps
+    import qiepulse.dynamics as dynamics
+    from qiepulse.robustness import _drive
+
+    kept, blocks = [], dynamics._blocks
+
+    def counted(om, de, y, keep, scale_omega, scale_delta):
+        kept.append(np.count_nonzero(keep))
+        return blocks(om, de, y, keep, scale_omega, scale_delta)
+
+    monkeypatch.setattr(dynamics, "_blocks", counted)
+    figure = runpy.run_path(str(LAYERS))["_propagate_steps"]
+    pulse, trajectory = qiepulse.design_pulse(
+        qiepulse.DesignParams(c=0.073, n_samples=101))
+    assert np.all((pulse.omega != 0.0) | (pulse.delta != 0.0))
+    drive = _drive(trajectory.solution, 2)
+    assert drive.omega[0] == drive.delta[0] == drive.y[0] == 0.0
+    for run, names in ((dynamics.final_states_over_errors,
+                        {"pulse", "substeps", "scale_omega"}),
+                       (dynamics.propagate, {"pulse", "substeps"})):
+        assert names <= set(inspect.signature(run).parameters)
+    for given, substeps in [(pulse, 1), (pulse, 2), (pulse, 3), (drive, 1)]:
+        kept.clear()
+        dynamics.final_states_over_errors(given, qiepulse.ket1(), [1.0, 1.1],
+                                          [1.0, 0.9], substeps)
+        if given is pulse:  # propagate takes pulses only
+            qiepulse.propagate(given, substeps=substeps)
+        work = figure({"pulse": given, "substeps": substeps})
+        assert kept == [work] * (1 + (given is pulse))
+
+
 def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
     # a small report with every benchmark layer wrapped exits 0, calls
     # final_states_over_errors 9 times (two scans of each of the 4 designs,
@@ -120,9 +157,9 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
 
     applied, blocks = [], dynamics._blocks
 
-    def counted(om, de, keep, scale_omega, scale_delta):
+    def counted(om, de, y, keep, scale_omega, scale_delta):
         applied.append(np.size(scale_omega) * np.count_nonzero(keep))
-        return blocks(om, de, keep, scale_omega, scale_delta)
+        return blocks(om, de, y, keep, scale_omega, scale_delta)
 
     monkeypatch.setattr(dynamics, "_blocks", counted)
     grid = {"lo": -0.5, "hi": 0.5, "n_points": 21}

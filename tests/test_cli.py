@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qiepulse.designer as designer
 from qiepulse import (
@@ -237,8 +238,9 @@ class TestSimulateCommand:
                    "--out", str(out)])
         assert rc == 0
         assert "final populations:" in capsys.readouterr().out
-        header = out.read_text().splitlines()[0]
-        assert header == "t,pop1,pop2,u,v,w,p_minus,p_plus"
+        assert out.read_text().splitlines()[:2] == [
+            "# sampling = pulse samples, linear, magnus4, substeps 1",
+            "t,pop1,pop2,u,v,w,p_minus,p_plus"]
 
     def test_missing_pulse_file(self, tmp_path, capsys):
         rc = main(["simulate", "--pulse", str(tmp_path / "absent.csv"),
@@ -310,8 +312,9 @@ class TestScanCommand:
         assert len(rows) == 5
 
     def test_every_scan_csv_names_its_sampling(self, tmp_path, capsys):
-        # a report scans each design's Sundman-time drive; `scan` scans a
-        # pulse file's samples, linearly interpolated, at its sub-steps
+        # a report scans each design's Sundman-time drive; `scan` and
+        # `simulate` take a pulse file's samples, linearly interpolated, at
+        # their M4 intervals per sample interval
         config = tmp_path / "run.json"
         grid = {"lo": -0.1, "hi": 0.1, "n_points": 3}
         config.write_text(json.dumps({
@@ -322,16 +325,59 @@ class TestScanCommand:
         assert len(scans) == 8
         for path in scans:
             assert path.read_text().splitlines()[4] == (
-                "# sampling = sundman cf4, 2 intervals per accepted step")
+                "# sampling = sundman magnus4, 2 intervals per accepted step")
         for substeps in (2, 3):
             out = tmp_path / f"file_scan_{substeps}.csv"
             assert main(["scan", "--pulse", str(tmp_path / "pulse_c0.073.csv"),
                          "--param", "rabi", "--range=-0.1:0.1:3",
                          "--substeps", str(substeps), "--out", str(out)]) == 0
-            assert out.read_text().splitlines()[4:6] == [
-                f"# sampling = pulse samples, linear, {substeps} sub-steps",
-                "delta,fidelity"]
+            sampling = f"# sampling = pulse samples, linear, magnus4, substeps {substeps}"
+            assert out.read_text().splitlines()[4:6] == [sampling,
+                                                         "delta,fidelity"]
+            out = tmp_path / f"trajectory_{substeps}.csv"
+            assert main(["simulate", "--pulse", str(tmp_path / "pulse_c0.073.csv"),
+                         "--substeps", str(substeps), "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[0] == sampling
         capsys.readouterr()
+
+    def test_file_scan_matches_an_independent_reference(self, report_21,
+                                                        tmp_path, capsys):
+        # at the default substeps, both scans of a 401-sample designed file
+        # lie within 2e-8 of its linearly interpolated fields propagated by
+        # scipy's expm of the frozen Hamiltonian at the midpoints of 64
+        # sub-steps per interval (8e-9 of its own error at most); midpoint
+        # sub-steps at 2 per interval were up to 8.5e-6 away, and M4 steps
+        # with the sign of their sigma_y field flipped are 2.6e-5 away
+        path = report_21 / "pulse_c0.073.csv"
+        pulse = read_pulse_csv(path)
+        deltas = np.array([-0.5, 0.0, 0.5])
+        scans = {}
+        for parameter in ("rabi", "detuning"):
+            out = tmp_path / f"{parameter}.csv"
+            assert main(["scan", "--pulse", str(path), "--param", parameter,
+                         "--range=-0.5:0.5:3", "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            rows = lines[lines.index("delta,fidelity") + 1:]
+            scans[parameter] = np.array([float(r.split(",")[1]) for r in rows])
+        capsys.readouterr()
+        # rows: rabi -0.5, 0, 0.5, then detuning -0.5, 0.5
+        so = np.r_[1 + deltas, 1.0, 1.0]
+        sd = np.r_[1.0, 1.0, 1.0, 1 + deltas[[0, 2]]]
+        w = (np.arange(64) + 0.5) / 64
+        psi = np.tile([1.0 + 0j, 0.0], (so.size, 1))
+        for i in range(pulse.t.size - 1):
+            om, de = ((x[i] * (1 - w) + x[i + 1] * w) * scale[:, None]
+                      for x, scale in ((pulse.omega, so), (pulse.delta, sd)))
+            ham = 0.5 * np.stack([np.stack([-de, om], -1),
+                                  np.stack([om, de], -1)], -2)
+            for u in np.moveaxis(expm(-1j * (pulse.t[i + 1] - pulse.t[i]) / 64
+                                      * ham), 1, 0):
+                psi = np.einsum("rij,rj->ri", u, psi)
+        target = np.exp(0.5j * pulse.beta_final * np.array([-1, 1])) / np.sqrt(2)
+        reference = np.abs(psi @ target.conj()) ** 2
+        np.testing.assert_allclose(scans["rabi"], reference[:3], rtol=0, atol=2e-8)
+        np.testing.assert_allclose(scans["detuning"], reference[[3, 1, 4]],
+                                   rtol=0, atol=2e-8)
 
     def test_malformed_range(self, pulse_file, tmp_path, capsys):
         rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
@@ -603,15 +649,15 @@ class TestReportCommand:
                 meta = lines.splitlines()[:6]
                 assert meta[0] == f"# protocol = qie c={c}"
                 assert meta[2] == f"# area = {pulse.area!r}"
-                assert meta[4] == ("# sampling = sundman cf4, 2 intervals "
+                assert meta[4] == ("# sampling = sundman magnus4, 2 intervals "
                                    "per accepted step")
                 assert 0 < float(meta[5].split(" = ")[1]) < 1e-8
 
     def test_report_scan_error_estimate(self, tmp_path, capsys):
-        # c = 0.073, rabi: the scan is the design's CF4 drive at 2 intervals
+        # c = 0.073, rabi: the scan is the design's M4 drive at 2 intervals
         # a step, within 1e-8 of it at 16 (and of the t-sampled pulse's
         # scan, 9e-5 away, much nearer); the printed estimate
-        # max |F2 - F1| / 15 is within 1.5x of that true gap
+        # max |F2 - F1/2| / 255 is within 1.5x of that true gap
         out_dir = tmp_path / "out"
         config = {
             "design": {"c": 0.073, "n_samples": 401},
@@ -649,7 +695,7 @@ class TestReportCommand:
     def test_report_scan_error_estimates(self, report_21, designs4):
         # every report scan, 4 c by 2 parameters: the printed estimate
         # max |F2 - F1/2| / 255 is within 1.5x of the scan's true gap, to
-        # the design's CF4 drive at 16 intervals a step
+        # the design's M4 drive at 16 intervals a step
         grids = [ErrorGrid(parameter, -0.5, 0.5, 21)
                  for parameter in ("rabi", "detuning")]
         summary = (report_21 / "summary.txt").read_text()
@@ -692,10 +738,10 @@ class TestReportCommand:
             assert row.split() == [f"{c:g}", str(solution.nfev), str(steps),
                                    str(solution.rejected), str(scan),
                                    str(estimate)]
-            # two exponentials per interval: 2 intervals in each step but
+            # one exponential per interval: 2 intervals in each step but
             # the part of the last past s*, and one per two steps
-            assert 4 * (steps - 1) < scan <= 4 * steps
-            assert estimate == 2 * -(-steps // 2)
+            assert 2 * (steps - 1) < scan <= 2 * steps
+            assert estimate == -(-steps // 2)
         for line in lines[start - 1:start + 6]:
             assert line.rsplit(" ", 1)[-1] not in ("LR", "L-", "-R", "--")
 

@@ -1364,11 +1364,11 @@ class TestSolution:
 
 class TestSundman:
     """designer._sundman: the design's drive in its Sundman time, as the
-    fourth-order commutator-free Magnus step (CF4) takes it."""
+    fourth-order Magnus step (M4) takes it, one exponential per interval."""
 
     @staticmethod
     def scan(trajectory, m, target, scales):
-        """Final fidelities of the CF4 drive at m intervals per accepted
+        """Final fidelities of the M4 drive at m intervals per accepted
         step, over the (scale_omega, scale_delta) rows."""
         drive = _drive(trajectory.solution, m)
         return fidelity(final_states_over_errors(drive, ket1(), *scales, 1),
@@ -1379,7 +1379,7 @@ class TestSundman:
     def test_nodes_and_fields(self, c, m):
         _, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
         solution = trajectory.solution
-        s, omega, delta = designer._sundman(solution, m)
+        s, omega, delta, y = designer._sundman(solution, m)
         assert s[0] == 0.0 and np.all(np.diff(s) > 0)
         steps = solution.ss.size - 1
         inner = s[:-1]
@@ -1396,28 +1396,37 @@ class TestSundman:
         # is the drive without it, bit for bit
         given = designer._sundman(solution, m, designer._clock_end(solution))
         assert [a.tobytes() for a in given] == [a.tobytes() for a in
-                                                (s, omega, delta)]
+                                                (s, omega, delta, y)]
         # the clock: -kappa at the start, kappa within CLOCK_TOL at s*
         clock = _dense(solution, *_locate(solution.ss, s[[0, -1]]))[0]
         assert clock[0] == -4.0
         assert abs(clock[1] - 4.0) <= designer.CLOCK_TOL
         assert solution.ss[-2] < s[-1] <= solution.ss[-1]
-        # no spike: theta_dot (sin x, cos x) is at most sqrt(pi)/2; two
-        # exponentials per interval, each of averages of two such with
-        # weights a2 and a1 (|a1| + |a2| = sqrt(3)/3), times a quarter of
-        # the width h
-        assert omega.shape == delta.shape == (2 * (s.size - 1),)
-        h = np.repeat(np.diff(s), 2)
-        gap = np.hypot(omega, delta)
-        assert np.all(gap <= math.sqrt(math.pi) / 2 * h)
-        assert np.all(gap <= math.sqrt(math.pi) / 2 * math.sqrt(3) / 3 * h / 4
+        # no spike: theta_dot (sin x, cos x) is at most sqrt(pi)/2; one
+        # exponential per interval, of the mean of two such at the Gauss
+        # nodes times a quarter of the width h, and of y = (sqrt(3)/48) h^2
+        # (Omega_1 Delta_2 - Omega_2 Delta_1), at most (sqrt(3)/48) h^2 pi/4
+        assert omega.shape == delta.shape == y.shape == (s.size - 1,)
+        h = np.diff(s)
+        assert np.all(np.hypot(omega, delta) <= math.sqrt(math.pi) / 2 * h / 4
+                      * (1 + 1e-15))
+        assert np.all(np.abs(y) <= math.sqrt(3) / 48 * h ** 2 * math.pi / 4
                       * (1 + 1e-15))
         assert np.all(omega < 0)  # -Omega dt/4, and Omega dt/ds > 0
+        # the fields as the docstring states them, from the nodes' fields
+        nodes = (s[:-1, None] + designer._GAUSS * h[:, None]).ravel()
+        tau, _, x = _dense(solution, *_locate(solution.ss, nodes))
+        (o1, o2), (d1, d2) = ((designer._theta_dot(tau) * f(x)).reshape(-1, 2).T
+                              for f in (np.sin, np.cos))
+        np.testing.assert_allclose(omega, -(o1 + o2) * h / 8, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(delta, (d1 + d2) * h / 8, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(y, math.sqrt(3) / 48 * h ** 2
+                                   * (o1 * d2 - o2 * d1), rtol=1e-12, atol=1e-30)
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
     def test_fourth_order(self, c):
         # each halving of the interval divides the gap to the m = 32 scan by
-        # about 2^4 = 16 (15.7 to 16.0 measured)
+        # about 2^4 = 16 (15.8 to 16.0 measured)
         pulse, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
         d = np.linspace(-0.5, 0.5, 21)
         scales = (np.r_[1 + d, np.ones(21)], np.r_[np.ones(21), 1 + d])

@@ -50,8 +50,8 @@ def field_pulse(omega, delta, duration=1.0):
 
 
 def flat_pulse(omega, delta, n=11):
-    """Constant fields over [0, 1]; frozen steps of a constant Hamiltonian
-    are exact, so closed forms hold at any sub-step count."""
+    """Constant fields over [0, 1]; the steps of a constant Hamiltonian (no
+    sigma_y field) are exact, so closed forms hold at any step count."""
     return field_pulse(np.full(n, float(omega)), np.full(n, float(delta)))
 
 
@@ -86,8 +86,8 @@ class TestStates:
 
 
 class TestStepEvolve:
-    """The exact frozen-Hamiltonian step, through propagate and the batched
-    final_states_over_errors."""
+    """The exact exponential of each M4 step, through propagate and the
+    batched final_states_over_errors."""
 
     def test_free_evolution_is_identity(self):
         psi = angle_state(0.7, 0.3)
@@ -128,8 +128,8 @@ class TestStepEvolve:
                                    atol=1e-12)
 
     def test_explicit_axis_steps_each_interval_by_its_width(self):
-        # resonant drive: every step commutes, and midpoint sub-steps of the
-        # linear interpolant rotate by exactly its trapezoid area
+        # resonant drive: every step commutes, has no sigma_y field, and
+        # rotates by exactly the linear interpolant's trapezoid area
         t = np.array([0.0, 0.1, 0.5, 1.0])
         omega = np.array([1.0, 3.0, 2.0, 0.5])
         pulse = Pulse(t=t, omega=omega, delta=np.zeros(4), area=float("nan"),
@@ -155,16 +155,18 @@ class TestStepEvolve:
 
 
     def test_overflowing_field_rejected(self):
-        # the kernel squares each sub-step's scaled field, -Omega dt/4 and
-        # Delta dt/4, so they are bounded by 1e150; here dt/4 = 0.0125 and
-        # the sub-steps next to omega[4] take 0.75 of it: 9.4e149
+        # the kernel squares each step's scaled fields, -Omega dt/4, Delta
+        # dt/4 and y, so they are bounded by 1e150; here, at 2 steps per
+        # interval, dt/4 = 0.0125 and the steps next to omega[4] take 0.75
+        # of it: 9.4e149
         omega = np.ones(11)
         omega[4] = 1e152
-        assert np.all(np.isfinite(propagate(field_pulse(omega, np.zeros(11))).states))
-        bound = "exceeds 1e150 per sub-step"
+        assert np.all(np.isfinite(propagate(field_pulse(omega, np.zeros(11)),
+                                            substeps=2).states))
+        bound = "exceeds 1e150 per step"
         with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
             final_states_over_errors(field_pulse(omega, np.zeros(11)), ket1(),
-                                     [1.0, 1.1], [1.0, 1.0])
+                                     [1.0, 1.1], [1.0, 1.0], 2)
         with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
             propagate(field_pulse(np.ones(11), np.full(11, 1e153)))
         # small fields over spacings whose step fields, or whose widths,
@@ -177,22 +179,42 @@ class TestStepEvolve:
                 propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
         # ready steps take the same tail: the bound, nan and the scales'
         # finiteness alike; 1e150 itself passes
-        ready = _Steps(np.array([0.0, 1e150, -1.0]), np.array([0.0, 1.0, 0.0]))
+        ready = _Steps(np.array([0.0, 1e150, -1.0]), np.array([0.0, 1.0, 0.0]),
+                       np.zeros(3))
         assert np.all(np.isfinite(
             final_states_over_errors(ready, ket1(), [1.0], [1.0], 1)))
         with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
             final_states_over_errors(ready, ket1(), [1.0, 1.1], [1.0, 1.0], 1)
         with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
-            final_states_over_errors(_Steps(np.zeros(3), np.array([0.0, 1.0, np.nan])),
+            final_states_over_errors(_Steps(np.zeros(3), np.array([0.0, 1.0, np.nan]),
+                                            np.zeros(3)),
                                      ket1(), [1.0], [1.0], 1)
         with pytest.raises(ParameterError,
                            match="scale_delta is not finite at index 0"):
             final_states_over_errors(ready, ket1(), [1.0], [np.inf], 1)
         with pytest.raises(ParameterError, match="ready steps take substeps = 1"):
-            final_states_over_errors(ready, ket1(), [1.0], [1.0])
+            final_states_over_errors(ready, ket1(), [1.0], [1.0], 2)
+        # the sigma_y field is bounded times both scales: |y so sd| of
+        # 1e150 passes, of 1e150 x 1.1 x 0.95 = 1.045e150 does not, and
+        # scales whose product overflows are nan against y = 0
+        crossed = _Steps(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                         np.array([0.0, -1e150]))
+        assert np.all(np.isfinite(
+            final_states_over_errors(crossed, ket1(), [1.0, -1.0], [1.0, -1.0])))
+        tiny = _Steps(np.array([0.0, 1e-300]), np.array([0.0, 1e-300]), np.zeros(2))
+        for steps, so, sd in ((crossed, [1.0, 1.1], [1.0, 0.95]),
+                              (tiny, [1e300], [1e10])):
+            with pytest.raises(ParameterError,
+                               match=f"scaled omega x delta {bound}"):
+                final_states_over_errors(steps, ket1(), so, sd)
+        # a pulse whose folded Omega and Delta are 1.25e139 but whose y,
+        # (dt/4)^2 Omega_0 Delta_1 / 3, is 2.1e278
+        with pytest.raises(ParameterError, match=f"scaled omega x delta {bound}"):
+            propagate(axis_pulse([0.0, 1e100, 2e100], [1e40, 0.0, 0.0],
+                                 [0.0, 1e40, 0.0]))
 
     def test_branch_populations_of_overflowing_scaled_fields(self):
-        # sub-steps of 5e-301 keep the kernel's fields within its bound,
+        # steps of 1e-300 keep the kernel's fields within its bound,
         # but 3 x 1.7e308 and 2 x 1.7e308 overflow: the first sample's mixing
         # angle is still atan2(3, 2), the others' as computed directly, and
         # nothing overflows (RuntimeWarnings are errors here)
@@ -231,7 +253,7 @@ class TestStepEvolve:
         scale = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
         so, sd = np.array(data.draw(st.lists(st.tuples(scale, scale),
                                              min_size=1, max_size=3))).T
-        substeps = data.draw(st.integers(2, 4))
+        substeps = data.draw(st.integers(1, 4))
         target = data.draw(st.floats(-10.0, 10.0))
         runs = [lambda: final_states_over_errors(pulse, ket1(), so, sd, substeps)]
         runs += [lambda e=e: propagate(pulse, error=e, substeps=substeps).states
@@ -280,17 +302,16 @@ class TestPropagate:
         assert np.all(np.isnan(traj.adiab_pop_plus))
 
     def test_substeps_floor(self):
-        with pytest.raises(ParameterError):
-            propagate(flat_pulse(0.0, 0.0), substeps=1)
-        # counts are integers, of Python or numpy, in every entry point
+        # counts are integers of at least 1, of Python or numpy, in every
+        # entry point
         pulse = flat_pulse(1.0, 0.0)
-        for substeps in (2.5, 2.0, "2", None):
+        for substeps in (2.5, 2.0, "2", None, 0, -1):
             for run in (lambda: propagate(pulse, substeps=substeps),
                         lambda: final_states_over_errors(pulse, ket1(), [1.0], [1.0],
                                                          substeps),
                         lambda: scan_1d(pulse, 0.3, ErrorGrid("rabi", -0.1, 0.1, 3),
                                         substeps)):
-                with pytest.raises(ParameterError, match="substeps must be >= 2"):
+                with pytest.raises(ParameterError, match="substeps must be >= 1"):
                     run()
         np.testing.assert_array_equal(propagate(pulse, substeps=np.int64(3)).states,
                                       propagate(pulse, substeps=3).states)
@@ -389,13 +410,16 @@ class TestPropagate:
         )
         assert dev <= 1e-3
 
-    def test_substep_convergence_order(self, design_zero):
-        # midpoint-sampled frozen steps are second order in the sub-step
-        pulse, _ = design_zero
+    def test_substep_convergence_order(self):
+        # M4 steps of the linear interpolant are fourth order in the step
+        # (16.0 measured); at the default 4001 samples one step per interval
+        # is already within round-off (1.3e-13) of 16
+        pulse, _ = design_pulse(DesignParams(c=0.073, beta_rate_init="zero",
+                                             n_samples=201))
         ref = propagate(pulse, substeps=16).states[-1]
+        e1 = np.linalg.norm(propagate(pulse, substeps=1).states[-1] - ref)
         e2 = np.linalg.norm(propagate(pulse, substeps=2).states[-1] - ref)
-        e4 = np.linalg.norm(propagate(pulse, substeps=4).states[-1] - ref)
-        assert e2 / e4 >= 3.0
+        assert e1 / e2 >= 12.0
 
     def test_followed_branch_stays_populated(self, designs4):
         pulse, _ = designs4[0.073]
@@ -606,10 +630,10 @@ class TestBloch:
                                        bloch_from_state(psi), atol=1e-15)
 
 
-# fields with exact zeros mixed in, so zero-field sub-steps occur at random
+# fields with exact zeros mixed in, so zero-field steps occur at random
 FIELDS = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
 ERRORS = st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3)
-# sub-step counts (at substeps = 2) below, at and between block multiples
+# step counts (at substeps = 1) below, at and between block multiples
 STEP_COUNTS = [4, _BLOCK - 2, _BLOCK, _BLOCK + 6, 2 * _BLOCK, 2 * _BLOCK + 34,
                3 * _BLOCK]
 
@@ -621,14 +645,19 @@ def random_axis_pulse(draw, n, fields=FIELDS):
     return axis_pulse(t, draw(samples), draw(samples))
 
 
-def stepwise_states(pulse, initial, error, substeps=2):
-    """State at every sample, by a plain product of the frozen sub-step
-    exponentials applied one at a time."""
-    w = (np.arange(substeps) + 0.5) / substeps
+def stepwise_states(pulse, initial, error, substeps=1):
+    """State at every sample, by a plain product of the steps' exponentials
+    applied one at a time: each step of width h is expm of the fourth-order
+    Magnus exponent of the linearly interpolated (scaled) Hamiltonian,
+    -i h (H_a + H_b) / 2 + (h^2 / 12) [H_a, H_b] with H_a and H_b at its
+    ends, as matrices."""
+    w = np.arange(substeps + 1) / substeps
     om = (1.0 + error[0]) * (np.outer(pulse.omega[:-1], 1 - w) + np.outer(pulse.omega[1:], w))
     de = (1.0 + error[1]) * (np.outer(pulse.delta[:-1], 1 - w) + np.outer(pulse.delta[1:], w))
-    h = 0.5 * np.stack([np.stack([-de, om], -1), np.stack([om, de], -1)], -2)
-    steps = expm(-1j * h * (np.diff(pulse.t) / substeps)[:, None, None, None])
+    ham = 0.5 * np.stack([np.stack([-de, om], -1), np.stack([om, de], -1)], -2)
+    ha, hb = ham[:, :-1], ham[:, 1:]
+    h = (np.diff(pulse.t) / substeps)[:, None, None, None]
+    steps = expm(-0.5j * h * (ha + hb) + h ** 2 / 12 * (ha @ hb - hb @ ha))
     states = [np.asarray(initial, dtype=complex)]
     for interval in steps:
         psi = states[-1]
@@ -638,43 +667,50 @@ def stepwise_states(pulse, initial, error, substeps=2):
     return np.array(states)
 
 
-def step_lists(pulse, substeps=2):
-    """(-Omega dt/4, Delta dt/4) of every sub-step that is not exactly the
+def step_lists(pulse, substeps=1):
+    """(-Omega dt/4, Delta dt/4, y) of every step that is not exactly the
     identity, one float at a time: midpoint fields by linear interpolation,
-    each times a quarter of the sub-step's width dt."""
+    each times a quarter q of the step's width dt, and y = (q Omega_i)
+    (q Delta_i+1) - (q Omega_i+1) (q Delta_i) over 3 substeps, the sigma_y
+    field (dt^2/48) (Omega_a Delta_b - Omega_b Delta_a) of the step's ends
+    a and b.  A step is kept where a midpoint field or Omega_i Delta_i+1 -
+    Omega_i+1 Delta_i is not 0."""
     w = [(k + 0.5) / substeps for k in range(substeps)]
     steps = []
     for i in range(pulse.t.size - 1):
         o0, o1, d0, d1 = (float(v) for v in (*pulse.omega[i:i + 2],
                                               *pulse.delta[i:i + 2]))
         q = (float(pulse.t[i + 1]) - float(pulse.t[i])) / (4 * substeps)
+        y = (q * o0 * (q * d1) - q * o1 * (q * d0)) / (3 * substeps)
         for wk in w:
             om, de = o0 * (1.0 - wk) + o1 * wk, d0 * (1.0 - wk) + d1 * wk
-            if om != 0.0 or de != 0.0:
-                steps.append((om * -q, de * q))
+            if om != 0.0 or de != 0.0 or o0 * d1 != o1 * d0:
+                steps.append((om * -q, de * q, y))
     return steps
 
 
-def factors_lists(pulse, scale_omega, scale_delta, substeps=2):
-    """(a, b) of every sub-step that is not exactly the identity, for each
+def factors_lists(pulse, scale_omega, scale_delta, substeps=1):
+    """(a, b) of every step that is not exactly the identity, for each
     (scale_omega, scale_delta) row, one float at a time: the oracle that
     _fields, _blocks and _factors must match to the bit.  The step fields
-    of step_lists, then scaled, p = max(sqrt(w^2 + e^2), 1e-300) the half
-    angle, u = tan(p), cos(phi) = 1 - u^2 (2 / (1 + u^2)),
-    f = u (2 / (1 + u^2)) / p, a = cos(phi) + i f e, b = i f w; tan is
-    numpy's, on an array of the arguments, as the kernel's is."""
+    of step_lists, then scaled, w and e by their scales and v = y (so sd),
+    p = max(sqrt((w^2 + e^2) + v^2), 1e-300) the half angle, u = tan(p),
+    cos(phi) = 1 - u^2 (2 / (1 + u^2)), f = u (2 / (1 + u^2)) / p,
+    a = cos(phi) + i f e, b = f v + i f w; tan is numpy's, on an array of
+    the arguments, as the kernel's is."""
     steps = step_lists(pulse, substeps)
     a, b = [], []
     for so, sd in zip(scale_omega, scale_delta):
-        fields = [(om * so, de * sd) for om, de in steps]
-        p = [max(math.sqrt(om * om + de * de), 1e-300) for om, de in fields]
+        fields = [(om * so, de * sd, y * (so * sd)) for om, de, y in steps]
+        p = [max(math.sqrt(om * om + de * de + y * y), 1e-300)
+             for om, de, y in fields]
         u = np.tan(p)
         row_a, row_b = [], []
-        for (om, de), pk, uk in zip(fields, p, u.tolist()):
+        for (om, de, y), pk, uk in zip(fields, p, u.tolist()):
             s = 2.0 / (uk * uk + 1.0)
             f = uk * s / pk
             row_a.append(complex(1.0 - uk * uk * s, f * de))
-            row_b.append(complex(0.0, f * om))
+            row_b.append(complex(f * y, f * om))
         a.append(row_a)
         b.append(row_b)
     return (np.array(x, dtype=complex).reshape(len(x), len(steps)).T.copy()
@@ -689,7 +725,7 @@ class TestBlockProductKernel:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_matches_stepwise_product(self, steps, data):
-        pulse = random_axis_pulse(data.draw, steps // 2 + 1)
+        pulse = random_axis_pulse(data.draw, steps + 1)
         errors = data.draw(ERRORS)
         psi0 = angle_state(*data.draw(st.tuples(st.floats(0, np.pi),
                                                 st.floats(-np.pi, np.pi))))
@@ -708,7 +744,7 @@ class TestBlockProductKernel:
     def test_products_are_unitary(self, steps, data):
         # the columns U|1>, U|2> of the propagator up to every sample; a
         # pulse of one block is a single block product
-        pulse = random_axis_pulse(data.draw, steps // 2 + 1)
+        pulse = random_axis_pulse(data.draw, steps + 1)
         error = data.draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
         col1 = propagate(pulse, initial=ket1(), error=error).states
         col2 = propagate(pulse, initial=[0.0, 1.0], error=error).states
@@ -738,7 +774,7 @@ class TestBlockProductKernel:
         assert abs(final[1]) ** 2 == pytest.approx(p2[-1], rel=0, abs=1e-13)
 
     # zero-field gaps as [first, last] sample: at substeps = 2 the first
-    # spans sub-step _BLOCK, a block boundary; the second runs to the end
+    # spans step _BLOCK, a block boundary; the second runs to the end
     @pytest.mark.parametrize("gap", [(_BLOCK // 2 - 5, _BLOCK // 2 + 7),
                                      (_BLOCK // 2 + 40, 3 * _BLOCK // 2)])
     @settings(max_examples=10, deadline=None)
@@ -746,14 +782,16 @@ class TestBlockProductKernel:
     def test_zero_field_gap_holds_state(self, gap, data):
         first, last = gap
         n = 3 * _BLOCK // 2 + 1
+        substeps = data.draw(st.sampled_from([1, 2]))
         pulse = random_axis_pulse(data.draw, n, fields=st.floats(0.1, 3.0))
         zero = (np.arange(n) >= first) & (np.arange(n) <= last)
         pulse.omega[zero] = pulse.delta[zero] = 0.0
-        states = propagate(pulse).states
+        states = propagate(pulse, substeps=substeps).states
         np.testing.assert_array_equal(states[zero],
                                       np.tile(states[first], (zero.sum(), 1)))
         if last == n - 1:  # the gap runs to the end: the batch ends there too
-            final = final_states_over_errors(pulse, ket1(), [1.0], [1.0])[0]
+            final = final_states_over_errors(pulse, ket1(), [1.0], [1.0],
+                                             substeps)[0]
             np.testing.assert_array_equal(final, states[first])
 
     def test_several_passes(self):
@@ -761,21 +799,22 @@ class TestBlockProductKernel:
         # that starts with zero fields and has a zero-field gap, it matches
         # the plain product, holds the state bit-for-bit where the fields
         # vanish, and ends on the batch's bits at any length
-        n = _WIDTH * _BLOCK + 800  # 2 (n - 1) sub-steps: about 2.1 passes
+        n = _WIDTH * _BLOCK + 800  # 2 (n - 1) steps: about 2.1 passes
         rng = np.random.default_rng(7)
         pulse = axis_pulse(np.cumsum(rng.uniform(5e-4, 1.5e-3, n)),
                            rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n))
         zero = np.r_[:10, 4000:4300]
         pulse.omega[zero] = pulse.delta[zero] = 0.0
         psi0 = angle_state(1.1, -0.4)
-        states = propagate(pulse, initial=psi0, error=(0.13, -0.07)).states
+        states = propagate(pulse, initial=psi0, error=(0.13, -0.07),
+                           substeps=2).states
         np.testing.assert_allclose(
-            states, stepwise_states(pulse, psi0, (0.13, -0.07)), rtol=0,
+            states, stepwise_states(pulse, psi0, (0.13, -0.07), 2), rtol=0,
             atol=1e-12)
         np.testing.assert_array_equal(states[:10], np.tile(psi0, (10, 1)))
         np.testing.assert_array_equal(states[4000:4300],
                                       np.tile(states[4000], (300, 1)))
-        final = final_states_over_errors(pulse, psi0, [1 + 0.13], [1 - 0.07])[0]
+        final = final_states_over_errors(pulse, psi0, [1 + 0.13], [1 - 0.07], 2)[0]
         np.testing.assert_array_equal(final, states[-1])
 
     def test_rows_independent_of_width_and_passes(self):
@@ -810,7 +849,7 @@ class TestBlockProductKernel:
     # fields from 1e-170 ((field dt/4)^2 underflows to 0: the step is its
     # first-order rotation), through 1e-160 and 3e-155 (a subnormal square)
     # to O(1), exact zeros, and rows scaled by 0
-    @pytest.mark.parametrize("substeps", [2, 3])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_factors_match_list_form(self, substeps, data):
@@ -823,20 +862,20 @@ class TestBlockProductKernel:
         so = np.array([0.0, 1.0, 0.0] + data.draw(scales))
         sd = np.array([0.0, 0.0, 1.0] + data.draw(scales))
         ref_a, ref_b = factors_lists(pulse, so, sd, substeps)
-        o, d, keep, done = _fields(pulse, substeps)
-        o, d = _blocks(o, d, keep, so, sd)
+        o, d, y, keep, done = _fields(pulse, substeps)
+        o, d, y = _blocks(o, d, y, keep, so, sd)
         kept = slice(o.size - done[-1], None)  # after the front padding
-        o, d = (x.ravel()[kept, None] for x in (o, d))
+        o, d, y = (x.ravel()[kept, None] for x in (o, d, y))
         a, b = np.zeros((2, done[-1], so.size), dtype=complex)
-        _factors(o, so, d, sd, a, b, list(np.empty((6,) + a.shape)))
+        _factors(o, so, d, sd, y, so * sd, a, b, list(np.empty((6,) + a.shape)))
         for got, ref in ((a, ref_a), (b, ref_b)):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
-    # fields without subnormals: a step whose field is not 0 but whose
-    # field x dt/4 underflows to 0 is kept on a pulse and dropped as a
+    # fields without subnormals: a step whose fields are not 0 but whose
+    # folded fields underflow to 0 is kept on a pulse and dropped as a
     # ready step, the only place the two paths part
-    @pytest.mark.parametrize("substeps", [2, 3])
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_pulse_path_is_the_ready_path(self, substeps, data):
@@ -849,14 +888,14 @@ class TestBlockProductKernel:
                                   fields=fields)
         steps = step_lists(pulse, substeps)
         for k in data.draw(st.lists(st.integers(0, len(steps)), max_size=5)):
-            steps.insert(k, (0.0, -0.0))
-        om, de = np.array([(0.0, 0.0)] + steps).T
+            steps.insert(k, (0.0, -0.0, 0.0))
+        om, de, y = np.array([(0.0, 0.0, 0.0)] + steps).T
         errors = np.array(data.draw(st.lists(st.tuples(st.floats(-0.5, 0.5),
                                                        st.floats(-0.5, 0.5)),
                                              min_size=1, max_size=3)))
         so, sd = 1.0 + errors.T  # as propagate forms its scales
         psi0 = angle_state(1.1, -0.4)
-        ready = final_states_over_errors(_Steps(om, de), psi0, so, sd, 1)
+        ready = final_states_over_errors(_Steps(om, de, y), psi0, so, sd, 1)
         batch = final_states_over_errors(pulse, psi0, so, sd, substeps)
         assert batch.tobytes() == ready.tobytes()
         for e, row in zip(errors, ready):
@@ -880,14 +919,14 @@ class TestBlockProductKernel:
         monkeypatch.setattr("qiepulse.dynamics._zeros", recorded)
         clutter = [np.empty(k) for k in (3, 17, 1001, 40001, 5)]  # noqa: F841
         rng = np.random.default_rng(width)
-        n = 32 * width + 1  # 2 (n - 1) sub-steps: width blocks
+        n = _BLOCK * width + 1  # n - 1 steps: width blocks
         pulse = axis_pulse(np.linspace(0.0, 1.0, n), rng.uniform(0.1, 4.0, n),
                            rng.uniform(-4.0, 4.0, n))
         scale = 1.0 + np.linspace(-0.5, 0.5, width)
         final_states_over_errors(pulse, ket1(), scale, np.ones(width))
         propagate(pulse)
         # ready steps, short of whole blocks, padded as a pulse's are
-        steps = _Steps(*rng.uniform(-0.1, 0.1, (2, _BLOCK * width - 5)))
+        steps = _Steps(*rng.uniform(-0.1, 0.1, (3, _BLOCK * width - 5)))
         final_states_over_errors(steps, ket1(), scale, np.ones(width), 1)
         assert [b.shape for b in made] == [(2, 2 * _BLOCK, width),
                                            (2, _BLOCK, width)] * 3
