@@ -201,29 +201,24 @@ def _cmd_report(args) -> int:
     precision = config.csv_precision
 
     # the four reference c values, at the config's other design settings:
-    # its design.c is checked by parse_config but not used
-    designs = {}
+    # its design.c, optional and checked by parse_config, is not used.
+    # runs[c] is (pulse, trajectory, [(rabi scan, error), (detuning scan,
+    # error)], exponentials per row of the scan and of the estimate's scan)
+    runs = {}
     for c in REFERENCE_TABLE:
-        params = replace(config.design, c=c)
-        pulse, trajectory = design_pulse(params)
+        pulse, trajectory = design_pulse(replace(config.design, c=c))
         _warn_residual(pulse)
-        designs[c] = (pulse, trajectory)
         write_pulse_csv(pulse, trajectory, out / f"pulse_c{c:g}.csv",
                         precision=precision)
-
-    scans, sampling_errors, exponentials = {}, {}, {}
-    for c, (pulse, trajectory) in designs.items():
-        results, exponentials[c] = _design_scans(
+        scans, exponentials = _design_scans(
             pulse, trajectory, (config.rabi_grid, config.detuning_grid))
-        for res, error in results:
-            parameter = res.grid.parameter
-            scans[(c, parameter)] = res
-            sampling_errors[(c, parameter)] = error
+        for res, error in scans:
             write_scan_csv(
-                res, out / f"scan_c{c:g}_{parameter}.csv",
+                res, out / f"scan_c{c:g}_{res.grid.parameter}.csv",
                 precision=precision,
                 meta={"sampling": _SAMPLING, "sampling_error": f"{error:.2e}"},
             )
+        runs[c] = (pulse, trajectory, scans, exponentials)
 
     baseline = pi_half_baseline(1.0)
     baseline_scan = scan_1d(
@@ -237,7 +232,7 @@ def _cmd_report(args) -> int:
         f"{'|beta_f|/pi':>12} {'ref':>7} {'ok':>4} {'residual':>10} "
         f"{'x_f/pi':>8}"
     )
-    for c, (pulse, _) in designs.items():
+    for c, (pulse, *_) in runs.items():
         # the field's mixing angle at the window end; area c follows it
         x_f_pi = np.arctan2(pulse.omega[-1], pulse.delta[-1]) / np.pi
         area_pi = pulse.area / np.pi
@@ -252,15 +247,15 @@ def _cmd_report(args) -> int:
             f"{pulse.adiabaticity_residual:>10.2e} {x_f_pi:>8.4f}"
         )
     lines.append("")
-    rows = robustness_summary(list(scans.values()) + [baseline_scan])
+    rows = robustness_summary([res for _, _, scans, _ in runs.values()
+                               for res, _ in scans] + [baseline_scan])
     lines.append(format_summary(rows))
     lines.append("")
     lines.append(f"qie scan sampling: {_SAMPLING}; estimated error "
                  f"{_ESTIMATOR}")
     lines.append(f"{'c':>6} {'rabi':>9} {'detuning':>9}")
-    for c in designs:
-        lines.append(f"{c:>6g} {sampling_errors[(c, 'rabi')]:>9.2e} "
-                     f"{sampling_errors[(c, 'detuning')]:>9.2e}")
+    for c, (_, _, ((_, rabi), (_, detuning)), _) in runs.items():
+        lines.append(f"{c:>6g} {rabi:>9.2e} {detuning:>9.2e}")
     lines.append("")
     lines.append("design work: the stepper's right-hand-side evaluations, "
                  "accepted steps and rejected attempts;")
@@ -268,13 +263,13 @@ def _cmd_report(args) -> int:
                  "estimate's scan")
     lines.append(f"{'c':>6} {'nfev':>6} {'accepted':>8} {'rejected':>8} "
                  f"{'scan':>6} {'estimate':>8}")
-    for c, (_, trajectory) in designs.items():
+    for c, (_, trajectory, _, (scan, estimate)) in runs.items():
         solution = trajectory.solution
-        scan, estimate = exponentials[c]
         lines.append(f"{c:>6g} {solution.nfev:>6} {solution.ss.size - 1:>8} "
                      f"{solution.rejected:>8} {scan:>6} {estimate:>8}")
     lines.append("")
-    qie_min = scans[(0.073, "rabi")].min_fidelity_in_band
+    (qie_rabi, _), _ = runs[0.073][2]
+    qie_min = qie_rabi.min_fidelity_in_band
     base_min = baseline_scan.min_fidelity_in_band
     lines.append(
         f"qie c=0.073 rabi band min {qie_min:.5f} vs pi/2 pulse "
@@ -289,7 +284,7 @@ def _cmd_report(args) -> int:
         # the uniform design samples only: the points refined around the
         # Omega spike would set the y axis and flatten the rest of the pulse;
         # time and fields in units of T, as the axes are labelled
-        for c, (pulse, _) in designs.items():
+        for c, (pulse, *_) in runs.items():
             T = pulse.params.T
             uniform = np.isin(pulse.t, T * _grid(pulse.params))
             svg_line_plot(
@@ -300,15 +295,12 @@ def _cmd_report(args) -> int:
                 out / f"pulse_c{c:g}.svg",
                 x_label="t/T", y_label="field (1/T)",
             )
-        for parameter, grid in (("rabi", config.rabi_grid),
-                                ("detuning", config.detuning_grid)):
-            series = [
-                (f"c={c:g}", scans[(c, parameter)].fidelities)
-                for c in designs
-            ]
+        for i, grid in enumerate((config.rabi_grid, config.detuning_grid)):
+            series = [(f"c={c:g}", scans[i][0].fidelities)
+                      for c, (_, _, scans, _) in runs.items()]
             svg_line_plot(
-                grid.values(), series, f"{parameter} error scan",
-                out / f"scan_{parameter}.svg",
+                grid.values(), series, f"{grid.parameter} error scan",
+                out / f"scan_{grid.parameter}.svg",
                 x_label="delta", y_label="fidelity",
             )
     return 0

@@ -96,6 +96,9 @@ ODE_RTOL, ODE_ATOL = 1e-9, 1e-11
 # a step's fraction to its float resolution
 CLOCK_TOL, _CLOCK_STEPS = 1e-12, 64
 
+# _dopri5's failure where no step can be taken
+_NO_STEP = "Required step size is less than spacing between numbers."
+
 # Largest gap, in radians, between the trapezoid of |Omega| over an interval
 # of a designed pulse's samples and the interval's exact area; see _refine.
 REFINE_TOL = 1e-4
@@ -198,19 +201,20 @@ class DesignParams:
 
 @dataclass
 class Solution:
-    """The design's Dormand-Prince run in units of T, as _dopri5 returns it:
-    the accepted Sundman times ss, the (3, len(ss)) states (t, beta, x)
-    there, the (steps, 3, 4) coefficients q of each step's quartic
-    interpolant (see _dense), the clock's end t_end the run integrated to,
-    and its work: nfev right-hand-side evaluations and rejected step
-    attempts."""
+    """The design's Dormand-Prince run in units of T: the accepted Sundman
+    times ss, the (3, len(ss)) states (t, beta, x) there, the (steps, 3, 4)
+    coefficients q of each step's quartic interpolant (see _dense), its
+    work, nfev right-hand-side evaluations and rejected step attempts, as
+    _dopri5 returns it, and s_end, s* where the dense clock reaches the
+    window end, as design_pulse's clock inversion records it (nan on a bare
+    _dopri5 run)."""
 
     ss: np.ndarray
     ys: np.ndarray
     q: np.ndarray
-    t_end: float
     nfev: int
     rejected: int
+    s_end: float = math.nan
 
     __eq__ = _value_eq  # by value, NaN equal to NaN
 
@@ -405,10 +409,11 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
     run ends on the accepted step where u >= t_end; check(u, v, w) sees
     every accepted state first and may raise.  Returns the Solution: the
     accepted s, the (3, len(ss)) states there, each step's quartic
-    coefficients (steps, 3, 4) (see _dense), t_end, and the count of f
-    evaluations (two to start, six an attempt) and of rejected attempts.
-    Raises DesignError, with t_fail the clock, when the step falls below
-    10 ulp of s or MAX_STEPS steps have been accepted short of t_end.
+    coefficients (steps, 3, 4) (see _dense), and the count of f evaluations
+    (two to start, six an attempt) and of rejected attempts.  Raises
+    DesignError, with t_fail the clock, when the initial step is 0 or not
+    finite (f / scale overflowed), when a step falls below 10 ulp of s or
+    when MAX_STEPS steps have been accepted short of t_end.
     """
     s, (u, v, w) = 0.0, map(float, y0)
     u1, v1, w1 = f(s, u, v, w)
@@ -418,6 +423,8 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
     d0 = math.sqrt((eu * eu + ev * ev + ew * ew) / 3)  # RMS norms
     d1 = math.sqrt((du * du + dv * dv + dw * dw) / 3)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not 0.0 < h0 < math.inf:
+        raise DesignError(_NO_STEP, t_fail=u)
     fu, fv, fw = f(s + h0, u + h0 * u1, v + h0 * v1, w + h0 * w1)
     eu, ev, ew = (fu - u1) / su, (fv - v1) / sv, (fw - w1) / sw
     d2 = math.sqrt((eu * eu + ev * ev + ew * ew) / 3) / h0
@@ -436,8 +443,7 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
         rejected = False
         while True:
             if not h_abs >= min_step:  # also a nan step
-                raise DesignError("Required step size is less than spacing "
-                                  "between numbers.", t_fail=u)
+                raise DesignError(_NO_STEP, t_fail=u)
             s_new = s + h_abs
             h = h_abs = s_new - s
             u2, v2, w2 = f(s + _C2 * h, u + _A21 * u1 * h, v + _A21 * v1 * h,
@@ -486,7 +492,7 @@ def _dopri5(f, y0, t_end, rtol, atol, check):
         ys += (u, v, w)
     q = np.einsum("skn,kp->snp", np.fromiter(ks, float).reshape(-1, 7, 3), _DENSE_P)
     return Solution(np.array(ss), np.fromiter(ys, float).reshape(-1, 3).T, q,
-                    t_end, 2 + 6 * (len(q) + rejections), rejections)
+                    2 + 6 * (len(q) + rejections), rejections)
 
 
 def _dense(solution, seg, frac):
@@ -592,24 +598,17 @@ def _grid(params: DesignParams):
     return np.linspace(-params.kappa, params.kappa, params.n_samples)
 
 
-def _clock_end(solution):
-    """s*, where the solution's dense clock is within CLOCK_TOL of the run's
-    end t_end (_locate_clock), inside the last accepted step."""
-    seg, frac = _locate_clock(solution, np.array([solution.t_end]), CLOCK_TOL)
-    ss = solution.ss
-    return ss[seg] + frac * (ss[seg + 1] - ss[seg])
-
-
-def _sundman(solution, m, s_end=None):
+def _sundman(solution, m):
     """A design's drive in its Sundman time s, in units of T, as the fourth-
     order Magnus step (M4) takes it: the ends s of its intervals, at m
-    intervals per accepted step, from s = 0, where t = -kappa, to s_end, s*
-    (_clock_end) unless given, and the step fields of one exponential per
-    interval, -Omega dt/4, Delta dt/4 and y (dynamics._fields), in the order
-    they are applied.  With m = a/b in lowest terms the i-th end lies i b/a
-    steps on, at its fraction of its step linear in s: a whole m splits each
-    accepted step into m equal intervals, and m = 1/2 ends an interval at
-    every other accepted time.  The ends at or past s_end give way to it.
+    intervals per accepted step, from s = 0, where t = -kappa, to the
+    solution's s_end, s*, where t = kappa, and the step fields of one
+    exponential per interval, -Omega dt/4, Delta dt/4 and y
+    (dynamics._fields), in the order they are applied.  With m = a/b in
+    lowest terms the i-th end lies i b/a steps on, at its fraction of its
+    step linear in s: a whole m splits each accepted step into m equal
+    intervals, and m = 1/2 ends an interval at every other accepted time.
+    The ends at or past s* give way to it.
 
     With dt/ds = sin(beta) sin(x) the drive's fields are theta_dot sin(x)
     and theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
@@ -626,9 +625,7 @@ def _sundman(solution, m, s_end=None):
     scan of these steps is a scan of the design, to an error that falls as
     m^-4.
     """
-    if s_end is None:
-        s_end = _clock_end(solution)
-    ss = solution.ss
+    ss, s_end = solution.ss, solution.s_end
     h = np.diff(ss)
     a, b = m.as_integer_ratio()
     seg, j = np.divmod(np.arange(-(-h.size * a // b)) * b, a)
@@ -654,9 +651,11 @@ def design_pulse(params: DesignParams):
     ODE_RTOL and ODE_ATOL, from (t, beta, x) = (-kappa, pi/2, x0) to the
     accepted step where t reaches kappa.  The uniform grid (_grid) is
     found on its dense output by inverting the increasing clock t(s)
-    (_locate_clock), and the grid intervals get the points that resolve the
-    field there: an interval is bisected in s while the trapezoid of |Omega|
-    over it misses its exact area by more than REFINE_TOL (see _refine).
+    (_locate_clock); the last grid time is the run's end, so its s is s*,
+    which the Solution records as s_end.  The grid intervals get the points
+    that resolve the field there: an interval is bisected in s while the
+    trapezoid of |Omega| over it misses its exact area by more than
+    REFINE_TOL (see _refine).
     The pulse's t holds every uniform point and the added ones, in order.
     The fields are Omega = theta_dot / sin(beta) and Delta = Omega cot(x);
     the area is the closed form (cos x0 - cos x_f) / (2 c branch_sign),
@@ -666,9 +665,9 @@ def design_pulse(params: DesignParams):
     A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
     rounds to -1, and cot(theta) would divide by zero on every step), an
     accepted state or a sample with beta or x outside (0, pi), a failed
-    step (below 10 ulp of s), MAX_STEPS steps short of the window end, and
-    returned arrays that are not finite raise DesignError naming c, T and
-    the time t_fail it reached.
+    step (below 10 ulp of s, the first one included), MAX_STEPS steps short
+    of the window end, and returned arrays that are not finite raise
+    DesignError naming c, T and the time t_fail it reached.
     """
     T, c, sign = params.T, params.c, float(params.branch_sign)
     tau = _grid(params)
@@ -706,6 +705,7 @@ def design_pulse(params: DesignParams):
         y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
         ss = solution.ss
         s = ss[seg] + frac * np.diff(ss)[seg]
+        solution.s_end = float(s[-1])
         with np.errstate(invalid="ignore", divide="ignore"):  # named below
             y_add = _refine(solution, s, y, _omega(y), x_rate)
         if y_add.size:

@@ -62,6 +62,9 @@ class RunConfig:
 
 
 _DEFAULT_GRID = {"lo": -0.5, "hi": 0.5, "n_points": 101}
+# report designs the four reference c values in place of design.c, so a
+# config may leave it out; its design then holds the first of them
+_DEFAULT_DESIGN = {"c": 0.073}
 
 # JSON value types accepted for each annotated field type; a field whose
 # type is a dataclass takes a JSON object.
@@ -105,10 +108,8 @@ def parse_config(text: str) -> RunConfig:
 
     design_raw = raw.pop("design", {})
     _check_fields(design_raw, DesignParams, "design")
-    if "c" not in design_raw:
-        raise ParameterError("design.c is required")
     try:
-        design = DesignParams(**design_raw)
+        design = DesignParams(**{**_DEFAULT_DESIGN, **design_raw})
     except ParameterError as exc:
         raise ParameterError(f"design: {exc}") from exc
 

@@ -12,8 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .designer import (MAX_SAMPLES, Pulse, _clock_end, _is_count, _real,
-                       _sundman, _value_eq)
+from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _sundman, _value_eq
 from .dynamics import TargetState, _Steps, fidelity, final_states_over_errors, ket1
 from .errors import ParameterError
 
@@ -39,7 +38,8 @@ _SAMPLING = f"sundman magnus4, {_INTERVALS} intervals per accepted step"
 
 @dataclass(frozen=True)
 class ErrorGrid:
-    """Uniform grid of error amplitudes for one parameter kind."""
+    """Uniform grid of error amplitudes for one parameter kind: n_points
+    from lo to hi, whose ends and span hi - lo are finite."""
 
     parameter: str  # "rabi" | "detuning"
     lo: float
@@ -54,6 +54,11 @@ class ErrorGrid:
         lo, hi = _real(self.lo), _real(self.hi)
         if not -np.inf < lo < hi < np.inf:
             raise ParameterError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        with np.errstate(over="ignore"):  # a numpy float's span; named below
+            span = hi - lo
+        if not span < np.inf:
+            raise ParameterError(f"need a finite span hi - lo, got "
+                                 f"[{self.lo!r}, {self.hi!r}]")
         if not _is_count(self.n_points, 2):
             raise ParameterError(f"n_points must be >= 2 and <= {MAX_SAMPLES}, "
                                  f"got {self.n_points!r}")
@@ -147,11 +152,11 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
             for grid, d, f in zip(grids, deltas, fids)]
 
 
-def _drive(solution, m, s_end=None):
+def _drive(solution, m):
     """A design's drive in its Sundman time (designer._sundman) at m
-    intervals per accepted step of its run, up to s_end (s* unless given),
-    as the ready dynamics._Steps it is scanned by."""
-    return _Steps(*(np.append(0.0, x) for x in _sundman(solution, m, s_end)[1:]))
+    intervals per accepted step of its run, up to the s* it records, as the
+    ready dynamics._Steps it is scanned by."""
+    return _Steps(*(np.append(0.0, x) for x in _sundman(solution, m)[1:]))
 
 
 def _design_scans(pulse: Pulse, trajectory, grids):
@@ -164,12 +169,10 @@ def _design_scans(pulse: Pulse, trajectory, grids):
     as m^-4 in the intervals per step m, so the scan at
     _ESTIMATE_INTERVALS, one interval per two steps, is off by 256 times as
     much, and max |F_2 - F_1/2| / 255 estimates the scan's.  Both drives
-    end at the same s*, found once.  The exponentials per row are the
-    drives' counts (dynamics._Steps)."""
-    solution = trajectory.solution
-    s_end = _clock_end(solution)
+    end at the s* the design recorded from its own clock inversion.  The
+    exponentials per row are the drives' counts (dynamics._Steps)."""
     target = TargetState(pulse.beta_final)
-    drives = [_drive(solution, m, s_end)
+    drives = [_drive(trajectory.solution, m)
               for m in (_INTERVALS, _ESTIMATE_INTERVALS)]
     fine, coarse = (_scan(pulse, target, grids, 1, drive=drive)
                     for drive in drives)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,32 @@ REPEATED_TIME_CSV = """t,omega,delta
 0.5,1.0,0.0
 1.0,1.0,0.0
 """
+
+
+def _design(*flags):
+    return [["design", "--n", "401", *flags, "--out", "{out}/p.csv"]]
+
+
+# extreme but well-formed calls, each a sequence of argvs; {pulse} is the
+# 4001-sample c = 0.073 design's file, {out} a fresh directory
+EXTREME_CALLS = (
+    [_design("--c", c) for c in ("1e-300", "1e152", "1e153", "1.7e308")]
+    + [_design("--c", "0.073", "--T", T) for T in ("1e-300", "1e300",
+                                                   "1.7e308")]
+    + [_design("--c", "0.073", "--kappa", kappa) for kappa in ("5.93",
+                                                               "1e300")]
+    + [[["scan", "--pulse", "{pulse}", "--param", parameter,
+         f"--range={span}", "--out", "{out}/s.csv"]]
+       for parameter in ("rabi", "detuning")
+       for span in ("-1e308:1e308:3", "1e308:1.7e308:3", "0:1e300:3")]
+    + [[["baseline", "pi2", "--duration", duration, "--out", "{out}/b.csv"],
+        ["scan", "--pulse", "{out}/b.csv", "--param", "rabi",
+         "--out", "{out}/s.csv"],
+        ["simulate", "--pulse", "{out}/b.csv", "--out", "{out}/t.csv"]]
+       for duration in ("1e-300", "1.7e308")]
+    + [[["simulate", "--pulse", "{pulse}", "--delta-omega", error,
+         "--out", "{out}/t.csv"]] for error in ("1e308", "-2")]
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +144,26 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("calls", EXTREME_CALLS, ids=[
+        " + ".join(" ".join(a for a in argv if "{" not in a and a not in
+                            ("--out", "--pulse")) for argv in calls)
+        for calls in EXTREME_CALLS])
+    def test_extreme_calls_exit_with_a_documented_code(self, calls,
+                                                       pulse_file, tmp_path,
+                                                       capsys):
+        # the exit-code contract at the edges of the float range: 0, or a
+        # single error line and 2, 3 or 4; no exception escapes main, and
+        # no RuntimeWarning is printed
+        for argv in calls:
+            argv = [a.format(pulse=pulse_file, out=tmp_path) for a in argv]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDesignCommand:
     def test_design_reports_endpoints(self, tmp_path, capsys):
@@ -171,6 +218,18 @@ class TestDesignCommand:
             args = ["design", "--c", "0.073", flag, value, "--out", str(out)]
             assert main(args) == 2
             assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["1e153", "1e200", "1.7e308"])
+    def test_huge_c_is_numerical_error(self, c, tmp_path, capsys):
+        # the stepper's first step cannot be taken: dx/ds overflows its
+        # norm (it once divided by the zero step)
+        out = tmp_path / "p.csv"
+        assert main(["design", "--c", c, "--n", "401", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: c = {float(c):g} (T = 1): constrained integration "
+            f"failed at t = -4: Required step size is less than spacing "
+            f"between numbers.\n")
         assert not out.exists()
 
     def test_design_failure_is_numerical_error(self, tmp_path, capsys):
@@ -398,6 +457,20 @@ class TestScanCommand:
                    "--range=-inf:0.5:11", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameter", ["rabi", "detuning"])
+    def test_overflowing_span_is_argument_error(self, parameter, pulse_file,
+                                                tmp_path, capsys):
+        # finite ends 2e308 apart: one error line naming both, no warning
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["scan", "--pulse", str(pulse_file), "--param",
+                       parameter, "--range=-1e308:1e308:3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: need a finite span hi - lo, "
+                                           "got [-1e+308, 1e+308]\n")
+        assert not out.exists()
 
     def test_non_finite_beta_final_flag(self, pulse_file, tmp_path, capsys):
         rc = main(["scan", "--pulse", str(pulse_file), "--param", "rabi",
@@ -745,11 +818,56 @@ class TestReportCommand:
         for line in lines[start - 1:start + 6]:
             assert line.rsplit(" ", 1)[-1] not in ("LR", "L-", "-R", "--")
 
+    def test_report_needs_no_design_c(self, tmp_path, capsys):
+        # report designs the four reference c values: a config without
+        # design.c, or with another one, writes the same bytes and prints
+        # the same summary
+        runs = []
+        for design in ({"n_samples": 401}, {"c": 0.05, "n_samples": 401}):
+            out_dir = tmp_path / f"out{len(runs)}"
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({
+                "design": design,
+                "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+                "output_dir": str(out_dir), "emit_plots": True}))
+            assert main(["report", "--config", str(config_path)]) == 0
+            runs.append((capsys.readouterr(),
+                         {f.name: f.read_bytes() for f in out_dir.iterdir()}))
+        (printed, files), (printed_c, files_c) = runs
+        assert printed == printed_c and printed.err == ""
+        assert len(files) == 19 and files == files_c
+
+    def test_report_inverts_each_clock_once(self, monkeypatch, tmp_path,
+                                            capsys):
+        # each design inverts its clock once, at its whole grid, and records
+        # s* from it; the report's scans invert none
+        sizes = []
+        locate_clock = designer._locate_clock
+
+        def counted(solution, times, tol):
+            sizes.append(times.size)
+            return locate_clock(solution, times, tol)
+
+        monkeypatch.setattr(designer, "_locate_clock", counted)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "design": {"n_samples": 401},
+            "rabi_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "detuning_grid": {"lo": -0.5, "hi": 0.5, "n_points": 3},
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["report", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert sizes == [401] * 4
+
     def test_bad_config_is_argument_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
         out_dir = str(tmp_path / "out")
         cases = [
-            ({"design": {}}, "design.c"),
+            ({"design": {"c": 0.0}, "output_dir": out_dir},
+             "design: c must be positive"),
+            ({"design": {"c": 0.073}, "rabi_grid": {"lo": -1e308, "hi": 1e308},
+              "output_dir": out_dir}, "rabi_grid: need a finite span hi - lo"),
             ({"design": {"c": 0.073}, "emit_plots": "false",
               "output_dir": out_dir}, "emit_plots"),
             ({"design": {"c": "0.07"}, "output_dir": out_dir}, "design.c"),

@@ -936,7 +936,10 @@ class TestDormandPrince:
                                  y0, t_end, rtol, atol)
         assert (y0[0], t_end, rtol, atol) == (-4.0, 4.0, ODE_RTOL,
                                              designer.ODE_ATOL)
-        assert sol == trajectory.solution
+        # the design's run is the bare run, every field _dopri5 gives, and
+        # the s* its clock inversion recorded, which the bare run leaves nan
+        assert math.isnan(sol.s_end) and trajectory.solution.s_end > 0
+        assert sol == replace(trajectory.solution, s_end=math.nan)
 
     def test_transient_nan_stage_is_retried(self):
         # a nan in the fourth stage of the sixth attempt: that attempt is
@@ -1036,6 +1039,22 @@ class TestDormandPrince:
                            "than spacing between numbers") as info:
             _dopri5(f, (0.0, 1.0, 0.5), 1.0, 1e-9, 1e-11, lambda *y: None)
         assert start - 1e-12 < info.value.t_fail <= start
+
+    @pytest.mark.parametrize("rate", [1e160, 1e300, math.inf, math.nan])
+    def test_overflowing_first_derivative_is_design_error(self, rate):
+        # f / scale overflows the first derivative's RMS norm, which makes
+        # the initial step 0 (no division by it) or nan: no step can be
+        # taken, and t_fail is the clock at the start
+        calls = [0]
+
+        def f(s, *y):
+            calls[0] += 1
+            return 1.0, 0.0, rate
+
+        with pytest.raises(DesignError, match="Required step size is less "
+                           "than spacing between numbers") as info:
+            _dopri5(f, (-4.0, 1.0, 0.5), 4.0, 1e-9, 1e-11, lambda *y: None)
+        assert info.value.t_fail == -4.0 and calls == [1]
 
     def test_clock_inversion_that_cannot_converge(self):
         # no miss is within a negative tolerance: after _CLOCK_STEPS steps
@@ -1284,6 +1303,18 @@ class TestDormandPrince:
                            r"the fields are not finite at t = -4e-200$"):
             design_pulse(DesignParams(c=0.073, T=1e-200, n_samples=401))
 
+    @pytest.mark.parametrize("c", [1e153, 1e200, 1.7e308])
+    def test_huge_c_is_design_error(self, c):
+        # dx/ds = 2c theta_dot overflows the first derivative's norm, and
+        # the stepper cannot take its first step (c = 1e152 gets one, and x
+        # leaves (0, pi) at once)
+        with pytest.raises(DesignError) as info:
+            design_pulse(DesignParams(c=c, n_samples=401))
+        assert str(info.value) == (
+            f"c = {c:g} (T = 1): constrained integration failed at t = -4: "
+            f"Required step size is less than spacing between numbers.")
+        assert info.value.t_fail == -4.0
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(designer.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -1332,7 +1363,8 @@ class TestSolution:
 
         solution = _dopri5(f, (0.0, 1.0, 0.5), 10.0, 1e-6, 1e-8,
                            lambda *y: None)
-        assert solution.rejected > 0 and solution.t_end == 10.0
+        # a bare run records no s*: only design_pulse inverts its clock
+        assert solution.rejected > 0 and math.isnan(solution.s_end)
         assert calls[0] == solution.nfev == 2 + 6 * (solution.ss.size - 1
                                                      + solution.rejected)
 
@@ -1351,6 +1383,27 @@ class TestSolution:
         assert np.count_nonzero(uniform) == 401
         assert trajectory.beta[uniform][1:].tobytes() == y[1, 1:].tobytes()
         assert np.max(np.abs(y[0] - tau)) <= designer.CLOCK_TOL
+
+    @pytest.mark.parametrize("n", [401, 4001, 16001])
+    @pytest.mark.parametrize("T", [1.0, 3.0])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("init", ["consistency", "zero"])
+    def test_s_end_is_the_clock_at_the_window_end(self, n, T, sign, init):
+        # the s* a design records from its grid's clock inversion is, bit
+        # for bit, the one-point inversion at the window end kappa, and both
+        # of the report's drives end their last interval there
+        params = DesignParams(c=0.073, T=T, n_samples=n, branch_sign=sign,
+                              beta_rate_init=init)
+        solution = design_pulse(params)[1].solution
+        ss = solution.ss
+        seg, frac = designer._locate_clock(solution, np.array([4.0]),
+                                           designer.CLOCK_TOL)
+        one_point = ss[seg] + frac * (ss[seg + 1] - ss[seg])
+        assert type(solution.s_end) is float
+        assert np.float64(solution.s_end).tobytes() == one_point.tobytes()
+        for m in (2, 0.5):
+            s = designer._sundman(solution, m)[0]
+            assert s[-1] == solution.s_end and s[-2] < s[-1]
 
     def test_the_record_is_in_units_of_T_and_not_compared(self):
         # a design at T keeps the T = 1 run; the record is no part of the
@@ -1392,12 +1445,9 @@ class TestSundman:
             assert m * (steps - 1) < s.size - 1 <= m * steps
             np.testing.assert_array_equal(inner[::m],
                                           solution.ss[:inner[::m].size])
-        # s* handed in, as _design_scans finds it once for both its drives,
-        # is the drive without it, bit for bit
-        given = designer._sundman(solution, m, designer._clock_end(solution))
-        assert [a.tobytes() for a in given] == [a.tobytes() for a in
-                                                (s, omega, delta, y)]
-        # the clock: -kappa at the start, kappa within CLOCK_TOL at s*
+        # the clock: -kappa at the start, kappa within CLOCK_TOL at s*, the
+        # s_end the design recorded
+        assert s[-1] == solution.s_end
         clock = _dense(solution, *_locate(solution.ss, s[[0, -1]]))[0]
         assert clock[0] == -4.0
         assert abs(clock[1] - 4.0) <= designer.CLOCK_TOL

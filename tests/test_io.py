@@ -651,9 +651,15 @@ class TestConfig:
                 '{"design": {"c": 0.073}, "rabi_grid": {"step": 0.1}}'
             )
 
-    def test_missing_c_rejected(self):
-        with pytest.raises(ParameterError, match="design.c"):
-            parse_config('{"design": {}}')
+    def test_c_is_optional(self):
+        # report designs the four reference c values in place of design.c,
+        # so a config may leave it out; one it gives is still checked
+        for text in ('{}', '{"design": {}}', '{"design": {"n_samples": 401}}'):
+            config = parse_config(text)
+            assert config.design.n_samples == (401 if "401" in text else 4001)
+            assert config.design.c > 0
+        with pytest.raises(ParameterError, match="design.c must be a number"):
+            parse_config('{"design": {"c": "0.07"}}')
 
     def test_invalid_value_names_field(self):
         with pytest.raises(ParameterError, match="c must be positive"):
@@ -671,6 +677,10 @@ class TestConfig:
         ("rabi_grid", {"lo": 0.5, "hi": -0.5}, "need finite lo < hi"),
         ("detuning_grid", {"n_points": 1}, "n_points must be >= 2"),
         ("detuning_grid", {"lo": 0.1, "hi": 0.1}, "need finite lo < hi"),
+        ("rabi_grid", {"lo": -1e308, "hi": 1e308},
+         "need a finite span hi - lo, got [-1e+308, 1e+308]"),
+        ("detuning_grid", {"lo": -1.7e308, "hi": 1.7e308},
+         "need a finite span hi - lo, got [-1.7e+308, 1.7e+308]"),
     ])
     def test_out_of_range_value_named_with_its_section(self, section, value,
                                                        message):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestErrorGrid:
         for lo, hi in ((-np.inf, 0.5), (-0.5, np.inf), (np.nan, 0.5)):
             with pytest.raises(ParameterError, match="finite"):
                 ErrorGrid(parameter="rabi", lo=lo, hi=hi, n_points=11)
+        # finite ends whose span hi - lo is not: refused with both ends,
+        # before np.linspace would overflow; a span up to the largest float
+        # is a grid
+        for lo, hi in ((-1e308, 1e308), (np.float64(-1.7e308), 1.7e308),
+                       (-1.7976931348623157e308, 1.7976931348623157e308)):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"need a finite span hi - lo, got [{lo!r}, {hi!r}]")):
+                ErrorGrid(parameter="detuning", lo=lo, hi=hi, n_points=3)
+        for lo, hi in ((1e308, 1.7e308), (0.0, 1e300), (-8e307, 8e307)):
+            values = ErrorGrid("rabi", lo, hi, 3).values()
+            assert np.isfinite(values).all() and values[-1] == hi
         # counts are integers of Python or numpy, bounds real numbers
         for n_points in (5.5, 5.0, "5", None):
             with pytest.raises(ParameterError, match="n_points"):
