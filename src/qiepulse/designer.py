@@ -103,9 +103,10 @@ _NO_STEP = "Required step size is less than spacing between numbers."
 # of a designed pulse's samples and the interval's exact area; see _refine.
 REFINE_TOL = 1e-4
 
-# The Gauss nodes 1/2 -+ sqrt(3)/6 of an interval, as fractions of it, at
-# which the fourth-order Magnus step takes the fields (see _sundman)
-_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3) / 6)
+# The Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of an
+# interval, as fractions of it, at which the sixth-order Magnus step takes
+# the fields (see _sundman)
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15) / 10)
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
 # its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
@@ -138,10 +139,18 @@ _DENSE_P = np.array([
 ])
 
 
-def _real(x):
+def _real(x, name):
     """x if it is a real number, else nan: a bool is not one, though
-    numbers.Real takes it."""
-    return x if isinstance(x, Real) and not isinstance(x, bool) else math.nan
+    numbers.Real takes it.  A real no float holds, such as an integer past
+    the float range, raises ParameterError naming it: it would compare
+    finite and overflow later."""
+    if not isinstance(x, Real) or isinstance(x, bool):
+        return math.nan
+    try:
+        float(x)
+    except OverflowError:
+        raise ParameterError(f"{name} is past the float range") from None
+    return x
 
 
 def _is_count(n, lo, hi=MAX_SAMPLES):
@@ -177,7 +186,7 @@ class DesignParams:
     beta_rate_init: str = "consistency"
 
     def __post_init__(self):
-        c, T, kappa = map(_real, (self.c, self.T, self.kappa))
+        c, T, kappa = map(_real, (self.c, self.T, self.kappa), ("c", "T", "kappa"))
         if not 0 < c < math.inf:
             raise ParameterError(f"c must be positive and finite, got {self.c!r}")
         if not 0 < T < math.inf:
@@ -599,31 +608,24 @@ def _grid(params: DesignParams):
 
 
 def _sundman(solution, m):
-    """A design's drive in its Sundman time s, in units of T, as the fourth-
-    order Magnus step (M4) takes it: the ends s of its intervals, at m
-    intervals per accepted step, from s = 0, where t = -kappa, to the
-    solution's s_end, s*, where t = kappa, and the step fields of one
-    exponential per interval, -Omega dt/4, Delta dt/4 and y
-    (dynamics._fields), in the order they are applied.  With m = a/b in
-    lowest terms the i-th end lies i b/a steps on, at its fraction of its
-    step linear in s: a whole m splits each accepted step into m equal
-    intervals, and m = 1/2 ends an interval at every other accepted time.
-    The ends at or past s* give way to it.
+    """A design's drive in its Sundman time s, in units of T, as the sixth-
+    order Magnus step (M6, dynamics._magnus6) takes it: the ends s of its
+    intervals, at m intervals per accepted step, from s = 0, where t =
+    -kappa, to the solution's s_end, s*, where t = kappa, and the fields
+    Omega dt/ds and Delta dt/ds at each interval's three Gauss nodes
+    (_GAUSS), (3, intervals) each.  With m = a/b in lowest terms the i-th
+    end lies i b/a steps on, at its fraction of its step linear in s: a
+    whole m splits each accepted step into m equal intervals, and m = 3/4
+    ends one every 4/3 accepted steps.  The ends at or past s* give way to
+    it.
 
     With dt/ds = sin(beta) sin(x) the drive's fields are theta_dot sin(x)
     and theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
     bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds
     psi, is the propagator's with these fields, and an error scale
-    (1 + delta) commutes with dt/ds.  Over an interval of width h, with H_1
-    and H_2 the fields at its Gauss nodes 1/2 -+ sqrt(3)/6, M4 (Blanes,
-    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), Omega^[4]) applies
-    exp(-i h (H_1 + H_2) / 2 + (sqrt(3)/12) h^2 [H_1, H_2]).  For this H the
-    commutator is (i/2) (Omega_1 Delta_2 - Omega_2 Delta_1) sigma_y, so the
-    step is one exponential: -(Omega_1 + Omega_2) h/8, (Delta_1 + Delta_2)
-    h/8 and y = (sqrt(3)/48) h^2 (Omega_1 Delta_2 - Omega_2 Delta_1), the
-    first two linear in an error scale each and y in their product, so a
-    scan of these steps is a scan of the design, to an error that falls as
-    m^-4.
+    (1 + delta) commutes with dt/ds, so a scan of M6's steps of them, one
+    exponential an interval, is a scan of the design, to an error that
+    falls as m^-6.
     """
     ss, s_end = solution.ss, solution.s_end
     h = np.diff(ss)
@@ -631,15 +633,11 @@ def _sundman(solution, m):
     seg, j = np.divmod(np.arange(-(-h.size * a // b)) * b, a)
     s = ss[seg] + j / a * h[seg]
     s = np.append(s[s < s_end], s_end)  # a prefix: s increases
-    width = np.diff(s)
-    nodes = (s[:-1, None] + _GAUSS * width[:, None]).ravel()
+    nodes = (s[:-1, None] + _GAUSS * np.diff(s)[:, None]).ravel()
     tau, _, x = _dense(solution, *_locate(ss, nodes))
     theta_dot = _theta_dot(tau)
-    (om1, om2), (de1, de2) = ((theta_dot * f(x)).reshape(-1, 2).T
-                              for f in (np.sin, np.cos))
-    quarter = width / 4
-    return (s, (om1 + om2) / -2 * quarter, (de1 + de2) / 2 * quarter,
-            (om1 * de2 - om2 * de1) * (quarter * quarter * (math.sqrt(3) / 3)))
+    return (s, *((theta_dot * f(x)).reshape(-1, _GAUSS.size).T
+                 for f in (np.sin, np.cos)))
 
 
 def design_pulse(params: DesignParams):

@@ -15,8 +15,11 @@ field, linear in their product.  Steps whose three fields are 0 are the
 identity and are dropped, so a zero-field gap holds the state bit for bit;
 the rest are multiplied in blocks of _BLOCK by pairwise trees (_trees), and
 the scan batch and propagate both take their block products from them.  The
-batch also takes ready step fields (_Steps) in place of a pulse: they skip
-the interpolation (_fields) and share the rest (_blocks, _trees).
+batch also takes ready steps (_Steps) in place of a pulse: sixth-order
+Magnus steps (M6, _magnus6) of fields given at three Gauss nodes, still one
+exponential each, whose sigma_x, sigma_z and sigma_y fields are three
+monomials of the two error factors each (_monomials).  They skip the
+interpolation (_fields) and share the rest (_bounded, _trees, _su2).
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -25,6 +28,7 @@ already records the reached azimuth, so fidelity(final, pulse.beta_final)
 measures the intended transfer.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,47 +152,69 @@ def _finite(*named):
 def _blocks(om, de, y, keep, scale_omega, scale_delta):
     """The kept steps of the flat step fields om, de and y, as _factors takes
     them, front-padded with zero fields to whole blocks and shaped (blocks,
-    _BLOCK).  Each of om and de times the largest |scale| of its own, and y
-    times the largest |scale_omega x scale_delta|, must be at most 1e150 (nan
-    is not): then phi/2 is at most 1.8e150, its tan is finite, and so is
-    every state."""
+    _BLOCK), each of om and de times its own scale and y times
+    scale_omega x scale_delta bounded as _bounded bounds them."""
     _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
-    pad = (-np.count_nonzero(keep) % _BLOCK, 0)
-    om, de, y = (np.pad(x[keep], pad).reshape(-1, _BLOCK) for x in (om, de, y))
+    with np.errstate(over="ignore"):  # an overflow is inf, which is rejected
+        sy = np.multiply(scale_omega, scale_delta)
+    return _bounded(zip(("omega", "delta", "omega x delta"), (om, de, y),
+                        (scale_omega, scale_delta, sy)), keep)
+
+
+def _bounded(terms, keep):
+    """The kept steps of each (name, flat values, scale) term, front-padded
+    with zeros to whole blocks and shaped (blocks, _BLOCK).  Each term's
+    values times the largest |scale| of its own must be at most 1e150 (nan
+    is not): then each of the at most three terms of a field of _su2 is, so
+    phi/2 is at most 5.2e150, its tan is finite, and so is every state."""
+    kept = np.count_nonzero(keep)
+    size = kept - kept % -_BLOCK
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, x, scale in (("omega", om, scale_omega), ("delta", de, scale_delta),
-                               ("omega x delta", y,
-                                np.multiply(scale_omega, scale_delta))):
-            if not np.abs(x).max(initial=0.0) * np.abs(scale).max(initial=0.0) <= 1e150:
+        for name, x, scale in terms:
+            padded = np.zeros(size)
+            padded[size - kept:] = x[keep]
+            bound = np.abs(padded).max(initial=0.0) * np.abs(scale).max(initial=0.0)
+            if not bound <= 1e150:
                 raise ParameterError(f"scaled {name} exceeds 1e150 per step: "
                                      f"its step field is squared")
-    return om, de, y
+            out.append(padded.reshape(-1, _BLOCK))
+    return out
 
 
 def _factors(o, so, d, sd, y, sy, a, b, x):
-    """Cayley-Klein (a, b) of the M4 steps exp(2i (w sigma_x + v sigma_y + e
-    sigma_z)) = [[a, b], [-b*, a*]] into a and b: with w = o so = -Omega
-    dt/4, e = d sd = Delta dt/4 and v = y sy (o, d and y as _fields and
-    _blocks give them, sy = so sd), phi / 2 = sqrt(w^2 + e^2 + v^2) floored
-    at 1e-300, a = cos(phi) + i f e and b = f v + i f w, cos and sin from u
-    = tan(phi / 2), f = sin(phi) / (phi / 2): sin(phi) is 0 where the fields
-    are, and where their squares underflow the step is its first-order
-    rotation (f = 2).  x is six
-    contiguous real arrays of a's shape, the scratch that every pass but the
-    last four, which write a.real, a.imag, b.imag and b.real, works in."""
-    w, e, p, s, u, c = x  # -Omega dt/4, Delta dt/4, phi/2, scratch, u, u^2
+    """Cayley-Klein (a, b) of the M4 steps of a pulse into a and b (_su2),
+    with w = o so = -Omega dt/4, e = d sd = Delta dt/4 and v = y sy (o, d and
+    y as _fields and _blocks give them, sy = so sd).  x is six contiguous
+    real arrays of a's shape: w and e take the first two and _su2 works in
+    the other four; v takes the first half of a's memory, contiguous too,
+    which _su2 writes last."""
+    w, e, *scratch = x
+    v = a.view(float).reshape((2,) + a.shape)[0]
     np.multiply(o, so, out=w)
     np.multiply(d, sd, out=e)
-    np.multiply(y, sy, out=c)
+    _su2(w, e, np.multiply(y, sy, out=v), a, b, *scratch)
+
+
+def _su2(w, e, v, a, b, p, s, u, c):
+    """Cayley-Klein (a, b) of the steps exp(2i (w sigma_x + v sigma_y + e
+    sigma_z)) = [[a, b], [-b*, a*]] into a and b: phi / 2 = sqrt(w^2 + e^2 +
+    v^2) floored at 1e-300, a = cos(phi) + i f e and b = f v + i f w, cos and
+    sin from u = tan(phi / 2), f = sin(phi) / (phi / 2): sin(phi) is 0 where
+    the fields are, and where their squares underflow the step is its
+    first-order rotation (f = 2).  p, s, u and c are real scratch of a's
+    shape; every pass but the last four, which write b.imag, b.real, a.real
+    and a.imag in that order (so v may lie in a's memory), works in them."""
     np.add(np.multiply(w, w, out=p), np.multiply(e, e, out=s), out=p)
-    np.sqrt(np.add(p, np.multiply(c, c, out=c), out=p), out=p)
+    np.sqrt(np.add(p, np.multiply(v, v, out=c), out=p), out=p)
     np.tan(np.maximum(p, 1e-300, out=p), out=u)
     np.divide(2.0, np.add(np.multiply(u, u, out=c), 1.0, out=s), out=s)
-    np.subtract(1.0, np.multiply(c, s, out=c), out=a.real)
+    np.multiply(c, s, out=c)
     np.divide(np.multiply(u, s, out=u), p, out=u)
-    np.multiply(u, e, out=a.imag)
     np.multiply(u, w, out=b.imag)
-    np.multiply(u, np.multiply(y, sy, out=s), out=b.real)
+    np.multiply(u, v, out=b.real)
+    np.subtract(1.0, c, out=a.real)
+    np.multiply(u, e, out=a.imag)
 
 
 def _reals(z):
@@ -221,41 +247,116 @@ def _zeros(shape, dtype=float):
     return raw[start:start + size].view(dtype).reshape(shape)
 
 
-def _trees(om, de, y, so, sd):
+def _trees(blocks, cols, factors):
     """Yield each block's pairwise tree, a heap on axis 1 of one buffer:
     step k's factor at _BLOCK + _REV[k], level m at [m, 2m) (two contiguous
-    halves of the level below) and the block's product at 1.  om, de and y
-    hold the blocks on axis 0, their steps in _REV order on axis 1 and the
-    columns on axis 2, broadcast with so and sd; each level's _mul operands
-    are views made once, not sliced anew for every block.  The heap and the
-    scratch start on cache lines (_zeros), and so do the leaves, each half
-    of the heap and each scratch array, all whole multiples of 64 bytes
-    from the start."""
-    cols = np.broadcast_shapes(om.shape[2:], np.shape(so))
+    halves of the level below) and the block's product at 1, its columns of
+    shape cols.  factors(block, a, b, x) writes the factors of each of
+    blocks, its steps in _REV order, into the leaves a and b, x being six
+    real scratch arrays of their shape (_pulse_factors, _ready_factors);
+    each level's _mul operands are views made once, not sliced anew for
+    every block.  The heap and the scratch start on cache lines (_zeros),
+    and so do the leaves, each half of the heap and each scratch array, all
+    whole multiples of 64 bytes from the start."""
     ab = _zeros((2, 2 * _BLOCK) + cols, dtype=complex)
     x = _zeros((2, _BLOCK) + cols)
     t = x.reshape(2, _BLOCK // 2, -1).view(complex)
     x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
     levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
               for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
-    sy = np.multiply(so, sd)
-    for o, d, v in zip(om, de, y):
-        _factors(o, so, d, sd, v, sy, *ab[:, _BLOCK:], x)
+    for block in blocks:
+        factors(block, *ab[:, _BLOCK:], x)
         for level in levels:
             _mul(*level)
         yield ab
 
 
-class _Steps(NamedTuple):
-    """Ready M4 step fields for final_states_over_errors: -Omega dt/4,
-    Delta dt/4 and the sigma_y field y of each exponential (as _fields
-    gives them), in the order they are applied, after one step with zero
-    fields (the identity, which _blocks drops).  As for a pulse's samples at
-    one step per interval, omega.size - 1 is the count of exponentials."""
+def _pulse_factors(so, sd):
+    """_trees' factors of a pulse's blocks (o, d, y) of step fields, each
+    (_BLOCK, columns) broadcast with the scales so and sd (_factors)."""
+    sy = np.multiply(so, sd)
+    return lambda f, a, b, x: _factors(f[0], so, f[1], sd, f[2], sy, a, b, x)
 
-    omega: np.ndarray
-    delta: np.ndarray
-    y: np.ndarray
+
+def _ready_factors(mono):
+    """_trees' factors of ready steps' blocks of coefficients, each (3,
+    _BLOCK, 3), at the columns' monomials mono, (3, 3, columns)
+    (_monomials): each block's w, e and v by one batched matmul into a
+    buffer of their own, then _su2."""
+    wev = _zeros((3, _BLOCK) + mono.shape[2:])
+    return lambda c, a, b, x: _su2(*np.matmul(c, mono, out=wev), a, b, *x[2:])
+
+
+# The monomials of the error factors, as _monomials stacks them, that ready
+# steps' w, e and v are linear in, named as _bounded names them
+_TERMS = ("omega", "omega x delta^2", "omega^3 x delta^2",
+          "delta", "omega^2 x delta", "omega^2 x delta^3",
+          "omega x delta", "omega x delta^3", "omega^3 x delta")
+
+
+def _monomials(so, sd):
+    """(3, 3, rows): for each row's scales so and sd, the monomials that the
+    fields w, e and v of a ready step (_Steps) are linear in, as _TERMS
+    names them; what overflows is inf, which _bounded rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        osd = so * sd
+        return np.stack(((so, osd * sd, osd * osd * so),
+                         (sd, osd * so, osd * osd * sd),
+                         (osd, osd * sd * sd, osd * so * so)))
+
+
+class _Steps(NamedTuple):
+    """Ready M6 steps for final_states_over_errors (_magnus6): coef[r, k, j]
+    is the coefficient of monomial k of row r (_monomials) in exponential
+    j's field w (r = 0), e (r = 1) or v (r = 2) as _su2 takes them, in the
+    order they are applied, after one step whose coefficients are all 0
+    (the identity, which is dropped).  omega, each step's coefficient of so
+    in w, the first-order -Omega h/4, has a slot per exponential and the
+    identity's: as for a pulse's samples at one step per interval,
+    omega.size - 1 is the count of exponentials."""
+
+    coef: np.ndarray  # (3, 3, 1 + exponentials)
+
+    @property
+    def omega(self):
+        return self.coef[0, 0]
+
+
+def _magnus6(h, omega, delta):
+    """The ready _Steps of the sixth-order Magnus step (M6; Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470, 151 (2009), Omega^[6]) over intervals of
+    widths h, with omega and delta, (3, h.size), the fields at each
+    interval's Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10.
+    With A_i = -(i/2) (so Omega_i sigma_x - sd Delta_i sigma_z) there,
+
+        alpha1 = h A_2,  alpha2 = (sqrt(15) h / 3) (A_3 - A_1),
+        alpha3 = (10 h / 3) (A_3 - 2 A_2 + A_1),
+        C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1] / 60,
+        Omega6 = alpha1 + alpha3 / 12
+                 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
+
+    and the step is exp(Omega6).  In su(2) -i p.sigma and -i q.sigma have
+    the commutator -i 2 (p x q).sigma, and the alphas lie in the sigma_x,
+    sigma_z plane, linear in so and in sd, so Omega6 = 2i (w sigma_x + v
+    sigma_y + e sigma_z) is one exponential whose w, e and v are each
+    linear in three monomials of so and sd (_monomials): the coefficients
+    are computed once for every error row."""
+    a = np.stack((omega, -delta)) * (h / 2)  # h A_i's sigma_x, sigma_z parts
+    a1, a2, a3 = (a[:, 1], (math.sqrt(15) / 3) * (a[:, 2] - a[:, 0]),
+                  (10 / 3) * (a[:, 2] - 2 * a[:, 1] + a[:, 0]))
+    c1 = 2 * (a1[1] * a2[0] - a1[0] * a2[1])  # C1: c1 so sd on sigma_y
+    # C2: q[1] so sd^2 on sigma_x, qy so sd on sigma_y, -q[0] so^2 sd on sigma_z
+    q = a1 * (c1 / 30)
+    qy = (a1[0] * a3[1] - a1[1] * a3[0]) / 15
+    p = -20 * a1 - a3  # -20 alpha1 - alpha3 + C1 without C1
+    coef = np.zeros((3, 3, h.size + 1))
+    coef[..., 1:] = (  # of Omega6's sigma_x, sigma_z and sigma_y parts
+        (a1[0] + a3[0] / 12, (c1 * a2[1] - p[1] * qy) / 120, -c1 * q[0] / 120),
+        (a1[1] + a3[1] / 12, (p[0] * qy - c1 * a2[0]) / 120, -c1 * q[1] / 120),
+        ((p[1] * a2[0] - p[0] * a2[1]) / 120, p[1] * q[1] / 120,
+         p[0] * q[0] / 120))
+    coef *= -0.5  # w, e and v of exp(2i (w sigma_x + v sigma_y + e sigma_z))
+    return _Steps(coef)
 
 
 def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
@@ -264,8 +365,11 @@ def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
 
     pulse is a Pulse, propagated at substeps M4 steps per interval, or ready
     _Steps, at substeps = 1.  scale_omega/scale_delta are aligned 1-D
-    arrays of (1 + delta) factors.  Each row is computed exactly as a batch
-    of one would be: a column of the trees per row, _WIDTH rows a pass.
+    arrays of (1 + delta) factors.  A row is a column of the trees, _WIDTH
+    rows a pass.  A pulse's row is computed exactly as a batch of one would
+    be; ready steps' fields come from a matmul per block, whose BLAS kernel
+    may follow the pass's width, so their rows agree with a batch of one to
+    the rounding of those three-term sums.
     """
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
@@ -273,15 +377,26 @@ def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
     if isinstance(pulse, _Steps):
         if substeps != 1:
             raise ParameterError(f"ready steps take substeps = 1, got {substeps!r}")
-        om, de, y = pulse
-        keep = (om != 0.0) | (de != 0.0) | (y != 0.0)
+        _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
+        mono = _monomials(scale_omega, scale_delta)
+        coef = pulse.coef.reshape(9, -1)
+        blocks = _bounded(zip(_TERMS, coef, mono.reshape(9, -1)),
+                          coef.any(axis=0))
+        # (blocks, row, step in _REV order, monomial)
+        blocks = np.stack(blocks, axis=1).reshape(-1, 3, 3, _BLOCK)
+        blocks = np.ascontiguousarray(blocks.transpose(0, 1, 3, 2)[:, :, _REV])
     else:
         om, de, y, keep = _fields(pulse, substeps)[:4]
-    om, de, y = (x[:, _REV, None] for x in
-                 _blocks(om, de, y, keep, scale_omega, scale_delta))
+        blocks = [x[:, _REV, None] for x in
+                  _blocks(om, de, y, keep, scale_omega, scale_delta)]
     for r in range(0, scale_omega.size, _WIDTH):
         rows, so, sd = (v[r:r + _WIDTH] for v in (psi, scale_omega, scale_delta))
-        for ab in _trees(om, de, y, so, sd):
+        if isinstance(pulse, _Steps):
+            trees = _trees(blocks, so.shape, _ready_factors(
+                np.ascontiguousarray(mono[..., r:r + _WIDTH])))
+        else:
+            trees = _trees(zip(*blocks), so.shape, _pulse_factors(so, sd))
+        for ab in trees:
             rows[:] = _apply(*ab[:, 1], rows)
         ab = None  # free this pass's heap before the next builds its own
     return psi
@@ -318,8 +433,9 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
     states = np.empty((n_blocks + 1, _BLOCK, 2), dtype=complex)
     states[0, -1] = psi
     for g in range(0, n_blocks, _WIDTH):
-        ab = next(_trees(*(x[..., g:g + _WIDTH] for x in fields),
-                         scale_omega, scale_delta))
+        block = [x[..., g:g + _WIDTH] for x in fields]
+        ab = next(_trees(zip(*block), block[0].shape[2:],
+                         _pulse_factors(scale_omega, scale_delta)))
         ends = [states[g, -1:]]  # the block products chained as the batch's
         for j in range(ab.shape[2]):
             ends.append(_apply(ab[0, 1, j:j + 1], ab[1, 1, j:j + 1], ends[-1]))

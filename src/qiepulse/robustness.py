@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _sundman, _value_eq
-from .dynamics import TargetState, _Steps, fidelity, final_states_over_errors, ket1
+from .dynamics import TargetState, _magnus6, fidelity, final_states_over_errors, ket1
 from .errors import ParameterError
 
 __all__ = [
@@ -28,13 +28,13 @@ __all__ = [
 BAND_HALF_WIDTH = 0.2  # |delta| band for min_fidelity_in_band
 
 # Intervals per accepted design step of a design's scan (_design_scans), and
-# of the scan its error is estimated against, one interval per two steps:
-# the error falls as m^-4, so that scan is off by (2 / (1/2))^4 = 256 times
-# as much, and max |F2 - F1/2| / 255 estimates the scan's
-_INTERVALS, _ESTIMATE_INTERVALS, _SHRINK = 2, 0.5, 255
-_ESTIMATOR = f"max|F{_INTERVALS} - F1/2|/{_SHRINK}"
-_SAMPLING = f"sundman magnus4, {_INTERVALS} intervals per accepted step"
-
+# of the scan its error is estimated against, three intervals per four
+# steps: the error falls as m^-6, so that scan is off by (4/3)^6 = 5.62
+# times as much, and max |F1 - F3/4| / ((4/3)^6 - 1) estimates the scan's
+_INTERVALS, _ESTIMATE_INTERVALS = 1, 0.75
+_SHRINK = (_INTERVALS / _ESTIMATE_INTERVALS) ** 6 - 1
+_ESTIMATOR = f"max|F{_INTERVALS} - F3/4|/((4/3)^6 - 1)"
+_SAMPLING = f"sundman magnus6, {_INTERVALS} interval per accepted step"
 
 @dataclass(frozen=True)
 class ErrorGrid:
@@ -51,7 +51,7 @@ class ErrorGrid:
             raise ParameterError(
                 f"parameter must be 'rabi' or 'detuning', got {self.parameter!r}"
             )
-        lo, hi = _real(self.lo), _real(self.hi)
+        lo, hi = _real(self.lo, "lo"), _real(self.hi, "hi")
         if not -np.inf < lo < hi < np.inf:
             raise ParameterError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
         with np.errstate(over="ignore"):  # a numpy float's span; named below
@@ -91,7 +91,8 @@ def pi_half_baseline(duration: float, n_samples: int = 101) -> Pulse:
     to global phase, which is target_state(-pi/2), giving fidelity 1 at
     delta = 0.
     """
-    if not 0 < _real(duration) < np.inf or not 0.5 * np.pi / duration < np.inf:
+    if (not 0 < _real(duration, "duration") < np.inf
+            or not 0.5 * np.pi / duration < np.inf):
         raise ParameterError(f"duration must be positive and finite, with "
                              f"(pi/2)/duration finite, got {duration!r}")
     if not _is_count(n_samples, 3):
@@ -131,7 +132,9 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
     is computed as a batch of one would be, so every result is the one
     scan_1d gives for its grid alone.  drive, when given, is the ready
     dynamics._Steps (at substeps = 1) the pulse is scanned by in place of
-    its samples; the results keep the pulse's label and area."""
+    its samples, whose rows agree with a batch of one to the rounding of
+    their fields (final_states_over_errors); the results keep the pulse's
+    label and area."""
     deltas = [grid.values() for grid in grids]
     scales = [np.ones((2, d.size)) for d in deltas]  # of Omega, of Delta
     for grid, d, scale in zip(grids, deltas, scales):
@@ -155,22 +158,24 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
 def _drive(solution, m):
     """A design's drive in its Sundman time (designer._sundman) at m
     intervals per accepted step of its run, up to the s* it records, as the
-    ready dynamics._Steps it is scanned by."""
-    return _Steps(*(np.append(0.0, x) for x in _sundman(solution, m)[1:]))
+    ready dynamics._Steps of sixth-order Magnus steps it is scanned by."""
+    s, omega, delta = _sundman(solution, m)
+    return _magnus6(np.diff(s), omega, delta)
 
 
 def _design_scans(pulse: Pulse, trajectory, grids):
     """A design's scans over its grids, each with its estimated error, and
     the exponentials per error row of the scan and of the estimate's scan.
 
-    A scan is the design's drive by fourth-order Magnus steps, one
-    exponential each, at _INTERVALS intervals per accepted step (_drive),
+    A scan is the design's drive by sixth-order Magnus steps, one
+    exponential each, at _INTERVALS interval per accepted step (_drive),
     its grids in one batch, against the design's target.  The error falls
-    as m^-4 in the intervals per step m, so the scan at
-    _ESTIMATE_INTERVALS, one interval per two steps, is off by 256 times as
-    much, and max |F_2 - F_1/2| / 255 estimates the scan's.  Both drives
-    end at the s* the design recorded from its own clock inversion.  The
-    exponentials per row are the drives' counts (dynamics._Steps)."""
+    as m^-6 in the intervals per step m, so the scan at
+    _ESTIMATE_INTERVALS, three intervals per four steps, is off by (4/3)^6
+    = 5.62 times as much, and max |F_1 - F_3/4| / ((4/3)^6 - 1) estimates
+    the scan's.  Both drives end at the s* the design recorded from its own
+    clock inversion.  The exponentials per row are the drives' counts
+    (dynamics._Steps)."""
     target = TargetState(pulse.beta_final)
     drives = [_drive(trajectory.solution, m)
               for m in (_INTERVALS, _ESTIMATE_INTERVALS)]
@@ -179,7 +184,6 @@ def _design_scans(pulse: Pulse, trajectory, grids):
     return ([(res, float(np.max(np.abs(res.fidelities - est.fidelities)))
               / _SHRINK) for res, est in zip(fine, coarse)],
             [drive.omega.size - 1 for drive in drives])
-
 
 @dataclass
 class SummaryRow:

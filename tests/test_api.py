@@ -115,24 +115,24 @@ def test_work_figure_counts_the_kept_exponentials(monkeypatch):
     # bench/layers.py counts (pulse.omega.size - 1) x substeps exponentials
     # per row from the arguments named pulse and substeps: for a pulse with
     # no zero-field interval at 1, 2 and 3 steps per interval, and for a
-    # report drive (dynamics._Steps, its leading zero step dropped), that
-    # is the count of steps _blocks keeps
+    # report drive (dynamics._Steps, its leading identity slot dropped),
+    # that is the count of steps _bounded keeps, the tail both take
     import qiepulse.dynamics as dynamics
     from qiepulse.robustness import _drive
 
-    kept, blocks = [], dynamics._blocks
+    kept, bounded = [], dynamics._bounded
 
-    def counted(om, de, y, keep, scale_omega, scale_delta):
+    def counted(terms, keep):
         kept.append(np.count_nonzero(keep))
-        return blocks(om, de, y, keep, scale_omega, scale_delta)
+        return bounded(terms, keep)
 
-    monkeypatch.setattr(dynamics, "_blocks", counted)
+    monkeypatch.setattr(dynamics, "_bounded", counted)
     figure = runpy.run_path(str(LAYERS))["_propagate_steps"]
     pulse, trajectory = qiepulse.design_pulse(
         qiepulse.DesignParams(c=0.073, n_samples=101))
     assert np.all((pulse.omega != 0.0) | (pulse.delta != 0.0))
-    drive = _drive(trajectory.solution, 2)
-    assert drive.omega[0] == drive.delta[0] == drive.y[0] == 0.0
+    drive = _drive(trajectory.solution, 1)
+    assert not drive.coef[..., 0].any() and drive.coef[..., 1:].any(axis=(0, 1)).all()
     for run, names in ((dynamics.final_states_over_errors,
                         {"pulse", "substeps", "scale_omega"}),
                        (dynamics.propagate, {"pulse", "substeps"})):
@@ -151,17 +151,20 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
     # a small report with every benchmark layer wrapped exits 0, calls
     # final_states_over_errors 9 times (two scans of each of the 4 designs,
     # and the baseline's), and each call's work figure is its rows times
-    # the exponentials the kernel applied to each: the steps _blocks keeps
+    # the exponentials the kernel applied to each: the steps _bounded
+    # keeps, for a pulse's fields and a drive's coefficients alike, times
+    # the size of a term's scale, one per row
     import qiepulse.cli as cli
     import qiepulse.dynamics as dynamics
 
-    applied, blocks = [], dynamics._blocks
+    applied, bounded = [], dynamics._bounded
 
-    def counted(om, de, y, keep, scale_omega, scale_delta):
-        applied.append(np.size(scale_omega) * np.count_nonzero(keep))
-        return blocks(om, de, y, keep, scale_omega, scale_delta)
+    def counted(terms, keep):
+        terms = list(terms)
+        applied.append(np.size(terms[0][2]) * np.count_nonzero(keep))
+        return bounded(terms, keep)
 
-    monkeypatch.setattr(dynamics, "_blocks", counted)
+    monkeypatch.setattr(dynamics, "_bounded", counted)
     grid = {"lo": -0.5, "hi": 0.5, "n_points": 21}
     config = tmp_path / "run.json"
     config.write_text(json.dumps({

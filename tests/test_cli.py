@@ -1,15 +1,21 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import qiepulse
 import qiepulse.designer as designer
 from qiepulse import (
     DesignError,
+    DesignParams,
     ErrorGrid,
     ParameterError,
     PulseFormatError,
@@ -143,6 +149,27 @@ class TestExitCodes:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_module_runs_the_cli(self, tmp_path):
+        # python -m qiepulse runs main in a fresh interpreter and exits
+        # with its code: 0 with the version and for a baseline file, 2 on
+        # a bad --range for a scan of that file
+        src = Path(qiepulse.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "qiepulse", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=tmp_path, timeout=60)
+
+        done = run("--version")
+        assert (done.returncode, done.stdout) == (0, "0.1.0\n")
+        assert run("baseline", "pi2", "--out", "p.csv").returncode == 0
+        done = run("scan", "--pulse", "p.csv", "--param", "rabi",
+                   "--range", "0:1", "--out", "s.csv")
+        assert done.returncode == 2
+        assert done.stderr == "error: range must be lo:hi:n, got '0:1'\n"
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("calls", EXTREME_CALLS, ids=[
         " + ".join(" ".join(a for a in argv if "{" not in a and a not in
@@ -371,7 +398,7 @@ class TestScanCommand:
         assert len(rows) == 5
 
     def test_every_scan_csv_names_its_sampling(self, tmp_path, capsys):
-        # a report scans each design's Sundman-time drive; `scan` and
+        # a report scans each design's Sundman-time drive by M6; `scan` and
         # `simulate` take a pulse file's samples, linearly interpolated, at
         # their M4 intervals per sample interval
         config = tmp_path / "run.json"
@@ -384,7 +411,7 @@ class TestScanCommand:
         assert len(scans) == 8
         for path in scans:
             assert path.read_text().splitlines()[4] == (
-                "# sampling = sundman magnus4, 2 intervals per accepted step")
+                "# sampling = sundman magnus6, 1 interval per accepted step")
         for substeps in (2, 3):
             out = tmp_path / f"file_scan_{substeps}.csv"
             assert main(["scan", "--pulse", str(tmp_path / "pulse_c0.073.csv"),
@@ -722,15 +749,15 @@ class TestReportCommand:
                 meta = lines.splitlines()[:6]
                 assert meta[0] == f"# protocol = qie c={c}"
                 assert meta[2] == f"# area = {pulse.area!r}"
-                assert meta[4] == ("# sampling = sundman magnus4, 2 intervals "
+                assert meta[4] == ("# sampling = sundman magnus6, 1 interval "
                                    "per accepted step")
                 assert 0 < float(meta[5].split(" = ")[1]) < 1e-8
 
     def test_report_scan_error_estimate(self, tmp_path, capsys):
-        # c = 0.073, rabi: the scan is the design's M4 drive at 2 intervals
-        # a step, within 1e-8 of it at 16 (and of the t-sampled pulse's
+        # c = 0.073, rabi: the scan is the design's M6 drive at 1 interval
+        # a step, within 5e-10 of it at 16 (and of the t-sampled pulse's
         # scan, 9e-5 away, much nearer); the printed estimate
-        # max |F2 - F1/2| / 255 is within 1.5x of that true gap
+        # max |F1 - F3/4| / ((4/3)^6 - 1) is within 1.5x of that true gap
         out_dir = tmp_path / "out"
         config = {
             "design": {"c": 0.073, "n_samples": 401},
@@ -758,21 +785,21 @@ class TestReportCommand:
 
         reference = scan(16)
         sampled = scan_1d(pulse, target, grid).fidelities
-        np.testing.assert_allclose(fids, scan(2), rtol=0, atol=1e-12)
-        gap = np.max(np.abs(scan(2) - reference))
-        assert gap <= 1e-8 and 1e4 * gap < np.max(np.abs(sampled - reference))
+        np.testing.assert_allclose(fids, scan(1), rtol=0, atol=1e-12)
+        gap = np.max(np.abs(scan(1) - reference))
+        assert gap <= 5e-10 and 1e4 * gap < np.max(np.abs(sampled - reference))
         assert gap / 1.5 <= estimate <= 1.5 * gap
         summary = (out_dir / "summary.txt").read_text()
         assert f" 0.073  {estimate:.2e}" in summary
 
     def test_report_scan_error_estimates(self, report_21, designs4):
         # every report scan, 4 c by 2 parameters: the printed estimate
-        # max |F2 - F1/2| / 255 is within 1.5x of the scan's true gap, to
-        # the design's M4 drive at 16 intervals a step
+        # max |F1 - F3/4| / ((4/3)^6 - 1) is within 1.5x of the scan's true
+        # gap, to the design's M6 drive at 16 intervals a step
         grids = [ErrorGrid(parameter, -0.5, 0.5, 21)
                  for parameter in ("rabi", "detuning")]
         summary = (report_21 / "summary.txt").read_text()
-        assert "estimated error max|F2 - F1/2|/255\n" in summary
+        assert "estimated error max|F1 - F3/4|/((4/3)^6 - 1)\n" in summary
         for c, (pulse, trajectory) in designs4.items():
             references = _scan(pulse, TargetState(pulse.beta_final), grids, 1,
                                drive=_drive(trajectory.solution, 16))
@@ -792,9 +819,9 @@ class TestReportCommand:
 
     def test_report_work_table(self, report_21, designs4):
         # per design: the stepper's work from its Solution, and the
-        # exponentials per error row of the scan (2 intervals a step) and
-        # of the estimate's scan (one interval per two steps), which are
-        # the drives' counts; none of its lines reads as a summary row
+        # exponentials per error row of the scan (1 interval a step) and
+        # of the estimate's scan (three intervals per four steps), which
+        # are the drives' counts; none of its lines reads as a summary row
         lines = (report_21 / "summary.txt").read_text().splitlines()
         start = lines.index("exponentials per error row of the scan and of "
                             "the estimate's scan")
@@ -807,14 +834,14 @@ class TestReportCommand:
             solution = trajectory.solution
             steps = solution.ss.size - 1
             scan, estimate = (_drive(solution, m).omega.size - 1
-                              for m in (2, 0.5))
+                              for m in (1, 0.75))
             assert row.split() == [f"{c:g}", str(solution.nfev), str(steps),
                                    str(solution.rejected), str(scan),
                                    str(estimate)]
-            # one exponential per interval: 2 intervals in each step but
-            # the part of the last past s*, and one per two steps
-            assert 2 * (steps - 1) < scan <= 2 * steps
-            assert estimate == -(-steps // 2)
+            # one exponential per interval: one interval in each step but
+            # the part of the last past s*, and three per four steps
+            assert steps - 1 < scan <= steps
+            assert 0.75 * (steps - 1) < estimate <= -(-3 * steps // 4)
         for line in lines[start - 1:start + 6]:
             assert line.rsplit(" ", 1)[-1] not in ("LR", "L-", "-R", "--")
 
@@ -881,6 +908,29 @@ class TestReportCommand:
             config_path.write_text(json.dumps(config))
             assert main(["report", "--config", str(config_path)]) == 2
             assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value, build", [
+        ("design", "T", 10 ** 400, lambda v: DesignParams(c=0.073, T=v)),
+        ("design", "c", -10 ** 400, lambda v: DesignParams(c=v)),
+        ("rabi_grid", "hi", 10 ** 400, lambda v: ErrorGrid("rabi", -0.5, v, 3)),
+        ("detuning_grid", "lo", -10 ** 400,
+         lambda v: ErrorGrid("detuning", v, 0.5, 3)),
+    ])
+    def test_number_past_the_float_range_is_argument_error(
+            self, tmp_path, capsys, section, key, value, build):
+        # a JSON integer no float holds compares finite, and used to escape
+        # later as an OverflowError traceback (exit 1): it is named as past
+        # the float range, in the config (exit 2) and in the call alike
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            section: {key: value}, "output_dir": str(tmp_path / "out")}))
+        assert main(["report", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {section}: {key} is past the float range\n"
+        with pytest.raises(ParameterError,
+                           match=f"^{key} is past the float range$"):
+            build(value)
         assert not (tmp_path / "out").exists()
 
 

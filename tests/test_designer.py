@@ -1401,7 +1401,7 @@ class TestSolution:
         one_point = ss[seg] + frac * (ss[seg + 1] - ss[seg])
         assert type(solution.s_end) is float
         assert np.float64(solution.s_end).tobytes() == one_point.tobytes()
-        for m in (2, 0.5):
+        for m in (1, 0.75):
             s = designer._sundman(solution, m)[0]
             assert s[-1] == solution.s_end and s[-2] < s[-1]
 
@@ -1417,29 +1417,40 @@ class TestSolution:
 
 class TestSundman:
     """designer._sundman: the design's drive in its Sundman time, as the
-    fourth-order Magnus step (M4) takes it, one exponential per interval."""
+    sixth-order Magnus step (M6) takes it, one exponential per interval."""
 
     @staticmethod
     def scan(trajectory, m, target, scales):
-        """Final fidelities of the M4 drive at m intervals per accepted
+        """Final fidelities of the M6 drive at m intervals per accepted
         step, over the (scale_omega, scale_delta) rows."""
         drive = _drive(trajectory.solution, m)
         return fidelity(final_states_over_errors(drive, ket1(), *scales, 1),
                         target)
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
-    @pytest.mark.parametrize("m", [0.5, 1, 2, 4])
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1, 2, 4])
     def test_nodes_and_fields(self, c, m):
         _, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
         solution = trajectory.solution
-        s, omega, delta, y = designer._sundman(solution, m)
+        s, omega, delta = designer._sundman(solution, m)
         assert s[0] == 0.0 and np.all(np.diff(s) > 0)
         steps = solution.ss.size - 1
         inner = s[:-1]
-        if m < 1:
+        if m == 0.5:
             # one interval per two accepted steps: its ends are every other
             # accepted time, then s*
             np.testing.assert_array_equal(inner, solution.ss[:-1:2])
+        elif m == 0.75:
+            # three intervals per four accepted steps: an end every 4/3
+            # steps, on every fourth accepted time, then s*
+            assert 0.75 * (steps - 1) < s.size - 1 <= -(-3 * steps // 4)
+            np.testing.assert_array_equal(inner[::3],
+                                          solution.ss[:4 * inner[::3].size:4])
+            seg = np.arange(1, inner.size, 3)
+            h = np.diff(solution.ss)
+            np.testing.assert_allclose(
+                inner[seg], solution.ss[seg // 3 * 4 + 1] + h[seg // 3 * 4 + 1] / 3,
+                rtol=1e-15, atol=0)
         else:
             # m intervals in each accepted step up to s*, inside the last one
             assert m * (steps - 1) < s.size - 1 <= m * steps
@@ -1452,38 +1463,46 @@ class TestSundman:
         assert clock[0] == -4.0
         assert abs(clock[1] - 4.0) <= designer.CLOCK_TOL
         assert solution.ss[-2] < s[-1] <= solution.ss[-1]
-        # no spike: theta_dot (sin x, cos x) is at most sqrt(pi)/2; one
-        # exponential per interval, of the mean of two such at the Gauss
-        # nodes times a quarter of the width h, and of y = (sqrt(3)/48) h^2
-        # (Omega_1 Delta_2 - Omega_2 Delta_1), at most (sqrt(3)/48) h^2 pi/4
-        assert omega.shape == delta.shape == y.shape == (s.size - 1,)
+        # no spike: the fields theta_dot (sin x, cos x) at the three Gauss
+        # nodes of each interval, as the docstring states them, are at most
+        # sqrt(pi)/2, and Omega dt/ds > 0
         h = np.diff(s)
-        assert np.all(np.hypot(omega, delta) <= math.sqrt(math.pi) / 2 * h / 4
+        assert omega.shape == delta.shape == (3, s.size - 1)
+        nodes = s[:-1] + designer._GAUSS[:, None] * h
+        np.testing.assert_allclose(designer._GAUSS, 0.5 + np.array([-1, 0, 1])
+                                   * math.sqrt(0.15), rtol=1e-15, atol=0)
+        tau, _, x = _dense(solution, *_locate(solution.ss, nodes.T.ravel()))
+        theta_dot = designer._theta_dot(tau)
+        for field, f in ((omega, np.sin), (delta, np.cos)):
+            np.testing.assert_allclose(field, (theta_dot * f(x)).reshape(-1, 3).T,
+                                       rtol=1e-15, atol=0)
+        assert np.all(np.hypot(omega, delta) <= math.sqrt(math.pi) / 2
                       * (1 + 1e-15))
-        assert np.all(np.abs(y) <= math.sqrt(3) / 48 * h ** 2 * math.pi / 4
-                      * (1 + 1e-15))
-        assert np.all(omega < 0)  # -Omega dt/4, and Omega dt/ds > 0
-        # the fields as the docstring states them, from the nodes' fields
-        nodes = (s[:-1, None] + designer._GAUSS * h[:, None]).ravel()
-        tau, _, x = _dense(solution, *_locate(solution.ss, nodes))
-        (o1, o2), (d1, d2) = ((designer._theta_dot(tau) * f(x)).reshape(-1, 2).T
-                              for f in (np.sin, np.cos))
-        np.testing.assert_allclose(omega, -(o1 + o2) * h / 8, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(delta, (d1 + d2) * h / 8, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(y, math.sqrt(3) / 48 * h ** 2
-                                   * (o1 * d2 - o2 * d1), rtol=1e-12, atol=1e-30)
+        assert np.all(omega > 0)
+        # the report's drive: one exponential per interval, after the
+        # identity's slot, whose first-order fields are the Gauss
+        # quadrature -(h/4) (5 Omega_1 + 8 Omega_2 + 5 Omega_3) / 18 and
+        # (h/4) (5 Delta_1 + 8 Delta_2 + 5 Delta_3) / 18
+        drive = _drive(solution, m)
+        assert drive.omega.size - 1 == s.size - 1
+        assert not drive.coef[..., 0].any()
+        weights = np.array([5.0, 8.0, 5.0])[:, None] / 18
+        np.testing.assert_allclose(drive.coef[0, 0, 1:], -h / 4 * np.sum(
+            weights * omega, axis=0), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(drive.coef[1, 0, 1:], h / 4 * np.sum(
+            weights * delta, axis=0), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("c", [0.04, 0.073])
-    def test_fourth_order(self, c):
+    def test_sixth_order(self, c):
         # each halving of the interval divides the gap to the m = 32 scan by
-        # about 2^4 = 16 (15.8 to 16.0 measured)
+        # about 2^6 = 64 (39 to 62 measured) while the gap is above
+        # round-off: from m = 1/2 to 1 to 2 (at 4 it is 3e-14)
         pulse, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
         d = np.linspace(-0.5, 0.5, 21)
         scales = (np.r_[1 + d, np.ones(21)], np.r_[np.ones(21), 1 + d])
         target = TargetState(pulse.beta_final)
         reference = self.scan(trajectory, 32, target, scales)
         gap = [np.max(np.abs(self.scan(trajectory, m, target, scales)
-                             - reference)) for m in (0.5, 1, 2, 4)]
-        assert 12 <= gap[0] / gap[1] <= 20
-        assert 12 <= gap[1] / gap[2] <= 20
-        assert 12 <= gap[2] / gap[3] <= 20
+                             - reference)) for m in (0.5, 1, 2)]
+        assert 32 <= gap[0] / gap[1] <= 128
+        assert 32 <= gap[1] / gap[2] <= 128

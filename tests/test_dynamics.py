@@ -25,7 +25,7 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import (
-    _BLOCK, _WIDTH, _Steps, _blocks, _factors, _fields, _zeros,
+    _BLOCK, _WIDTH, _Steps, _blocks, _factors, _fields, _magnus6, _zeros,
     final_states_over_errors,
 )
 
@@ -47,6 +47,15 @@ def axis_pulse(t, omega, delta):
 def field_pulse(omega, delta, duration=1.0):
     """Pulse with the given field samples on a uniform axis over duration."""
     return axis_pulse(np.linspace(0.0, duration, np.size(omega)), omega, delta)
+
+
+def m4_steps(om, de, y):
+    """Ready steps whose fields are the M4 step fields om, de and y (as
+    _fields gives them): each the coefficient of its row's first monomial,
+    so, sd and so sd, and every other coefficient 0."""
+    coef = np.zeros((3, 3, np.size(om)))
+    coef[:, 0] = om, de, y
+    return _Steps(coef)
 
 
 def flat_pulse(omega, delta, n=11):
@@ -179,33 +188,37 @@ class TestStepEvolve:
                 propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
         # ready steps take the same tail: the bound, nan and the scales'
         # finiteness alike; 1e150 itself passes
-        ready = _Steps(np.array([0.0, 1e150, -1.0]), np.array([0.0, 1.0, 0.0]),
-                       np.zeros(3))
+        ready = m4_steps([0.0, 1e150, -1.0], [0.0, 1.0, 0.0], np.zeros(3))
         assert np.all(np.isfinite(
             final_states_over_errors(ready, ket1(), [1.0], [1.0], 1)))
         with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
             final_states_over_errors(ready, ket1(), [1.0, 1.1], [1.0, 1.0], 1)
         with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
-            final_states_over_errors(_Steps(np.zeros(3), np.array([0.0, 1.0, np.nan]),
-                                            np.zeros(3)),
+            final_states_over_errors(m4_steps(np.zeros(3), [0.0, 1.0, np.nan],
+                                              np.zeros(3)),
                                      ket1(), [1.0], [1.0], 1)
         with pytest.raises(ParameterError,
                            match="scale_delta is not finite at index 0"):
             final_states_over_errors(ready, ket1(), [1.0], [np.inf], 1)
         with pytest.raises(ParameterError, match="ready steps take substeps = 1"):
             final_states_over_errors(ready, ket1(), [1.0], [1.0], 2)
-        # the sigma_y field is bounded times both scales: |y so sd| of
-        # 1e150 passes, of 1e150 x 1.1 x 0.95 = 1.045e150 does not, and
-        # scales whose product overflows are nan against y = 0
-        crossed = _Steps(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                         np.array([0.0, -1e150]))
+        # each term of a ready step's fields is bounded by its coefficient
+        # times its monomial of the scales: |y so sd| of 1e150 passes, of
+        # 1e150 x 1.1 x 0.95 = 1.045e150 does not, nor a sixth-order term's
+        # 1e150 x 1.1^3; scales whose so sd^2 overflows are nan against the
+        # coefficient 0
+        crossed = m4_steps([0.0, 1.0], [0.0, 1.0], [0.0, -1e150])
         assert np.all(np.isfinite(
             final_states_over_errors(crossed, ket1(), [1.0, -1.0], [1.0, -1.0])))
-        tiny = _Steps(np.array([0.0, 1e-300]), np.array([0.0, 1e-300]), np.zeros(2))
-        for steps, so, sd in ((crossed, [1.0, 1.1], [1.0, 0.95]),
-                              (tiny, [1e300], [1e10])):
-            with pytest.raises(ParameterError,
-                               match=f"scaled omega x delta {bound}"):
+        tiny = m4_steps([0.0, 1e-300], [0.0, 1e-300], np.zeros(2))
+        cubic = _Steps(np.zeros((3, 3, 2)))
+        cubic.coef[2, 2, 1] = 1e150
+        for steps, so, sd, name in ((crossed, [1.0, 1.1], [1.0, 0.95],
+                                     r"omega x delta"),
+                                    (cubic, [1.0, 1.1], [1.0, 1.0],
+                                     r"omega\^3 x delta"),
+                                    (tiny, [1e300], [1e10], r"omega x delta\^2")):
+            with pytest.raises(ParameterError, match=f"scaled {name} {bound}"):
                 final_states_over_errors(steps, ket1(), so, sd)
         # a pulse whose folded Omega and Delta are 1.25e139 but whose y,
         # (dt/4)^2 Omega_0 Delta_1 / 3, is 2.1e278
@@ -879,9 +892,11 @@ class TestBlockProductKernel:
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_pulse_path_is_the_ready_path(self, substeps, data):
-        # the pulse's own step fields, given as ready steps with exact
-        # zeros among them, run through the same tail and kernel: the
-        # batch and propagate's final states are theirs to the bit
+        # the pulse's own step fields, given as ready steps' first-order
+        # coefficients with exact zeros among them, run through the same
+        # tail and kernel (each field one product, as the pulse's, since
+        # the other terms are exact zeros): the batch and propagate's
+        # final states are theirs to the bit
         fields = st.one_of(st.just(0.0),
                            st.floats(-4.0, 4.0, allow_subnormal=False))
         pulse = random_axis_pulse(data.draw, data.draw(st.integers(3, 3 * _BLOCK)),
@@ -895,7 +910,7 @@ class TestBlockProductKernel:
                                              min_size=1, max_size=3)))
         so, sd = 1.0 + errors.T  # as propagate forms its scales
         psi0 = angle_state(1.1, -0.4)
-        ready = final_states_over_errors(_Steps(om, de, y), psi0, so, sd, 1)
+        ready = final_states_over_errors(m4_steps(om, de, y), psi0, so, sd, 1)
         batch = final_states_over_errors(pulse, psi0, so, sd, substeps)
         assert batch.tobytes() == ready.tobytes()
         for e, row in zip(errors, ready):
@@ -925,14 +940,17 @@ class TestBlockProductKernel:
         scale = 1.0 + np.linspace(-0.5, 0.5, width)
         final_states_over_errors(pulse, ket1(), scale, np.ones(width))
         propagate(pulse)
-        # ready steps, short of whole blocks, padded as a pulse's are
-        steps = _Steps(*rng.uniform(-0.1, 0.1, (3, _BLOCK * width - 5)))
+        # ready steps, short of whole blocks, padded as a pulse's are, and
+        # the buffer their fields w, e and v take from the matmul
+        steps = _Steps(rng.uniform(-0.1, 0.1, (3, 3, _BLOCK * width - 5)))
         final_states_over_errors(steps, ket1(), scale, np.ones(width), 1)
-        assert [b.shape for b in made] == [(2, 2 * _BLOCK, width),
-                                           (2, _BLOCK, width)] * 3
+        tree = [(2, 2 * _BLOCK, width), (2, _BLOCK, width)]
+        assert [b.shape for b in made] == tree * 2 + [(3, _BLOCK, width)] + tree
+        wev = made.pop(4)
+        views = [wev, *wev]
         for ab, x in zip(made[::2], made[1::2]):
-            views = [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], x, *x]
-            assert [v.ctypes.data % 64 for v in views] == [0] * len(views)
+            views += [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], x, *x]
+        assert [v.ctypes.data % 64 for v in views] == [0] * len(views)
 
     def test_bounded_working_set(self):
         # the former per-block batch peaked at 1.97 MB on 501 rows of a
@@ -960,3 +978,84 @@ class TestBlockProductKernel:
             assert tracemalloc.get_traced_memory()[1] <= 4.9e6
         finally:
             tracemalloc.stop()
+
+
+def magnus6_matrix(h, omega, delta, so, sd):
+    """The sixth-order Magnus exponent of one interval, from its three Gauss
+    nodes' fields, as 2x2 matrices: A_i = -i H_i of the scaled fields, the
+    alphas and nested commutators as Blanes, Casas, Oteo & Ros (2009) give
+    them."""
+    a = [-0.5j * np.array([[-sd * d, so * o], [so * o, sd * d]])
+         for o, d in zip(omega, delta)]
+
+    def com(x, y):
+        return x @ y - y @ x
+
+    a1 = h * a[1]
+    a2 = math.sqrt(15) * h / 3 * (a[2] - a[0])
+    a3 = 10 * h / 3 * (a[2] - 2 * a[1] + a[0])
+    c1 = com(a1, a2)
+    c2 = -com(a1, 2 * a3 + c1) / 60
+    return a1 + a3 / 12 + com(-20 * a1 - a3 + c1, a2 + c2) / 240
+
+
+class TestMagnus6:
+    """Ready steps of the sixth-order Magnus step (_magnus6): one exponential
+    each, whose fields are coefficients times monomials of the scales."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_step_is_the_commutator_expansion(self, data):
+        # the kernel's exponential of each step against scipy's expm of the
+        # exponent built from matrices, for both basis states and scaled rows
+        n = data.draw(st.integers(1, 5))
+        h = np.array(data.draw(st.lists(st.floats(0.01, 0.5), min_size=n,
+                                        max_size=n)))
+        omega, delta = (np.array(data.draw(st.lists(
+            st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+            min_size=3, max_size=3))) for _ in range(2))
+        so, sd = (np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=3,
+                                              max_size=3))) for _ in range(2))
+        steps = _magnus6(h, omega, delta)
+        assert steps.coef.shape == (3, 3, n + 1) and steps.omega.size == n + 1
+        assert not steps.coef[..., 0].any()  # the identity's slot
+        for k in range(3):
+            u = np.eye(2, dtype=complex)
+            for j in range(n):
+                u = expm(magnus6_matrix(h[j], omega[:, j], delta[:, j],
+                                        so[k], sd[k])) @ u
+            for col in range(2):
+                final = final_states_over_errors(steps, np.eye(2)[col],
+                                                 so[k:k + 1], sd[k:k + 1])[0]
+                np.testing.assert_allclose(final, u[:, col], rtol=0, atol=1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(omega=st.floats(0.1, 10.0), delta=st.floats(-10.0, 10.0),
+           errors=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           n=st.integers(1, 3 * _BLOCK))
+    def test_constant_fields_match_rabi_formula(self, omega, delta, errors, n):
+        # constant fields: every commutator is 0 and each step is exact, so
+        # P2(T) = (O^2 / g^2) sin^2(g T / 2), g^2 = O^2 + D^2, at any n
+        duration = 2.0
+        steps = _magnus6(np.full(n, duration / n), np.full((3, n), omega),
+                         np.full((3, n), delta))
+        so, sd = 1.0 + np.array(errors)
+        om, de = so * omega, sd * delta
+        g = np.hypot(om, de)
+        p2 = (om / g) ** 2 * np.sin(0.5 * g * duration) ** 2
+        final = final_states_over_errors(steps, ket1(), [so], [sd])[0]
+        assert abs(final[1]) ** 2 == pytest.approx(p2, rel=0, abs=1e-13)
+
+    def test_rows_match_a_batch_of_one(self):
+        # each row's fields come from one matmul of the pass, whose kernel
+        # may follow the pass's width: a row agrees with its batch of one
+        # to the rounding of those three-term sums
+        rng = np.random.default_rng(5)
+        n = 3 * _BLOCK + 11
+        steps = _magnus6(rng.uniform(0.01, 0.1, n),
+                         *rng.uniform(-3.0, 3.0, (2, 3, n)))
+        errors = rng.uniform(-0.5, 0.5, (_WIDTH + 37, 2))
+        finals = final_states_over_errors(steps, ket1(), *(1 + errors.T))
+        for e, final in zip(errors, finals):
+            one = final_states_over_errors(steps, ket1(), [1 + e[0]], [1 + e[1]])
+            np.testing.assert_allclose(final, one[0], rtol=0, atol=4e-15)

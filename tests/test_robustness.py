@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -13,8 +14,9 @@ from qiepulse import (
     robustness_summary,
     scan_1d,
 )
+from qiepulse import designer
 from qiepulse.designer import MAX_SAMPLES
-from qiepulse.dynamics import _WIDTH
+from qiepulse.dynamics import _WIDTH, _Steps
 from qiepulse.robustness import ScanResult, _drive, _scan
 
 from conftest import C_VALUES
@@ -256,7 +258,7 @@ class TestSummary:
             assert np.all(res.fidelities[~edge] > res.min_fidelity_in_band)
             f = _scan(pulse, TargetState(pulse.beta_final),
                       [ErrorGrid("rabi", -h, h, 3)], 1,
-                      drive=_drive(trajectory.solution, 2))[0].fidelities
+                      drive=_drive(trajectory.solution, 1))[0].fidelities
             q.append((2 - f[0] - f[2]) / (2 * h * h))
             assert q[-1] == pytest.approx(measured[c], rel=0.01)
         assert q[0] > q[1] < q[2] > q[3]
@@ -273,3 +275,59 @@ class TestSummary:
         assert "pi/2 pulse" in text
         assert "area/pi" in text
         assert "0.5000" in text
+
+
+def m4_drive(solution, m):
+    """The design's drive at m intervals per accepted step by fourth-order
+    Magnus steps, as ready steps: the intervals of designer._sundman, the
+    fields at each one's two Gauss nodes 1/2 -+ sqrt(3)/6, -(Omega_1 +
+    Omega_2) h/8 and (Delta_1 + Delta_2) h/8 on so and sd, and (sqrt(3)/48)
+    h^2 (Omega_1 Delta_2 - Omega_2 Delta_1) on so sd."""
+    s = designer._sundman(solution, m)[0]
+    h = np.diff(s)
+    nodes = s[:-1] + (0.5 + np.array([[-1.0], [1.0]]) * math.sqrt(3) / 6) * h
+    tau, _, x = designer._dense(solution,
+                                *designer._locate(solution.ss, nodes.T.ravel()))
+    theta_dot = designer._theta_dot(tau)
+    (o1, o2), (d1, d2) = ((theta_dot * f(x)).reshape(-1, 2).T
+                          for f in (np.sin, np.cos))
+    coef = np.zeros((3, 3, h.size + 1))
+    coef[:, 0, 1:] = (-(o1 + o2) * h / 8, (d1 + d2) * h / 8,
+                      math.sqrt(3) / 48 * h ** 2 * (o1 * d2 - o2 * d1))
+    return _Steps(coef)
+
+
+class TestDesignScans:
+    """The report's scans of the four reference designs, by sixth-order
+    Magnus steps at one interval per accepted step."""
+
+    GRIDS = [ErrorGrid(parameter, -0.5, 0.5, 101)
+             for parameter in ("rabi", "detuning")]
+
+    @staticmethod
+    def fidelities(pulse, drive):
+        return np.concatenate([res.fidelities for res in _scan(
+            pulse, TargetState(pulse.beta_final), TestDesignScans.GRIDS, 1,
+            drive=drive)])
+
+    def test_scans_lie_on_both_references(self, designs4):
+        # the report's grids: each scan at m = 1 lies within 5e-10 of the
+        # design's M4 drive at m = 16 and of its M6 drive at m = 4 (2.2e-12
+        # to 2.7e-11 measured), which agree within 1e-12 (2.5e-13 measured)
+        for pulse, trajectory in designs4.values():
+            scan, m4, m6 = (self.fidelities(pulse, drive) for drive in (
+                _drive(trajectory.solution, 1), m4_drive(trajectory.solution, 16),
+                _drive(trajectory.solution, 4)))
+            assert np.max(np.abs(scan - m4)) <= 5e-10
+            assert np.max(np.abs(scan - m6)) <= 5e-10
+            assert np.max(np.abs(m4 - m6)) <= 1e-12
+
+    def test_error_falls_at_sixth_order(self, designs4):
+        # halving m from 1 to 1/2 multiplies the gap to the M6 m = 4 scan
+        # by about 2^6 = 64 (39 to 66 measured)
+        for pulse, trajectory in designs4.values():
+            reference, scan, half = (self.fidelities(
+                pulse, _drive(trajectory.solution, m)) for m in (4, 1, 0.5))
+            ratio = (np.max(np.abs(half - reference))
+                     / np.max(np.abs(scan - reference)))
+            assert 32 <= ratio <= 128
