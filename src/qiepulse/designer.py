@@ -155,7 +155,9 @@ def _real(x, name):
 
 def _is_count(n, lo, hi=MAX_SAMPLES):
     """Whether n is an integer, of Python or numpy (operator.index takes
-    it), in [lo, hi]."""
+    it), in [lo, hi]; a bool is none, though operator.index takes Python's."""
+    if isinstance(n, bool):
+        return False
     try:
         return lo <= operator.index(n) <= hi
     except TypeError:
@@ -196,8 +198,7 @@ class DesignParams:
         if not _is_count(self.n_samples, 3):
             raise ParameterError(f"n_samples must be >= 3 and <= {MAX_SAMPLES}, "
                                  f"got {self.n_samples!r}")
-        if (isinstance(self.branch_sign, bool)
-                or not _is_count(self.branch_sign, -1, 1) or self.branch_sign == 0):
+        if not _is_count(self.branch_sign, -1, 1) or self.branch_sign == 0:
             raise ParameterError(
                 f"branch_sign must be +1 or -1, got {self.branch_sign}"
             )

@@ -14,12 +14,12 @@ midpoint fields, each linear in its (1 + delta) error factor, plus a sigma_y
 field, linear in their product.  Steps whose three fields are 0 are the
 identity and are dropped, so a zero-field gap holds the state bit for bit;
 the rest are multiplied in blocks of _BLOCK by pairwise trees (_trees), and
-the scan batch and propagate both take their block products from them.  The
-batch also takes ready steps (_Steps) in place of a pulse: sixth-order
-Magnus steps (M6, _magnus6) of fields given at three Gauss nodes, still one
-exponential each, whose sigma_x, sigma_z and sigma_y fields are three
-monomials of the two error factors each (_monomials).  They skip the
-interpolation (_fields) and share the rest (_bounded, _trees, _su2).
+the scan batch and propagate both take their block products from them.
+Every drive reaches the kernel as _Steps: a step's sigma_x, sigma_z and
+sigma_y fields are coefficients times monomials of the two error factors
+(_monomials), one each for a pulse's M4 steps (_fields) and three each for
+the sixth-order Magnus steps (M6, _magnus6) of fields given at three Gauss
+nodes, which the batch takes in place of a pulse.
 
 States are plain complex ndarrays of length 2.  Under this H the Bloch
 azimuth precesses opposite to the designer's integrated beta(t): the nominal
@@ -111,22 +111,22 @@ def _numbers(value, dtype):
 
 
 def _fields(pulse: Pulse, substeps):
-    """A pulse's M4 step fields at substeps equal steps per interval of t,
-    flat: o = -Omega dt/4 and d = Delta dt/4 at each step's midpoint (linear
-    interpolation, dt its width) and y = (dt^2/48) (Omega_a Delta_b -
-    Omega_b Delta_a) of the fields at its ends a and b, which for a linear
-    interpolant is the interval's (Omega_i Delta_i+1 - Omega_i+1 Delta_i)
-    over substeps; which of them are kept (a midpoint field or that
-    interval's Omega_i Delta_i+1 - Omega_i+1 Delta_i is not 0: the others
-    are exactly the identity), and the count of kept steps up to each sample
-    of t."""
+    """A pulse's M4 steps at substeps equal steps per interval of t, as
+    _Steps of one monomial per field: o = -Omega dt/4 on so and d = Delta
+    dt/4 on sd at each step's midpoint (linear interpolation, dt its width)
+    and y = (dt^2/48) (Omega_a Delta_b - Omega_b Delta_a) on so sd of the
+    fields at its ends a and b, which for a linear interpolant is the
+    interval's (Omega_i Delta_i+1 - Omega_i+1 Delta_i) over substeps.  A
+    step is kept where a midpoint field or that interval's Omega_i Delta_i+1
+    - Omega_i+1 Delta_i is not 0 (the others are exactly the identity), even
+    where its folded fields underflow to 0."""
     if not _is_count(substeps, 1, MAX_SAMPLES // (pulse.t.size - 1)):
         raise ParameterError(f"substeps must be >= 1 and (samples - 1) x "
                              f"substeps <= {MAX_SAMPLES}, got {substeps!r}")
     _finite(("omega", pulse.omega), ("delta", pulse.delta))
     om0, om1 = pulse.omega[:-1, None], pulse.omega[1:, None]
     de0, de1 = pulse.delta[:-1, None], pulse.delta[1:, None]
-    # what overflows here is inf or nan, which _blocks' bound rejects
+    # what overflows here is inf or nan, which _bounded rejects
     with np.errstate(over="ignore", invalid="ignore"):
         w = (np.arange(substeps) + 0.5) / substeps
         om = om0 * (1.0 - w) + om1 * w
@@ -136,8 +136,7 @@ def _fields(pulse: Pulse, substeps):
         keep = ((om != 0.0) | (de != 0.0) | (om0 * de1 != om1 * de0)).ravel()
         np.multiply(de, h, out=de)
         np.multiply(om, np.negative(h, out=h), out=om)
-    done = np.concatenate(([0], np.cumsum(keep)[substeps - 1::substeps]))
-    return om.ravel(), de.ravel(), np.repeat(y, substeps), keep, done
+    return _Steps(np.stack(np.broadcast_arrays(om, de, y)).reshape(3, 1, -1), keep)
 
 
 def _finite(*named):
@@ -149,51 +148,28 @@ def _finite(*named):
             raise ParameterError(f"{name} is not finite at index {bad[0]}")
 
 
-def _blocks(om, de, y, keep, scale_omega, scale_delta):
-    """The kept steps of the flat step fields om, de and y, as _factors takes
-    them, front-padded with zero fields to whole blocks and shaped (blocks,
-    _BLOCK), each of om and de times its own scale and y times
-    scale_omega x scale_delta bounded as _bounded bounds them."""
-    _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
-    with np.errstate(over="ignore"):  # an overflow is inf, which is rejected
-        sy = np.multiply(scale_omega, scale_delta)
-    return _bounded(zip(("omega", "delta", "omega x delta"), (om, de, y),
-                        (scale_omega, scale_delta, sy)), keep)
-
-
-def _bounded(terms, keep):
-    """The kept steps of each (name, flat values, scale) term, front-padded
-    with zeros to whole blocks and shaped (blocks, _BLOCK).  Each term's
-    values times the largest |scale| of its own must be at most 1e150 (nan
-    is not): then each of the at most three terms of a field of _su2 is, so
-    phi/2 is at most 5.2e150, its tan is finite, and so is every state."""
+def _bounded(steps, mono):
+    """The kept steps of steps (_Steps), front-padded with zero coefficients
+    to whole blocks, (blocks, 3, _BLOCK, K) with each block's steps in _REV
+    order, K the monomials per field.  Each term's coefficients times the
+    largest |monomial| of its own in mono, (3, K, columns), must be at most
+    1e150 (nan is not): then each of the at most three terms of a field of
+    _su2 is, so phi/2 is at most 5.2e150, its tan is finite, and so is
+    every state."""
+    coef, keep = steps
     kept = np.count_nonzero(keep)
     size = kept - kept % -_BLOCK
-    out = []
+    padded = np.zeros(coef.shape[:2] + (size,))
+    padded[..., size - kept:] = coef[..., keep]
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, x, scale in terms:
-            padded = np.zeros(size)
-            padded[size - kept:] = x[keep]
-            bound = np.abs(padded).max(initial=0.0) * np.abs(scale).max(initial=0.0)
-            if not bound <= 1e150:
-                raise ParameterError(f"scaled {name} exceeds 1e150 per step: "
-                                     f"its step field is squared")
-            out.append(padded.reshape(-1, _BLOCK))
-    return out
-
-
-def _factors(o, so, d, sd, y, sy, a, b, x):
-    """Cayley-Klein (a, b) of the M4 steps of a pulse into a and b (_su2),
-    with w = o so = -Omega dt/4, e = d sd = Delta dt/4 and v = y sy (o, d and
-    y as _fields and _blocks give them, sy = so sd).  x is six contiguous
-    real arrays of a's shape: w and e take the first two and _su2 works in
-    the other four; v takes the first half of a's memory, contiguous too,
-    which _su2 writes last."""
-    w, e, *scratch = x
-    v = a.view(float).reshape((2,) + a.shape)[0]
-    np.multiply(o, so, out=w)
-    np.multiply(d, sd, out=e)
-    _su2(w, e, np.multiply(y, sy, out=v), a, b, *scratch)
+        bound = (np.abs(padded).max(axis=2, initial=0.0)
+                 * np.abs(mono).max(axis=2, initial=0.0))
+    over = ~(bound <= 1e150)
+    if over.any():
+        raise ParameterError(f"scaled {_TERMS[:, :over.shape[1]][over][0]} "
+                             f"exceeds 1e150 per step: its step field is squared")
+    blocks = padded.reshape(coef.shape[:2] + (-1, _BLOCK)).transpose(2, 0, 3, 1)
+    return np.ascontiguousarray(blocks[:, :, _REV])
 
 
 def _su2(w, e, v, a, b, p, s, u, c):
@@ -203,8 +179,7 @@ def _su2(w, e, v, a, b, p, s, u, c):
     sin from u = tan(phi / 2), f = sin(phi) / (phi / 2): sin(phi) is 0 where
     the fields are, and where their squares underflow the step is its
     first-order rotation (f = 2).  p, s, u and c are real scratch of a's
-    shape; every pass but the last four, which write b.imag, b.real, a.real
-    and a.imag in that order (so v may lie in a's memory), works in them."""
+    shape."""
     np.add(np.multiply(w, w, out=p), np.multiply(e, e, out=s), out=p)
     np.sqrt(np.add(p, np.multiply(v, v, out=c), out=p), out=p)
     np.tan(np.maximum(p, 1e-300, out=p), out=u)
@@ -219,7 +194,7 @@ def _su2(w, e, v, a, b, p, s, u, c):
 
 def _reals(z):
     """The memory of each contiguous complex array in z as two real arrays of
-    its shape: scratch for _factors."""
+    its shape: scratch for _su2."""
     return [r for y in z for r in y.view(float).reshape((2,) + y.shape)]
 
 
@@ -247,56 +222,50 @@ def _zeros(shape, dtype=float):
     return raw[start:start + size].view(dtype).reshape(shape)
 
 
-def _trees(blocks, cols, factors):
+def _trees(blocks, cols, mono):
     """Yield each block's pairwise tree, a heap on axis 1 of one buffer:
     step k's factor at _BLOCK + _REV[k], level m at [m, 2m) (two contiguous
     halves of the level below) and the block's product at 1, its columns of
-    shape cols.  factors(block, a, b, x) writes the factors of each of
-    blocks, its steps in _REV order, into the leaves a and b, x being six
-    real scratch arrays of their shape (_pulse_factors, _ready_factors);
-    each level's _mul operands are views made once, not sliced anew for
-    every block.  The heap and the scratch start on cache lines (_zeros),
+    shape cols.  Each of blocks is (3, _BLOCK, K) coefficients (_bounded);
+    its fields w, e and v at the monomials mono (_fields_at) are formed in
+    a buffer of their own and _su2 writes their factors into the leaves.
+    Each level's _mul operands are views made once, not sliced anew for
+    every block.  The heap and that buffer start on cache lines (_zeros),
     and so do the leaves, each half of the heap and each scratch array, all
     whole multiples of 64 bytes from the start."""
     ab = _zeros((2, 2 * _BLOCK) + cols, dtype=complex)
-    x = _zeros((2, _BLOCK) + cols)
-    t = x.reshape(2, _BLOCK // 2, -1).view(complex)
-    x = [*x, *_reals(ab[:, :_BLOCK])]  # inner nodes: free until the tree
+    wev = _zeros((3, _BLOCK) + cols)
+    t = wev[:2].reshape(2, _BLOCK // 2, -1).view(complex)  # free until the tree
+    x = _reals(ab[:, :_BLOCK])  # inner nodes: free until the tree
     levels = [(*ab[:, 3 * m:4 * m], *ab[:, 2 * m:3 * m], *ab[:, m:2 * m], *t[:, :m])
               for m in 2 ** np.arange(_BLOCK.bit_length() - 2, -1, -1)]
-    for block in blocks:
-        factors(block, *ab[:, _BLOCK:], x)
+    for coef in blocks:
+        _su2(*_fields_at(coef, mono, wev), *ab[:, _BLOCK:], *x)
         for level in levels:
             _mul(*level)
         yield ab
 
 
-def _pulse_factors(so, sd):
-    """_trees' factors of a pulse's blocks (o, d, y) of step fields, each
-    (_BLOCK, columns) broadcast with the scales so and sd (_factors)."""
-    sy = np.multiply(so, sd)
-    return lambda f, a, b, x: _factors(f[0], so, f[1], sd, f[2], sy, a, b, x)
+def _fields_at(coef, mono, out):
+    """The fields w, e and v of a block's coefficients coef, (3, _BLOCK, K)
+    or, for propagate, (3, _BLOCK, columns) at K = 1, at the monomials mono,
+    (3, K, columns), into out: one product each at K = 1, a batched matmul
+    of three-term sums at K = 3 (a matmul at K = 1 is slower, and may turn
+    a -0.0 product into +0.0)."""
+    return (np.multiply if mono.shape[1] == 1 else np.matmul)(coef, mono, out=out)
 
 
-def _ready_factors(mono):
-    """_trees' factors of ready steps' blocks of coefficients, each (3,
-    _BLOCK, 3), at the columns' monomials mono, (3, 3, columns)
-    (_monomials): each block's w, e and v by one batched matmul into a
-    buffer of their own, then _su2."""
-    wev = _zeros((3, _BLOCK) + mono.shape[2:])
-    return lambda c, a, b, x: _su2(*np.matmul(c, mono, out=wev), a, b, *x[2:])
-
-
-# The monomials of the error factors, as _monomials stacks them, that ready
-# steps' w, e and v are linear in, named as _bounded names them
-_TERMS = ("omega", "omega x delta^2", "omega^3 x delta^2",
-          "delta", "omega^2 x delta", "omega^2 x delta^3",
-          "omega x delta", "omega x delta^3", "omega^3 x delta")
+# The monomials of the error factors, as _monomials stacks them, that a
+# step's w, e and v are linear in, named as _bounded names them; a pulse's
+# M4 steps take the first of each row
+_TERMS = np.array((("omega", "omega x delta^2", "omega^3 x delta^2"),
+                   ("delta", "omega^2 x delta", "omega^2 x delta^3"),
+                   ("omega x delta", "omega x delta^3", "omega^3 x delta")))
 
 
 def _monomials(so, sd):
-    """(3, 3, rows): for each row's scales so and sd, the monomials that the
-    fields w, e and v of a ready step (_Steps) are linear in, as _TERMS
+    """(3, 3) + so's shape: for each row's scales so and sd, the monomials
+    that the fields w, e and v of a step (_Steps) are linear in, as _TERMS
     names them; what overflows is inf, which _bounded rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
         osd = so * sd
@@ -306,16 +275,18 @@ def _monomials(so, sd):
 
 
 class _Steps(NamedTuple):
-    """Ready M6 steps for final_states_over_errors (_magnus6): coef[r, k, j]
-    is the coefficient of monomial k of row r (_monomials) in exponential
-    j's field w (r = 0), e (r = 1) or v (r = 2) as _su2 takes them, in the
-    order they are applied, after one step whose coefficients are all 0
-    (the identity, which is dropped).  omega, each step's coefficient of so
-    in w, the first-order -Omega h/4, has a slot per exponential and the
-    identity's: as for a pulse's samples at one step per interval,
-    omega.size - 1 is the count of exponentials."""
+    """Steps as the kernel takes them: coef[r, k, j] is the coefficient of
+    monomial k of row r (_monomials) in step j's field w (r = 0), e (r = 1)
+    or v (r = 2) as _su2 takes them, in the order they are applied; K = 1
+    monomial per field for a pulse's M4 steps (_fields), K = 3 for M6
+    steps (_magnus6).  keep is the steps that are applied.  omega is each
+    step's coefficient of so in w, the first-order -Omega h/4; M6 steps
+    lead with one whose coefficients are all 0 (the identity, not kept),
+    so that, as for a pulse's samples at one step per interval, omega.size
+    - 1 is the count of exponentials."""
 
-    coef: np.ndarray  # (3, 3, 1 + exponentials)
+    coef: np.ndarray  # (3, K, steps)
+    keep: np.ndarray  # (steps,) bool
 
     @property
     def omega(self):
@@ -323,7 +294,7 @@ class _Steps(NamedTuple):
 
 
 def _magnus6(h, omega, delta):
-    """The ready _Steps of the sixth-order Magnus step (M6; Blanes, Casas,
+    """The _Steps of the sixth-order Magnus step (M6; Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009), Omega^[6]) over intervals of
     widths h, with omega and delta, (3, h.size), the fields at each
     interval's Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10.
@@ -356,47 +327,36 @@ def _magnus6(h, omega, delta):
         ((p[1] * a2[0] - p[0] * a2[1]) / 120, p[1] * q[1] / 120,
          p[0] * q[0] / 120))
     coef *= -0.5  # w, e and v of exp(2i (w sigma_x + v sigma_y + e sigma_z))
-    return _Steps(coef)
+    return _Steps(coef, coef.any(axis=(0, 1)))
 
 
 def final_states_over_errors(pulse, initial, scale_omega, scale_delta,
                              substeps: int = 1) -> np.ndarray:
     """Final states for a batch of multiplicative field scalings.
 
-    pulse is a Pulse, propagated at substeps M4 steps per interval, or ready
-    _Steps, at substeps = 1.  scale_omega/scale_delta are aligned 1-D
-    arrays of (1 + delta) factors.  A row is a column of the trees, _WIDTH
-    rows a pass.  A pulse's row is computed exactly as a batch of one would
-    be; ready steps' fields come from a matmul per block, whose BLAS kernel
-    may follow the pass's width, so their rows agree with a batch of one to
-    the rounding of those three-term sums.
+    pulse is a Pulse, propagated at substeps M4 steps per interval, or
+    _Steps (_magnus6), at substeps = 1.  scale_omega/scale_delta are
+    aligned 1-D arrays of (1 + delta) factors.  A row is a column of the
+    trees, _WIDTH rows a pass.  A pulse's row is computed exactly as a batch
+    of one would be; M6 steps' fields come from a matmul per block, whose
+    BLAS kernel may follow the pass's width, so a batch of one row agrees
+    with the wider batches' row to the rounding of those three-term sums.
     """
     scale_omega, scale_delta = (np.asarray(x, dtype=float).ravel() for x in
                                 np.broadcast_arrays(scale_omega, scale_delta))
     psi = np.tile(np.asarray(initial, dtype=complex), (scale_omega.size, 1))
-    if isinstance(pulse, _Steps):
-        if substeps != 1:
-            raise ParameterError(f"ready steps take substeps = 1, got {substeps!r}")
-        _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
-        mono = _monomials(scale_omega, scale_delta)
-        coef = pulse.coef.reshape(9, -1)
-        blocks = _bounded(zip(_TERMS, coef, mono.reshape(9, -1)),
-                          coef.any(axis=0))
-        # (blocks, row, step in _REV order, monomial)
-        blocks = np.stack(blocks, axis=1).reshape(-1, 3, 3, _BLOCK)
-        blocks = np.ascontiguousarray(blocks.transpose(0, 1, 3, 2)[:, :, _REV])
-    else:
-        om, de, y, keep = _fields(pulse, substeps)[:4]
-        blocks = [x[:, _REV, None] for x in
-                  _blocks(om, de, y, keep, scale_omega, scale_delta)]
+    if not isinstance(pulse, _Steps):
+        pulse = _fields(pulse, substeps)
+    elif not _is_count(substeps, 1, 1):
+        raise ParameterError(f"_Steps take substeps = 1, got {substeps!r}")
+    _finite(("scale_omega", scale_omega), ("scale_delta", scale_delta))
+    mono = _monomials(scale_omega, scale_delta)[:, :pulse.coef.shape[1]]
+    blocks = _bounded(pulse, mono)
+    pulse = None  # a pulse's flat steps are not held through the passes
     for r in range(0, scale_omega.size, _WIDTH):
-        rows, so, sd = (v[r:r + _WIDTH] for v in (psi, scale_omega, scale_delta))
-        if isinstance(pulse, _Steps):
-            trees = _trees(blocks, so.shape, _ready_factors(
-                np.ascontiguousarray(mono[..., r:r + _WIDTH])))
-        else:
-            trees = _trees(zip(*blocks), so.shape, _pulse_factors(so, sd))
-        for ab in trees:
+        rows = psi[r:r + _WIDTH]
+        for ab in _trees(blocks, rows.shape[:1],
+                         np.ascontiguousarray(mono[..., r:r + _WIDTH])):
             rows[:] = _apply(*ab[:, 1], rows)
         ab = None  # free this pass's heap before the next builds its own
     return psi
@@ -425,17 +385,17 @@ def propagate(pulse: Pulse, initial=None, error=(0.0, 0.0),
         raise ParameterError("initial state must be finite and normalized")
 
     scale_omega, scale_delta = 1.0 + err
-    *fields, keep, done = _fields(pulse, substeps)
-    fields = [x.T[None, _REV] for x in  # a column per block
-              _blocks(*fields, keep, scale_omega, scale_delta)]
-    n_blocks = fields[0].shape[2]
+    steps = _fields(pulse, substeps)
+    done = np.concatenate(([0], np.cumsum(steps.keep)[substeps - 1::substeps]))
+    mono = _monomials(scale_omega, scale_delta)[:, :1, None]
+    fields = _bounded(steps, mono)[..., 0].transpose(1, 2, 0)  # a column per block
+    steps, n_blocks = None, fields.shape[2]
     # states[1 + j, k] is the state after step k of block j, states[0, -1] psi
     states = np.empty((n_blocks + 1, _BLOCK, 2), dtype=complex)
     states[0, -1] = psi
     for g in range(0, n_blocks, _WIDTH):
-        block = [x[..., g:g + _WIDTH] for x in fields]
-        ab = next(_trees(zip(*block), block[0].shape[2:],
-                         _pulse_factors(scale_omega, scale_delta)))
+        block = fields[..., g:g + _WIDTH]
+        ab = next(_trees([block], block.shape[2:], mono))
         ends = [states[g, -1:]]  # the block products chained as the batch's
         for j in range(ab.shape[2]):
             ends.append(_apply(ab[0, 1, j:j + 1], ab[1, 1, j:j + 1], ends[-1]))

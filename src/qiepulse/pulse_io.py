@@ -281,8 +281,7 @@ def _write_csv(path, meta: dict, columns, arrays, precision: int) -> None:
     the smallest precision >= precision at which it still reads back
     strictly increasing (16 round-trips every double).  A precision that is
     not an integer in [0, _MAX_PRECISION] raises ParameterError."""
-    if isinstance(precision, bool) or not _is_count(precision, 0,
-                                                    _MAX_PRECISION):
+    if not _is_count(precision, 0, _MAX_PRECISION):
         raise ParameterError(f"precision must be an integer in "
                              f"[0, {_MAX_PRECISION}], got {precision!r}")
     digits = [precision] * len(columns)

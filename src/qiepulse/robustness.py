@@ -36,6 +36,7 @@ _SHRINK = (_INTERVALS / _ESTIMATE_INTERVALS) ** 6 - 1
 _ESTIMATOR = f"max|F{_INTERVALS} - F3/4|/((4/3)^6 - 1)"
 _SAMPLING = f"sundman magnus6, {_INTERVALS} interval per accepted step"
 
+
 @dataclass(frozen=True)
 class ErrorGrid:
     """Uniform grid of error amplitudes for one parameter kind: n_points
@@ -130,11 +131,12 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
           protocol_label: Optional[str] = None, drive=None) -> List[ScanResult]:
     """scan_1d over several grids of one pulse, run as one batch: each row
     is computed as a batch of one would be, so every result is the one
-    scan_1d gives for its grid alone.  drive, when given, is the ready
+    scan_1d gives for its grid alone.  drive, when given, is the M6
     dynamics._Steps (at substeps = 1) the pulse is scanned by in place of
-    its samples, whose rows agree with a batch of one to the rounding of
-    their fields (final_states_over_errors); the results keep the pulse's
-    label and area."""
+    its samples, whose rows are the same bytes in every batch of two rows
+    or more and agree with a batch of one to the rounding of their fields
+    (final_states_over_errors); the results keep the pulse's label and
+    area."""
     deltas = [grid.values() for grid in grids]
     scales = [np.ones((2, d.size)) for d in deltas]  # of Omega, of Delta
     for grid, d, scale in zip(grids, deltas, scales):
@@ -158,7 +160,7 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
 def _drive(solution, m):
     """A design's drive in its Sundman time (designer._sundman) at m
     intervals per accepted step of its run, up to the s* it records, as the
-    ready dynamics._Steps of sixth-order Magnus steps it is scanned by."""
+    dynamics._Steps of sixth-order Magnus steps it is scanned by."""
     s, omega, delta = _sundman(solution, m)
     return _magnus6(np.diff(s), omega, delta)
 
@@ -184,6 +186,7 @@ def _design_scans(pulse: Pulse, trajectory, grids):
     return ([(res, float(np.max(np.abs(res.fidelities - est.fidelities)))
               / _SHRINK) for res, est in zip(fine, coarse)],
             [drive.omega.size - 1 for drive in drives])
+
 
 @dataclass
 class SummaryRow:

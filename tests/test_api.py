@@ -122,9 +122,9 @@ def test_work_figure_counts_the_kept_exponentials(monkeypatch):
 
     kept, bounded = [], dynamics._bounded
 
-    def counted(terms, keep):
-        kept.append(np.count_nonzero(keep))
-        return bounded(terms, keep)
+    def counted(steps, mono):
+        kept.append(np.count_nonzero(steps.keep))
+        return bounded(steps, mono)
 
     monkeypatch.setattr(dynamics, "_bounded", counted)
     figure = runpy.run_path(str(LAYERS))["_propagate_steps"]
@@ -159,10 +159,9 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
 
     applied, bounded = [], dynamics._bounded
 
-    def counted(terms, keep):
-        terms = list(terms)
-        applied.append(np.size(terms[0][2]) * np.count_nonzero(keep))
-        return bounded(terms, keep)
+    def counted(steps, mono):
+        applied.append(mono.shape[2] * np.count_nonzero(steps.keep))
+        return bounded(steps, mono)
 
     monkeypatch.setattr(dynamics, "_bounded", counted)
     grid = {"lo": -0.5, "hi": 0.5, "n_points": 21}

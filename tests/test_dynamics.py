@@ -25,8 +25,8 @@ from qiepulse import (
     target_state,
 )
 from qiepulse.dynamics import (
-    _BLOCK, _WIDTH, _Steps, _blocks, _factors, _fields, _magnus6, _zeros,
-    final_states_over_errors,
+    _BLOCK, _REV, _WIDTH, _Steps, _bounded, _fields, _fields_at, _magnus6,
+    _monomials, _su2, _zeros, final_states_over_errors,
 )
 
 from conftest import bloch_from_angles
@@ -50,12 +50,17 @@ def field_pulse(omega, delta, duration=1.0):
 
 
 def m4_steps(om, de, y):
-    """Ready steps whose fields are the M4 step fields om, de and y (as
-    _fields gives them): each the coefficient of its row's first monomial,
-    so, sd and so sd, and every other coefficient 0."""
-    coef = np.zeros((3, 3, np.size(om)))
-    coef[:, 0] = om, de, y
-    return _Steps(coef)
+    """_Steps of one monomial per field whose fields are the M4 step fields
+    om, de and y (as _fields gives them) on so, sd and so sd, each kept
+    where one of its fields is not 0."""
+    coef = np.array([[om], [de], [y]], dtype=float)
+    return _Steps(coef, coef.any(axis=(0, 1)))
+
+
+def m6_steps(coef):
+    """_Steps of three monomials per field, coef (3, 3, steps), each kept
+    where one of its coefficients is not 0, as _magnus6 keeps them."""
+    return _Steps(coef, coef.any(axis=(0, 1)))
 
 
 def flat_pulse(omega, delta, n=11):
@@ -186,23 +191,24 @@ class TestStepEvolve:
                          ([-1e308, 1e308, 1.5e308], 0.0)):
             with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
                 propagate(axis_pulse(t, np.full(3, omega), np.full(3, 1.0)))
-        # ready steps take the same tail: the bound, nan and the scales'
-        # finiteness alike; 1e150 itself passes
-        ready = m4_steps([0.0, 1e150, -1.0], [0.0, 1.0, 0.0], np.zeros(3))
+        # _Steps given to the batch take the same tail: the bound, nan and
+        # the scales' finiteness alike; 1e150 itself passes
+        steps = m4_steps([0.0, 1e150, -1.0], [0.0, 1.0, 0.0], np.zeros(3))
         assert np.all(np.isfinite(
-            final_states_over_errors(ready, ket1(), [1.0], [1.0], 1)))
+            final_states_over_errors(steps, ket1(), [1.0], [1.0], 1)))
         with pytest.raises(ParameterError, match=f"scaled omega {bound}"):
-            final_states_over_errors(ready, ket1(), [1.0, 1.1], [1.0, 1.0], 1)
+            final_states_over_errors(steps, ket1(), [1.0, 1.1], [1.0, 1.0], 1)
         with pytest.raises(ParameterError, match=f"scaled delta {bound}"):
             final_states_over_errors(m4_steps(np.zeros(3), [0.0, 1.0, np.nan],
                                               np.zeros(3)),
                                      ket1(), [1.0], [1.0], 1)
         with pytest.raises(ParameterError,
                            match="scale_delta is not finite at index 0"):
-            final_states_over_errors(ready, ket1(), [1.0], [np.inf], 1)
-        with pytest.raises(ParameterError, match="ready steps take substeps = 1"):
-            final_states_over_errors(ready, ket1(), [1.0], [1.0], 2)
-        # each term of a ready step's fields is bounded by its coefficient
+            final_states_over_errors(steps, ket1(), [1.0], [np.inf], 1)
+        for substeps in (2, True):
+            with pytest.raises(ParameterError, match="_Steps take substeps = 1"):
+                final_states_over_errors(steps, ket1(), [1.0], [1.0], substeps)
+        # each term of a step's fields is bounded by its coefficient
         # times its monomial of the scales: |y so sd| of 1e150 passes, of
         # 1e150 x 1.1 x 0.95 = 1.045e150 does not, nor a sixth-order term's
         # 1e150 x 1.1^3; scales whose so sd^2 overflows are nan against the
@@ -211,13 +217,16 @@ class TestStepEvolve:
         assert np.all(np.isfinite(
             final_states_over_errors(crossed, ket1(), [1.0, -1.0], [1.0, -1.0])))
         tiny = m4_steps([0.0, 1e-300], [0.0, 1e-300], np.zeros(2))
-        cubic = _Steps(np.zeros((3, 3, 2)))
-        cubic.coef[2, 2, 1] = 1e150
+        cubic, tiny6 = np.zeros((2, 3, 3, 2))
+        cubic[2, 2, 1] = 1e150
+        tiny6[:, 0] = tiny.coef[:, 0]
         for steps, so, sd, name in ((crossed, [1.0, 1.1], [1.0, 0.95],
                                      r"omega x delta"),
-                                    (cubic, [1.0, 1.1], [1.0, 1.0],
+                                    (m6_steps(cubic), [1.0, 1.1], [1.0, 1.0],
                                      r"omega\^3 x delta"),
-                                    (tiny, [1e300], [1e10], r"omega x delta\^2")):
+                                    (tiny, [1e300], [1e10], r"omega x delta"),
+                                    (m6_steps(tiny6), [1e300], [1e10],
+                                     r"omega x delta\^2")):
             with pytest.raises(ParameterError, match=f"scaled {name} {bound}"):
                 final_states_over_errors(steps, ket1(), so, sd)
         # a pulse whose folded Omega and Delta are 1.25e139 but whose y,
@@ -316,9 +325,9 @@ class TestPropagate:
 
     def test_substeps_floor(self):
         # counts are integers of at least 1, of Python or numpy, in every
-        # entry point
+        # entry point; a bool is none, though operator.index takes True
         pulse = flat_pulse(1.0, 0.0)
-        for substeps in (2.5, 2.0, "2", None, 0, -1):
+        for substeps in (2.5, 2.0, "2", None, 0, -1, True, False, np.True_):
             for run in (lambda: propagate(pulse, substeps=substeps),
                         lambda: final_states_over_errors(pulse, ket1(), [1.0], [1.0],
                                                          substeps),
@@ -702,10 +711,27 @@ def step_lists(pulse, substeps=1):
     return steps
 
 
+def assert_factors_match(steps, so, sd, ref_a, ref_b):
+    """The kernel's factors of a pulse's steps (_fields) at the scales so
+    and sd, kept and blocked by _bounded, their fields at the monomials
+    (_fields_at) and their factors by _su2, are (ref_a, ref_b), each
+    (kept steps, rows), to the bit."""
+    mono = _monomials(so, sd)[:, :1]
+    blocks = _bounded(steps, mono)[:, :, np.argsort(_REV)]  # in step order
+    kept = np.count_nonzero(steps.keep)
+    coef = blocks.transpose(1, 0, 2, 3).reshape(3, -1, 1)[:, blocks.size // 3 - kept:]
+    wev = _fields_at(coef, mono, np.empty((3, kept, so.size)))
+    a, b = np.zeros((2, kept, so.size), dtype=complex)
+    _su2(*wev, a, b, *np.empty((4, kept, so.size)))
+    for got, ref in ((a, ref_a), (b, ref_b)):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def factors_lists(pulse, scale_omega, scale_delta, substeps=1):
     """(a, b) of every step that is not exactly the identity, for each
     (scale_omega, scale_delta) row, one float at a time: the oracle that
-    _fields, _blocks and _factors must match to the bit.  The step fields
+    _fields, _bounded and _su2 must match to the bit.  The step fields
     of step_lists, then scaled, w and e by their scales and v = y (so sd),
     p = max(sqrt((w^2 + e^2) + v^2), 1e-300) the half angle, u = tan(p),
     cos(phi) = 1 - u^2 (2 / (1 + u^2)), f = u (2 / (1 + u^2)) / p,
@@ -875,48 +901,67 @@ class TestBlockProductKernel:
         so = np.array([0.0, 1.0, 0.0] + data.draw(scales))
         sd = np.array([0.0, 0.0, 1.0] + data.draw(scales))
         ref_a, ref_b = factors_lists(pulse, so, sd, substeps)
-        o, d, y, keep, done = _fields(pulse, substeps)
-        o, d, y = _blocks(o, d, y, keep, so, sd)
-        kept = slice(o.size - done[-1], None)  # after the front padding
-        o, d, y = (x.ravel()[kept, None] for x in (o, d, y))
-        a, b = np.zeros((2, done[-1], so.size), dtype=complex)
-        _factors(o, so, d, sd, y, so * sd, a, b, list(np.empty((6,) + a.shape)))
-        for got, ref in ((a, ref_a), (b, ref_b)):
-            assert got.shape == ref.shape
-            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        assert_factors_match(_fields(pulse, substeps), so, sd, ref_a, ref_b)
 
-    # fields without subnormals: a step whose fields are not 0 but whose
-    # folded fields underflow to 0 is kept on a pulse and dropped as a
-    # ready step, the only place the two paths part
+    # the first intervals are 1e-30 wide and their fields at most 1e-300,
+    # the first sample's 1e-300: their folded fields underflow to 0 or -0.0
+    # though the fields are not 0, and such a step is kept, as
+    # factors_lists keeps it; it is the identity
     @pytest.mark.parametrize("substeps", [1, 2, 3])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_pulse_path_is_the_ready_path(self, substeps, data):
-        # the pulse's own step fields, given as ready steps' first-order
-        # coefficients with exact zeros among them, run through the same
-        # tail and kernel (each field one product, as the pulse's, since
-        # the other terms are exact zeros): the batch and propagate's
-        # final states are theirs to the bit
-        fields = st.one_of(st.just(0.0),
-                           st.floats(-4.0, 4.0, allow_subnormal=False))
-        pulse = random_axis_pulse(data.draw, data.draw(st.integers(3, 3 * _BLOCK)),
-                                  fields=fields)
-        steps = step_lists(pulse, substeps)
-        for k in data.draw(st.lists(st.integers(0, len(steps)), max_size=5)):
-            steps.insert(k, (0.0, -0.0, 0.0))
-        om, de, y = np.array([(0.0, 0.0, 0.0)] + steps).T
-        errors = np.array(data.draw(st.lists(st.tuples(st.floats(-0.5, 0.5),
-                                                       st.floats(-0.5, 0.5)),
-                                             min_size=1, max_size=3)))
-        so, sd = 1.0 + errors.T  # as propagate forms its scales
+    def test_underflowing_steps_are_kept(self, substeps, data):
+        front, n = data.draw(st.integers(1, 20)), data.draw(st.integers(2, 2 * _BLOCK))
+        tiny = st.one_of(st.just(0.0), st.floats(1e-305, 1e-300),
+                         st.floats(-1e-300, -1e-305))
+        widths = data.draw(st.lists(st.floats(0.01, 0.2), min_size=n, max_size=n))
+        omega, delta = (np.array(data.draw(st.lists(tiny, min_size=front + 1,
+                                                    max_size=front + 1))
+                                 + data.draw(st.lists(FIELDS, min_size=n, max_size=n)))
+                        for _ in range(2))
+        omega[0] = 1e-300
+        pulse = axis_pulse(np.cumsum(np.r_[0.0, np.full(front, 1e-30), widths]),
+                           omega, delta)
+        steps = _fields(pulse, substeps)
+        assert steps.keep.sum() == len(step_lists(pulse, substeps))
+        assert steps.keep[:substeps].all() and not steps.coef[..., :substeps].any()
+        so, sd = np.array([1.0, 1.2, 0.0]), np.array([1.0, 0.9, 1.0])
+        assert_factors_match(steps, so, sd, *factors_lists(pulse, so, sd, substeps))
         psi0 = angle_state(1.1, -0.4)
-        ready = final_states_over_errors(m4_steps(om, de, y), psi0, so, sd, 1)
-        batch = final_states_over_errors(pulse, psi0, so, sd, substeps)
-        assert batch.tobytes() == ready.tobytes()
-        for e, row in zip(errors, ready):
-            final = propagate(pulse, initial=psi0, error=e,
+        finals = final_states_over_errors(pulse, psi0, so, sd, substeps)
+        for row, e in zip(finals, zip(so - 1.0, sd - 1.0)):
+            states = propagate(pulse, initial=psi0, error=e, substeps=substeps).states
+            np.testing.assert_allclose(states, stepwise_states(pulse, psi0, e, substeps),
+                                       rtol=0, atol=1e-13)
+            assert states[-1].tobytes() == row.tobytes()
+
+    # random pulses with Omega = 0 stretches and Delta = 0 samples, whose
+    # steps have o = -0.0; compared by bytes, which tell -0.0 from 0.0
+    @pytest.mark.parametrize("substeps", [1, 2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_signed_zeros_agree_by_bytes(self, substeps, data):
+        n = data.draw(st.integers(3, 3 * _BLOCK))
+        pulse = random_axis_pulse(data.draw, n)
+        start = data.draw(st.integers(0, n - 1))
+        pulse.omega[start:start + data.draw(st.integers(1, n))] = 0.0
+        pulse.delta[data.draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+        width = 2 * _WIDTH + 5
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        so, sd = 1.0 + rng.uniform(-0.5, 0.5, (2, width))
+        so[:3], sd[:3] = 0.0, (1.0, 0.0, -1.0)
+        psi0 = angle_state(1.1, -0.4)
+        rows = final_states_over_errors(pulse, psi0, so, sd, substeps)
+        for w in (1, 2, 37):
+            batch = final_states_over_errors(pulse, psi0, so[:w], sd[:w], substeps)
+            assert batch.tobytes() == rows[:w].tobytes()
+        for k in (0, 1, 2, width - 1):
+            one = final_states_over_errors(pulse, psi0, so[k:k + 1], sd[k:k + 1],
+                                           substeps)
+            assert one.tobytes() == rows[k:k + 1].tobytes()
+            final = propagate(pulse, initial=psi0, error=(so[k] - 1.0, sd[k] - 1.0),
                               substeps=substeps).states[-1]
-            assert final.tobytes() == row.tobytes()
+            assert final.tobytes() == rows[k].tobytes()
 
     @pytest.mark.parametrize("width", [1, 37, 245, 256])
     def test_pass_buffers_start_on_cache_lines(self, width, monkeypatch):
@@ -940,16 +985,15 @@ class TestBlockProductKernel:
         scale = 1.0 + np.linspace(-0.5, 0.5, width)
         final_states_over_errors(pulse, ket1(), scale, np.ones(width))
         propagate(pulse)
-        # ready steps, short of whole blocks, padded as a pulse's are, and
-        # the buffer their fields w, e and v take from the matmul
-        steps = _Steps(rng.uniform(-0.1, 0.1, (3, 3, _BLOCK * width - 5)))
+        # M6 steps, short of whole blocks, padded as a pulse's are: every
+        # pass takes the heap and the buffer of its fields w, e and v
+        steps = m6_steps(rng.uniform(-0.1, 0.1, (3, 3, _BLOCK * width - 5)))
         final_states_over_errors(steps, ket1(), scale, np.ones(width), 1)
-        tree = [(2, 2 * _BLOCK, width), (2, _BLOCK, width)]
-        assert [b.shape for b in made] == tree * 2 + [(3, _BLOCK, width)] + tree
-        wev = made.pop(4)
-        views = [wev, *wev]
-        for ab, x in zip(made[::2], made[1::2]):
-            views += [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], x, *x]
+        assert [b.shape for b in made] == [(2, 2 * _BLOCK, width),
+                                           (3, _BLOCK, width)] * 3
+        views = []
+        for ab, wev in zip(made[::2], made[1::2]):
+            views += [ab, *ab, ab[:, _BLOCK:], *ab[:, _BLOCK:], wev, *wev]
         assert [v.ctypes.data % 64 for v in views] == [0] * len(views)
 
     def test_bounded_working_set(self):
@@ -1047,15 +1091,22 @@ class TestMagnus6:
         assert abs(final[1]) ** 2 == pytest.approx(p2, rel=0, abs=1e-13)
 
     def test_rows_match_a_batch_of_one(self):
-        # each row's fields come from one matmul of the pass, whose kernel
-        # may follow the pass's width: a row agrees with its batch of one
-        # to the rounding of those three-term sums
+        # each row's fields come from one matmul of the pass: a row agrees
+        # by bytes with the same row in any batch of two rows or more, and
+        # with its batch of one, whose matmul numpy runs by another BLAS
+        # kernel, to the rounding of those three-term sums
         rng = np.random.default_rng(5)
         n = 3 * _BLOCK + 11
         steps = _magnus6(rng.uniform(0.01, 0.1, n),
                          *rng.uniform(-3.0, 3.0, (2, 3, n)))
-        errors = rng.uniform(-0.5, 0.5, (_WIDTH + 37, 2))
+        errors = rng.uniform(-0.5, 0.5, (2 * _WIDTH + 5, 2))
         finals = final_states_over_errors(steps, ket1(), *(1 + errors.T))
+        for w in (2, 37, _WIDTH + 37):
+            batch = final_states_over_errors(steps, ket1(), *(1 + errors[:w].T))
+            assert batch.tobytes() == finals[:w].tobytes()
+        for k in range(0, len(errors), 7):
+            pair = final_states_over_errors(steps, ket1(), *(1 + errors[[k, k - 1]].T))
+            assert pair[0].tobytes() == finals[k].tobytes()
         for e, final in zip(errors, finals):
             one = final_states_over_errors(steps, ket1(), [1 + e[0]], [1 + e[1]])
             np.testing.assert_allclose(final, one[0], rtol=0, atol=4e-15)

@@ -279,7 +279,7 @@ class TestSummary:
 
 def m4_drive(solution, m):
     """The design's drive at m intervals per accepted step by fourth-order
-    Magnus steps, as ready steps: the intervals of designer._sundman, the
+    Magnus steps, as _Steps of one monomial per field: the intervals of designer._sundman, the
     fields at each one's two Gauss nodes 1/2 -+ sqrt(3)/6, -(Omega_1 +
     Omega_2) h/8 and (Delta_1 + Delta_2) h/8 on so and sd, and (sqrt(3)/48)
     h^2 (Omega_1 Delta_2 - Omega_2 Delta_1) on so sd."""
@@ -291,10 +291,10 @@ def m4_drive(solution, m):
     theta_dot = designer._theta_dot(tau)
     (o1, o2), (d1, d2) = ((theta_dot * f(x)).reshape(-1, 2).T
                           for f in (np.sin, np.cos))
-    coef = np.zeros((3, 3, h.size + 1))
+    coef = np.zeros((3, 1, h.size + 1))
     coef[:, 0, 1:] = (-(o1 + o2) * h / 8, (d1 + d2) * h / 8,
                       math.sqrt(3) / 48 * h ** 2 * (o1 * d2 - o2 * d1))
-    return _Steps(coef)
+    return _Steps(coef, coef.any(axis=(0, 1)))
 
 
 class TestDesignScans:
