@@ -211,7 +211,8 @@ def _cmd_report(args) -> int:
         write_pulse_csv(pulse, trajectory, out / f"pulse_c{c:g}.csv",
                         precision=precision)
         scans, exponentials = _design_scans(
-            pulse, trajectory, (config.rabi_grid, config.detuning_grid))
+            pulse, trajectory.x0, trajectory.x_f,
+            (config.rabi_grid, config.detuning_grid))
         for res, error in scans:
             write_scan_csv(
                 res, out / f"scan_c{c:g}_{res.grid.parameter}.csv",
@@ -232,9 +233,10 @@ def _cmd_report(args) -> int:
         f"{'|beta_f|/pi':>12} {'ref':>7} {'ok':>4} {'residual':>10} "
         f"{'x_f/pi':>8}"
     )
-    for c, (pulse, *_) in runs.items():
-        # the field's mixing angle at the window end; area c follows it
-        x_f_pi = np.arctan2(pulse.omega[-1], pulse.delta[-1]) / np.pi
+    for c, (pulse, trajectory, *_) in runs.items():
+        # the field's mixing angle at the window end, which the scans'
+        # drive turns to; area c follows it
+        x_f_pi = trajectory.x_f / np.pi
         area_pi = pulse.area / np.pi
         beta_pi = abs(pulse.beta_final) / np.pi
         area_ref, beta_ref = REFERENCE_TABLE[c]

@@ -56,8 +56,11 @@ azimuth actually reached.  That is the value to hand to target_state.
 
 A Pulse is its samples: the fields at the times t it carries, which
 design_pulse refines where the trapezoid of |Omega| between uniform samples
-misses the exact area.  The trajectory keeps the stepper's run (Solution),
-from which _sundman builds the drive in s, where it has no spike.
+misses the exact area.  The trajectory keeps the stepper's run (Solution)
+and the mixing angle's ends x0 and x_f.  In sigma, d sigma = theta_dot ds,
+the drive is the unit field (Omega, Delta) dt/dsigma = (sin x, cos x),
+whose x turns at the constant rate 2 c branch_sign from x0 to x_f, with no
+spike: robustness scans it from these alone.
 """
 
 import math
@@ -102,11 +105,6 @@ _NO_STEP = "Required step size is less than spacing between numbers."
 # Largest gap, in radians, between the trapezoid of |Omega| over an interval
 # of a designed pulse's samples and the interval's exact area; see _refine.
 REFINE_TOL = 1e-4
-
-# The Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of an
-# interval, as fractions of it, at which the sixth-order Magnus step takes
-# the fields (see _sundman)
-_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15) / 10)
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980) and the coefficients of
 # its quartic dense output (Shampine 1986); Hairer, Norsett & Wanner,
@@ -213,18 +211,15 @@ class DesignParams:
 class Solution:
     """The design's Dormand-Prince run in units of T: the accepted Sundman
     times ss, the (3, len(ss)) states (t, beta, x) there, the (steps, 3, 4)
-    coefficients q of each step's quartic interpolant (see _dense), its
+    coefficients q of each step's quartic interpolant (see _dense) and its
     work, nfev right-hand-side evaluations and rejected step attempts, as
-    _dopri5 returns it, and s_end, s* where the dense clock reaches the
-    window end, as design_pulse's clock inversion records it (nan on a bare
-    _dopri5 run)."""
+    _dopri5 returns it."""
 
     ss: np.ndarray
     ys: np.ndarray
     q: np.ndarray
     nfev: int
     rejected: int
-    s_end: float = math.nan
 
     __eq__ = _value_eq  # by value, NaN equal to NaN
 
@@ -234,7 +229,10 @@ class AngleTrajectory:
     """Designed angles at the pulse's times t; beta starts at pi/2 exactly.
     mu is the adiabaticity parameter there, as analytic_diagnostics gives it
     from these angles.  solution is the Solution record the design sampled
-    (None on a trajectory built by hand); it is not compared."""
+    (None on a trajectory built by hand); it is not compared.  x0 and x_f
+    are the field's mixing angle at the window's ends, the design's own
+    values, from which the area follows (nan on a trajectory built by
+    hand)."""
 
     t: np.ndarray
     theta: ThetaSample
@@ -242,6 +240,8 @@ class AngleTrajectory:
     beta_dot: np.ndarray
     mu: np.ndarray
     solution: Optional[Solution] = field(default=None, compare=False)
+    x0: float = math.nan
+    x_f: float = math.nan
 
     __eq__ = _value_eq  # by value, NaN equal to NaN
 
@@ -608,39 +608,6 @@ def _grid(params: DesignParams):
     return np.linspace(-params.kappa, params.kappa, params.n_samples)
 
 
-def _sundman(solution, m):
-    """A design's drive in its Sundman time s, in units of T, as the sixth-
-    order Magnus step (M6, dynamics._magnus6) takes it: the ends s of its
-    intervals, at m intervals per accepted step, from s = 0, where t =
-    -kappa, to the solution's s_end, s*, where t = kappa, and the fields
-    Omega dt/ds and Delta dt/ds at each interval's three Gauss nodes
-    (_GAUSS), (3, intervals) each.  With m = a/b in lowest terms the i-th
-    end lies i b/a steps on, at its fraction of its step linear in s: a
-    whole m splits each accepted step into m equal intervals, and m = 3/4
-    ends one every 4/3 accepted steps.  The ends at or past s* give way to
-    it.
-
-    With dt/ds = sin(beta) sin(x) the drive's fields are theta_dot sin(x)
-    and theta_dot cos(x), at most sqrt(pi)/2 and with no spike where beta
-    bounces.  The Schrodinger equation in s, d psi/ds = -i H(t(s)) dt/ds
-    psi, is the propagator's with these fields, and an error scale
-    (1 + delta) commutes with dt/ds, so a scan of M6's steps of them, one
-    exponential an interval, is a scan of the design, to an error that
-    falls as m^-6.
-    """
-    ss, s_end = solution.ss, solution.s_end
-    h = np.diff(ss)
-    a, b = m.as_integer_ratio()
-    seg, j = np.divmod(np.arange(-(-h.size * a // b)) * b, a)
-    s = ss[seg] + j / a * h[seg]
-    s = np.append(s[s < s_end], s_end)  # a prefix: s increases
-    nodes = (s[:-1, None] + _GAUSS * np.diff(s)[:, None]).ravel()
-    tau, _, x = _dense(solution, *_locate(ss, nodes))
-    theta_dot = _theta_dot(tau)
-    return (s, *((theta_dot * f(x)).reshape(-1, _GAUSS.size).T
-                 for f in (np.sin, np.cos)))
-
-
 def design_pulse(params: DesignParams):
     """Integrate the constrained angles and reconstruct the drive.
 
@@ -650,8 +617,8 @@ def design_pulse(params: DesignParams):
     ODE_RTOL and ODE_ATOL, from (t, beta, x) = (-kappa, pi/2, x0) to the
     accepted step where t reaches kappa.  The uniform grid (_grid) is
     found on its dense output by inverting the increasing clock t(s)
-    (_locate_clock); the last grid time is the run's end, so its s is s*,
-    which the Solution records as s_end.  The grid intervals get the points
+    (_locate_clock); the last grid time is the window's end, where x is
+    x_f.  The grid intervals get the points
     that resolve the field there: an interval is bisected in s while the
     trapezoid of |Omega| over it misses its exact area by more than
     REFINE_TOL (see _refine).
@@ -659,7 +626,7 @@ def design_pulse(params: DesignParams):
     The fields are Omega = theta_dot / sin(beta) and Delta = Omega cot(x);
     the area is the closed form (cos x0 - cos x_f) / (2 c branch_sign),
     exact to the solver's x_f at any sampling.  The trajectory keeps the
-    stepper's Solution, in units of T, as its solution.
+    stepper's Solution, in units of T, as its solution, and x0 and x_f.
 
     A window start where theta rounds to 0 (kappa >= 5.925: erf(-kappa)
     rounds to -1, and cot(theta) would divide by zero on every step), an
@@ -704,7 +671,6 @@ def design_pulse(params: DesignParams):
         y[1:, 0] = 0.5 * np.pi, x0  # the start, exact by construction
         ss = solution.ss
         s = ss[seg] + frac * np.diff(ss)[seg]
-        solution.s_end = float(s[-1])
         with np.errstate(invalid="ignore", divide="ignore"):  # named below
             y_add = _refine(solution, s, y, _omega(y), x_rate)
         if y_add.size:
@@ -748,6 +714,8 @@ def design_pulse(params: DesignParams):
         raise DesignError(
             f"c = {c:g} (T = {T:g}): the fields are not finite "
             f"at t = {t_bad:.6g}", t_fail=t_bad)
-    pulse = Pulse(t, omega, delta, (math.cos(x0) - math.cos(x[-1])) / x_rate,
+    x_f = float(x[-1])
+    pulse = Pulse(t, omega, delta, (math.cos(x0) - math.cos(x_f)) / x_rate,
                   float(-beta[-1]), residual, params)
-    return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu, solution)
+    return pulse, AngleTrajectory(t, theta, beta, beta_dot, mu, solution,
+                                  x0, x_f)

@@ -274,6 +274,11 @@ def _monomials(so, sd):
                          (osd, osd * sd * sd, osd * so * so)))
 
 
+# The Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of an
+# interval, as fractions of it, at which _magnus6 takes the fields
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15) / 10)
+
+
 class _Steps(NamedTuple):
     """Steps as the kernel takes them: coef[r, k, j] is the coefficient of
     monomial k of row r (_monomials) in step j's field w (r = 0), e (r = 1)
@@ -297,7 +302,7 @@ def _magnus6(h, omega, delta):
     """The _Steps of the sixth-order Magnus step (M6; Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009), Omega^[6]) over intervals of
     widths h, with omega and delta, (3, h.size), the fields at each
-    interval's Gauss nodes 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10.
+    interval's Gauss nodes (_GAUSS).
     With A_i = -(i/2) (so Omega_i sigma_x - sd Delta_i sigma_z) there,
 
         alpha1 = h A_2,  alpha2 = (sqrt(15) h / 3) (A_3 - A_1),

@@ -12,8 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _sundman, _value_eq
-from .dynamics import TargetState, _magnus6, fidelity, final_states_over_errors, ket1
+from .designer import MAX_SAMPLES, Pulse, _is_count, _real, _value_eq
+from .dynamics import (_GAUSS, TargetState, _magnus6, fidelity,
+                       final_states_over_errors, ket1)
 from .errors import ParameterError
 
 __all__ = [
@@ -27,14 +28,14 @@ __all__ = [
 
 BAND_HALF_WIDTH = 0.2  # |delta| band for min_fidelity_in_band
 
-# Intervals per accepted design step of a design's scan (_design_scans), and
-# of the scan its error is estimated against, three intervals per four
-# steps: the error falls as m^-6, so that scan is off by (4/3)^6 = 5.62
-# times as much, and max |F1 - F3/4| / ((4/3)^6 - 1) estimates the scan's
-_INTERVALS, _ESTIMATE_INTERVALS = 1, 0.75
-_SHRINK = (_INTERVALS / _ESTIMATE_INTERVALS) ** 6 - 1
-_ESTIMATOR = f"max|F{_INTERVALS} - F3/4|/((4/3)^6 - 1)"
-_SAMPLING = f"sundman magnus6, {_INTERVALS} interval per accepted step"
+# Uniform intervals of sigma of a design's scan (_design_scans), two whole
+# blocks of the kernel's 64 steps, and of the scan its error is estimated
+# against: the error falls as n^-6, so that scan is off by 2^6 = 64 times
+# as much, and max |F128 - F64| / (2^6 - 1) estimates the scan's
+_INTERVALS, _ESTIMATE_INTERVALS = 128, 64
+_SHRINK = (_INTERVALS // _ESTIMATE_INTERVALS) ** 6 - 1
+_ESTIMATOR = f"max|F{_INTERVALS} - F{_ESTIMATE_INTERVALS}|/(2^6 - 1)"
+_SAMPLING = f"sigma-uniform magnus6, {_INTERVALS} intervals"
 
 
 @dataclass(frozen=True)
@@ -157,30 +158,39 @@ def _scan(pulse: Pulse, target, grids, substeps: int = 1,
             for grid, d, f in zip(grids, deltas, fids)]
 
 
-def _drive(solution, m):
-    """A design's drive in its Sundman time (designer._sundman) at m
-    intervals per accepted step of its run, up to the s* it records, as the
-    dynamics._Steps of sixth-order Magnus steps it is scanned by."""
-    s, omega, delta = _sundman(solution, m)
-    return _magnus6(np.diff(s), omega, delta)
+def _drive(x_rate, x0, x_f, n):
+    """A design's drive in sigma, d sigma = theta_dot ds, as the
+    dynamics._Steps of n sixth-order Magnus steps that it is scanned by.
+
+    In sigma the drive is the unit field Omega dt/dsigma = sin(x), Delta
+    dt/dsigma = cos(x), whose mixing angle turns at the constant rate x_rate
+    = 2 c branch_sign from x0 to x_f (see designer): sigma* = (x_f - x0) /
+    x_rate in n equal intervals, the fields at each one's Gauss nodes
+    (_GAUSS), where x = x0 + x_rate sigma.  The Schrodinger equation in
+    sigma is the propagator's with these fields, and an error scale (1 +
+    delta) commutes with dt/dsigma, so a scan of the drive is a scan of the
+    design, to an error that falls as n^-6."""
+    h = (x_f - x0) / x_rate / n
+    x = x0 + x_rate * (h * (np.arange(n) + _GAUSS[:, None]))
+    return _magnus6(np.full(n, h), np.sin(x), np.cos(x))
 
 
-def _design_scans(pulse: Pulse, trajectory, grids):
+def _design_scans(pulse: Pulse, x0, x_f, grids):
     """A design's scans over its grids, each with its estimated error, and
     the exponentials per error row of the scan and of the estimate's scan.
 
-    A scan is the design's drive by sixth-order Magnus steps, one
-    exponential each, at _INTERVALS interval per accepted step (_drive),
-    its grids in one batch, against the design's target.  The error falls
-    as m^-6 in the intervals per step m, so the scan at
-    _ESTIMATE_INTERVALS, three intervals per four steps, is off by (4/3)^6
-    = 5.62 times as much, and max |F_1 - F_3/4| / ((4/3)^6 - 1) estimates
-    the scan's.  Both drives end at the s* the design recorded from its own
-    clock inversion.  The exponentials per row are the drives' counts
+    pulse is the design and x0 and x_f the ends of its mixing angle
+    (AngleTrajectory).  A scan is the design's drive (_drive) at
+    _INTERVALS uniform intervals of sigma, one exponential each, its grids
+    in one batch, against the design's target.  The error falls as n^-6 in
+    the intervals n, so the scan at _ESTIMATE_INTERVALS, half as many, is
+    off by 2^6 = 64 times as much, and max |F_128 - F_64| / (2^6 - 1)
+    estimates the scan's.  The exponentials per row are the drives' counts
     (dynamics._Steps)."""
     target = TargetState(pulse.beta_final)
-    drives = [_drive(trajectory.solution, m)
-              for m in (_INTERVALS, _ESTIMATE_INTERVALS)]
+    x_rate = 2.0 * pulse.params.c * pulse.params.branch_sign
+    drives = [_drive(x_rate, x0, x_f, n)
+              for n in (_INTERVALS, _ESTIMATE_INTERVALS)]
     fine, coarse = (_scan(pulse, target, grids, 1, drive=drive)
                     for drive in drives)
     return ([(res, float(np.max(np.abs(res.fidelities - est.fidelities)))

@@ -14,7 +14,7 @@ from qiepulse import (
     pi_half_baseline,
     scan_1d,
 )
-from qiepulse.robustness import _design_scans
+from qiepulse.robustness import _design_scans, _drive
 
 C_VALUES = (0.073, 0.060, 0.050, 0.040)
 
@@ -30,6 +30,19 @@ def bloch_from_angles(theta, beta):
     beta)."""
     th, b = np.asarray(theta, dtype=float), np.asarray(beta, dtype=float)
     return np.sin(th) * np.cos(b), np.sin(th) * np.sin(b), np.cos(th)
+
+
+def drive_ends(pulse, trajectory):
+    """(x_rate, x0, x_f) of a design: its mixing angle's rate in sigma,
+    2 c branch_sign, and ends, as _drive takes them."""
+    params = pulse.params
+    return 2.0 * params.c * params.branch_sign, trajectory.x0, trajectory.x_f
+
+
+def sigma_drive(pulse, trajectory, n):
+    """A design's M6 drive at n uniform intervals of sigma, as the report
+    builds it (robustness._drive)."""
+    return _drive(*drive_ends(pulse, trajectory), n)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +67,8 @@ def band_scans(designs4):
              for parameter in ("rabi", "detuning")]
     out = {}
     for c, (pulse, trajectory) in designs4.items():
-        for res, _ in _design_scans(pulse, trajectory, grids)[0]:
+        for res, _ in _design_scans(pulse, trajectory.x0, trajectory.x_f,
+                                    grids)[0]:
             out[(c, res.grid.parameter)] = res
     return out
 

@@ -131,7 +131,7 @@ def test_work_figure_counts_the_kept_exponentials(monkeypatch):
     pulse, trajectory = qiepulse.design_pulse(
         qiepulse.DesignParams(c=0.073, n_samples=101))
     assert np.all((pulse.omega != 0.0) | (pulse.delta != 0.0))
-    drive = _drive(trajectory.solution, 1)
+    drive = _drive(2.0 * 0.073 * -1, trajectory.x0, trajectory.x_f, 128)
     assert not drive.coef[..., 0].any() and drive.coef[..., 1:].any(axis=(0, 1)).all()
     for run, names in ((dynamics.final_states_over_errors,
                         {"pulse", "substeps", "scale_omega"}),
@@ -153,7 +153,8 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
     # and the baseline's), and each call's work figure is its rows times
     # the exponentials the kernel applied to each: the steps _bounded
     # keeps, for a pulse's fields and a drive's coefficients alike, times
-    # the size of a term's scale, one per row
+    # the size of a term's scale, one per row; a design's scans take 128
+    # and 64 exponentials a row, the baseline's 100-interval pulse 100
     import qiepulse.cli as cli
     import qiepulse.dynamics as dynamics
 
@@ -179,7 +180,7 @@ def test_traced_report_counts_the_exponentials(tmp_path, monkeypatch, capsys):
     span = tracer.names.index("dynamics.final_states")
     work = [w for w, n in zip(tracer.work, tracer.name_id) if n == span]
     assert len(work) == 9
-    assert work == applied
+    assert work == applied == [42 * 128, 42 * 64] * 4 + [21 * 100]
     # the writers' layers see the writers: the four pulse files' bytes and
     # the eight scan files
     names = [tracer.names[n] for n in tracer.name_id]

@@ -29,7 +29,9 @@ from qiepulse import (
 )
 from qiepulse.cli import exit_code_for, main
 from qiepulse.designer import MAX_SAMPLES
-from qiepulse.robustness import _drive, _scan
+from qiepulse.robustness import _scan
+
+from conftest import sigma_drive
 
 # 728 TiB of float samples: past MAX_SAMPLES, and far past anything numpy
 # could allocate, so a size that reached an allocation would not exit 2
@@ -398,7 +400,7 @@ class TestScanCommand:
         assert len(rows) == 5
 
     def test_every_scan_csv_names_its_sampling(self, tmp_path, capsys):
-        # a report scans each design's Sundman-time drive by M6; `scan` and
+        # a report scans each design's drive in sigma by M6; `scan` and
         # `simulate` take a pulse file's samples, linearly interpolated, at
         # their M4 intervals per sample interval
         config = tmp_path / "run.json"
@@ -411,7 +413,7 @@ class TestScanCommand:
         assert len(scans) == 8
         for path in scans:
             assert path.read_text().splitlines()[4] == (
-                "# sampling = sundman magnus6, 1 interval per accepted step")
+                "# sampling = sigma-uniform magnus6, 128 intervals")
         for substeps in (2, 3):
             out = tmp_path / f"file_scan_{substeps}.csv"
             assert main(["scan", "--pulse", str(tmp_path / "pulse_c0.073.csv"),
@@ -597,7 +599,7 @@ class TestBaselineCommand:
 
 
 class TestReportCommand:
-    def test_report_produces_artifacts(self, tmp_path, capsys):
+    def test_report_produces_artifacts(self, tmp_path, capsys, designs4):
         out_dir = tmp_path / "out"
         config = {
             "design": {"c": 0.073, "n_samples": 401},
@@ -619,11 +621,13 @@ class TestReportCommand:
             assert (out_dir / f"scan_c{c}_detuning.csv").exists()
         summary = (out_dir / "summary.txt").read_text()
         assert "qie c=0.073 rabi band min" in summary
-        # x_f/pi ends each design row; with x0 ~ pi, the area identity
-        # gives cos(x_f) = 2 c area - 1 (to the 4 printed digits)
+        # x_f/pi ends each design row: the x_f the design records, which
+        # the scans' drive turns to; with x0 ~ pi, the area identity gives
+        # cos(x_f) = 2 c area - 1 (to the 4 printed digits)
         lines = summary.splitlines()
         assert lines[2].split()[-1] == "x_f/pi"
-        for line in lines[3:7]:
+        for line, (_, trajectory) in zip(lines[3:7], designs4.values()):
+            assert line.split()[-1] == f"{trajectory.x_f / np.pi:.4f}"
             c, area_pi, *_, x_f_pi = map(float, [
                 v for v in line.split() if v not in ("yes", "NO")])
             assert math.cos(math.pi * x_f_pi) == pytest.approx(
@@ -716,8 +720,9 @@ class TestReportCommand:
                 assert texts[T, c] == texts[1.0, c]
 
     def test_report_scans_the_design_in_sundman_time(self, tmp_path, capsys):
-        # the report's scans are of the design's Sundman-time drive, which
-        # neither n_samples nor T moves: the scan files keep every byte; each
+        # the report's scans are of the design's drive in sigma, from its
+        # mixing angle's ends, which neither n_samples nor T moves: the scan
+        # files keep every byte; each
         # keeps the design's label and area, and names its sampling
         files = {}
         for T, n in ((1.0, 401), (1.0, 4001), (3.0, 401)):
@@ -749,15 +754,16 @@ class TestReportCommand:
                 meta = lines.splitlines()[:6]
                 assert meta[0] == f"# protocol = qie c={c}"
                 assert meta[2] == f"# area = {pulse.area!r}"
-                assert meta[4] == ("# sampling = sundman magnus6, 1 interval "
-                                   "per accepted step")
+                assert meta[4] == ("# sampling = sigma-uniform magnus6, "
+                                   "128 intervals")
                 assert 0 < float(meta[5].split(" = ")[1]) < 1e-8
 
     def test_report_scan_error_estimate(self, tmp_path, capsys):
-        # c = 0.073, rabi: the scan is the design's M6 drive at 1 interval
-        # a step, within 5e-10 of it at 16 (and of the t-sampled pulse's
-        # scan, 9e-5 away, much nearer); the printed estimate
-        # max |F1 - F3/4| / ((4/3)^6 - 1) is within 1.5x of that true gap
+        # c = 0.073, rabi: the scan is the design's M6 drive at 128
+        # uniform intervals of sigma, within 2e-11 of it at 1024 (and of the
+        # t-sampled pulse's scan, 9e-5 away, much nearer); the printed
+        # estimate max |F128 - F64| / (2^6 - 1) is within 1.5x of that true
+        # gap
         out_dir = tmp_path / "out"
         config = {
             "design": {"c": 0.073, "n_samples": 401},
@@ -779,30 +785,32 @@ class TestReportCommand:
         grid = ErrorGrid("rabi", -0.5, 0.5, 21)
         target = TargetState(pulse.beta_final)
 
-        def scan(m):
-            drive = _drive(trajectory.solution, m)
+        def scan(n):
+            drive = sigma_drive(pulse, trajectory, n)
             return _scan(pulse, target, [grid], 1, drive=drive)[0].fidelities
 
-        reference = scan(16)
+        reference = scan(1024)
         sampled = scan_1d(pulse, target, grid).fidelities
-        np.testing.assert_allclose(fids, scan(1), rtol=0, atol=1e-12)
-        gap = np.max(np.abs(scan(1) - reference))
-        assert gap <= 5e-10 and 1e4 * gap < np.max(np.abs(sampled - reference))
+        np.testing.assert_allclose(fids, scan(128), rtol=0, atol=1e-12)
+        gap = np.max(np.abs(scan(128) - reference))
+        assert gap <= 2e-11 and 1e4 * gap < np.max(np.abs(sampled - reference))
         assert gap / 1.5 <= estimate <= 1.5 * gap
         summary = (out_dir / "summary.txt").read_text()
         assert f" 0.073  {estimate:.2e}" in summary
 
     def test_report_scan_error_estimates(self, report_21, designs4):
-        # every report scan, 4 c by 2 parameters: the printed estimate
-        # max |F1 - F3/4| / ((4/3)^6 - 1) is within 1.5x of the scan's true
-        # gap, to the design's M6 drive at 16 intervals a step
+        # every report scan, 4 c by 2 parameters, lies within 2e-11 of the
+        # design's M6 drive at 1024 uniform intervals of sigma, and the
+        # printed estimate max |F128 - F64| / (2^6 - 1) is within 1.5x of
+        # that true gap
         grids = [ErrorGrid(parameter, -0.5, 0.5, 21)
                  for parameter in ("rabi", "detuning")]
         summary = (report_21 / "summary.txt").read_text()
-        assert "estimated error max|F1 - F3/4|/((4/3)^6 - 1)\n" in summary
+        assert ("qie scan sampling: sigma-uniform magnus6, 128 intervals; "
+                "estimated error max|F128 - F64|/(2^6 - 1)\n") in summary
         for c, (pulse, trajectory) in designs4.items():
             references = _scan(pulse, TargetState(pulse.beta_final), grids, 1,
-                               drive=_drive(trajectory.solution, 16))
+                               drive=sigma_drive(pulse, trajectory, 1024))
             estimates = []
             for reference in references:
                 text = (report_21 / f"scan_c{c:g}_"
@@ -812,6 +820,7 @@ class TestReportCommand:
                 fids = np.array([float(line.split(",")[1])
                                  for line in text.splitlines()[7:]])
                 gap = np.max(np.abs(fids - reference.fidelities))
+                assert gap <= 2e-11
                 assert gap / 1.5 <= estimate <= 1.5 * gap
                 estimates.append(estimate)
             assert f"{c:>6g} {estimates[0]:>9.2e} {estimates[1]:>9.2e}\n" \
@@ -819,9 +828,9 @@ class TestReportCommand:
 
     def test_report_work_table(self, report_21, designs4):
         # per design: the stepper's work from its Solution, and the
-        # exponentials per error row of the scan (1 interval a step) and
-        # of the estimate's scan (three intervals per four steps), which
-        # are the drives' counts; none of its lines reads as a summary row
+        # exponentials per error row of the scan (128 intervals of sigma)
+        # and of the estimate's scan (64), which are the drives' counts;
+        # none of its lines reads as a summary row
         lines = (report_21 / "summary.txt").read_text().splitlines()
         start = lines.index("exponentials per error row of the scan and of "
                             "the estimate's scan")
@@ -830,18 +839,14 @@ class TestReportCommand:
                                            "rejected", "scan", "estimate"]
         rows = lines[start + 2:start + 6]
         assert lines[start + 6] == ""
-        for row, (c, (_, trajectory)) in zip(rows, designs4.items()):
+        for row, (c, (pulse, trajectory)) in zip(rows, designs4.items()):
             solution = trajectory.solution
-            steps = solution.ss.size - 1
-            scan, estimate = (_drive(solution, m).omega.size - 1
-                              for m in (1, 0.75))
-            assert row.split() == [f"{c:g}", str(solution.nfev), str(steps),
-                                   str(solution.rejected), str(scan),
-                                   str(estimate)]
-            # one exponential per interval: one interval in each step but
-            # the part of the last past s*, and three per four steps
-            assert steps - 1 < scan <= steps
-            assert 0.75 * (steps - 1) < estimate <= -(-3 * steps // 4)
+            scan, estimate = (sigma_drive(pulse, trajectory, n).omega.size - 1
+                              for n in (128, 64))
+            assert (scan, estimate) == (128, 64)
+            assert row.split() == [f"{c:g}", str(solution.nfev),
+                                   str(solution.ss.size - 1),
+                                   str(solution.rejected), "128", "64"]
         for line in lines[start - 1:start + 6]:
             assert line.rsplit(" ", 1)[-1] not in ("LR", "L-", "-R", "--")
 
@@ -867,8 +872,8 @@ class TestReportCommand:
 
     def test_report_inverts_each_clock_once(self, monkeypatch, tmp_path,
                                             capsys):
-        # each design inverts its clock once, at its whole grid, and records
-        # s* from it; the report's scans invert none
+        # each design inverts its clock once, at its whole grid, where it
+        # finds x_f; the report's scans invert none
         sizes = []
         locate_clock = designer._locate_clock
 

@@ -13,25 +13,24 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import qiepulse.designer as designer
+import qiepulse.robustness as robustness
 from qiepulse import (
     DesignError,
     DesignParams,
+    ErrorGrid,
     ParameterError,
     Pulse,
     analytic_diagnostics,
     design_pulse,
-    TargetState,
-    fidelity,
-    ket1,
     pi_half_baseline,
 )
 from qiepulse.designer import (
     ODE_RTOL, REFINE_TOL, _area, _constraint, _dense, _dopri5, _locate,
     beta_acceleration,
 )
-from qiepulse.dynamics import final_states_over_errors
 from qiepulse.profiles import ThetaSample, theta_profile
-from qiepulse.robustness import _drive
+from qiepulse.pulse_io import write_scan_csv
+from qiepulse.robustness import _design_scans
 
 # regression pins for the shipped default configuration (branch_sign=-1,
 # consistency init): the area and beta_final of the t-form design, which
@@ -936,10 +935,8 @@ class TestDormandPrince:
                                  y0, t_end, rtol, atol)
         assert (y0[0], t_end, rtol, atol) == (-4.0, 4.0, ODE_RTOL,
                                              designer.ODE_ATOL)
-        # the design's run is the bare run, every field _dopri5 gives, and
-        # the s* its clock inversion recorded, which the bare run leaves nan
-        assert math.isnan(sol.s_end) and trajectory.solution.s_end > 0
-        assert sol == replace(trajectory.solution, s_end=math.nan)
+        # the design's run is the bare run, every field _dopri5 gives
+        assert sol == trajectory.solution
 
     def test_transient_nan_stage_is_retried(self):
         # a nan in the fourth stage of the sixth attempt: that attempt is
@@ -1363,8 +1360,7 @@ class TestSolution:
 
         solution = _dopri5(f, (0.0, 1.0, 0.5), 10.0, 1e-6, 1e-8,
                            lambda *y: None)
-        # a bare run records no s*: only design_pulse inverts its clock
-        assert solution.rejected > 0 and math.isnan(solution.s_end)
+        assert solution.rejected > 0
         assert calls[0] == solution.nfev == 2 + 6 * (solution.ss.size - 1
                                                      + solution.rejected)
 
@@ -1388,121 +1384,52 @@ class TestSolution:
     @pytest.mark.parametrize("T", [1.0, 3.0])
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("init", ["consistency", "zero"])
-    def test_s_end_is_the_clock_at_the_window_end(self, n, T, sign, init):
-        # the s* a design records from its grid's clock inversion is, bit
-        # for bit, the one-point inversion at the window end kappa, and both
-        # of the report's drives end their last interval there
-        params = DesignParams(c=0.073, T=T, n_samples=n, branch_sign=sign,
-                              beta_rate_init=init)
-        solution = design_pulse(params)[1].solution
-        ss = solution.ss
-        seg, frac = designer._locate_clock(solution, np.array([4.0]),
-                                           designer.CLOCK_TOL)
-        one_point = ss[seg] + frac * (ss[seg + 1] - ss[seg])
-        assert type(solution.s_end) is float
-        assert np.float64(solution.s_end).tobytes() == one_point.tobytes()
-        for m in (1, 0.75):
-            s = designer._sundman(solution, m)[0]
-            assert s[-1] == solution.s_end and s[-2] < s[-1]
+    def test_scan_drives_turn_between_the_runs_ends(self, monkeypatch,
+                                                    tmp_path, n, T, sign,
+                                                    init):
+        # both of the report's drives turn from the run's start x0 to the
+        # dense x at the one-point clock inversion at the window end kappa,
+        # bit for bit, and so the report's scan CSVs keep every byte of
+        # those at n = 401 and T = 1
+        grids = [ErrorGrid(parameter, -0.5, 0.5, 5)
+                 for parameter in ("rabi", "detuning")]
+        ends, drive = [], robustness._drive
+
+        def recorded(x_rate, x0, x_f, n):
+            ends.append((x0, x_f))
+            return drive(x_rate, x0, x_f, n)
+
+        monkeypatch.setattr(robustness, "_drive", recorded)
+        files = []
+        for n_samples, time_unit in ((n, T), (401, 1.0)):
+            pulse, trajectory = design_pulse(DesignParams(
+                c=0.073, T=time_unit, n_samples=n_samples, branch_sign=sign,
+                beta_rate_init=init))
+            solution = trajectory.solution
+            x_f = _dense(solution, *designer._locate_clock(
+                solution, np.array([4.0]), designer.CLOCK_TOL))[2]
+            ends.clear()
+            scans, _ = _design_scans(pulse, trajectory.x0, trajectory.x_f,
+                                     grids)
+            assert len(ends) == 2
+            for x0, x_end in ends:
+                assert type(x0) is float and type(x_end) is float
+                assert np.float64(x0).tobytes() == solution.ys[2, :1].tobytes()
+                assert np.float64(x_end).tobytes() == x_f.tobytes()
+            for res, error in scans:
+                path = tmp_path / f"scan_{res.grid.parameter}.csv"
+                write_scan_csv(res, path, meta={
+                    "sampling": robustness._SAMPLING,
+                    "sampling_error": f"{error:.2e}"})
+                files.append(path.read_bytes())
+        assert files[:2] == files[2:]
 
     def test_the_record_is_in_units_of_T_and_not_compared(self):
-        # a design at T keeps the T = 1 run; the record is no part of the
-        # trajectory's value, nor a public name
+        # a design at T keeps the T = 1 run and its mixing angle's ends; the
+        # record is no part of the trajectory's value, nor a public name
         _, one = design_pulse(DesignParams(c=0.073, n_samples=401))
         _, three = design_pulse(DesignParams(c=0.073, T=3.0, n_samples=401))
         assert three.solution == one.solution
+        assert (three.x0, three.x_f) == (one.x0, one.x_f)
         assert replace(one, solution=None) == one
         assert "Solution" not in designer.__all__
-
-
-class TestSundman:
-    """designer._sundman: the design's drive in its Sundman time, as the
-    sixth-order Magnus step (M6) takes it, one exponential per interval."""
-
-    @staticmethod
-    def scan(trajectory, m, target, scales):
-        """Final fidelities of the M6 drive at m intervals per accepted
-        step, over the (scale_omega, scale_delta) rows."""
-        drive = _drive(trajectory.solution, m)
-        return fidelity(final_states_over_errors(drive, ket1(), *scales, 1),
-                        target)
-
-    @pytest.mark.parametrize("c", [0.04, 0.073])
-    @pytest.mark.parametrize("m", [0.5, 0.75, 1, 2, 4])
-    def test_nodes_and_fields(self, c, m):
-        _, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
-        solution = trajectory.solution
-        s, omega, delta = designer._sundman(solution, m)
-        assert s[0] == 0.0 and np.all(np.diff(s) > 0)
-        steps = solution.ss.size - 1
-        inner = s[:-1]
-        if m == 0.5:
-            # one interval per two accepted steps: its ends are every other
-            # accepted time, then s*
-            np.testing.assert_array_equal(inner, solution.ss[:-1:2])
-        elif m == 0.75:
-            # three intervals per four accepted steps: an end every 4/3
-            # steps, on every fourth accepted time, then s*
-            assert 0.75 * (steps - 1) < s.size - 1 <= -(-3 * steps // 4)
-            np.testing.assert_array_equal(inner[::3],
-                                          solution.ss[:4 * inner[::3].size:4])
-            seg = np.arange(1, inner.size, 3)
-            h = np.diff(solution.ss)
-            np.testing.assert_allclose(
-                inner[seg], solution.ss[seg // 3 * 4 + 1] + h[seg // 3 * 4 + 1] / 3,
-                rtol=1e-15, atol=0)
-        else:
-            # m intervals in each accepted step up to s*, inside the last one
-            assert m * (steps - 1) < s.size - 1 <= m * steps
-            np.testing.assert_array_equal(inner[::m],
-                                          solution.ss[:inner[::m].size])
-        # the clock: -kappa at the start, kappa within CLOCK_TOL at s*, the
-        # s_end the design recorded
-        assert s[-1] == solution.s_end
-        clock = _dense(solution, *_locate(solution.ss, s[[0, -1]]))[0]
-        assert clock[0] == -4.0
-        assert abs(clock[1] - 4.0) <= designer.CLOCK_TOL
-        assert solution.ss[-2] < s[-1] <= solution.ss[-1]
-        # no spike: the fields theta_dot (sin x, cos x) at the three Gauss
-        # nodes of each interval, as the docstring states them, are at most
-        # sqrt(pi)/2, and Omega dt/ds > 0
-        h = np.diff(s)
-        assert omega.shape == delta.shape == (3, s.size - 1)
-        nodes = s[:-1] + designer._GAUSS[:, None] * h
-        np.testing.assert_allclose(designer._GAUSS, 0.5 + np.array([-1, 0, 1])
-                                   * math.sqrt(0.15), rtol=1e-15, atol=0)
-        tau, _, x = _dense(solution, *_locate(solution.ss, nodes.T.ravel()))
-        theta_dot = designer._theta_dot(tau)
-        for field, f in ((omega, np.sin), (delta, np.cos)):
-            np.testing.assert_allclose(field, (theta_dot * f(x)).reshape(-1, 3).T,
-                                       rtol=1e-15, atol=0)
-        assert np.all(np.hypot(omega, delta) <= math.sqrt(math.pi) / 2
-                      * (1 + 1e-15))
-        assert np.all(omega > 0)
-        # the report's drive: one exponential per interval, after the
-        # identity's slot, whose first-order fields are the Gauss
-        # quadrature -(h/4) (5 Omega_1 + 8 Omega_2 + 5 Omega_3) / 18 and
-        # (h/4) (5 Delta_1 + 8 Delta_2 + 5 Delta_3) / 18
-        drive = _drive(solution, m)
-        assert drive.omega.size - 1 == s.size - 1
-        assert not drive.coef[..., 0].any()
-        weights = np.array([5.0, 8.0, 5.0])[:, None] / 18
-        np.testing.assert_allclose(drive.coef[0, 0, 1:], -h / 4 * np.sum(
-            weights * omega, axis=0), rtol=1e-14, atol=0)
-        np.testing.assert_allclose(drive.coef[1, 0, 1:], h / 4 * np.sum(
-            weights * delta, axis=0), rtol=1e-14, atol=0)
-
-    @pytest.mark.parametrize("c", [0.04, 0.073])
-    def test_sixth_order(self, c):
-        # each halving of the interval divides the gap to the m = 32 scan by
-        # about 2^6 = 64 (39 to 62 measured) while the gap is above
-        # round-off: from m = 1/2 to 1 to 2 (at 4 it is 3e-14)
-        pulse, trajectory = design_pulse(DesignParams(c=c, n_samples=401))
-        d = np.linspace(-0.5, 0.5, 21)
-        scales = (np.r_[1 + d, np.ones(21)], np.r_[np.ones(21), 1 + d])
-        target = TargetState(pulse.beta_final)
-        reference = self.scan(trajectory, 32, target, scales)
-        gap = [np.max(np.abs(self.scan(trajectory, m, target, scales)
-                             - reference)) for m in (0.5, 1, 2)]
-        assert 32 <= gap[0] / gap[1] <= 128
-        assert 32 <= gap[1] / gap[2] <= 128

@@ -14,12 +14,12 @@ from qiepulse import (
     robustness_summary,
     scan_1d,
 )
-from qiepulse import designer
 from qiepulse.designer import MAX_SAMPLES
-from qiepulse.dynamics import _WIDTH, _Steps
-from qiepulse.robustness import ScanResult, _drive, _scan
+from qiepulse.dynamics import (_GAUSS, _WIDTH, _Steps, fidelity,
+                               final_states_over_errors, ket1)
+from qiepulse.robustness import _INTERVALS, ScanResult, _drive, _scan
 
-from conftest import C_VALUES
+from conftest import C_VALUES, drive_ends, sigma_drive
 
 
 class TestErrorGrid:
@@ -258,7 +258,8 @@ class TestSummary:
             assert np.all(res.fidelities[~edge] > res.min_fidelity_in_band)
             f = _scan(pulse, TargetState(pulse.beta_final),
                       [ErrorGrid("rabi", -h, h, 3)], 1,
-                      drive=_drive(trajectory.solution, 1))[0].fidelities
+                      drive=sigma_drive(pulse, trajectory,
+                                        _INTERVALS))[0].fidelities
             q.append((2 - f[0] - f[2]) / (2 * h * h))
             assert q[-1] == pytest.approx(measured[c], rel=0.01)
         assert q[0] > q[1] < q[2] > q[3]
@@ -277,29 +278,94 @@ class TestSummary:
         assert "0.5000" in text
 
 
-def m4_drive(solution, m):
-    """The design's drive at m intervals per accepted step by fourth-order
-    Magnus steps, as _Steps of one monomial per field: the intervals of designer._sundman, the
-    fields at each one's two Gauss nodes 1/2 -+ sqrt(3)/6, -(Omega_1 +
+def m4_drive(x_rate, x0, x_f, n):
+    """The drive of _drive by fourth-order Magnus steps, as _Steps of one
+    monomial per field: n uniform intervals of sigma, the fields sin(x) and
+    cos(x) at each one's two Gauss nodes 1/2 -+ sqrt(3)/6, -(Omega_1 +
     Omega_2) h/8 and (Delta_1 + Delta_2) h/8 on so and sd, and (sqrt(3)/48)
     h^2 (Omega_1 Delta_2 - Omega_2 Delta_1) on so sd."""
-    s = designer._sundman(solution, m)[0]
-    h = np.diff(s)
-    nodes = s[:-1] + (0.5 + np.array([[-1.0], [1.0]]) * math.sqrt(3) / 6) * h
-    tau, _, x = designer._dense(solution,
-                                *designer._locate(solution.ss, nodes.T.ravel()))
-    theta_dot = designer._theta_dot(tau)
-    (o1, o2), (d1, d2) = ((theta_dot * f(x)).reshape(-1, 2).T
-                          for f in (np.sin, np.cos))
-    coef = np.zeros((3, 1, h.size + 1))
+    h = (x_f - x0) / x_rate / n
+    x = x0 + x_rate * h * (np.arange(n) + 0.5
+                           + np.array([[-1.0], [1.0]]) * math.sqrt(3) / 6)
+    (o1, o2), (d1, d2) = np.sin(x), np.cos(x)
+    coef = np.zeros((3, 1, n + 1))
     coef[:, 0, 1:] = (-(o1 + o2) * h / 8, (d1 + d2) * h / 8,
                       math.sqrt(3) / 48 * h ** 2 * (o1 * d2 - o2 * d1))
     return _Steps(coef, coef.any(axis=(0, 1)))
 
 
+class TestDrive:
+    """robustness._drive: a design's drive in sigma, the unit field whose
+    mixing angle turns uniformly from x0 to x_f, one sixth-order Magnus
+    (M6) exponential per interval."""
+
+    # sigma* = (x_f - x0) / (2 c branch_sign) of the four reference designs
+    LENGTHS = {0.073: 10.06, 0.060: 14.09, 0.050: 15.67, 0.040: 20.61}
+
+    @pytest.mark.parametrize("c", C_VALUES)
+    @pytest.mark.parametrize("n", [1, 64, 128])
+    def test_nodes_and_fields(self, designs4, c, n):
+        # n intervals of width sigma* / n, the last ending at x_f; after the
+        # identity's slot, one exponential per interval, whose first-order
+        # fields are the Gauss quadrature -(h/4) (5 sin x_1 + 8 sin x_2 +
+        # 5 sin x_3) / 18 and (h/4) (5 cos x_1 + 8 cos x_2 + 5 cos x_3) / 18
+        # at x = x0 + 2 c branch_sign sigma, inside (0, pi)
+        np.testing.assert_allclose(_GAUSS, 0.5 + np.array([-1, 0, 1])
+                                   * math.sqrt(0.15), rtol=1e-15, atol=0)
+        x_rate, x0, x_f = drive_ends(*designs4[c])
+        length = (x_f - x0) / x_rate
+        assert length == pytest.approx(self.LENGTHS[c], abs=5e-3)
+        drive = _drive(x_rate, x0, x_f, n)
+        assert drive.omega.size - 1 == np.count_nonzero(drive.keep) == n
+        assert not drive.coef[..., 0].any()
+        h = length / n
+        assert x0 + x_rate * n * h == pytest.approx(x_f, rel=1e-15, abs=0)
+        x = x0 + x_rate * h * (np.arange(n)[:, None] + _GAUSS)
+        assert np.all((0 < x) & (x < math.pi))
+        weights = np.array([5.0, 8.0, 5.0]) / 18
+        for row, f, sign in ((0, np.sin, -1), (1, np.cos, 1)):
+            np.testing.assert_allclose(drive.coef[row, 0, 1:],
+                                       sign * h / 4 * (f(x) @ weights),
+                                       rtol=1e-14, atol=1e-15 * h)
+
+    @pytest.mark.parametrize("c", C_VALUES)
+    def test_diagonal_closed_form(self, designs4, c):
+        # along delta_Omega = delta_Delta = delta the drive is exactly
+        # solvable: in the frame W(x) = exp(i x sigma_y / 2) that turns with
+        # the field its Hamiltonian is H_eff = -((1 + delta)/2) sigma_z +
+        # c branch_sign sigma_y, so U = W(x_f) exp(-i H_eff sigma*) W(x0)^+.
+        # The report's drive lies within 2e-11 of it at 21 delta (2.1e-13
+        # to 1.2e-11 measured); with the sigma_y term's sign swapped the
+        # gap is 2e-2 to 8e-2
+        from scipy.linalg import expm
+
+        delta = np.linspace(-0.5, 0.5, 21)
+        sy = np.array([[0, -1j], [1j, 0]])
+        sz = np.diag([1.0, -1.0])
+
+        def frame(x):
+            return expm(0.5j * x * sy)
+
+        pulse, trajectory = designs4[c]
+        x_rate, x0, x_f = drive_ends(pulse, trajectory)
+        target = TargetState(pulse.beta_final)
+        length = (x_f - x0) / x_rate
+        scan = fidelity(final_states_over_errors(
+            _drive(x_rate, x0, x_f, _INTERVALS), ket1(), 1 + delta,
+            1 + delta), target)
+        gaps = []
+        for turn in (x_rate / 2, -x_rate / 2):
+            states = np.array([
+                frame(x_f) @ expm(-1j * length * (-(1 + d) / 2 * sz
+                                                  + turn * sy))
+                @ frame(x0).conj().T @ ket1() for d in delta])
+            gaps.append(np.max(np.abs(fidelity(states, target) - scan)))
+        assert gaps[0] <= 2e-11 and gaps[1] >= 1e-2
+
+
 class TestDesignScans:
     """The report's scans of the four reference designs, by sixth-order
-    Magnus steps at one interval per accepted step."""
+    Magnus steps at _INTERVALS uniform intervals of sigma."""
 
     GRIDS = [ErrorGrid(parameter, -0.5, 0.5, 101)
              for parameter in ("rabi", "detuning")]
@@ -311,23 +377,26 @@ class TestDesignScans:
             drive=drive)])
 
     def test_scans_lie_on_both_references(self, designs4):
-        # the report's grids: each scan at m = 1 lies within 5e-10 of the
-        # design's M4 drive at m = 16 and of its M6 drive at m = 4 (2.2e-12
-        # to 2.7e-11 measured), which agree within 1e-12 (2.5e-13 measured)
+        # the report's grids: each scan at n = 128 lies within 2e-11 of the
+        # design's M6 drive at n = 1024 (8.6e-13 to 1.1e-11 measured) and
+        # of its M4 drive at n = 2048, which agree within 1e-12 (1.6e-13
+        # measured)
         for pulse, trajectory in designs4.values():
-            scan, m4, m6 = (self.fidelities(pulse, drive) for drive in (
-                _drive(trajectory.solution, 1), m4_drive(trajectory.solution, 16),
-                _drive(trajectory.solution, 4)))
-            assert np.max(np.abs(scan - m4)) <= 5e-10
-            assert np.max(np.abs(scan - m6)) <= 5e-10
+            scan, m6, m4 = (self.fidelities(pulse, drive) for drive in (
+                sigma_drive(pulse, trajectory, _INTERVALS),
+                sigma_drive(pulse, trajectory, 1024),
+                m4_drive(*drive_ends(pulse, trajectory), 2048)))
+            assert np.max(np.abs(scan - m6)) <= 2e-11
+            assert np.max(np.abs(scan - m4)) <= 2e-11
             assert np.max(np.abs(m4 - m6)) <= 1e-12
 
     def test_error_falls_at_sixth_order(self, designs4):
-        # halving m from 1 to 1/2 multiplies the gap to the M6 m = 4 scan
-        # by about 2^6 = 64 (39 to 66 measured)
+        # each doubling of n, from 32 to 64 to 128, divides the gap to the
+        # n = 1024 scan by about 2^6 = 64 (63 to 65 measured)
         for pulse, trajectory in designs4.values():
-            reference, scan, half = (self.fidelities(
-                pulse, _drive(trajectory.solution, m)) for m in (4, 1, 0.5))
-            ratio = (np.max(np.abs(half - reference))
-                     / np.max(np.abs(scan - reference)))
-            assert 32 <= ratio <= 128
+            reference, *scans = (self.fidelities(
+                pulse, sigma_drive(pulse, trajectory, n))
+                for n in (1024, 32, 64, 128))
+            gap = [np.max(np.abs(scan - reference)) for scan in scans]
+            assert 32 <= gap[0] / gap[1] <= 128
+            assert 32 <= gap[1] / gap[2] <= 128
